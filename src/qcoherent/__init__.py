@@ -22,13 +22,12 @@ from .classify import (
     classify_self_coherent,
     pearson_ttrr,
 )
-from .coherence import CoherenceConfig, CoherencePair, VerifyReport
+from .coherence import CoherenceConfig, CoherencePair
 from .families import (
     FamilySpec,
     TTRRCoeffs,
     check_reduction,
     classical,
-    family_polynomials,
     j_coeffs,
     l_coeffs,
     moments_from_ttrr,
@@ -39,10 +38,10 @@ from .families import (
 from .functionals import (
     MomentFunctional,
     SemiclassicalWitness,
+    VerifyReport,
     act,
     dual_basis_functional,
     functional_diff,
-    functional_diff_power,
     functional_shift,
     hankel_regular,
     left_mult,
@@ -80,9 +79,7 @@ __all__ = [
     "classical",
     "classify_self_coherent",
     "dual_basis_functional",
-    "family_polynomials",
     "functional_diff",
-    "functional_diff_power",
     "functional_shift",
     "hahn_diff",
     "hahn_power",

@@ -32,7 +32,10 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {value!r}") from None
     raise DomainError(f"cannot interpret {value!r} as a rational")
 
 

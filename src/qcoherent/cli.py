@@ -24,7 +24,7 @@ from fractions import Fraction
 from .algebra import Poly, rat, rat_str
 from .classify import classify_self_coherent
 from .coherence import CoherenceConfig, CoherencePair
-from .errors import QCoherentError
+from .errors import DomainError, QCoherentError
 from .families import (
     CLASSICAL_LABELS,
     FamilySpec,
@@ -37,24 +37,29 @@ from .families import (
 from .functionals import (
     MomentFunctional,
     SemiclassicalWitness,
-    functional_agree,
+    VerifyReport,
+    _report,
     functional_diff_n,
     leibniz_expansion,
     left_mult,
     pearson_check,
 )
 from .qcalc import QParams
-from .sampling import rational, sample_case_instance, sample_poly_coeffs
-
-_CLASSICAL_ARITY = {
-    "al-salam-carlitz": 1, "big-q-laguerre": 2, "little-q-laguerre": 1,
-    "l-type": 1, "big-q-jacobi": 3, "little-q-jacobi": 2, "q-bessel": 1,
-    "j-type": 2,
-}
+from .sampling import (
+    rational,
+    sample_case_instance,
+    sample_poly_coeffs,
+    sample_q,
+)
 
 
 def _default_n() -> int:
-    return int(os.environ.get("QCOHERENT_NMAX", "8"))
+    text = os.environ.get("QCOHERENT_NMAX", "8")
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(
+            f"QCOHERENT_NMAX must be an integer, got {text!r}") from None
 
 
 def _parse_poly(text: str) -> Poly:
@@ -77,8 +82,8 @@ def _family_from_args(args, qp: QParams, n_max: int) -> FamilySpec:
         if len(supplied) != 4:
             raise QCoherentError("family J takes --a --b --c --d")
         spec = FamilySpec("J", tuple(supplied), qp.q)
-    elif label in _CLASSICAL_ARITY:
-        want = _CLASSICAL_ARITY[label]
+    elif label in CLASSICAL_LABELS:
+        want = CLASSICAL_LABELS[label]
         if len(supplied) != want:
             raise QCoherentError(f"family {label} takes {want} parameter(s)")
         spec = classical(label, tuple(supplied), qp, n_max)
@@ -162,13 +167,10 @@ def _cmd_verify_structure(args) -> int:
 
 
 def _case_pipeline(pair: CoherencePair, depth: int) -> list[dict]:
-    reports = []
     table = pair.table
-    reports.append({
-        "identity": "banded structure relation",
-        "status": "holds" if table.is_coherent else "failed",
-        "order_checked": table.n_max,
-    })
+    reports = [VerifyReport("banded structure relation",
+                            "holds" if table.is_coherent else "failed",
+                            table.n_max).to_json()]
     for n in range(min(4, depth) + 1):
         reports.append(pair.verify_functional_equation(n).to_json())
     cfg = pair.config
@@ -219,7 +221,7 @@ def _cmd_verify_reduction(args) -> int:
         attempts += 1
         if attempts > 200 * args.points:
             raise QCoherentError("could not sample admissible parameters")
-        qp = QParams(_sample_q(rng), Fraction(0))
+        qp = QParams(sample_q(rng), Fraction(0))
         params = {name: rational(rng, nonzero=True) for name in "abcd"}
         try:
             report = check_reduction(args.identity, params, qp, args.n)
@@ -233,36 +235,22 @@ def _cmd_verify_reduction(args) -> int:
     return _exit_from_reports(reports)
 
 
-def _sample_q(rng: random.Random) -> Fraction:
-    from .sampling import sample_q
-
-    return sample_q(rng)
-
-
 def _cmd_verify_leibniz(args) -> int:
     rng = random.Random(args.seed)
     reports = []
     for trial in range(args.trials):
-        qp = QParams(_sample_q(rng), rational(rng))
+        qp = QParams(sample_q(rng), rational(rng))
         f = Poly(sample_poly_coeffs(rng, 3))
         u = MomentFunctional(
             [rational(rng) for _ in range(12)])
         for order in range(args.n + 1):
             direct = functional_diff_n(left_mult(f, u), order, qp)
-            status = "holds"
-            failure = None
-            checked = direct.order
             for variant in (1, 2):
-                expansion = leibniz_expansion(f, u, order, qp, variant)
-                ok, idx, checked = functional_agree(direct, expansion)
-                if not ok:
-                    status, failure = "failed", idx
+                report = _report(f"leibniz[trial={trial},n={order}]", direct,
+                                 leibniz_expansion(f, u, order, qp, variant))
+                if not report.ok:
                     break
-            report = {"identity": f"leibniz[trial={trial},n={order}]",
-                      "status": status, "order_checked": checked}
-            if failure is not None:
-                report["first_failure"] = failure
-            reports.append(report)
+            reports.append(report.to_json())
     _emit({"seed": args.seed, "trials": args.trials, "reports": reports})
     return _exit_from_reports(reports)
 
@@ -375,17 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except QCoherentError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)})
-        return 2
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (QCoherentError, ValueError) as exc:  # JSONDecodeError included
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return 2
 

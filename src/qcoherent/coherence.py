@@ -21,15 +21,12 @@ coefficients this module constructs the polynomial tables
 builds the Cramer determinant systems they satisfy, and verifies every
 resulting functional equation exactly on moments.  "Backward" throughout
 means the difference parameters (1/q, -w/q).
-
-All determinants are computed twice, by fraction-free elimination and by
-cofactor expansion, and the results are required to agree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Poly, det_bareiss, det_cofactor
+from .algebra import Poly, det_bareiss
 from .errors import (
     DegreeClaimViolated,
     DomainError,
@@ -48,7 +45,8 @@ from .families import (
 from .functionals import (
     MomentFunctional,
     SemiclassicalWitness,
-    functional_agree,
+    VerifyReport,
+    _report,
     functional_diff_n,
     left_mult,
 )
@@ -84,37 +82,6 @@ class CoherenceConfig:
 
 
 @dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of one exact moment-level identity check."""
-
-    identity: str
-    status: str  # "holds" | "failed" | "degenerate"
-    order_checked: int = -1
-    first_failure: int | None = None
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "holds"
-
-    def to_json(self) -> dict:
-        data = {"identity": self.identity, "status": self.status,
-                "order_checked": self.order_checked}
-        if self.first_failure is not None:
-            data["first_failure"] = self.first_failure
-        if self.detail:
-            data["detail"] = self.detail
-        return data
-
-
-def _report(identity: str, lhs: MomentFunctional, rhs: MomentFunctional,
-            detail: str = "") -> VerifyReport:
-    ok, idx, checked = functional_agree(lhs, rhs)
-    return VerifyReport(identity, "holds" if ok else "failed", checked,
-                        idx, detail)
-
-
-@dataclass(frozen=True)
 class DeterminantSystem:
     """Cramer data: the system determinant and its column replacements."""
 
@@ -132,7 +99,7 @@ class CoherencePair:
 
     Holds the two polynomial sequences, their moment functionals, squared
     norms, the structure table, and the operator parameters.  All psi/phi
-    tables are built lazily and cached.
+    tables and both determinant systems are built lazily and cached.
     """
 
     def __init__(self, config: CoherenceConfig, qp: QParams, p_polys,
@@ -149,6 +116,7 @@ class CoherencePair:
         self.table = table
         self._psi: dict = {}
         self._phi: dict = {}
+        self._systems: dict = {}
 
     @classmethod
     def self_coherent(cls, spec: FamilySpec, config: CoherenceConfig,
@@ -324,12 +292,7 @@ class CoherencePair:
 
     @staticmethod
     def _det(rows) -> Poly:
-        fast = det_bareiss(rows)
-        slow = det_cofactor(rows)
-        if fast != slow:
-            raise InternalInconsistency(
-                "fraction-free and cofactor determinants disagree")
-        return fast
+        return det_bareiss(rows)
 
     def varphi_system(self) -> DeterminantSystem:
         """Determinants A, A1, A2 of the varphi matrix (case m >= k+N).
@@ -338,6 +301,8 @@ class CoherencePair:
         A1 and A2 replace its first resp. second column by the vector of
         psi(x; n), n = 0..m-k.
         """
+        if "varphi" in self._systems:
+            return self._systems["varphi"]
         cfg = self.config
         if cfg.m < cfg.k + cfg.N:
             raise DomainError("varphi system requires m >= k+N")
@@ -353,7 +318,9 @@ class CoherencePair:
             for n in range(size):
                 replaced[n][col] = column[n]
             dets.append(self._det(replaced))
-        return DeterminantSystem(self._det(matrix), tuple(dets), (0, 1))
+        system = DeterminantSystem(self._det(matrix), tuple(dets), (0, 1))
+        self._systems["varphi"] = system
+        return system
 
     def xi_system(self) -> DeterminantSystem:
         """Determinants B, B1, B2, B_{N+2} of the phi/xi matrix (m < k+N).
@@ -362,6 +329,8 @@ class CoherencePair:
         columns N+1..k-m+2N hold -xi(x; i, j-N).  The replacement vector is
         xi(x; i, 0), substituted into columns 1, 2 and N+2 (1-based).
         """
+        if "xi" in self._systems:
+            return self._systems["xi"]
         cfg = self.config
         if cfg.m >= cfg.k + cfg.N:
             raise DomainError("xi system requires m < k+N")
@@ -379,8 +348,10 @@ class CoherencePair:
             for i in range(size):
                 replaced[i][col] = column[i]
             dets.append(self._det(replaced))
-        return DeterminantSystem(self._det(matrix), tuple(dets),
-                                 (0, 1, cfg.N + 1))
+        system = DeterminantSystem(self._det(matrix), tuple(dets),
+                                   (0, 1, cfg.N + 1))
+        self._systems["xi"] = system
+        return system
 
     def verify_varphi_system(self) -> list[VerifyReport]:
         """Rational-transformation identities from the varphi determinants.

@@ -58,16 +58,8 @@ class RestrictionViolation(QCoherentError):
     """A classical-family parameter restriction fails."""
 
 
-class IdentityFailed(QCoherentError):
-    """An identity that was asserted to hold exactly does not."""
-
-
 class DegreeClaimViolated(QCoherentError):
     """A constructed polynomial violates a stated degree bound."""
-
-
-class NonRationalRoot(QCoherentError):
-    """A quadratic discriminant is not the square of a rational number."""
 
 
 class DegenerateInput(QCoherentError):

@@ -37,13 +37,12 @@ from .algebra import (
 from .errors import (
     DenominatorZero,
     DomainError,
-    IdentityFailed,
     InternalInconsistency,
     MissingCoefficient,
     RegularityViolation,
     RestrictionViolation,
 )
-from .functionals import MomentFunctional
+from .functionals import MomentFunctional, VerifyReport
 from .qcalc import QParams, normalized_derivative, normalized_derivative_set
 
 
@@ -207,16 +206,17 @@ def j_coeffs(a, b, c, d, base, n_max: int) -> TTRRCoeffs:
     return TTRRCoeffs(beta, gamma)
 
 
-CLASSICAL_LABELS = (
-    "al-salam-carlitz",
-    "big-q-laguerre",
-    "little-q-laguerre",
-    "l-type",
-    "big-q-jacobi",
-    "little-q-jacobi",
-    "q-bessel",
-    "j-type",
-)
+# classical label -> number of the family's own parameters
+CLASSICAL_LABELS = {
+    "al-salam-carlitz": 1,
+    "big-q-laguerre": 2,
+    "little-q-laguerre": 1,
+    "l-type": 1,
+    "big-q-jacobi": 3,
+    "little-q-jacobi": 2,
+    "q-bessel": 1,
+    "j-type": 2,
+}
 
 
 @dataclass(frozen=True)
@@ -271,10 +271,6 @@ class FamilySpec:
                           scale=rat(data.get("scale", "1/1")),
                           offset=rat(data.get("offset", "0/1")),
                           label=data.get("label"))
-
-
-def family_polynomials(spec: FamilySpec, n_max: int) -> list[Poly]:
-    return spec.polynomials(n_max)
 
 
 def in_lambda_set(value, q, n_max: int) -> bool:
@@ -467,35 +463,13 @@ def moments_from_ttrr(coeffs: TTRRCoeffs, order: int) -> MomentFunctional:
     return MomentFunctional(moments)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    identity: str
-    ok: bool
-    n_checked: int
-    first_failure: tuple | None = None
-
-    def to_json(self) -> dict:
-        data = {"identity": self.identity,
-                "status": "holds" if self.ok else "failed",
-                "order_checked": self.n_checked}
-        if self.first_failure is not None:
-            data["first_failure"] = list(self.first_failure)
-        return data
-
-    def raise_if_failed(self):
-        if not self.ok:
-            raise IdentityFailed(
-                f"{self.identity} fails first at (n, power) = {self.first_failure}")
-        return self
-
-
-def _compare_polys(identity: str, lhs, rhs, n_max: int) -> ReductionReport:
+def _compare_polys(identity: str, lhs, rhs, n_max: int) -> VerifyReport:
     for n in range(n_max + 1):
         if lhs[n] != rhs[n]:
             diff = lhs[n] - rhs[n]
             power = next(i for i, c in enumerate(diff.coeffs) if c != 0)
-            return ReductionReport(identity, False, n_max, (n, power))
-    return ReductionReport(identity, True, n_max)
+            return VerifyReport(identity, "failed", n_max, (n, power))
+    return VerifyReport(identity, "holds", n_max)
 
 
 def _scaled(spec: FamilySpec, extra_scale) -> FamilySpec:
@@ -566,8 +540,6 @@ def _limit_polys(j_params, base, n_max: int) -> list[Poly]:
             for poly in polys]
 
 
-LIMIT_IDENTITIES = ("l00c-limit", "la10-limit")
-
 REDUCTION_IDENTITIES = (
     "l-as-j-via-b",
     "l-as-j-via-a",
@@ -589,7 +561,7 @@ REDUCTION_IDENTITIES = (
 
 
 def check_reduction(name: str, params: dict, qp: QParams,
-                    n_max: int = 8) -> ReductionReport:
+                    n_max: int = 8) -> VerifyReport:
     """Generate both sides of one displayed reduction map and compare.
 
     The two limiting identities are evaluated over Q(t) with b = t and the

@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, rat, rat_str
+from .algebra import Poly, det_bareiss, rat, rat_str
 from .errors import (
     DomainError,
-    InternalInconsistency,
     NotSimpleSet,
     OrderExceeded,
 )
@@ -197,24 +196,6 @@ def leibniz_expansion(f: Poly, u: MomentFunctional, n: int, qp: QParams,
     return total
 
 
-def functional_diff_power(f: Poly, u: MomentFunctional, n: int,
-                          qp: QParams) -> MomentFunctional:
-    """D**n (f u), cross-checked against the q-Leibniz expansion.
-
-    Computes the n-fold difference of f*u directly and independently as the
-    binomial sum; raises InternalInconsistency if they disagree on any
-    jointly valid moment.
-    """
-    direct = functional_diff_n(left_mult(f, u), n, qp)
-    expansion = leibniz_expansion(f, u, n, qp, variant=1)
-    ok, idx, _ = functional_agree(direct, expansion)
-    if not ok:
-        raise InternalInconsistency(
-            f"Leibniz expansion disagrees with direct differencing "
-            f"at moment {idx}")
-    return direct
-
-
 def functional_agree(u: MomentFunctional, v: MomentFunctional,
                      up_to: int | None = None):
     """Compare moments on the jointly valid range.
@@ -228,6 +209,37 @@ def functional_agree(u: MomentFunctional, v: MomentFunctional,
         if u.moments[i] != v.moments[i]:
             return False, i, k
     return True, None, k
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """Outcome of one exact identity check."""
+
+    identity: str
+    status: str  # "holds" | "failed" | "degenerate"
+    order_checked: int = -1
+    first_failure: int | tuple | None = None  # moment index, or (n, power)
+    detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "holds"
+
+    def to_json(self) -> dict:
+        data = {"identity": self.identity, "status": self.status,
+                "order_checked": self.order_checked}
+        if self.first_failure is not None:
+            data["first_failure"] = self.first_failure
+        if self.detail:
+            data["detail"] = self.detail
+        return data
+
+
+def _report(identity: str, lhs: MomentFunctional, rhs: MomentFunctional,
+            detail: str = "") -> VerifyReport:
+    ok, idx, checked = functional_agree(lhs, rhs)
+    return VerifyReport(identity, "holds" if ok else "failed", checked,
+                        idx, detail)
 
 
 @dataclass(frozen=True)
@@ -254,30 +266,14 @@ class SemiclassicalWitness:
         return max(self.phi.degree - 2, self.psi.degree - 1)
 
 
-@dataclass(frozen=True)
-class PearsonReport:
-    holds: bool
-    order_checked: int
-    fails_at: int | None = None
-
-    def to_json(self) -> dict:
-        data = {"identity": "pearson", "status": "holds" if self.holds else "failed",
-                "order_checked": self.order_checked}
-        if self.fails_at is not None:
-            data["first_failure"] = self.fails_at
-        return data
-
-
 def pearson_check(witness: SemiclassicalWitness, u: MomentFunctional,
-                  qp: QParams) -> PearsonReport:
+                  qp: QParams) -> VerifyReport:
     """Verify D(phi u) = psi u on moments, in the witness direction."""
     if witness.phi.degree > u.order or witness.psi.degree > u.order:
         raise OrderExceeded("witness degrees exceed the functional's order")
     params = qp if witness.direction == "forward" else qp.inverse
     lhs = functional_diff(left_mult(witness.phi, u), params)
-    rhs = left_mult(witness.psi, u)
-    ok, idx, checked = functional_agree(lhs, rhs)
-    return PearsonReport(holds=ok, order_checked=checked, fails_at=idx)
+    return _report("pearson", lhs, left_mult(witness.psi, u))
 
 
 def dual_basis_functional(basis, n: int, order: int) -> MomentFunctional:
@@ -312,29 +308,8 @@ def hankel_regular(u: MomentFunctional, depth: int | None = None) -> bool:
     max_depth = u.order // 2
     depth = max_depth if depth is None else min(depth, max_depth)
     for r in range(depth + 1):
-        rows = [[u.moments[i + j] for j in range(r + 1)] for i in range(r + 1)]
-        if _fraction_det(rows) == 0:
+        rows = [[Poly.constant(u.moments[i + j]) for j in range(r + 1)]
+                for i in range(r + 1)]
+        if det_bareiss(rows).is_zero():
             return False
     return True
-
-
-def _fraction_det(rows) -> Fraction:
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k] * inv
-            if factor == 0:
-                continue
-            for j in range(k, n):
-                m[i][j] -= factor * m[k][j]
-    return det

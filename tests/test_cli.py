@@ -170,3 +170,29 @@ def test_csv_projections(capsys):
     assert code == 0
     assert out.strip().splitlines() == [
         "n,moment", "0,1/1", "1,5/1", "2,22/1"]
+
+
+def _domain_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    return json.loads(captured.out)
+
+
+def test_zero_denominator_is_domain_error(capsys):
+    data = _domain_error(capsys, "gen", "--family", "L", "--a", "2/1",
+                         "--b", "3/1", "--c", "0/1", "--q", "1/0")
+    assert data["error"] == "DomainError"
+    data = _domain_error(capsys, "verify", "structure", "--family", "L",
+                         "--a", "2/1", "--b", "3/1", "--c", "0/1",
+                         "--q", "1/2", "--pi", '["1/0"]')
+    assert data["error"] == "DomainError"
+
+
+def test_malformed_nmax_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setenv("QCOHERENT_NMAX", "abc")
+    data = _domain_error(capsys, "gen", "--family", "L", "--a", "2/1",
+                         "--b", "3/1", "--c", "0/1", "--q", "1/2")
+    assert data["error"] == "DomainError"
+    assert "QCOHERENT_NMAX" in data["detail"]

@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from qcoherent.algebra import Poly
+from qcoherent.algebra import Poly, det_cofactor
 from qcoherent.classify import (
     case_i_instance,
     case_ii_instance,
@@ -26,6 +27,12 @@ def make_pair(instance, order=30, depth=6):
                                        order=order, depth=depth)
 
 
+def fresh(pair):
+    """The same pair with empty table and determinant-system caches."""
+    return CoherencePair(pair.config, pair.qp, pair.p, pair.q, pair.u,
+                         pair.v, pair.u_norms, pair.v_norms, pair.table)
+
+
 @pytest.fixture(scope="module")
 def pair_i():
     return make_pair(case_i_instance(QP, 2, 3))
@@ -40,6 +47,16 @@ def pair_ii():
 def pair_iiia():
     return make_pair(case_iiia_instance(QP, F(1, 3), F(-2), F(1, 4)),
                      order=44, depth=7)
+
+
+@pytest.fixture(scope="module")
+def pair_derivative():
+    # pair (P, P) with orders (1, 1), pivot x - c, index 1: banded by the
+    # recurrence of the derivative sequence, and genuinely solvable
+    inst = case_ii_instance(QP, 2, 3, F(1, 5))
+    config = CoherenceConfig(1, 1, 1, Poly([F(-3, 7), F(1)]))
+    return CoherencePair.self_coherent(inst.spec, config, QP,
+                                       order=34, depth=7)
 
 
 def test_config_validation():
@@ -181,13 +198,27 @@ def test_xi_system_degenerate_for_self_pair(pair_iiia):
             assert pair.xi_system().degenerate, (label, inst.qp)
 
 
-def test_xi_system_nondegenerate_derivative_pair():
-    # pair (P, P) with orders (1, 1), pivot x - c, index 1: banded by the
-    # recurrence of the derivative sequence, and genuinely solvable
-    inst = case_ii_instance(QP, 2, 3, F(1, 5))
-    config = CoherenceConfig(1, 1, 1, Poly([F(-3, 7), F(1)]))
-    pair = CoherencePair.self_coherent(inst.spec, config, QP,
-                                       order=34, depth=7)
+def test_xi_system_nondegenerate_derivative_pair(pair_derivative,
+                                                 monkeypatch):
+    # verify_xi_system reuses the system xi_system built: four
+    # determinants in all, each by fraction-free elimination alone
+    import qcoherent.coherence as coherence_module
+
+    pair = fresh(pair_derivative)
+    calls = []
+    real_bareiss = coherence_module.det_bareiss
+
+    def spy_bareiss(rows):
+        calls.append(rows)
+        return real_bareiss(rows)
+
+    def refuse_cofactor(rows):
+        raise AssertionError("cofactor expansion outside the tests")
+
+    monkeypatch.setattr(coherence_module, "det_bareiss", spy_bareiss)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qcoherent") and hasattr(module, "det_cofactor"):
+            monkeypatch.setattr(module, "det_cofactor", refuse_cofactor)
     assert pair.table.is_coherent
     for n in range(3):
         assert pair.verify_functional_equation(n).ok
@@ -196,6 +227,7 @@ def test_xi_system_nondegenerate_derivative_pair():
     for report in pair.verify_xi_system():
         assert report.ok, report.identity
         assert report.order_checked >= 16
+    assert len(calls) == 4
 
 
 def test_xi_system_zero_functional_flagged(pair_iiia):
@@ -269,27 +301,29 @@ def test_xi_boundary_index_is_shifted_psi(pair_iiia):
         assert pair_iiia.xi(n, 1) == shift_power(pair_iiia.psi(n), 1, inv)
 
 
-def test_determinants_checked_both_ways(pair_i, monkeypatch):
-    # the system computes each determinant by fraction-free elimination
-    # and cofactor expansion and insists they agree
+def test_determinants_checked_both_ways(pair_i, pair_iiia, pair_derivative,
+                                        monkeypatch):
+    # cofactor expansion is the oracle for every determinant the systems
+    # compute by fraction-free elimination
     import qcoherent.coherence as coherence_module
 
-    calls = {"bareiss": 0, "cofactor": 0}
+    checked = []
     real_bareiss = coherence_module.det_bareiss
-    real_cofactor = coherence_module.det_cofactor
 
-    def spy_bareiss(rows):
-        calls["bareiss"] += 1
-        return real_bareiss(rows)
+    def checked_bareiss(rows):
+        det = real_bareiss(rows)
+        assert det == det_cofactor(rows)
+        checked.append(det)
+        return det
 
-    def spy_cofactor(rows):
-        calls["cofactor"] += 1
-        return real_cofactor(rows)
-
-    monkeypatch.setattr(coherence_module, "det_bareiss", spy_bareiss)
-    monkeypatch.setattr(coherence_module, "det_cofactor", spy_cofactor)
-    pair_i.varphi_system()
-    assert calls["bareiss"] == calls["cofactor"] == 3
+    monkeypatch.setattr(coherence_module, "det_bareiss", checked_bareiss)
+    assert not fresh(pair_i).varphi_system().degenerate
+    assert len(checked) == 3
+    assert fresh(pair_iiia).xi_system().degenerate
+    # B is computed last and vanishes both ways
+    assert len(checked) == 7 and checked[-1].is_zero()
+    assert not fresh(pair_derivative).xi_system().degenerate
+    assert len(checked) == 11
 
 
 def test_pipelines_at_random_parameter_points():

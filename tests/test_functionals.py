@@ -15,7 +15,6 @@ from qcoherent.functionals import (
     functional_agree,
     functional_diff,
     functional_diff_n,
-    functional_diff_power,
     functional_shift,
     leibniz_expansion,
     left_mult,
@@ -132,12 +131,13 @@ def test_leibniz_both_expansions(n, variant):
         assert checked == u.order - f.degree + n
 
 
-def test_functional_diff_power_edges():
+def test_leibniz_expansion_edges():
     u = MomentFunctional([F(1), F(2), F(5), F(14), F(42)])
     f = Poly([F(3), F(1)])
-    assert functional_diff_power(f, u, 0, QP) == left_mult(f, u)
-    assert functional_diff_power(Poly.one(), u, 2, QP) == functional_diff_n(
-        u, 2, QP)
+    for variant in (1, 2):
+        assert leibniz_expansion(f, u, 0, QP, variant) == left_mult(f, u)
+        assert leibniz_expansion(Poly.one(), u, 2, QP,
+                                 variant) == functional_diff_n(u, 2, QP)
 
 
 def test_pearson_check_on_constructed_functional():
@@ -148,11 +148,11 @@ def test_pearson_check_on_constructed_functional():
     u = pearson_moments(phi, psi, qp, 14, backward=True)
     report = pearson_check(
         SemiclassicalWitness(phi, psi, "backward"), u, qp)
-    assert report.holds and report.order_checked >= 12
+    assert report.ok and report.order_checked >= 12
 
     broken = pearson_check(
         SemiclassicalWitness(phi, psi + 1, "backward"), u, qp)
-    assert not broken.holds and broken.fails_at == 0
+    assert not broken.ok and broken.first_failure == 0
 
 
 def test_phi_hat_transfers_forward_to_backward():
@@ -163,10 +163,10 @@ def test_phi_hat_transfers_forward_to_backward():
     psi = Poly([F(2), F(-3)])
     u = pearson_moments(phi, psi, qp, 16, backward=False)
     fwd = pearson_check(SemiclassicalWitness(phi, psi, "forward"), u, qp)
-    assert fwd.holds
+    assert fwd.ok
     bwd = pearson_check(
         SemiclassicalWitness(phi_hat(phi, psi, qp), psi, "backward"), u, qp)
-    assert bwd.holds
+    assert bwd.ok
 
 
 def test_witness_validation_and_class_bound():
@@ -254,7 +254,7 @@ def test_pearson_witness_of_zero_pivot_family():
     psi = Poly([qp.q * beta0 / gamma1, -qp.q / gamma1])
     report = pearson_check(
         SemiclassicalWitness(Poly.one(), psi, "backward"), u, qp)
-    assert report.holds and report.order_checked >= 16
+    assert report.ok and report.order_checked >= 16
 
 
 def test_dual_basis_of_an_orthogonal_sequence():
