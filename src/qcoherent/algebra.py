@@ -194,7 +194,7 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly([other])
         if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
+            raise DomainError("polynomial division by zero")
         rem = list(self.coeffs)
         dlc = other.lc
         dd = other.degree
@@ -304,7 +304,7 @@ class RatFunc:
         num = self._lift(num)
         den = Poly.one() if den is None else self._lift(den)
         if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
+            raise DomainError("rational function with zero denominator")
         if num.is_zero():
             num, den = Poly(), Poly.one()
         else:
@@ -390,7 +390,7 @@ class RatFunc:
             return NotImplemented
         other = RatFunc.coerce(other)
         if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
+            raise DomainError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):

@@ -291,6 +291,10 @@ def classical(label: str, params, qp: QParams, n_max: int = 12) -> FamilySpec:
     """
     q = qp.q
     params = tuple(params)
+    arity = CLASSICAL_LABELS.get(label)
+    if arity is not None and len(params) != arity:
+        raise DomainError(f"family {label} takes {arity} parameter(s), "
+                          f"got {len(params)}")
     lam = lambda v: in_lambda_set(v, q, n_max)  # noqa: E731
     if label == "al-salam-carlitz":
         (a,) = params

@@ -10,7 +10,22 @@ The dual difference and shift operators act through the pairing:
     < D[q,w] u, f > = -(1/q) < u, D[1/q,-w/q] f >       (order grows by 1)
     < L[q,w] u, f > =        < u, L[1/q,-w/q] f >        (order preserved)
 
-together with left multiplication (f u), the product rule
+Both are computed in the centred basis y**n, y = x - w0, where w0 is the
+fixed point w/(1 - q).  The inverse parameters (1/q, -w/q) have the same
+fixed point, so one centring serves the operator and its pairing partner,
+and there both are diagonal:
+
+    D[1/q,-w/q] y**n = [n]_{1/q} y**(n-1),    L[1/q,-w/q] y**n = q**-n y**n.
+
+So with centred moments c_n = < u, y**n >,
+
+    < D u, y**n > = -(1/q) [n]_{1/q} c_(n-1),   < L u, y**n > = q**-n c_n,
+
+and the only non-diagonal work is one binomial change of basis (a Taylor
+shift by -w0) on the way in and one (by +w0) on the way out; it is the
+identity when w0 = 0.  Moments stay in whatever exact field they come in.
+
+Also here: left multiplication (f u), the product rule
 
     D[q,w](f u) = D[q,w]f u + L[q,w]f D[q,w]u,
 
@@ -27,7 +42,7 @@ from .errors import (
     NotSimpleSet,
     OrderExceeded,
 )
-from .qcalc import QParams, hahn_power, q_binom, shift_power
+from .qcalc import QParams, hahn_power, q_binom, q_bracket, shift_power
 
 
 class MomentFunctional:
@@ -139,32 +154,54 @@ def left_mult(f: Poly, u: MomentFunctional) -> MomentFunctional:
     return MomentFunctional(out)
 
 
+def _taylor_shift(moments, a) -> list:
+    """Moments against (x + a)**n from the moments m_n against x**n.
+
+    <u, (x + a)**n> = sum_k C(n, k) a**(n-k) m_k, computed as a Pascal
+    triangle of <u, x**k (x + a)**j> in O(K**2) scalar operations; the
+    identity when a = 0.  Generic over the scalar field.
+    """
+    if a == 0:
+        return list(moments)
+    out, row = [], list(moments)
+    while row:
+        out.append(row[0])
+        row = [row[k + 1] + a * row[k] for k in range(len(row) - 1)]
+    return out
+
+
 def functional_diff(u: MomentFunctional, qp: QParams) -> MomentFunctional:
     """The induced difference D[q,w] u; output order grows by one."""
-    inv = qp.inverse
-    scale = -1 / qp.q
-    out = []
-    for n in range(u.order + 2):
-        inner = hahn_power(Poly.monomial(Fraction(1), n), 1, inv)
-        out.append(scale * act(u, inner))
-    return MomentFunctional(out)
+    return functional_diff_n(u, 1, qp)
 
 
 def functional_diff_n(u: MomentFunctional, n: int, qp: QParams) -> MomentFunctional:
+    """The n-fold induced difference D[q,w]**n u; output order grows by n.
+
+    One change to the centred basis, n diagonal steps
+    c'_0 = 0, c'_j = -(1/q) [j]_{1/q} c_(j-1), one change back.
+    """
+    if n < 0:
+        raise DomainError(f"difference order must be >= 0, got {n}")
+    if n == 0:
+        return u
+    w0, p = qp.omega0, qp.inverse.q
+    factors = [-p * q_bracket(j, p) for j in range(u.order + n + 1)]
+    c = _taylor_shift(u.moments, -w0)
     for _ in range(n):
-        u = functional_diff(u, qp)
-    return u
+        c = [c[0] * 0] + [factors[j] * c[j - 1] for j in range(1, len(c) + 1)]
+    return MomentFunctional(_taylor_shift(c, w0))
 
 
 def functional_shift(u: MomentFunctional, qp: QParams) -> MomentFunctional:
-    """The induced shift L[q,w] u; <L u, x**n> = <u, ((x - w)/q)**n>."""
-    inv = qp.inverse
-    base = Poly([inv.omega, inv.q])  # (x - w)/q
-    out, power = [], Poly.one()
-    for _ in range(u.order + 1):
-        out.append(act(u, power))
-        power = power * base
-    return MomentFunctional(out)
+    """The induced shift L[q,w] u; <L u, x**n> = <u, ((x - w)/q)**n>.
+
+    Diagonal in the centred basis: c'_j = q**-j c_j.
+    """
+    w0, p = qp.omega0, qp.inverse.q
+    c = _taylor_shift(u.moments, -w0)
+    return MomentFunctional(
+        _taylor_shift([p ** j * cj for j, cj in enumerate(c)], w0))
 
 
 def leibniz_expansion(f: Poly, u: MomentFunctional, n: int, qp: QParams,

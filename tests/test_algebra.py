@@ -17,7 +17,7 @@ from qcoherent.algebra import (
     rf_limit_at_zero,
     sqrt_fraction,
 )
-from qcoherent.errors import NotSimpleSet, PoleAtZero
+from qcoherent.errors import DomainError, NotSimpleSet, PoleAtZero
 
 F = Fraction
 
@@ -59,6 +59,18 @@ def test_poly_divmod_and_exact_division():
     q, r = divmod(num, x**2 - 1)
     assert q == x + 3 and r == Poly([5])
     assert (x**2 - 1).exact_div(x - 1) == x + 1
+
+
+def test_division_by_zero_is_domain_error():
+    x = Poly.x()
+    with pytest.raises(DomainError):
+        divmod(x + 1, Poly())
+    with pytest.raises(DomainError):
+        RatFunc(x, Poly())
+    with pytest.raises(DomainError):
+        RatFunc(x) / RatFunc(Poly())
+    with pytest.raises(DomainError):
+        RatFunc(x) / 0
 
 
 def test_affine_substitute_examples():

@@ -5,6 +5,7 @@ import pytest
 from qcoherent.algebra import Poly, affine_substitute
 from qcoherent.errors import (
     DenominatorZero,
+    DomainError,
     MissingCoefficient,
     RegularityViolation,
     RestrictionViolation,
@@ -129,6 +130,16 @@ def test_classical_restrictions():
         classical("big-q-jacobi", (F(2), F(3), F(0)), QP)
     assert in_lambda_set(q**-4, q, 8)
     assert not in_lambda_set(F(3), q, 8)
+
+
+@pytest.mark.parametrize("label,params", [
+    ("q-bessel", (F(1), F(2))),
+    ("big-q-jacobi", (F(3), F(5))),
+    ("little-q-jacobi", ()),
+])
+def test_classical_wrong_arity_is_domain_error(label, params):
+    with pytest.raises(DomainError, match=f"family {label} takes"):
+        classical(label, params, QP)
 
 
 def test_family_polynomials_identity_shift_and_small():
