@@ -56,7 +56,6 @@ from .qcalc import (
     q_binom,
     q_bracket,
     q_factorial,
-    q_symbols,
     shift,
     shift_power,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "q_binom",
     "q_bracket",
     "q_factorial",
-    "q_symbols",
     "rat",
     "rat_str",
     "rf_limit_at_zero",

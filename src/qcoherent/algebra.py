@@ -220,12 +220,7 @@ class Poly:
         return q
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; ``x`` may be a scalar or a Poly."""
-        if isinstance(x, Poly):
-            acc = Poly()
-            for c in reversed(self.coeffs):
-                acc = acc * x + Poly([c])
-            return acc
+        """Evaluate at the scalar ``x`` by Horner's rule."""
         acc = x * 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -278,16 +273,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def affine_substitute(p: Poly, s, t) -> Poly:
-    """Return ``p(s*x + t)`` computed exactly.
+    """Return ``p(s*x + t)``: a Taylor shift by ``t`` (repeated synthetic
+    division, O(deg**2) scalar operations), then coefficient k times s**k.
 
-    The degree is preserved when ``s != 0``; ``s = 0`` collapses the result
-    to the constant ``p(t)``.
+    ``s = 0`` collapses the result to the constant ``p(t)``.
     """
-    arg = Poly([t, s])
-    acc = Poly()
-    for c in reversed(p.coeffs):
-        acc = acc * arg + Poly([c])
-    return acc
+    a = list(p.coeffs)
+    if t != 0:
+        for low in range(len(a) - 1):
+            for k in range(len(a) - 2, low - 1, -1):
+                a[k] = a[k] + t * a[k + 1]
+    if s != 1:
+        power = s ** 0
+        for k in range(len(a)):
+            a[k], power = a[k] * power, power * s
+    return Poly(a)
 
 
 class RatFunc:

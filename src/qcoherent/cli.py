@@ -28,6 +28,7 @@ from .errors import DomainError, QCoherentError
 from .families import (
     CLASSICAL_LABELS,
     FamilySpec,
+    MASTER_ARITY,
     REDUCTION_IDENTITIES,
     check_reduction,
     classical,
@@ -72,25 +73,20 @@ def _qparams(args) -> QParams:
 
 def _family_from_args(args, qp: QParams, n_max: int) -> FamilySpec:
     label = args.family
-    supplied = [rat(v) for v in (args.a, args.b, args.c, args.d)
-                if v is not None]
-    if label == "L":
-        if len(supplied) != 3:
-            raise QCoherentError("family L takes --a --b --c")
-        spec = FamilySpec("L", tuple(supplied), qp.q)
-    elif label == "J":
-        if len(supplied) != 4:
-            raise QCoherentError("family J takes --a --b --c --d")
-        spec = FamilySpec("J", tuple(supplied), qp.q)
-    elif label in CLASSICAL_LABELS:
-        want = CLASSICAL_LABELS[label]
-        if len(supplied) != want:
-            raise QCoherentError(f"family {label} takes {want} parameter(s)")
-        spec = classical(label, tuple(supplied), qp, n_max)
-    else:
+    arity = MASTER_ARITY.get(label, CLASSICAL_LABELS.get(label))
+    if arity is None:
         raise QCoherentError(
             f"unknown family {label!r}; use L, J or one of: "
             + ", ".join(CLASSICAL_LABELS))
+    values = (args.a, args.b, args.c, args.d)  # arity k: exactly the first k
+    if None in values[:arity] or any(v is not None for v in values[arity:]):
+        raise DomainError(f"family {label} takes "
+                          + " ".join(f"--{name}" for name in "abcd"[:arity]))
+    params = tuple(rat(v) for v in values[:arity])
+    if label in CLASSICAL_LABELS:
+        spec = classical(label, params, qp, n_max)
+    else:
+        spec = FamilySpec(label, params, qp.q)
     if args.scale is not None or args.offset is not None:
         scale = rat(args.scale) if args.scale is not None else Fraction(1)
         offset = rat(args.offset) if args.offset is not None else Fraction(0)
@@ -363,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # 4300 digits by default
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

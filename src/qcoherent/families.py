@@ -206,7 +206,8 @@ def j_coeffs(a, b, c, d, base, n_max: int) -> TTRRCoeffs:
     return TTRRCoeffs(beta, gamma)
 
 
-# classical label -> number of the family's own parameters
+# master family kind or classical label -> number of its own parameters
+MASTER_ARITY = {"L": 3, "J": 4}
 CLASSICAL_LABELS = {
     "al-salam-carlitz": 1,
     "big-q-laguerre": 2,
@@ -235,9 +236,9 @@ class FamilySpec:
     label: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("L", "J"):
+        if self.kind not in MASTER_ARITY:
             raise DomainError(f"family kind must be 'L' or 'J', got {self.kind!r}")
-        want = 3 if self.kind == "L" else 4
+        want = MASTER_ARITY[self.kind]
         if len(self.params) != want:
             raise DomainError(f"{self.kind}-family takes {want} parameters")
         _validate_base(self.base)

@@ -42,7 +42,7 @@ from .errors import (
     NotSimpleSet,
     OrderExceeded,
 )
-from .qcalc import QParams, hahn_power, q_binom, q_bracket, shift_power
+from .qcalc import QParams, hahn_power, q_binom, shift_power
 
 
 class MomentFunctional:
@@ -186,7 +186,10 @@ def functional_diff_n(u: MomentFunctional, n: int, qp: QParams) -> MomentFunctio
     if n == 0:
         return u
     w0, p = qp.omega0, qp.inverse.q
-    factors = [-p * q_bracket(j, p) for j in range(u.order + n + 1)]
+    factors, bracket = [], p * 0
+    for _ in range(u.order + n + 1):
+        factors.append(-p * bracket)
+        bracket = 1 + p * bracket  # [j+1] = 1 + p [j]
     c = _taylor_shift(u.moments, -w0)
     for _ in range(n):
         c = [c[0] * 0] + [factors[j] * c[j - 1] for j in range(1, len(c) + 1)]

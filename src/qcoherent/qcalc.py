@@ -4,9 +4,10 @@ The Hahn operator with parameters (q, w) acts on a polynomial f by
 
     (D f)(x) = (f(q*x + w) - f(x)) / ((q - 1)*x + w),
 
-and the companion shift operator by (L f)(x) = f(q*x + w).  The numerator
-above vanishes at the operator's fixed point w/(1 - q), so the division is
-exact on polynomials; this module asserts that exactness on every call.
+and the companion shift operator by (L f)(x) = f(q*x + w).  In the centred
+variable y = x - w0, w0 = w/(1 - q) the fixed point, D y**n = [n]_q y**(n-1)
+and L y**n = q**n y**n; so D**m is one Taylor shift to w0, a scaling of the
+coefficients and one shift back, and L**m is one affine substitution.
 
 Useful operator facts (all verified by the test suite):
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Poly, affine_substitute
-from .errors import DegreeMismatch, DomainError, InternalInconsistency
+from .errors import DegreeMismatch, DomainError
 
 
 @dataclass(frozen=True)
@@ -53,70 +54,36 @@ class QParams:
         return QParams(1 / self.q, -self.omega / self.q)
 
 
-class QSymbolCache:
-    """Memoized q-brackets, q-factorials and q-binomials for one base."""
-
-    def __init__(self, base):
-        if base == 0 or base == 1:
-            raise DomainError(f"q-symbol base must avoid {{0, 1}}, got {base}")
-        self.base = base
-        self._brackets = {0: base * 0}
-        self._factorials = {0: base ** 0}
-
-    def bracket(self, n: int):
-        """[n] = (base**n - 1)/(base - 1)."""
-        if n < 0:
-            raise DomainError(f"q-bracket index must be >= 0, got {n}")
-        if n not in self._brackets:
-            self._brackets[n] = (self.base ** n - 1) / (self.base - 1)
-        return self._brackets[n]
-
-    def factorial(self, n: int):
-        if n < 0:
-            raise DomainError(f"q-factorial index must be >= 0, got {n}")
-        if n not in self._factorials:
-            top = max(self._factorials)
-            acc = self._factorials[top]
-            for j in range(top + 1, n + 1):
-                acc = acc * self.bracket(j)
-                self._factorials[j] = acc
-        return self._factorials[n]
-
-    def binom(self, n: int, k: int):
-        if k < 0 or k > n:
-            raise DomainError(f"binomial index k = {k} outside 0..{n}")
-        return self.factorial(n) / (self.factorial(k) * self.factorial(n - k))
-
-
-_caches: dict = {}
-
-
-def _cache_for(base) -> QSymbolCache:
-    try:
-        cache = _caches.get(base)
-    except TypeError:  # unhashable base
-        return QSymbolCache(base)
-    if cache is None:
-        cache = _caches[base] = QSymbolCache(base)
-    return cache
+def _check_base(base):
+    if base == 0 or base == 1:
+        raise DomainError(f"q-symbol base must avoid {{0, 1}}, got {base}")
 
 
 def q_bracket(n: int, base):
-    return _cache_for(base).bracket(n)
+    """[n] = (base**n - 1)/(base - 1)."""
+    _check_base(base)
+    if n < 0:
+        raise DomainError(f"q-bracket index must be >= 0, got {n}")
+    return (base ** n - 1) / (base - 1)
 
 
 def q_factorial(n: int, base):
-    return _cache_for(base).factorial(n)
+    """[n]! = [1][2]...[n], with the brackets from [j+1] = 1 + base*[j]."""
+    _check_base(base)
+    if n < 0:
+        raise DomainError(f"q-factorial index must be >= 0, got {n}")
+    bracket, acc = base * 0, base ** 0
+    for _ in range(n):
+        bracket = 1 + base * bracket
+        acc = acc * bracket
+    return acc
 
 
 def q_binom(n: int, k: int, base):
-    return _cache_for(base).binom(n, k)
-
-
-def q_symbols(n: int, k: int, base):
-    """Return the triple ([n], [n]!, binom(n, k)) in the given base."""
-    cache = _cache_for(base)
-    return cache.bracket(n), cache.factorial(n), cache.binom(n, k)
+    if k < 0 or k > n:
+        raise DomainError(f"binomial index k = {k} outside 0..{n}")
+    return q_factorial(n, base) / (q_factorial(k, base)
+                                   * q_factorial(n - k, base))
 
 
 def shift(f: Poly, qp: QParams) -> Poly:
@@ -125,40 +92,35 @@ def shift(f: Poly, qp: QParams) -> Poly:
 
 
 def hahn_diff(f: Poly, qp: QParams) -> Poly:
-    """The Hahn difference (D f)(x) = (f(q*x + w) - f(x)) / ((q-1)*x + w).
-
-    Constants map to 0 and deg(D f) = deg f - 1 otherwise.  The division is
-    exact; a non-zero remainder signals broken polynomial arithmetic.
-    """
-    if f.degree <= 0:
-        return Poly()
-    numerator = shift(f, qp) - f
-    denominator = Poly([qp.omega, qp.q - 1])
-    quotient, remainder = divmod(numerator, denominator)
-    if not remainder.is_zero():
-        raise InternalInconsistency(
-            "Hahn difference division left a remainder; "
-            "polynomial arithmetic is inconsistent"
-        )
-    return quotient
+    """The Hahn difference (D f)(x) = (f(q*x + w) - f(x)) / ((q-1)*x + w)."""
+    return hahn_power(f, 1, qp)
 
 
 def hahn_power(f: Poly, m: int, qp: QParams) -> Poly:
-    """m-fold Hahn difference; m = 0 is the identity."""
+    """m-fold Hahn difference: D**m y**(n+m) = ([n+m]!/[n]!) y**n."""
     if m < 0:
         raise DomainError(f"derivative order must be >= 0, got {m}")
-    for _ in range(m):
-        f = hahn_diff(f, qp)
-    return f
+    if m == 0:
+        return f
+    if f.degree < m:
+        return Poly()
+    q, w0 = qp.q, qp.omega0
+    c = affine_substitute(f, 1, w0).coeffs
+    ratio = q_factorial(m, q)  # [n+m]!/[n]! at n = 0
+    low, high = q * 0, q_bracket(m, q)  # [n], [n+m]
+    out = []
+    for n in range(len(c) - m):
+        out.append(c[n + m] * ratio)
+        low, high = 1 + q * low, 1 + q * high
+        ratio = ratio * high / low
+    return affine_substitute(Poly(out), 1, -w0)
 
 
 def shift_power(f: Poly, m: int, qp: QParams) -> Poly:
-    """m-fold shift; m = 0 is the identity."""
+    """m-fold shift: L**m f(x) = f(q**m x + w [m]_q)."""
     if m < 0:
         raise DomainError(f"shift order must be >= 0, got {m}")
-    for _ in range(m):
-        f = shift(f, qp)
-    return f
+    return affine_substitute(f, qp.q ** m, qp.omega * q_bracket(m, qp.q))
 
 
 def normalized_derivative(p: Poly, n: int, m: int, qp: QParams) -> Poly:

@@ -81,25 +81,23 @@ def _draw(rng: random.Random, label: str, qp: QParams) -> CaseInstance:
 
 
 def sample_case_instance(rng: random.Random, label: str,
-                         qp: QParams | None = None, depth: int = 10,
-                         check_structure: bool = True,
-                         max_tries: int = 400) -> CaseInstance:
+                         qp: QParams | None = None,
+                         depth: int = 10) -> CaseInstance:
     """Draw an admissible self-coherent instance of the given case.
 
     Rejects draws whose family fails its regularity conditions up to
-    ``depth`` and (optionally) draws whose structure relation is not
-    banded with a non-vanishing band edge at every row.
+    ``depth`` and draws whose structure relation is not banded with a
+    non-vanishing band edge at every row; gives up after 400 draws.
     """
-    for _ in range(max_tries):
+    for _ in range(400):
         params = qp if qp is not None else sample_qparams(rng)
         try:
             inst = _draw(rng, label, params)
             polys = inst.spec.polynomials(depth + inst.pi.degree + 1)
-            if check_structure:
-                table = structure_coeffs(polys, polys, inst.pi, 1, 0, 0,
-                                         params, n_max=depth)
-                if not table.is_coherent:
-                    continue
+            table = structure_coeffs(polys, polys, inst.pi, 1, 0, 0,
+                                     params, n_max=depth)
+            if not table.is_coherent:
+                continue
         except QCoherentError:
             continue
         return inst

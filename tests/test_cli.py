@@ -196,3 +196,30 @@ def test_malformed_nmax_is_domain_error(capsys, monkeypatch):
                          "--b", "3/1", "--c", "0/1", "--q", "1/2")
     assert data["error"] == "DomainError"
     assert "QCOHERENT_NMAX" in data["detail"]
+
+
+def test_family_parameters_read_by_name(capsys):
+    # a family of arity k takes exactly the first k of --a --b --c --d
+    data = _domain_error(capsys, "gen", "--family", "L", "--a=1/1",
+                         "--b=2/1", "--d=3/1", "--q", "1/2")
+    assert data["error"] == "DomainError"
+    assert "--a --b --c" in data["detail"]
+    data = _domain_error(capsys, "gen", "--family", "q-bessel", "--b=2/1",
+                         "--q", "1/2")
+    assert data["error"] == "DomainError"
+    data = _domain_error(capsys, "gen", "--family", "al-salam-carlitz",
+                         "--a=1/1", "--b=2/1", "--q", "1/2")
+    assert data["error"] == "DomainError"
+    data = _domain_error(capsys, "moments", "--family", "J", "--a=1/1",
+                         "--b=0/1", "--c=0/1", "--q", "1/2")
+    assert data["error"] == "DomainError"
+
+
+def test_numbers_past_the_int_str_digit_limit(capsys):
+    # Python refuses int <-> str conversions past 4300 digits by default
+    digits = "7" * 4400
+    code, out = run_cli(capsys, "gen", "--family", "L", "--a", digits,
+                        "--b", "2/1", "--c", "0/1", "--q", "1/2", "--n", "1")
+    assert code == 0, out
+    # P_1 = x - (a + b)
+    assert json.loads(out)[1] == ["-" + digits[:-1] + "9/1", "1/1"]

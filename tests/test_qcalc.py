@@ -15,7 +15,6 @@ from qcoherent.qcalc import (
     q_binom,
     q_bracket,
     q_factorial,
-    q_symbols,
     shift,
     shift_power,
 )
@@ -60,12 +59,19 @@ def test_binomial_against_bracket_products():
 
 
 def test_q_symbols_triple():
-    n, fact, binom = q_symbols(3, 1, F(2))
-    assert (n, fact, binom) == (7, 21, 7)
+    triple = (q_bracket(3, F(2)), q_factorial(3, F(2)), q_binom(3, 1, F(2)))
+    assert triple == (7, 21, 7)
     with pytest.raises(DomainError):
         q_binom(3, 4, F(2))
     with pytest.raises(DomainError):
         q_binom(3, -1, F(2))
+    for bad_base in (F(0), F(1)):
+        for symbol in (q_bracket, q_factorial):
+            with pytest.raises(DomainError):
+                symbol(2, bad_base)
+    for symbol in (q_bracket, q_factorial):
+        with pytest.raises(DomainError):
+            symbol(-1, F(2))
 
 
 @given(n=st.integers(1, 8), q=qs)
