@@ -96,6 +96,13 @@ def _family_from_args(args, qp: QParams, n_max: int) -> FamilySpec:
     return spec
 
 
+def _at_least(minimum: int, **counts) -> None:
+    """Refuse a count below ``minimum`` before any work is done."""
+    for name, value in counts.items():
+        if value < minimum:
+            raise DomainError(f"--{name} must be >= {minimum}, got {value}")
+
+
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -149,6 +156,7 @@ def _cmd_verify_pearson(args) -> int:
 
 
 def _cmd_verify_structure(args) -> int:
+    _at_least(0, n=args.n)
     qp = _qparams(args)
     pi = _parse_poly(args.pi)
     depth = args.n
@@ -206,6 +214,8 @@ def _cmd_verify_coherence(args) -> int:
 
 
 def _cmd_verify_reduction(args) -> int:
+    _at_least(1, points=args.points)
+    _at_least(0, n=args.n)
     if args.identity not in REDUCTION_IDENTITIES:
         raise QCoherentError(
             f"unknown identity {args.identity!r}; known: "
@@ -232,6 +242,8 @@ def _cmd_verify_reduction(args) -> int:
 
 
 def _cmd_verify_leibniz(args) -> int:
+    _at_least(1, trials=args.trials)
+    _at_least(0, n=args.n)
     rng = random.Random(args.seed)
     reports = []
     for trial in range(args.trials):

@@ -55,7 +55,8 @@ from .qcalc import (
     hahn_diff,
     hahn_power,
     q_binom,
-    q_factorial,
+    q_binom_row,
+    q_factorials,
     shift,
     shift_power,
 )
@@ -153,12 +154,13 @@ class CoherencePair:
         hi = n + cfg.M
         if hi > self.table.n_max:
             raise MissingData(f"structure table stops before row {hi}")
+        fact = q_factorials(hi + cfg.m, q)
         for j in range(max(0, n - cfg.N), hi + 1):
             cjn = self.table.c(j, n)
             if cjn == 0:
                 continue
-            scale = ((-q) ** cfg.m * q_factorial(j + cfg.m, q)
-                     / q_factorial(j, q) / self.u_norms[j + cfg.m] * cjn)
+            scale = ((-q) ** cfg.m * fact[j + cfg.m]
+                     / fact[j] / self.u_norms[j + cfg.m] * cjn)
             total = total + self.p[j + cfg.m] * scale
         if self.table.c(hi, n) != 0 and total.degree != cfg.m + n + cfg.M:
             raise DegreeClaimViolated(
@@ -182,20 +184,22 @@ class CoherencePair:
             raise IndexOutOfRange(f"phi column {j} outside 0..{cfg.N}")
         inv = qp.inverse
         qbar = inv.q
-        scale = ((-qp.q) ** cfg.k * q_factorial(n + cfg.k, qp.q)
-                 / q_factorial(n, qp.q) / self.v_norms[n + cfg.k])
+        fact = q_factorials(n + cfg.k, qp.q)
+        scale = ((-qp.q) ** cfg.k * fact[n + cfg.k]
+                 / fact[n] / self.v_norms[n + cfg.k])
+        top = cfg.k + cfg.N
+        fbar = q_factorials(top, qbar)  # both binomials below
         total = Poly()
         for ell in range(0, cfg.N - j + 1):
             dq = cfg.N - j - ell
             if dq > n + cfg.k:
                 continue  # difference order exhausts Q_{n+k}
-            p1 = shift_power(hahn_power(cfg.pi, ell, inv),
-                             cfg.k + cfg.N - ell, inv)
+            p1 = shift_power(hahn_power(cfg.pi, ell, inv), top - ell, inv)
             p2 = shift_power(hahn_power(self.q[n + cfg.k], dq, inv), j, inv)
             if p1.is_zero() or p2.is_zero():
                 continue
-            coeff = q_binom(cfg.k + cfg.N, ell, qbar) * q_binom(
-                cfg.N - ell, cfg.N - j - ell, qbar)
+            coeff = (fbar[top] / (fbar[ell] * fbar[top - ell])
+                     * fbar[cfg.N - ell] / (fbar[dq] * fbar[j]))
             total = total + p1 * p2 * coeff
         total = total * scale
         if total.degree != cfg.k + n + j:
@@ -215,6 +219,7 @@ class CoherencePair:
         if extra < 0:
             raise DomainError("varphi requires m >= k+N")
         total = Poly()
+        binom = q_binom_row(extra, inv.q)
         for j in range(0, min(i, extra) + 1):
             ell = i - j
             if ell < 0 or ell > cfg.N:
@@ -223,7 +228,7 @@ class CoherencePair:
                 hahn_power(self.phi(n, ell), extra - j, inv), j, inv)
             if term.is_zero():
                 continue
-            total = total + term * q_binom(extra, j, inv.q)
+            total = total + term * binom[j]
         return total
 
     def xi(self, n: int, j: int) -> Poly:
@@ -437,14 +442,15 @@ class CoherencePair:
         if cfg.N == 0 and cfg.m < 1:
             raise DomainError("with N = 0 the chain requires m >= 1")
         qbar = inv.q
+        fact, binom = q_factorials(cfg.m, qbar), q_binom_row(cfg.m, qbar)
         chain: list[Poly] = []
         for j in range(cfg.m + 1):
             value = self.psi(j) * self.v_norms[j]
             for ell in range(j):
                 factor = shift_power(
                     hahn_power(self.q[j], ell, inv), cfg.m - ell, inv)
-                value = value - factor * chain[ell] * q_binom(cfg.m, ell, qbar)
-            value = value / (q_factorial(j, qbar) * q_binom(cfg.m, j, qbar))
+                value = value - factor * chain[ell] * binom[ell]
+            value = value / (fact[j] * binom[j])
             bound = cfg.M + cfg.m + j
             if j == 0 and value.degree != bound:
                 raise DegreeClaimViolated(

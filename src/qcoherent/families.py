@@ -17,8 +17,11 @@ classical orthogonal sequence of the q-difference calculus:
 Classical labels (Al-Salam-Carlitz, big/little q-Laguerre and q-Jacobi,
 q-Bessel and the two exceptional sequences) are defined purely through
 affine reductions onto these families, never through independent data,
-and each reduction map is verified coefficientwise by the test suite.
-One-parameter limits (b -> 0) are evaluated exactly over the field Q(t).
+and each reduction map is verified by :func:`check_reduction` on the
+recurrence coefficients, which determine the monic polynomials and are
+determined by them (Favard's theorem).  One-parameter limits (b -> 0) are
+computed exactly over the field Q(t) and taken coefficient by coefficient
+at t = 0.
 """
 from __future__ import annotations
 
@@ -468,12 +471,30 @@ def moments_from_ttrr(coeffs: TTRRCoeffs, order: int) -> MomentFunctional:
     return MomentFunctional(moments)
 
 
-def _compare_polys(identity: str, lhs, rhs, n_max: int) -> VerifyReport:
-    for n in range(n_max + 1):
-        if lhs[n] != rhs[n]:
-            diff = lhs[n] - rhs[n]
+def _compare_ttrr(identity: str, lhs: TTRRCoeffs, beta, gamma,
+                  n_max: int) -> VerifyReport:
+    """Compare P_0..P_n_max of ``lhs`` with those of the data (beta, gamma).
+
+    ``gamma`` starts at gamma_1 and may hold zeros.  The monic P_0..P_(n+1)
+    agree exactly when beta_0..beta_n and gamma_1..gamma_n do (Favard), so
+    only beta_0..beta_(n_max-1) and gamma_1..gamma_(n_max-1) are compared.
+    At the first index n where they differ,
+
+        P'_(n+1) - P_(n+1) = (beta_n - beta'_n) P_n
+                             + (gamma_n - gamma'_n) P_(n-1),
+
+    so only then are P_0..P_n generated, to name the lowest differing power.
+    """
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    for n in range(n_max):
+        if beta[n] != lhs.beta[n] or (n and gamma[n - 1] != lhs.gamma[n - 1]):
+            polys = ttrr_generate(lhs, n)
+            diff = polys[n] * (beta[n] - lhs.beta[n])
+            if n:
+                diff = diff + polys[n - 1] * (gamma[n - 1] - lhs.gamma[n - 1])
             power = next(i for i, c in enumerate(diff.coeffs) if c != 0)
-            return VerifyReport(identity, "failed", n_max, (n, power))
+            return VerifyReport(identity, "failed", n_max, (n + 1, power))
     return VerifyReport(identity, "holds", n_max)
 
 
@@ -537,12 +558,18 @@ def _identity_specs(name: str, p: dict, qp: QParams, n_max: int):
     raise DomainError(f"unknown reduction identity {name!r}")
 
 
-def _limit_polys(j_params, base, n_max: int) -> list[Poly]:
-    """J-family polynomials over Q(t), each coefficient sent to t = 0."""
-    coeffs = j_coeffs(*j_params, base, n_max)
-    polys = ttrr_generate(coeffs, n_max)
-    return [Poly([rf_limit_at_zero(RatFunc.coerce(cf)) for cf in poly.coeffs])
-            for poly in polys]
+def _limit_data(j_params, base, n_max: int):
+    """beta_0..beta_(n_max-1) and gamma_1..gamma_(n_max-1) of a J-family
+    over Q(t), each sent to t = 0.
+
+    Evaluation at t = 0 is a ring homomorphism on functions regular there,
+    so these limits generate the limits of P_0..P_n_max, and by induction
+    on the recurrence some P_k has a pole at t = 0 exactly when one of
+    these coefficients has (PoleAtZero).  A limit gamma may be zero.
+    """
+    coeffs = j_coeffs(*j_params, base, n_max - 1)
+    return ([rf_limit_at_zero(b) for b in coeffs.beta],
+            [rf_limit_at_zero(g) for g in coeffs.gamma])
 
 
 REDUCTION_IDENTITIES = (
@@ -567,28 +594,31 @@ REDUCTION_IDENTITIES = (
 
 def check_reduction(name: str, params: dict, qp: QParams,
                     n_max: int = 8) -> VerifyReport:
-    """Generate both sides of one displayed reduction map and compare.
+    """Compare P_0..P_n_max of the two sides of one displayed reduction map.
 
-    The two limiting identities are evaluated over Q(t) with b = t and the
-    limit realized exactly as the value at t = 0 after cancellation.
+    The sides are compared by their recurrence data, which determines the
+    monic polynomials and is determined by them.  The two limiting
+    identities are evaluated over Q(t) with b = t and the limit realized
+    exactly as the value of each recurrence coefficient at t = 0 after
+    cancellation.
     """
     q = qp.q
     if name == "l00c-limit":
         c = params["c"]
         if c == 0:
             raise DomainError("l00c-limit requires c != 0")
-        lhs = FamilySpec("L", (0 * q, 0 * q, c), q).polynomials(n_max)
+        lhs = FamilySpec("L", (0 * q, 0 * q, c), q).ttrr(n_max)
         t = RatFunc.t()
-        rhs = _limit_polys((RatFunc.coerce(0), RatFunc.coerce(c) / t, t,
-                            RatFunc.coerce(0)), q, n_max)
-        return _compare_polys(name, lhs, rhs, n_max)
+        rhs = _limit_data((RatFunc.coerce(0), RatFunc.coerce(c) / t, t,
+                           RatFunc.coerce(0)), q, n_max)
+        return _compare_ttrr(name, lhs, *rhs, n_max)
     if name == "la10-limit":
         a = params["a"]
-        lhs = FamilySpec("L", (a, q ** 0, 0 * q), q).polynomials(n_max)
+        lhs = FamilySpec("L", (a, q ** 0, 0 * q), q).ttrr(n_max)
         t = RatFunc.t()
-        rhs = _limit_polys((RatFunc.coerce(a) / t, t, RatFunc.coerce(1),
-                            RatFunc.coerce(0)), q, n_max)
-        return _compare_polys(name, lhs, rhs, n_max)
+        rhs = _limit_data((RatFunc.coerce(a) / t, t, RatFunc.coerce(1),
+                           RatFunc.coerce(0)), q, n_max)
+        return _compare_ttrr(name, lhs, *rhs, n_max)
     lhs_spec, rhs_spec = _identity_specs(name, params, qp, n_max)
-    return _compare_polys(name, lhs_spec.polynomials(n_max),
-                          rhs_spec.polynomials(n_max), n_max)
+    lhs, rhs = lhs_spec.ttrr(n_max), rhs_spec.ttrr(n_max)
+    return _compare_ttrr(name, lhs, rhs.beta, rhs.gamma, n_max)

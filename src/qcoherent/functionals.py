@@ -42,7 +42,7 @@ from .errors import (
     NotSimpleSet,
     OrderExceeded,
 )
-from .qcalc import QParams, hahn_power, q_binom, shift_power
+from .qcalc import QParams, hahn_power, q_binom_row, shift_power
 
 
 class MomentFunctional:
@@ -219,17 +219,14 @@ def leibniz_expansion(f: Poly, u: MomentFunctional, n: int, qp: QParams,
     if variant not in (1, 2):
         raise DomainError("variant must be 1 or 2")
     total = None
+    binom = q_binom_row(n, qp.q)
     for j in range(n + 1):
-        coeff = q_binom(n, j, qp.q)
-        if variant == 1:
-            poly = shift_power(hahn_power(f, j, qp), n - j, qp)
-            du = functional_diff_n(u, n - j, qp)
-        else:
-            poly = shift_power(hahn_power(f, n - j, qp), j, qp)
-            du = functional_diff_n(u, j, qp)
+        poly_order, u_order = (j, n - j) if variant == 1 else (n - j, j)
+        poly = shift_power(hahn_power(f, poly_order, qp), u_order, qp)
         if poly.is_zero():
             continue  # vanishing term must not cap the joint order
-        term = left_mult(poly, du) * coeff
+        du = functional_diff_n(u, u_order, qp)
+        term = left_mult(poly, du) * binom[j]
         total = term if total is None else total + term
     if total is None:
         total = MomentFunctional([Fraction(0)] * (u.order + n + 1))

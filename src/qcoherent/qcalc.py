@@ -67,23 +67,34 @@ def q_bracket(n: int, base):
     return (base ** n - 1) / (base - 1)
 
 
-def q_factorial(n: int, base):
-    """[n]! = [1][2]...[n], with the brackets from [j+1] = 1 + base*[j]."""
+def q_factorials(n: int, base) -> list:
+    """[0]!, [1]!, ..., [n]!, with the brackets from [j+1] = 1 + base*[j]."""
     _check_base(base)
     if n < 0:
         raise DomainError(f"q-factorial index must be >= 0, got {n}")
-    bracket, acc = base * 0, base ** 0
+    bracket, out = base * 0, [base ** 0]
     for _ in range(n):
         bracket = 1 + base * bracket
-        acc = acc * bracket
-    return acc
+        out.append(out[-1] * bracket)
+    return out
+
+
+def q_factorial(n: int, base):
+    """[n]! = [1][2]...[n]."""
+    return q_factorials(n, base)[n]
 
 
 def q_binom(n: int, k: int, base):
     if k < 0 or k > n:
         raise DomainError(f"binomial index k = {k} outside 0..{n}")
-    return q_factorial(n, base) / (q_factorial(k, base)
-                                   * q_factorial(n - k, base))
+    f = q_factorials(n, base)
+    return f[n] / (f[k] * f[n - k])
+
+
+def q_binom_row(n: int, base) -> list:
+    """[n, 0], [n, 1], ..., [n, n] from one table of q-factorials."""
+    f = q_factorials(n, base)
+    return [f[n] / (f[k] * f[n - k]) for k in range(n + 1)]
 
 
 def shift(f: Poly, qp: QParams) -> Poly:
@@ -137,8 +148,8 @@ def normalized_derivative(p: Poly, n: int, m: int, qp: QParams) -> Poly:
     out = hahn_power(p, m, qp)
     if m == 0:
         return out
-    factor = q_factorial(n, qp.q) / q_factorial(n + m, qp.q)
-    return out * factor
+    f = q_factorials(n + m, qp.q)
+    return out * (f[n] / f[n + m])
 
 
 def normalized_derivative_set(polys, m: int, qp: QParams) -> list:

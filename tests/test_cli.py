@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qcoherent.cli import main
 
 
@@ -223,3 +225,20 @@ def test_numbers_past_the_int_str_digit_limit(capsys):
     assert code == 0, out
     # P_1 = x - (a + b)
     assert json.loads(out)[1] == ["-" + digits[:-1] + "9/1", "1/1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "structure", "--family", "L", "--a", "2/1", "--b", "3/1",
+     "--c", "0/1", "--q", "1/2", "--pi", '["1/1"]', "--n", "-2"],
+    ["verify", "reduction", "--identity", "la10-limit", "--points", "-1"],
+    ["verify", "reduction", "--identity", "la10-limit", "--points", "0"],
+    ["verify", "reduction", "--identity", "la10-limit", "--n", "-1"],
+    ["verify", "leibniz", "--trials", "-2"],
+    ["verify", "leibniz", "--n", "-1"],
+], ids=["structure-n", "reduction-points", "reduction-no-points",
+        "reduction-n", "leibniz-trials", "leibniz-n"])
+def test_counts_that_check_nothing_are_domain_errors(capsys, argv):
+    # each of these verified nothing and still exited 0, or blamed sampling
+    data = _domain_error(capsys, *argv)
+    assert data["error"] == "DomainError"
+    assert "must be >=" in data["detail"]

@@ -9,18 +9,35 @@ D[1/q,-w/q] x**n by that division, or ((x - w)/q)**n by repeated
 multiplication, paired with u.  The library computes all of these by a
 Taylor shift to the fixed point w0 = w/(1 - q), where the operators act on
 single powers, so the two must agree exactly.
+
+The reduction oracle generates P_0..P_n of both sides of an identity from
+their recurrences and compares the polynomials, and takes the two limit
+identities by generating the J-family polynomials over Q(t) and sending
+each coefficient to t = 0.  The library compares the recurrence data
+instead, so the two must give the same report.
 """
+import dataclasses
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoherent.algebra import Poly, RatFunc, affine_substitute
-from qcoherent.errors import DomainError
+from qcoherent import families
+from qcoherent.algebra import Poly, RatFunc, affine_substitute, rf_limit_at_zero
+from qcoherent.errors import DomainError, QCoherentError
+from qcoherent.families import (
+    REDUCTION_IDENTITIES,
+    FamilySpec,
+    check_reduction,
+    j_coeffs,
+    ttrr_generate,
+)
 from qcoherent.functionals import (
     MomentFunctional,
+    VerifyReport,
     act,
     functional_diff,
     functional_diff_n,
@@ -33,7 +50,7 @@ from qcoherent.qcalc import (
     shift,
     shift_power,
 )
-from qcoherent.sampling import sample_q
+from qcoherent.sampling import rational, sample_q
 
 F = Fraction
 
@@ -77,6 +94,55 @@ def oracle_functional_shift(u: MomentFunctional, qp: QParams) -> MomentFunctiona
         out.append(act(u, power))
         power = power * base
     return MomentFunctional(out)
+
+
+def oracle_compare_polys(identity: str, lhs, rhs, n_max: int) -> VerifyReport:
+    """The first n whose P_n differ, and the lowest power where they do."""
+    for n in range(n_max + 1):
+        if lhs[n] != rhs[n]:
+            diff = lhs[n] - rhs[n]
+            power = next(i for i, c in enumerate(diff.coeffs) if c != 0)
+            return VerifyReport(identity, "failed", n_max, (n, power))
+    return VerifyReport(identity, "holds", n_max)
+
+
+def oracle_limit_polys(j_params, base, n_max: int) -> list:
+    """J-family polynomials over Q(t), each coefficient sent to t = 0."""
+    polys = ttrr_generate(j_coeffs(*j_params, base, n_max), n_max)
+    return [Poly([rf_limit_at_zero(RatFunc.coerce(c)) for c in p.coeffs])
+            for p in polys]
+
+
+def oracle_check_reduction(name: str, params: dict, qp: QParams,
+                           n_max: int) -> VerifyReport:
+    """Both sides of a reduction identity as polynomials, then compared."""
+    q = qp.q
+    t = RatFunc.t()
+    if name == "l00c-limit":
+        c = params["c"]
+        if c == 0:
+            raise DomainError("l00c-limit requires c != 0")
+        lhs = FamilySpec("L", (0 * q, 0 * q, c), q).polynomials(n_max)
+        rhs = oracle_limit_polys((RatFunc(0), RatFunc(c) / t, t, RatFunc(0)),
+                                 q, n_max)
+        return oracle_compare_polys(name, lhs, rhs, n_max)
+    if name == "la10-limit":
+        a = params["a"]
+        lhs = FamilySpec("L", (a, q ** 0, 0 * q), q).polynomials(n_max)
+        rhs = oracle_limit_polys((RatFunc(a) / t, t, RatFunc(1), RatFunc(0)),
+                                 q, n_max)
+        return oracle_compare_polys(name, lhs, rhs, n_max)
+    lhs, rhs = families._identity_specs(name, params, qp, n_max)
+    return oracle_compare_polys(name, lhs.polynomials(n_max),
+                                rhs.polynomials(n_max), n_max)
+
+
+def outcome(check, *args):
+    """The report's JSON, or the class of the library error raised."""
+    try:
+        return check(*args).to_json()
+    except QCoherentError as exc:
+        return type(exc)
 
 
 scalars = st.fractions(min_value=-6, max_value=6, max_denominator=5)
@@ -159,3 +225,78 @@ def test_dual_operators_keep_rational_function_scalars():
 def test_negative_difference_order_is_domain_error():
     with pytest.raises(DomainError):
         functional_diff_n(MomentFunctional([F(1)]), -1, QParams(F(1, 2), F(0)))
+
+
+@pytest.mark.parametrize("name", REDUCTION_IDENTITIES)
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(0, 8))
+def test_reductions_match_polynomial_oracle(name, seed, n_max):
+    # parameters drawn as `verify reduction` draws them, so inadmissible
+    # points (a restriction, a regularity condition) occur too and must
+    # raise the same error class both ways
+    rng = random.Random(seed)
+    qp = QParams(sample_q(rng), F(0))
+    params = {k: rational(rng, nonzero=True) for k in "abcd"}
+    assert (outcome(check_reduction, name, params, qp, n_max)
+            == outcome(oracle_check_reduction, name, params, qp, n_max))
+
+
+@pytest.mark.parametrize("name", [n for n in REDUCTION_IDENTITIES
+                                  if not n.endswith("-limit")])
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(0, 8),
+       field=st.sampled_from(["param", "scale", "offset"]),
+       index=st.integers(0, 3))
+def test_mismatched_reductions_match_polynomial_oracle(name, seed, n_max,
+                                                      field, index):
+    # the right-hand family is replaced by a different one: a parameter,
+    # the affine scale or the offset moved by a non-zero amount
+    rng = random.Random(seed)
+    qp = QParams(sample_q(rng), F(0))
+    params = {k: rational(rng, nonzero=True) for k in "abcd"}
+    delta = rational(rng, nonzero=True)
+    real_specs = families._identity_specs
+
+    def mismatched_specs(*args):
+        lhs, rhs = real_specs(*args)
+        if field == "param":
+            moved = list(rhs.params)
+            moved[index % len(moved)] += delta
+            return lhs, dataclasses.replace(rhs, params=tuple(moved))
+        return lhs, dataclasses.replace(
+            rhs, **{field: getattr(rhs, field) + delta})
+
+    with mock.patch.object(families, "_identity_specs", mismatched_specs):
+        assert (outcome(check_reduction, name, params, qp, n_max)
+                == outcome(oracle_check_reduction, name, params, qp, n_max))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(1, 10),
+       zero_gamma=st.booleans())
+def test_recurrence_comparison_names_the_first_differing_power(
+        seed, n_max, zero_gamma):
+    # the library's comparison against P_0..P_n_max generated from both
+    # data sets, with one beta or gamma changed; a zero gamma is allowed
+    # on the right, as a limit of gammas can be zero
+    rng = random.Random(seed)
+    q = abs(sample_q(rng))  # a, b > 0 > c keeps L regular for q > 0
+    spec = FamilySpec("L", (F(rng.randint(1, 5)), F(rng.randint(1, 5)),
+                            -F(rng.randint(1, 5))), q,
+                      scale=rational(rng, nonzero=True),
+                      offset=rational(rng))
+    lhs = spec.ttrr(n_max)
+    beta, gamma = list(lhs.beta), list(lhs.gamma)
+    index = rng.randrange(n_max)
+    if index and (zero_gamma or rng.random() < 0.5):
+        gamma[index - 1] = F(0) if zero_gamma else gamma[index - 1] + 1
+    else:
+        beta[index] += rational(rng, nonzero=True)
+    rhs = [Poly.one(), Poly([-beta[0], F(1)])]
+    for n in range(1, n_max):
+        rhs.append(Poly([-beta[n], F(1)]) * rhs[n] - rhs[n - 1] * gamma[n - 1])
+    want = oracle_compare_polys("mismatch", ttrr_generate(lhs, n_max),
+                                rhs, n_max)
+    got = families._compare_ttrr("mismatch", lhs, beta, gamma, n_max)
+    assert got == want
+    assert not got.ok and got.first_failure[0] == index + 1

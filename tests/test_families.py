@@ -11,6 +11,7 @@ from qcoherent.errors import (
     RestrictionViolation,
 )
 from qcoherent.families import (
+    REDUCTION_IDENTITIES,
     FamilySpec,
     TTRRCoeffs,
     check_reduction,
@@ -259,13 +260,31 @@ def test_limit_identities_over_qt(name, params):
 
 def test_reduction_failure_reports_first_mismatch():
     # compare two genuinely different families through the report machinery
-    from qcoherent.families import _compare_polys
+    from qcoherent.families import _compare_ttrr
 
-    lhs = FamilySpec("L", (F(2), F(3), F(0)), QP.q).polynomials(4)
-    rhs = FamilySpec("L", (F(2), F(4), F(0)), QP.q).polynomials(4)
-    report = _compare_polys("mismatch", lhs, rhs, 4)
+    lhs = FamilySpec("L", (F(2), F(3), F(0)), QP.q).ttrr(4)
+    rhs = FamilySpec("L", (F(2), F(4), F(0)), QP.q).ttrr(4)
+    report = _compare_ttrr("mismatch", lhs, rhs.beta, rhs.gamma, 4)
     assert not report.ok
     assert report.first_failure == (1, 0)
+    assert report.order_checked == 4
+
+
+@pytest.mark.parametrize("name", REDUCTION_IDENTITIES)
+def test_holding_reduction_generates_no_polynomials(name, monkeypatch):
+    # a holding identity is decided on recurrence data alone
+    import qcoherent.families as families_module
+
+    calls = []
+
+    def spy_generate(coeffs, n_max):
+        calls.append(n_max)
+        return ttrr_generate(coeffs, n_max)
+
+    monkeypatch.setattr(families_module, "ttrr_generate", spy_generate)
+    report = check_reduction(name, FIXED_PARAMS, QP, n_max=6)
+    assert report.ok, report.to_json()
+    assert calls == []
 
 
 def test_family_spec_serialization_round_trip():
