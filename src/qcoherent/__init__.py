@@ -15,7 +15,6 @@ from .algebra import (
     affine_substitute,
     rat,
     rat_str,
-    rf_limit_at_zero,
 )
 from .classify import (
     ClassificationTrace,
@@ -96,7 +95,6 @@ __all__ = [
     "q_factorial",
     "rat",
     "rat_str",
-    "rf_limit_at_zero",
     "shift",
     "shift_power",
     "squared_norms",

@@ -1,16 +1,20 @@
 """Exact scalars and dense univariate polynomial arithmetic.
 
-Two scalar fields are used throughout the library:
+Three scalar types are used:
 
-* plain rationals, carried by :class:`fractions.Fraction`;
-* rational functions in one auxiliary parameter ``t`` over the rationals,
-  carried by :class:`RatFunc`.  These exist so that one-parameter limiting
-  identities can be evaluated exactly (take the limit as the value at
-  ``t = 0`` after cancellation) instead of numerically.
+* plain rationals, carried by :class:`fractions.Fraction`, the field of
+  every production computation;
+* finite Laurent polynomials in one auxiliary parameter ``t``, carried by
+  :class:`Laurent`.  One-parameter limiting identities evaluate their
+  closed forms as numerator/denominator pairs in this ring and take the
+  limit at ``t = 0`` exactly by valuation (:func:`limit_at_zero`);
+* rational functions in ``t`` over the rationals, carried by
+  :class:`RatFunc`, which normalises by a gcd after every operation.  The
+  tests use this field as an oracle for the limits.
 
-:class:`Poly` is a dense univariate polynomial whose coefficients may live
-in either field; all higher modules are generic over the scalars.  Every
-value is immutable and every operation is pure and exact.
+:class:`Poly` is a dense univariate polynomial whose coefficients may be
+Fractions or rational functions; all higher modules are generic over the
+scalars.  Every value is immutable and every operation is pure and exact.
 """
 from __future__ import annotations
 
@@ -414,9 +418,112 @@ class RatFunc:
         return f"RatFunc({self.num!r} / {self.den!r})"
 
 
-def rf_limit_at_zero(f: RatFunc) -> Fraction:
-    """Limit of ``f`` at t = 0, realized as the value after cancellation."""
-    return RatFunc.coerce(f).limit_at_zero()
+class Laurent:
+    """Finite Laurent polynomial sum_k c_k t**k over the rationals.
+
+    A ring with no division: one-parameter closed forms are carried as
+    numerator/denominator pairs of Laurent polynomials, and their limit at
+    t = 0 is read off the lowest-order terms by :func:`limit_at_zero`, with
+    no gcd.  ``terms`` maps each exponent to its non-zero coefficient, an
+    int or a Fraction; ints and Fractions mix in as constants.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        terms = {k: c for k, c in (terms or {}).items() if c != 0}
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Laurent is immutable")
+
+    @staticmethod
+    def monomial(c, k: int) -> "Laurent":
+        """The term c * t**k, for any integer k."""
+        return Laurent({k: c})
+
+    @staticmethod
+    def coerce(value) -> "Laurent":
+        if isinstance(value, Laurent):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return Laurent({0: value})
+        raise DomainError(f"cannot lift {value!r} into Q[t, 1/t]")
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, Laurent)):
+            return self.terms == Laurent.coerce(other).terms
+        return NotImplemented
+
+    def __add__(self, other):
+        if not isinstance(other, (int, Fraction, Laurent)):
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in Laurent.coerce(other).terms.items():
+            out[k] = out.get(k, 0) + c
+        return Laurent(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Laurent({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, (int, Fraction, Laurent)):
+            return NotImplemented
+        return self + (-Laurent.coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Laurent({k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, Laurent):
+            return NotImplemented
+        out = {}
+        for i, a in self.terms.items():
+            for j, b in other.terms.items():
+                out[i + j] = out.get(i + j, 0) + a * b
+        return Laurent(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise DomainError("negative power of a Laurent polynomial")
+        result = Laurent({0: 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __repr__(self):
+        body = " + ".join(f"{c}*t^{k}" for k, c in sorted(self.terms.items()))
+        return f"Laurent({body or '0'})"
+
+
+def limit_at_zero(num, den) -> Fraction:
+    """Limit of num/den at t = 0 for Laurent polynomials num and den.
+
+    With v = valuation (lowest exponent), the limit is 0 when v(num) >
+    v(den), the ratio of the t**v(den) coefficients when they are equal,
+    and a pole (PoleAtZero) when v(num) < v(den): the value of num/den at
+    t = 0 after cancellation, computed without a gcd.
+    """
+    num, den = Laurent.coerce(num), Laurent.coerce(den)
+    if not den:
+        raise DomainError("limit of a quotient with zero denominator")
+    if not num:
+        return Fraction(0)
+    vn, vd = min(num.terms), min(den.terms)
+    if vn < vd:
+        raise PoleAtZero(f"pole of order {vd - vn} at t = 0")
+    if vn > vd:
+        return Fraction(0)
+    return Fraction(num.terms[vn]) / den.terms[vd]
 
 
 def expand_in_basis(f: Poly, basis) -> list:

@@ -24,7 +24,14 @@ from fractions import Fraction
 from .algebra import Poly, rat, rat_str
 from .classify import classify_self_coherent
 from .coherence import CoherenceConfig, CoherencePair
-from .errors import DomainError, QCoherentError
+from .errors import (
+    DenominatorZero,
+    DomainError,
+    PoleAtZero,
+    QCoherentError,
+    RegularityViolation,
+    RestrictionViolation,
+)
 from .families import (
     CLASSICAL_LABELS,
     FamilySpec,
@@ -213,6 +220,12 @@ def _cmd_verify_coherence(args) -> int:
     return _exit_from_reports(reports)
 
 
+# errors that mean a sampled point is inadmissible, so another is drawn;
+# any other error is a fault and ends the command
+_INADMISSIBLE = (RegularityViolation, RestrictionViolation, DenominatorZero,
+                 PoleAtZero)
+
+
 def _cmd_verify_reduction(args) -> int:
     _at_least(1, points=args.points)
     _at_least(0, n=args.n)
@@ -231,7 +244,7 @@ def _cmd_verify_reduction(args) -> int:
         params = {name: rational(rng, nonzero=True) for name in "abcd"}
         try:
             report = check_reduction(args.identity, params, qp, args.n)
-        except QCoherentError:
+        except _INADMISSIBLE:
             continue
         entry = report.to_json()
         entry["q"] = rat_str(qp.q)

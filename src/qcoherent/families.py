@@ -12,7 +12,8 @@ classical orthogonal sequence of the q-difference calculus:
       gamma_n+1 = -(a - c q^{n+1}) (b - c q^{n+1}) (1 - q^{n+1}) q^n
 
 * the J-family J_n(x; a, b, c, d | q) with the four-parameter closed forms
-  implemented in :func:`j_coeffs`.
+  implemented once, as numerator/denominator pairs, in
+  :func:`_j_closed_forms`; :func:`j_coeffs` divides them.
 
 Classical labels (Al-Salam-Carlitz, big/little q-Laguerre and q-Jacobi,
 q-Bessel and the two exceptional sequences) are defined purely through
@@ -20,8 +21,10 @@ affine reductions onto these families, never through independent data,
 and each reduction map is verified by :func:`check_reduction` on the
 recurrence coefficients, which determine the monic polynomials and are
 determined by them (Favard's theorem).  One-parameter limits (b -> 0) are
-computed exactly over the field Q(t) and taken coefficient by coefficient
-at t = 0.
+exact: the J closed forms are evaluated with parameters that are Laurent
+polynomials in t, and each coefficient's limit at t = 0 is read off the
+valuations of its numerator and denominator, with no gcd.  The tests take
+the same limits over the field Q(t) as an oracle.
 """
 from __future__ import annotations
 
@@ -30,12 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    Laurent,
     Poly,
-    RatFunc,
     expand_in_basis,
+    limit_at_zero,
     rat,
     rat_str,
-    rf_limit_at_zero,
 )
 from .errors import (
     DenominatorZero,
@@ -167,12 +170,13 @@ def l_coeffs_symmetric(sum_ab, prod_ab, c, base, n_max: int) -> TTRRCoeffs:
     return TTRRCoeffs(beta, gamma)
 
 
-def j_coeffs(a, b, c, d, base, n_max: int) -> TTRRCoeffs:
-    """J-family recurrence coefficients at the given base.
+def _j_closed_forms(a, b, c, d, base, n_max: int):
+    """J-family beta_0..beta_n_max and gamma_1..gamma_n_max as (num, den)
+    pairs, generic over the scalar ring of the parameters.
 
     Regularity requires, for 1 <= n <= n_max: b != base**-n, d != base**-n,
     a != c*base**n, b != d*base**n, c != a*d*base**n.  Each closed-form
-    denominator factor 1 - d*base**j is checked before dividing.
+    denominator factor 1 - d*base**j is checked to be non-zero.
     """
     _validate_base(base)
     for n in range(1, n_max + 1):
@@ -198,15 +202,23 @@ def j_coeffs(a, b, c, d, base, n_max: int) -> TTRRCoeffs:
         qn = base ** n
         num = ((a * (b + d) + c * (b + 1)) * (1 + d * base ** (2 * n + 1))
                - (c * (b + d) + a * d * (b + 1)) * (1 + base) * qn)
-        beta.append(qn * num / (dfac(2 * n) * dfac(2 * n + 2)))
+        beta.append((qn * num, dfac(2 * n) * dfac(2 * n + 2)))
     for n in range(n_max):
         qn = base ** n
         qn1 = base ** (n + 1)
         num = (qn * (1 - qn1) * (1 - b * qn1) * (1 - d * qn1)
                * (a - c * qn1) * (b - d * qn1) * (c - a * d * qn1))
-        gamma.append(-num / (dfac(2 * n + 1) * dfac(2 * n + 2) ** 2
-                             * dfac(2 * n + 3)))
-    return TTRRCoeffs(beta, gamma)
+        gamma.append((-num, dfac(2 * n + 1) * dfac(2 * n + 2) ** 2
+                      * dfac(2 * n + 3)))
+    return beta, gamma
+
+
+def j_coeffs(a, b, c, d, base, n_max: int) -> TTRRCoeffs:
+    """J-family recurrence coefficients at the given base: the closed forms
+    of :func:`_j_closed_forms`, each numerator divided by its denominator."""
+    beta, gamma = _j_closed_forms(a, b, c, d, base, n_max)
+    return TTRRCoeffs([num / den for num, den in beta],
+                      [num / den for num, den in gamma])
 
 
 # master family kind or classical label -> number of its own parameters
@@ -560,16 +572,19 @@ def _identity_specs(name: str, p: dict, qp: QParams, n_max: int):
 
 def _limit_data(j_params, base, n_max: int):
     """beta_0..beta_(n_max-1) and gamma_1..gamma_(n_max-1) of a J-family
-    over Q(t), each sent to t = 0.
+    whose parameters are Laurent polynomials in t, each sent to t = 0.
 
-    Evaluation at t = 0 is a ring homomorphism on functions regular there,
-    so these limits generate the limits of P_0..P_n_max, and by induction
-    on the recurrence some P_k has a pole at t = 0 exactly when one of
-    these coefficients has (PoleAtZero).  A limit gamma may be zero.
+    Each coefficient is a closed-form pair (num, den) of Laurent
+    polynomials, and its limit is read off their lowest-order terms
+    (:func:`limit_at_zero`), exactly and with no gcd.  Evaluation at t = 0
+    is a ring homomorphism on functions regular there, so these limits
+    generate the limits of P_0..P_n_max, and by induction on the
+    recurrence some P_k has a pole at t = 0 exactly when one of these
+    coefficients has (PoleAtZero).  A limit gamma may be zero.
     """
-    coeffs = j_coeffs(*j_params, base, n_max - 1)
-    return ([rf_limit_at_zero(b) for b in coeffs.beta],
-            [rf_limit_at_zero(g) for g in coeffs.gamma])
+    beta, gamma = _j_closed_forms(*j_params, base, n_max - 1)
+    return ([limit_at_zero(num, den) for num, den in beta],
+            [limit_at_zero(num, den) for num, den in gamma])
 
 
 REDUCTION_IDENTITIES = (
@@ -598,26 +613,27 @@ def check_reduction(name: str, params: dict, qp: QParams,
 
     The sides are compared by their recurrence data, which determines the
     monic polynomials and is determined by them.  The two limiting
-    identities are evaluated over Q(t) with b = t and the limit realized
-    exactly as the value of each recurrence coefficient at t = 0 after
-    cancellation.
+    identities put b = t (and a or b proportional to 1/t) in the J-family
+    closed forms over the Laurent polynomials in t, and take each
+    recurrence coefficient's limit at t = 0 exactly by valuation
+    (:func:`_limit_data`).  The tests check the same limits over the field
+    Q(t) as an oracle.
     """
     q = qp.q
+    t = Laurent.monomial(1, 1)
     if name == "l00c-limit":
         c = params["c"]
         if c == 0:
             raise DomainError("l00c-limit requires c != 0")
         lhs = FamilySpec("L", (0 * q, 0 * q, c), q).ttrr(n_max)
-        t = RatFunc.t()
-        rhs = _limit_data((RatFunc.coerce(0), RatFunc.coerce(c) / t, t,
-                           RatFunc.coerce(0)), q, n_max)
+        rhs = _limit_data((Laurent(), Laurent.monomial(c, -1), t, Laurent()),
+                          q, n_max)
         return _compare_ttrr(name, lhs, *rhs, n_max)
     if name == "la10-limit":
         a = params["a"]
         lhs = FamilySpec("L", (a, q ** 0, 0 * q), q).ttrr(n_max)
-        t = RatFunc.t()
-        rhs = _limit_data((RatFunc.coerce(a) / t, t, RatFunc.coerce(1),
-                           RatFunc.coerce(0)), q, n_max)
+        rhs = _limit_data((Laurent.monomial(a, -1), t, Laurent.coerce(1),
+                           Laurent()), q, n_max)
         return _compare_ttrr(name, lhs, *rhs, n_max)
     lhs_spec, rhs_spec = _identity_specs(name, params, qp, n_max)
     lhs, rhs = lhs_spec.ttrr(n_max), rhs_spec.ttrr(n_max)

@@ -175,24 +175,34 @@ def functional_diff(u: MomentFunctional, qp: QParams) -> MomentFunctional:
     return functional_diff_n(u, 1, qp)
 
 
+def _centred_diffs(c, n: int, qp: QParams) -> list:
+    """Centred moments of u, D u, ..., D**n u from those of u.
+
+    Each step is diagonal: c'_0 = 0, c'_j = -(1/q) [j]_{1/q} c_(j-1).
+    """
+    p = qp.inverse.q
+    factors, bracket = [], p * 0
+    for _ in range(len(c) + n):
+        factors.append(-p * bracket)
+        bracket = 1 + p * bracket  # [j+1] = 1 + p [j]
+    out = [c]
+    for _ in range(n):
+        c = [c[0] * 0] + [factors[j] * c[j - 1] for j in range(1, len(c) + 1)]
+        out.append(c)
+    return out
+
+
 def functional_diff_n(u: MomentFunctional, n: int, qp: QParams) -> MomentFunctional:
     """The n-fold induced difference D[q,w]**n u; output order grows by n.
 
-    One change to the centred basis, n diagonal steps
-    c'_0 = 0, c'_j = -(1/q) [j]_{1/q} c_(j-1), one change back.
+    One change to the centred basis, n diagonal steps, one change back.
     """
     if n < 0:
         raise DomainError(f"difference order must be >= 0, got {n}")
     if n == 0:
         return u
-    w0, p = qp.omega0, qp.inverse.q
-    factors, bracket = [], p * 0
-    for _ in range(u.order + n + 1):
-        factors.append(-p * bracket)
-        bracket = 1 + p * bracket  # [j+1] = 1 + p [j]
-    c = _taylor_shift(u.moments, -w0)
-    for _ in range(n):
-        c = [c[0] * 0] + [factors[j] * c[j - 1] for j in range(1, len(c) + 1)]
+    w0 = qp.omega0
+    c = _centred_diffs(_taylor_shift(u.moments, -w0), n, qp)[n]
     return MomentFunctional(_taylor_shift(c, w0))
 
 
@@ -220,12 +230,19 @@ def leibniz_expansion(f: Poly, u: MomentFunctional, n: int, qp: QParams,
         raise DomainError("variant must be 1 or 2")
     total = None
     binom = q_binom_row(n, qp.q)
+    diffs = None  # centred D**k u for k = 0..n, built at the first need
     for j in range(n + 1):
         poly_order, u_order = (j, n - j) if variant == 1 else (n - j, j)
         poly = shift_power(hahn_power(f, poly_order, qp), u_order, qp)
         if poly.is_zero():
             continue  # vanishing term must not cap the joint order
-        du = functional_diff_n(u, u_order, qp)
+        if u_order == 0:
+            du = u
+        else:
+            if diffs is None:
+                diffs = _centred_diffs(
+                    _taylor_shift(u.moments, -qp.omega0), n, qp)
+            du = MomentFunctional(_taylor_shift(diffs[u_order], qp.omega0))
         term = left_mult(poly, du) * binom[j]
         total = term if total is None else total + term
     if total is None:

@@ -5,16 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoherent.algebra import (
+    Laurent,
     Poly,
     RatFunc,
     affine_substitute,
     det_bareiss,
     det_cofactor,
     expand_in_basis,
+    limit_at_zero,
     poly_gcd,
     rat,
     rat_str,
-    rf_limit_at_zero,
     sqrt_fraction,
 )
 from qcoherent.errors import DomainError, NotSimpleSet, PoleAtZero
@@ -131,10 +132,66 @@ def test_ratfunc_canonical_form_is_idempotent():
 
 def test_ratfunc_limits_at_zero():
     t = Poly([0, 1])
-    assert rf_limit_at_zero(RatFunc(t**2 + t, t)) == 1
-    assert rf_limit_at_zero(RatFunc(Poly([3]), t + 2)) == F(3, 2)
+    assert RatFunc(t**2 + t, t).limit_at_zero() == 1
+    assert RatFunc(Poly([3]), t + 2).limit_at_zero() == F(3, 2)
     with pytest.raises(PoleAtZero):
-        rf_limit_at_zero(RatFunc(Poly([1]), t))
+        RatFunc(Poly([1]), t).limit_at_zero()
+
+
+def test_laurent_limits_at_zero():
+    t = Laurent.monomial(1, 1)
+    assert limit_at_zero(t**2 + t, t) == 1  # removable singularity
+    assert limit_at_zero(3, t + 2) == F(3, 2)
+    assert limit_at_zero(Laurent(), t + 2) == 0
+    assert limit_at_zero(t, 1 + t) == 0
+    assert limit_at_zero(Laurent.monomial(F(5, 2), -2) + 1,
+                         Laurent.monomial(3, -2) - t) == F(5, 6)
+    with pytest.raises(PoleAtZero):
+        limit_at_zero(1, t)
+    with pytest.raises(DomainError):
+        limit_at_zero(t, Laurent())
+
+
+def _as_ratfunc(f: Laurent) -> RatFunc:
+    t = RatFunc.t()
+    return sum((c * t**k if k >= 0 else RatFunc(c) / t**-k
+                for k, c in f.terms.items()), RatFunc(0))
+
+
+laurents = st.dictionaries(st.integers(-3, 3), rationals, max_size=4).map(
+    Laurent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=laurents, g=laurents, k=st.integers(0, 3))
+def test_laurent_ring_and_limit_match_ratfunc(f, g, k):
+    # the ring operations and the valuation limit against Q(t)
+    for got, want in ((f + g, _as_ratfunc(f) + _as_ratfunc(g)),
+                      (f - g, _as_ratfunc(f) - _as_ratfunc(g)),
+                      (f * g, _as_ratfunc(f) * _as_ratfunc(g)),
+                      (f**k, _as_ratfunc(f)**k),
+                      (3 - f * F(1, 2), 3 - _as_ratfunc(f) * F(1, 2))):
+        assert _as_ratfunc(got) == want
+    assert (f == g) == (_as_ratfunc(f) == _as_ratfunc(g))
+    if not g:
+        return
+    try:
+        want = (_as_ratfunc(f) / _as_ratfunc(g)).limit_at_zero()
+    except PoleAtZero:
+        with pytest.raises(PoleAtZero):
+            limit_at_zero(f, g)
+    else:
+        assert limit_at_zero(f, g) == want
+
+
+def test_laurent_constants_and_errors():
+    assert Laurent.coerce(F(2, 3)) == F(2, 3)
+    assert Laurent({0: 0, 1: F(0)}) == 0
+    assert not Laurent()
+    with pytest.raises(DomainError):
+        Laurent.monomial(1, 1) ** -1
+    with pytest.raises(DomainError):
+        Laurent.coerce("t")
 
 
 def test_ratfunc_mixes_with_fractions():

@@ -109,6 +109,25 @@ def test_verify_reduction_unknown_identity(capsys):
     assert code == 2
 
 
+def test_verify_reduction_reports_a_fault_at_once(capsys, monkeypatch):
+    # only inadmissible parameters are resampled; a fault is not retried
+    import qcoherent.cli as cli_module
+    from qcoherent.errors import InternalInconsistency
+
+    calls = []
+
+    def faulty_check(*args):
+        calls.append(args)
+        raise InternalInconsistency("fault under test")
+
+    monkeypatch.setattr(cli_module, "check_reduction", faulty_check)
+    code, out = run_cli(capsys, "verify", "reduction", "--identity",
+                        "la10-limit", "--seed", "0")
+    assert code == 2
+    assert json.loads(out)["error"] == "InternalInconsistency"
+    assert len(calls) == 1
+
+
 def test_verify_leibniz(capsys):
     code, out = run_cli(capsys, "verify", "leibniz", "--seed", "3",
                         "--trials", "2", "--n", "3")

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoherent import families
-from qcoherent.algebra import Poly, RatFunc, affine_substitute, rf_limit_at_zero
+from qcoherent.algebra import Poly, RatFunc, affine_substitute
 from qcoherent.errors import DomainError, QCoherentError
 from qcoherent.families import (
     REDUCTION_IDENTITIES,
@@ -109,7 +109,7 @@ def oracle_compare_polys(identity: str, lhs, rhs, n_max: int) -> VerifyReport:
 def oracle_limit_polys(j_params, base, n_max: int) -> list:
     """J-family polynomials over Q(t), each coefficient sent to t = 0."""
     polys = ttrr_generate(j_coeffs(*j_params, base, n_max), n_max)
-    return [Poly([rf_limit_at_zero(RatFunc.coerce(c)) for c in p.coeffs])
+    return [Poly([RatFunc.coerce(c).limit_at_zero() for c in p.coeffs])
             for p in polys]
 
 

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from qcoherent.algebra import Poly, affine_substitute
+from qcoherent import algebra, families
+from qcoherent.algebra import Laurent, Poly, RatFunc, affine_substitute
 from qcoherent.errors import (
     DenominatorZero,
     DomainError,
     MissingCoefficient,
+    PoleAtZero,
+    QCoherentError,
     RegularityViolation,
     RestrictionViolation,
 )
@@ -27,6 +31,7 @@ from qcoherent.families import (
 )
 from qcoherent.functionals import act
 from qcoherent.qcalc import QParams, q_bracket
+from qcoherent.sampling import rational, sample_q
 
 F = Fraction
 
@@ -285,6 +290,93 @@ def test_holding_reduction_generates_no_polynomials(name, monkeypatch):
     report = check_reduction(name, FIXED_PARAMS, QP, n_max=6)
     assert report.ok, report.to_json()
     assert calls == []
+
+
+@pytest.mark.parametrize("name,params", [
+    ("l00c-limit", {"c": F(-5, 4)}),
+    ("la10-limit", {"a": F(2)}),
+])
+def test_holding_limit_identity_takes_no_gcd(name, params, monkeypatch):
+    # the limits are read off Laurent polynomials: no Q(t) normalisation
+    calls = []
+    real_gcd = algebra.poly_gcd
+
+    def spy_gcd(a, b):
+        calls.append((a, b))
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(algebra, "poly_gcd", spy_gcd)
+    report = check_reduction(name, params, QP, n_max=10)
+    assert report.ok, report.to_json()
+    assert calls == []
+
+
+def _as_ratfunc(f: Laurent) -> RatFunc:
+    t = RatFunc.t()
+    return sum((c * t**k if k >= 0 else RatFunc(c) / t**-k
+                for k, c in f.terms.items()), RatFunc(0))
+
+
+def _qt_limit_data(j_params, base, n_max):
+    """The oracle: j_coeffs over Q(t), each coefficient sent to t = 0."""
+    coeffs = j_coeffs(*(_as_ratfunc(p) for p in j_params), base, n_max - 1)
+    return ([b.limit_at_zero() for b in coeffs.beta],
+            [g.limit_at_zero() for g in coeffs.gamma])
+
+
+def _limit_outcome(limit_data, j_params, base, n_max):
+    try:
+        return limit_data(j_params, base, n_max)
+    except QCoherentError as exc:
+        return type(exc)
+
+
+T = Laurent.monomial(1, 1)
+ZERO_GAMMA_J = (Laurent.coerce(1), Laurent.coerce(F(2, 3)), T, Laurent())
+POLE_J = (Laurent.monomial(1, -1), Laurent.coerce(1), Laurent.coerce(1),
+          Laurent())  # beta_0 = 1/t + 1 - q
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_limit_data_matches_qt_oracle(seed):
+    # the two limit identities' J tuples at sampled points, a tuple with
+    # a pole at t = 0 and one whose limit gammas are 0
+    rng = random.Random(seed)
+    base = sample_q(rng)
+    a, c = rational(rng, nonzero=True), rational(rng, nonzero=True)
+    n_max = rng.randint(0, 7)
+    cases = [
+        (Laurent(), Laurent.monomial(c, -1), T, Laurent()),
+        (Laurent.monomial(a, -1), T, Laurent.coerce(1), Laurent()),
+        POLE_J,
+        ZERO_GAMMA_J,
+    ]
+    for j_params in cases:
+        assert (_limit_outcome(families._limit_data, j_params, base, n_max)
+                == _limit_outcome(_qt_limit_data, j_params, base, n_max))
+
+
+def test_limit_data_pole_and_zero_gamma():
+    for limit_data in (families._limit_data, _qt_limit_data):
+        with pytest.raises(PoleAtZero):
+            limit_data(POLE_J, QP.q, 4)
+    beta, gamma = families._limit_data(ZERO_GAMMA_J, QP.q, 4)
+    assert gamma and all(g == 0 for g in gamma)
+    assert (beta, gamma) == _qt_limit_data(ZERO_GAMMA_J, QP.q, 4)
+
+
+def test_zero_limit_gamma_is_a_failed_report(monkeypatch):
+    # a limit gamma of 0 is data, not an error: the report names the first
+    # index where the limit differs from the L-family side
+    real_limit_data = families._limit_data
+
+    def zero_gamma_limit(j_params, base, n_max):
+        return real_limit_data(ZERO_GAMMA_J, base, n_max)
+
+    monkeypatch.setattr(families, "_limit_data", zero_gamma_limit)
+    report = check_reduction("la10-limit", {"a": F(2)}, QP, n_max=4)
+    assert report.status == "failed"
+    assert report.first_failure is not None
 
 
 def test_family_spec_serialization_round_trip():

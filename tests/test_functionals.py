@@ -131,6 +131,31 @@ def test_leibniz_both_expansions(n, variant):
         assert checked == u.order - f.degree + n
 
 
+@pytest.mark.parametrize("degree,shifts", [(2, 4), (3, 5)])
+@pytest.mark.parametrize("variant", [1, 2])
+def test_leibniz_expansion_centres_u_once(degree, shifts, variant,
+                                          monkeypatch):
+    # one Taylor shift into the centred basis, one out per term whose
+    # difference order is non-zero (n = 4: orders 4..2 for a quadratic f,
+    # 4..1 for a cubic)
+    import qcoherent.functionals as functionals_module
+
+    calls = []
+    real_shift = functionals_module._taylor_shift
+
+    def spy_shift(moments, a):
+        calls.append(a)
+        return real_shift(moments, a)
+
+    u = MomentFunctional([F(k * k + 1, k + 1) for k in range(12)])
+    f = Poly([F(1, 2), F(-2), F(0), F(3)][:degree] + [F(5, 4)])
+    direct = functional_diff_n(left_mult(f, u), 4, QP)
+    monkeypatch.setattr(functionals_module, "_taylor_shift", spy_shift)
+    expansion = leibniz_expansion(f, u, 4, QP, variant=variant)
+    assert len(calls) == shifts
+    assert functional_agree(direct, expansion)[0]
+
+
 def test_leibniz_expansion_edges():
     u = MomentFunctional([F(1), F(2), F(5), F(14), F(42)])
     f = Poly([F(3), F(1)])
