@@ -21,10 +21,9 @@ through its data (pi, beta_0, gamma_1) and reconstructs the family: an
 L-family at base q for N in {0, 1}, an L-family at base 1/q when N = 2 and
 the d-sequence is constant, and a J-family at base 1/q otherwise.  When a
 quadratic discriminant is not a rational square the family parameters stay
-implicit, but the predicted recurrence is still emitted through forms that
-are symmetric in the root pair.  Every classification is finished by an
-internal cross-check: the predicted recurrence must match
-:func:`pearson_ttrr` applied to the reconstructed Pearson pair.
+implicit.  The predicted recurrence needs no roots: it is always
+:func:`pearson_ttrr` applied to the reconstructed Pearson pair, and an
+explicit family's own recurrence is checked against it.
 """
 from __future__ import annotations
 
@@ -38,11 +37,7 @@ from .errors import (
     InternalInconsistency,
     RegularityViolation,
 )
-from .families import (
-    FamilySpec,
-    TTRRCoeffs,
-    l_coeffs_symmetric,
-)
+from .families import FamilySpec, TTRRCoeffs
 from .qcalc import QParams, q_bracket
 
 
@@ -65,6 +60,8 @@ def pearson_ttrr(phi: Poly, psi: Poly, qp: QParams, n_max: int) -> PearsonTTRR:
     Raises RegularityViolation when some d_n vanishes or some
     phi(-e_n / d_{2n}) vanishes (which would force gamma_{n+1} = 0).
     """
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
     if phi.is_zero() or phi.degree > 2:
         raise DomainError("phi must be non-zero of degree <= 2")
     if psi.degree != 1:
@@ -170,40 +167,6 @@ def _split_quadratic(sum_roots, prod_roots):
     return ((sum_roots - root) / 2, (sum_roots + root) / 2)
 
 
-def _case_iiib_ttrr(lam, mu, sum_rs, prod_rs, omega0, q, n_max) -> TTRRCoeffs:
-    """Recurrence from the root-symmetric four-parameter forms.
-
-    The gamma numerator quartic is the product of the two reversed
-    quadratics mu*r*z**2 - lam*z + s and mu*s*z**2 - lam*z + r, expanded in
-    the symmetric functions of (r, s).
-    """
-    beta, gamma = [], []
-    for n in range(n_max + 1):
-        zn = q ** -n
-        den = (1 - mu * q ** (-2 * n)) * (1 - mu * q ** (-2 * n - 2))
-        if den == 0:
-            raise DegenerateInput("vanishing denominator in the beta form")
-        num = ((lam + sum_rs) * (1 + mu * q ** (-2 * n - 1))
-               - (1 + q ** -1) * (lam + mu * sum_rs) * zn)
-        beta.append(omega0 + zn * num / den)
-    for n in range(n_max):
-        z = q ** (-n - 1)
-        quartic = (mu * mu * prod_rs * z ** 4 - lam * mu * sum_rs * z ** 3
-                   + (mu * (sum_rs ** 2 - 2 * prod_rs) + lam ** 2) * z ** 2
-                   - lam * sum_rs * z + prod_rs)
-        den = ((1 - mu * q ** (-2 * n - 1)) * (1 - mu * q ** (-2 * n - 2)) ** 2
-               * (1 - mu * q ** (-2 * n - 3)))
-        if den == 0:
-            raise DegenerateInput("vanishing denominator in the gamma form")
-        value = (-q ** -n * (1 - q ** (-n - 1)) * (1 - mu * q ** (-n - 1))
-                 * quartic / den)
-        if value == 0:
-            raise DegenerateInput(
-                f"gamma_{n + 1} = 0: data do not come from a regular sequence")
-        gamma.append(value)
-    return TTRRCoeffs(beta, gamma)
-
-
 def classify_self_coherent(pi: Poly, beta0, gamma1, qp: QParams,
                            n_max: int = 10) -> ClassificationTrace:
     """Identify the monic orthogonal sequence behind one self-structure
@@ -252,9 +215,6 @@ def classify_self_coherent(pi: Poly, beta0, gamma1, qp: QParams,
     if case == "I":
         sum_roots = beta0 - omega0
         prod_roots = gamma1 / (q - 1)
-        predicted = l_coeffs_symmetric(
-            sum_roots, prod_roots, Fraction(0), q, n_max).shifted(
-                Fraction(1), omega0)
         roots = _split_quadratic(sum_roots, prod_roots)
         if roots is None:
             note = "NonRationalRoot: root pair lives in a quadratic extension"
@@ -262,25 +222,6 @@ def classify_self_coherent(pi: Poly, beta0, gamma1, qp: QParams,
             family = FamilySpec("L", (roots[0], roots[1], Fraction(0)), q,
                                 offset=omega0)
     elif case == "II":
-        c_shift = pi(omega0)
-        predicted_beta = []
-        predicted_gamma = []
-        for n in range(n_max + 1):
-            qn = q ** n
-            predicted_beta.append(
-                omega0 - (beta * (1 - q) + (1 + q) * (1 - qn)) * qn
-                / (alpha * (1 - q)))
-        for n in range(n_max):
-            qn = q ** n
-            value = ((1 - q ** (n + 1)) * q ** (n + 1)
-                     * (-alpha * c_shift * (1 - q) + (q + beta * (1 - q)) * qn
-                        - q ** (2 * n + 1))
-                     / (alpha ** 2 * (1 - q) ** 2))
-            if value == 0:
-                raise DegenerateInput(
-                    f"gamma_{n + 1} = 0: data do not come from a regular sequence")
-            predicted_gamma.append(value)
-        predicted = TTRRCoeffs(predicted_beta, predicted_gamma)
         sum_roots = q + beta * (1 - q)
         prod_roots = alpha * c_shift * q * (1 - q)
         r_scale = 1 / (alpha * (q - 1))
@@ -300,9 +241,6 @@ def classify_self_coherent(pi: Poly, beta0, gamma1, qp: QParams,
         if alpha == q / (q - 1):
             case = "IIIa"
             c_shift = (q - 1) * beta + q * sum_rs
-            predicted = l_coeffs_symmetric(
-                sum_rs, prod_rs, c_shift, 1 / q, n_max).shifted(
-                    Fraction(1), omega0)
             roots = _split_quadratic(sum_rs, prod_rs)
             if roots is None:
                 note = ("NonRationalRoot: pivot roots live in a quadratic "
@@ -320,8 +258,6 @@ def classify_self_coherent(pi: Poly, beta0, gamma1, qp: QParams,
                 if mu == q ** j:
                     raise DegenerateInput(
                         f"mu = q^{j} makes some d_n vanish")
-            predicted = _case_iiib_ttrr(lam, mu, sum_rs, prod_rs, omega0,
-                                        q, n_max)
             if prod_rs == 0:
                 s_val = sum_rs
                 if lam == 0:
@@ -357,10 +293,7 @@ def classify_self_coherent(pi: Poly, beta0, gamma1, qp: QParams,
                     family = FamilySpec(
                         "J", (a_val, b_val, r_val, mu), 1 / q, offset=omega0)
 
-    cross = pearson_ttrr(pi, pearson_psi, qp, n_max).coeffs
-    if not predicted.agrees_with(cross, n_max):
-        raise InternalInconsistency(
-            "symmetric-form recurrence disagrees with the Pearson engine")
+    predicted = pearson_ttrr(pi, pearson_psi, qp, n_max).coeffs
     if family is not None and not family.ttrr(n_max).agrees_with(
             predicted, n_max):
         raise InternalInconsistency(

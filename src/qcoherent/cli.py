@@ -24,14 +24,7 @@ from fractions import Fraction
 from .algebra import Poly, rat, rat_str
 from .classify import classify_self_coherent
 from .coherence import CoherenceConfig, CoherencePair
-from .errors import (
-    DenominatorZero,
-    DomainError,
-    PoleAtZero,
-    QCoherentError,
-    RegularityViolation,
-    RestrictionViolation,
-)
+from .errors import INADMISSIBLE, DomainError, QCoherentError
 from .families import (
     CLASSICAL_LABELS,
     FamilySpec,
@@ -199,6 +192,7 @@ def _case_pipeline(pair: CoherencePair, depth: int) -> list[dict]:
 
 
 def _cmd_verify_coherence(args) -> int:
+    _at_least(0, depth=args.depth)
     rng = random.Random(args.seed)
     qp = None
     if args.q is not None:
@@ -220,12 +214,6 @@ def _cmd_verify_coherence(args) -> int:
     return _exit_from_reports(reports)
 
 
-# errors that mean a sampled point is inadmissible, so another is drawn;
-# any other error is a fault and ends the command
-_INADMISSIBLE = (RegularityViolation, RestrictionViolation, DenominatorZero,
-                 PoleAtZero)
-
-
 def _cmd_verify_reduction(args) -> int:
     _at_least(1, points=args.points)
     _at_least(0, n=args.n)
@@ -244,7 +232,7 @@ def _cmd_verify_reduction(args) -> int:
         params = {name: rational(rng, nonzero=True) for name in "abcd"}
         try:
             report = check_reduction(args.identity, params, qp, args.n)
-        except _INADMISSIBLE:
+        except INADMISSIBLE:
             continue
         entry = report.to_json()
         entry["q"] = rat_str(qp.q)
@@ -277,6 +265,7 @@ def _cmd_verify_leibniz(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _at_least(0, n=args.n)
     qp = _qparams(args)
     trace = classify_self_coherent(_parse_poly(args.pi), rat(args.beta0),
                                    rat(args.gamma1), qp, n_max=args.n)

@@ -64,3 +64,9 @@ class DegreeClaimViolated(QCoherentError):
 
 class DegenerateInput(QCoherentError):
     """Input data violates a prerequisite of the classification."""
+
+
+# errors that mean sampled parameters are inadmissible, so another draw is
+# taken; any other error is a fault and ends the sampling loop
+INADMISSIBLE = (RegularityViolation, RestrictionViolation, DenominatorZero,
+                PoleAtZero, DegenerateInput)

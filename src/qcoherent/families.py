@@ -134,7 +134,9 @@ def _validate_base(base):
 def l_coeffs(a, b, c, base, n_max: int) -> TTRRCoeffs:
     """L-family recurrence coefficients at the given base (q or 1/q).
 
-    Regularity requires a != c*base**n and b != c*base**n for 1 <= n <= n_max.
+    Regularity requires a != c*base**n and b != c*base**n for 1 <= n <= n_max;
+    each failure is named here.  The values are the symmetric closed forms
+    of :func:`l_coeffs_symmetric` at (a + b, a*b, c).
     """
     _validate_base(base)
     for n in range(1, n_max + 1):
@@ -142,19 +144,13 @@ def l_coeffs(a, b, c, base, n_max: int) -> TTRRCoeffs:
             raise RegularityViolation(f"a = c*base^{n} in the L-family")
         if b == c * base ** n:
             raise RegularityViolation(f"b = c*base^{n} in the L-family")
-    beta = [(a + b - c * (base ** (n + 1) + base ** n - 1)) * base ** n
-            for n in range(n_max + 1)]
-    gamma = [-(a - c * base ** (n + 1)) * (b - c * base ** (n + 1))
-             * (1 - base ** (n + 1)) * base ** n
-             for n in range(n_max)]
-    return TTRRCoeffs(beta, gamma)
+    return l_coeffs_symmetric(a + b, a * b, c, base, n_max)
 
 
 def l_coeffs_symmetric(sum_ab, prod_ab, c, base, n_max: int) -> TTRRCoeffs:
-    """L-family coefficients from the symmetric data (a+b, ab, c).
-
-    Identical to :func:`l_coeffs` whenever a and b exist in the field, but
-    usable when only their sum and product are rational.
+    """L-family closed forms in the symmetric data (a+b, ab, c), so usable
+    when only the sum and product of a and b are rational.  :func:`l_coeffs`
+    evaluates them after its named regularity checks.
     """
     _validate_base(base)
     beta = [(sum_ab - c * (base ** (n + 1) + base ** n - 1)) * base ** n

@@ -18,7 +18,7 @@ from .classify import (
     case_iiib_bessel_instance,
     case_iiib_instance,
 )
-from .errors import QCoherentError
+from .errors import INADMISSIBLE, QCoherentError
 from .families import structure_coeffs
 from .qcalc import QParams
 
@@ -86,8 +86,9 @@ def sample_case_instance(rng: random.Random, label: str,
     """Draw an admissible self-coherent instance of the given case.
 
     Rejects draws whose family fails its regularity conditions up to
-    ``depth`` and draws whose structure relation is not banded with a
-    non-vanishing band edge at every row; gives up after 400 draws.
+    ``depth`` (an error in ``errors.INADMISSIBLE``) and draws whose
+    structure relation is not banded with a non-vanishing band edge at
+    every row; gives up after 400 draws.  Any other error propagates.
     """
     for _ in range(400):
         params = qp if qp is not None else sample_qparams(rng)
@@ -98,7 +99,7 @@ def sample_case_instance(rng: random.Random, label: str,
                                      params, n_max=depth)
             if not table.is_coherent:
                 continue
-        except QCoherentError:
+        except INADMISSIBLE:
             continue
         return inst
     raise QCoherentError(

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,15 +14,101 @@ from qcoherent.classify import (
     classify_self_coherent,
     pearson_ttrr,
 )
-from qcoherent.errors import DegenerateInput, DomainError, RegularityViolation
-from qcoherent.families import l_coeffs
+import qcoherent.classify as classify_module
+import qcoherent.families as families_module
+import qcoherent.sampling as sampling_module
+from qcoherent.errors import (
+    DegenerateInput,
+    DomainError,
+    InternalInconsistency,
+    RegularityViolation,
+)
+from qcoherent.families import TTRRCoeffs, l_coeffs, l_coeffs_symmetric
 from qcoherent.qcalc import QParams
-from qcoherent.sampling import sample_case_instance, sample_qparams
+from qcoherent.sampling import (
+    CASE_LABELS,
+    rational,
+    sample_case_instance,
+    sample_qparams,
+)
 
 F = Fraction
 
 QP = QParams(F(1, 2), F(1))
 QP0 = QParams(F(1, 2), F(0))
+
+
+# -- oracles: the per-case closed forms, independent of the Pearson engine --
+
+
+def oracle_case_ii_ttrr(alpha, beta, c_shift, omega0, q, n_max):
+    """Case II recurrence written out in the Pearson data (alpha, beta, c)."""
+    beta_seq = [omega0 - (beta * (1 - q) + (1 + q) * (1 - q ** n)) * q ** n
+                / (alpha * (1 - q)) for n in range(n_max + 1)]
+    gamma_seq = []
+    for n in range(n_max):
+        qn = q ** n
+        value = ((1 - q ** (n + 1)) * q ** (n + 1)
+                 * (-alpha * c_shift * (1 - q) + (q + beta * (1 - q)) * qn
+                    - q ** (2 * n + 1))
+                 / (alpha ** 2 * (1 - q) ** 2))
+        if value == 0:
+            raise DegenerateInput(f"gamma_{n + 1} = 0")
+        gamma_seq.append(value)
+    return TTRRCoeffs(beta_seq, gamma_seq)
+
+
+def oracle_case_iiib_ttrr(lam, mu, sum_rs, prod_rs, omega0, q, n_max):
+    """Case IIIb recurrence from the J forms made symmetric in the pivot
+    roots (r, s): the gamma numerator quartic is the product of the two
+    reversed quadratics mu*r*z**2 - lam*z + s and mu*s*z**2 - lam*z + r."""
+    beta_seq, gamma_seq = [], []
+    for n in range(n_max + 1):
+        zn = q ** -n
+        den = (1 - mu * q ** (-2 * n)) * (1 - mu * q ** (-2 * n - 2))
+        if den == 0:
+            raise DegenerateInput("vanishing denominator in the beta form")
+        num = ((lam + sum_rs) * (1 + mu * q ** (-2 * n - 1))
+               - (1 + q ** -1) * (lam + mu * sum_rs) * zn)
+        beta_seq.append(omega0 + zn * num / den)
+    for n in range(n_max):
+        z = q ** (-n - 1)
+        quartic = (mu * mu * prod_rs * z ** 4 - lam * mu * sum_rs * z ** 3
+                   + (mu * (sum_rs ** 2 - 2 * prod_rs) + lam ** 2) * z ** 2
+                   - lam * sum_rs * z + prod_rs)
+        den = ((1 - mu * q ** (-2 * n - 1)) * (1 - mu * q ** (-2 * n - 2)) ** 2
+               * (1 - mu * q ** (-2 * n - 3)))
+        if den == 0:
+            raise DegenerateInput("vanishing denominator in the gamma form")
+        value = (-q ** -n * (1 - q ** (-n - 1)) * (1 - mu * q ** (-n - 1))
+                 * quartic / den)
+        if value == 0:
+            raise DegenerateInput(f"gamma_{n + 1} = 0")
+        gamma_seq.append(value)
+    return TTRRCoeffs(beta_seq, gamma_seq)
+
+
+def oracle_prediction(pi, beta0, gamma1, qp, n_max):
+    """The recurrence of (pi, beta_0, gamma_1) from the case closed forms:
+    symmetric L forms for I and IIIa, the case II and IIIb forms above."""
+    q, w0 = qp.q, qp.omega0
+    if pi.degree == 0:
+        return l_coeffs_symmetric(beta0 - w0, gamma1 / (q - 1), F(0), q,
+                                  n_max).shifted(F(1), w0)
+    if pi.degree == 1:
+        alpha = -q * (beta0 - w0 + pi(w0)) / gamma1
+        return oracle_case_ii_ttrr(alpha, -alpha * (beta0 - w0), pi(w0), w0,
+                                   q, n_max)
+    alpha = -q * (gamma1 + pi(beta0)) / gamma1
+    beta = -alpha * (beta0 - w0)
+    sum_rs, prod_rs = -(pi.coeff(1) + 2 * w0), pi(w0)
+    if alpha == q / (q - 1):
+        return l_coeffs_symmetric(sum_rs, prod_rs,
+                                  (q - 1) * beta + q * sum_rs, 1 / q,
+                                  n_max).shifted(F(1), w0)
+    mu = q * (q + alpha * (1 - q))
+    lam = sum_rs * q - beta * (1 - q)
+    return oracle_case_iiib_ttrr(lam, mu, sum_rs, prod_rs, w0, q, n_max)
 
 
 def test_pearson_engine_case_zero_pivot_closed_forms():
@@ -194,14 +281,12 @@ def test_classify_case_ii_implicit_fallback():
     assert "NonRationalRoot" in trace.note
     assert trace.sum_roots == q + beta * (1 - q)
     assert trace.prod_roots == alpha * c * q * (1 - q)
-    engine = pearson_ttrr(pi, Poly([beta - alpha * w0, alpha]), qp, 8)
-    assert trace.predicted.agrees_with(engine.coeffs, 8)
+    oracle = oracle_case_ii_ttrr(alpha, beta, c, w0, q, 8)
+    assert trace.predicted.agrees_with(oracle, 8)
 
 
 def test_classify_case_iiia_implicit_fallback():
     # symmetric pivot data with irrational roots: sum 1, product -1/4
-    from qcoherent.families import l_coeffs_symmetric
-
     qp = QP
     q, w0 = qp.q, qp.omega0
     sum_rs, prod_rs, c = F(1), F(-1, 4), F(1, 5)
@@ -217,13 +302,11 @@ def test_classify_case_iiia_implicit_fallback():
 
 def test_classify_case_iiib_implicit_fallback():
     # rational pivot roots but an irrational family-root discriminant
-    from qcoherent.classify import _case_iiib_ttrr
-
     qp = QP
     q, w0 = qp.q, qp.omega0
     lam, mu, sum_rs, prod_rs = F(1), F(1, 3), F(1), F(1, 4)
     assert lam * lam - 4 * prod_rs * mu == F(2, 3)  # not a square
-    ttrr = _case_iiib_ttrr(lam, mu, sum_rs, prod_rs, w0, q, 8)
+    ttrr = oracle_case_iiib_ttrr(lam, mu, sum_rs, prod_rs, w0, q, 8)
     x = Poly.x()
     pi = (x - w0) * (x - w0) - sum_rs * (x - w0) + prod_rs
     trace = classify_self_coherent(pi, ttrr.beta_at(0), ttrr.gamma_at(1),
@@ -233,3 +316,131 @@ def test_classify_case_iiib_implicit_fallback():
     assert trace.lam == lam and trace.mu == mu
     assert trace.delta == F(2, 3)
     assert trace.predicted.agrees_with(ttrr, 8)
+
+
+def _random_structure_data(rng):
+    """Raw (pi, beta_0, gamma_1, qp) with a monic pivot of degree 0..2."""
+    qp = sample_qparams(rng)
+    pi = Poly([rational(rng) for _ in range(rng.randint(0, 2))] + [F(1)])
+    return pi, rational(rng), rational(rng, nonzero=True), qp
+
+
+def test_prediction_matches_case_closed_forms_at_seeded_points():
+    # raw data mostly have irrational roots, so the implicit forms are hit
+    rng = random.Random("closed-form-oracle")
+    seen = set()
+    refused = 0
+    for _ in range(150):
+        pi, beta0, gamma1, qp = _random_structure_data(rng)
+        try:
+            trace = classify_self_coherent(pi, beta0, gamma1, qp, n_max=6)
+        except DegenerateInput:
+            continue
+        except RegularityViolation:
+            # a vanishing gamma: the closed forms refuse the data too
+            with pytest.raises((DegenerateInput, RegularityViolation)):
+                oracle_prediction(pi, beta0, gamma1, qp, 6)
+            refused += 1
+            continue
+        expected = oracle_prediction(pi, beta0, gamma1, qp, 6)
+        assert trace.predicted.agrees_with(expected, 6)
+        assert len(trace.predicted.beta) == 7
+        assert len(trace.predicted.gamma) == 6
+        seen.add((trace.case_label, trace.implicit))
+    assert {("I", True), ("II", True), ("IIIb", True)} <= seen
+
+
+@pytest.mark.parametrize("label", CASE_LABELS)
+def test_prediction_matches_case_closed_forms_on_instances(label):
+    rng = random.Random(f"closed-form-instance-{label}")
+    for _ in range(4):
+        inst = sample_case_instance(rng, label, sample_qparams(rng), depth=6)
+        pi, beta0, gamma1 = inst.structure_data(8)
+        trace = classify_self_coherent(pi, beta0, gamma1, inst.qp, n_max=8)
+        expected = oracle_prediction(pi, beta0, gamma1, inst.qp, 8)
+        assert trace.predicted.agrees_with(expected, 8)
+        if trace.case_label in ("I", "IIIa"):
+            # the symmetric L forms at the classifier's own root data
+            base = inst.qp.q if trace.case_label == "I" else 1 / inst.qp.q
+            c = trace.family.params[2]
+            symmetric = l_coeffs_symmetric(
+                trace.sum_roots, trace.prod_roots, c, base, 8).shifted(
+                    F(1), inst.qp.omega0)
+            assert trace.predicted.agrees_with(symmetric, 8)
+
+
+def test_classify_calls_the_pearson_engine_once(monkeypatch):
+    engine_calls = []
+    symmetric_callers = []
+    engine = classify_module.pearson_ttrr
+    symmetric = families_module.l_coeffs_symmetric
+
+    def spy_engine(*args):
+        engine_calls.append(args)
+        return engine(*args)
+
+    def spy_symmetric(*args):
+        symmetric_callers.append(sys._getframe(1).f_code.co_name)
+        return symmetric(*args)
+
+    monkeypatch.setattr(classify_module, "pearson_ttrr", spy_engine)
+    monkeypatch.setattr(families_module, "l_coeffs_symmetric", spy_symmetric)
+    # also catch a direct import into the classifier, should one come back
+    monkeypatch.setattr(classify_module, "l_coeffs_symmetric", spy_symmetric,
+                        raising=False)
+    x = Poly.x()
+    data = [
+        (Poly.one(), F(5), F(-3), QP0),                      # I, explicit
+        (Poly.one(), F(2), F(-1, 4), QP0),                   # I, implicit
+        (Poly([F(2) - QP.omega0, F(1)]), QP.omega0 - 1,      # II, implicit
+         F(-1, 2), QP),
+        (*case_iiia_instance(QP, F(1, 3), F(-2), F(1, 4)).structure_data(6),
+         QP),                                                # IIIa
+        (*case_iiib_instance(QP, F(3), F(2), F(1, 2), F(1, 3))
+         .structure_data(6), QP),                            # IIIb
+        ((x - 1) * (x - 1) - (x - 1) + F(1, 4), F(1), F(-1), QP),
+    ]
+    for count, (pi, beta0, gamma1, qp) in enumerate(data, start=1):
+        trace = classify_self_coherent(pi, beta0, gamma1, qp, n_max=6)
+        assert len(engine_calls) == count
+        if trace.implicit:
+            assert symmetric_callers == []
+        assert set(symmetric_callers) <= {"l_coeffs"}
+        symmetric_callers.clear()
+    labels = {classify_self_coherent(pi, b0, g1, qp, n_max=2).case_label
+              for pi, b0, g1, qp in data}
+    assert labels == {"I", "II", "IIIa", "IIIb"}
+
+
+def test_vanishing_gamma_is_a_regularity_violation():
+    # case II data with gamma_2 = 0: the Pearson engine names the index
+    pi = Poly([F(3, 4), F(1)])
+    with pytest.raises(RegularityViolation, match="gamma_2"):
+        classify_self_coherent(pi, F(-1), F(1, 8), QP0, n_max=4)
+    with pytest.raises(DegenerateInput):
+        oracle_prediction(pi, F(-1), F(1, 8), QP0, 4)
+
+
+def test_negative_depth_is_a_domain_error():
+    with pytest.raises(DomainError):
+        pearson_ttrr(Poly.one(), Poly([F(1), F(-1)]), QP, -1)
+    with pytest.raises(DomainError):
+        classify_self_coherent(Poly.one(), F(5), F(-3), QP0, n_max=-1)
+
+
+def test_sampler_resamples_only_inadmissible_draws(monkeypatch):
+    calls = []
+
+    def faulty_structure(*args, **kwargs):
+        calls.append(args)
+        raise InternalInconsistency("fault under test")
+
+    monkeypatch.setattr(sampling_module, "structure_coeffs", faulty_structure)
+    with pytest.raises(InternalInconsistency):
+        sample_case_instance(random.Random(0), "I", QP, depth=4)
+    assert len(calls) == 1
+
+
+def test_sampler_reports_a_negative_depth():
+    with pytest.raises(DomainError, match="n_max must be >= 0"):
+        sample_case_instance(random.Random(0), "II", QP0, depth=-5)

@@ -156,6 +156,14 @@ def test_classify_degenerate_input(capsys):
     assert json.loads(out)["error"] == "DegenerateInput"
 
 
+def test_classify_vanishing_gamma_is_a_regularity_violation(capsys):
+    # case II data with gamma_2 = 0, refused by the Pearson engine
+    code, out = run_cli(capsys, "classify", "--pi", '["3/4","1/1"]',
+                        "--beta0=-1/1", "--gamma1=1/8", "--q=1/2", "--n", "4")
+    assert code == 2
+    assert json.loads(out)["error"] == "RegularityViolation"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["gen"]) == 2  # missing required options
 
@@ -254,8 +262,14 @@ def test_numbers_past_the_int_str_digit_limit(capsys):
     ["verify", "reduction", "--identity", "la10-limit", "--n", "-1"],
     ["verify", "leibniz", "--trials", "-2"],
     ["verify", "leibniz", "--n", "-1"],
+    ["verify", "coherence", "--case", "I", "--depth", "-1"],
+    ["classify", "--pi", '["1/1"]', "--beta0", "5/1", "--gamma1=-3/1",
+     "--q", "1/2", "--n", "-1"],
+    ["classify", "--pi", '["1/1"]', "--beta0", "5/1", "--gamma1=-3/1",
+     "--q", "1/2", "--n", "-1", "--format", "csv"],
 ], ids=["structure-n", "reduction-points", "reduction-no-points",
-        "reduction-n", "leibniz-trials", "leibniz-n"])
+        "reduction-n", "leibniz-trials", "leibniz-n", "coherence-depth",
+        "classify-n", "classify-n-csv"])
 def test_counts_that_check_nothing_are_domain_errors(capsys, argv):
     # each of these verified nothing and still exited 0, or blamed sampling
     data = _domain_error(capsys, *argv)
