@@ -283,8 +283,8 @@ def classify_self_coherent(pi: Poly, beta0, gamma1, qp: QParams,
                 pivot = _split_quadratic(sum_rs, prod_rs)
                 droot = sqrt_fraction(delta) if delta >= 0 else None
                 if pivot is None or droot is None:
-                    note = ("NonRationalRoot: implicit form retained, "
-                            "recurrence from symmetric data")
+                    note = ("NonRationalRoot: family roots live in a "
+                            "quadratic extension")
                 else:
                     r_val = pivot[0]
                     a_val = (lam + droot) / (2 * mu)

@@ -158,7 +158,8 @@ def l_coeffs_symmetric(sum_ab, prod_ab, c, base, n_max: int) -> TTRRCoeffs:
     gamma = []
     for n in range(n_max):
         bp = base ** (n + 1)
-        value = -(prod_ab - c * sum_ab * bp + c * c * bp * bp) * (1 - bp) * base ** n
+        cbp = c * bp   # (a - c*bp)(b - c*bp) = ab - c*bp*(a + b - c*bp)
+        value = -(prod_ab - cbp * (sum_ab - cbp)) * (1 - bp) * base ** n
         if value == 0:
             raise RegularityViolation(
                 f"gamma_{n + 1} = 0 for the symmetric L-family data")

@@ -81,11 +81,35 @@ def test_l_coeffs_regularity_violation():
         l_coeffs(q * F(5), F(3), F(5), q, 4)  # a = c q
 
 
+def oracle_l_coeffs(a, b, c, base, n_max):
+    """The L-family recurrence in the product form, as (beta, gamma)."""
+    beta = [(a + b - c * (base ** (n + 1) + base ** n - 1)) * base ** n
+            for n in range(n_max + 1)]
+    gamma = [-(a - c * base ** (n + 1)) * (b - c * base ** (n + 1))
+             * (1 - base ** (n + 1)) * base ** n
+             for n in range(n_max)]
+    return beta, gamma
+
+
 def test_l_coeffs_symmetric_matches_explicit():
-    a, b, c, q = F(2), F(-5, 3), F(1, 4), F(3, 5)
-    explicit = l_coeffs(a, b, c, q, 8)
-    symmetric = l_coeffs_symmetric(a + b, a * b, c, q, 8)
-    assert explicit.agrees_with(symmetric, 8)
+    rng = random.Random("l-product-form")
+    points = [(F(2), F(-5, 3), F(1, 4), F(3, 5))]
+    while len(points) < 40:
+        q = sample_q(rng)
+        points.append((rational(rng), rational(rng),
+                       rational(rng, nonzero=True), rng.choice((q, 1 / q))))
+    checked = 0
+    for a, b, c, base in points:
+        expected = oracle_l_coeffs(a, b, c, base, 8)
+        if 0 in expected[1]:
+            with pytest.raises(RegularityViolation):
+                l_coeffs(a, b, c, base, 8)
+            continue
+        for coeffs in (l_coeffs(a, b, c, base, 8),
+                       l_coeffs_symmetric(a + b, a * b, c, base, 8)):
+            assert (list(coeffs.beta), list(coeffs.gamma)) == expected
+        checked += 1
+    assert checked >= 30
 
 
 def test_j_coeffs_worked_example():
