@@ -81,10 +81,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
     def one() -> "Poly":
         return Poly([Fraction(1)])
 

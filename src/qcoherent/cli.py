@@ -252,13 +252,11 @@ def _cmd_verify_leibniz(args) -> int:
         f = Poly(sample_poly_coeffs(rng, 3))
         u = MomentFunctional(
             [rational(rng) for _ in range(12)])
+        fu = left_mult(f, u)
         for order in range(args.n + 1):
-            direct = functional_diff_n(left_mult(f, u), order, qp)
-            for variant in (1, 2):
-                report = _report(f"leibniz[trial={trial},n={order}]", direct,
-                                 leibniz_expansion(f, u, order, qp, variant))
-                if not report.ok:
-                    break
+            report = _report(f"leibniz[trial={trial},n={order}]",
+                             functional_diff_n(fu, order, qp),
+                             leibniz_expansion(f, u, order, qp))
             reports.append(report.to_json())
     _emit({"seed": args.seed, "trials": args.trials, "reports": reports})
     return _exit_from_reports(reports)
@@ -353,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     vr.set_defaults(func=_cmd_verify_reduction)
 
     vl = vsub.add_parser("leibniz",
-                         help="compare expansions of the n-fold difference")
+                         help="compare the q-Leibniz expansion of D**n (f u) "
+                              "with direct differencing")
     vl.add_argument("--seed", type=int, default=0)
     vl.add_argument("--trials", type=int, default=10)
     vl.add_argument("--n", type=int, default=4)

@@ -53,12 +53,10 @@ from .functionals import (
 from .qcalc import (
     QParams,
     hahn_diff,
-    hahn_power,
-    q_binom,
+    leibniz_coeffs,
     q_binom_row,
     q_factorials,
     shift,
-    shift_power,
 )
 
 
@@ -88,7 +86,6 @@ class DeterminantSystem:
 
     det: Poly
     replaced: tuple  # replacement-column determinants, in column order
-    columns: tuple   # which column index each replacement corresponds to
 
     @property
     def degenerate(self) -> bool:
@@ -99,8 +96,9 @@ class CoherencePair:
     """A coherent pair instance with everything needed for verification.
 
     Holds the two polynomial sequences, their moment functionals, squared
-    norms, the structure table, and the operator parameters.  All psi/phi
-    tables and both determinant systems are built lazily and cached.
+    norms, the structure table, and the operator parameters.  The psi
+    polynomials, the phi/varphi/xi rows and both determinant systems are
+    built lazily and cached.
     """
 
     def __init__(self, config: CoherenceConfig, qp: QParams, p_polys,
@@ -116,7 +114,7 @@ class CoherencePair:
         self.v_norms = list(v_norms)
         self.table = table
         self._psi: dict = {}
-        self._phi: dict = {}
+        self._rows: dict = {}  # (table name, n) -> list of polynomials
         self._systems: dict = {}
 
     @classmethod
@@ -168,80 +166,75 @@ class CoherencePair:
         self._psi[n] = total
         return total
 
+    def _entry(self, name: str, n: int, j: int, size: int, build) -> Poly:
+        """Entry j of row n of a table, each row built whole and cached."""
+        if not 0 <= j < size:
+            raise IndexOutOfRange(f"{name} column {j} outside 0..{size - 1}")
+        if (name, n) not in self._rows:
+            self._rows[name, n] = build(n)
+        return self._rows[name, n][j]
+
     def phi(self, n: int, j: int) -> Poly:
         """Coefficient of the j-th backward derivative of v (0 <= j <= N).
 
         phi(x; n, j) = (-q)**k [n+k]!/([n]! <v, Q_{n+k}^2>) * sum over l of
-        [k+N, l]_{1/q} [N-l, N-j-l]_{1/q}
-        L'**(k+N-l)(D'**l pi) * L'**j(D'**(N-j-l) Q_{n+k}),
-        primes denoting the backward operators; degree k+n+j.
+        a_(k+N-l) b_(l,j), with a = leibniz_coeffs(pi, k+N) and
+        b_l = leibniz_coeffs(Q_{n+k}, N-l), both backward (primes below):
+        [k+N, l] [N-l, j] L'**(k+N-l)(D'**l pi) L'**j(D'**(N-l-j) Q_{n+k}).
+        Degree k+n+j.
         """
-        key = (n, j)
-        if key in self._phi:
-            return self._phi[key]
+        return self._entry("phi", n, j, self.config.N + 1, self._phi_row)
+
+    def _phi_row(self, n: int) -> list:
         cfg, qp = self.config, self.qp
-        if not 0 <= j <= cfg.N:
-            raise IndexOutOfRange(f"phi column {j} outside 0..{cfg.N}")
-        inv = qp.inverse
-        qbar = inv.q
+        inv, top = qp.inverse, cfg.k + cfg.N
         fact = q_factorials(n + cfg.k, qp.q)
         scale = ((-qp.q) ** cfg.k * fact[n + cfg.k]
                  / fact[n] / self.v_norms[n + cfg.k])
-        top = cfg.k + cfg.N
-        fbar = q_factorials(top, qbar)  # both binomials below
-        total = Poly()
-        for ell in range(0, cfg.N - j + 1):
-            dq = cfg.N - j - ell
-            if dq > n + cfg.k:
-                continue  # difference order exhausts Q_{n+k}
-            p1 = shift_power(hahn_power(cfg.pi, ell, inv), top - ell, inv)
-            p2 = shift_power(hahn_power(self.q[n + cfg.k], dq, inv), j, inv)
-            if p1.is_zero() or p2.is_zero():
-                continue
-            coeff = (fbar[top] / (fbar[ell] * fbar[top - ell])
-                     * fbar[cfg.N - ell] / (fbar[dq] * fbar[j]))
-            total = total + p1 * p2 * coeff
-        total = total * scale
-        if total.degree != cfg.k + n + j:
-            raise DegreeClaimViolated(
-                f"deg phi(.;{n},{j}) = {total.degree}, expected {cfg.k + n + j}")
-        self._phi[key] = total
-        return total
+        a = leibniz_coeffs(cfg.pi, top, inv)
+        row = [Poly()] * (cfg.N + 1)
+        for ell in range(cfg.N + 1):
+            a_l = a[top - ell] * scale
+            for j, b in enumerate(
+                    leibniz_coeffs(self.q[n + cfg.k], cfg.N - ell, inv)):
+                row[j] = row[j] + a_l * b
+        for j, total in enumerate(row):
+            if total.degree != cfg.k + n + j:
+                raise DegreeClaimViolated(
+                    f"deg phi(.;{n},{j}) = {total.degree}, "
+                    f"expected {cfg.k + n + j}")
+        return row
 
     def varphi(self, n: int, i: int) -> Poly:
-        """Leibniz redistribution of phi used when m >= k+N.
+        """Leibniz redistribution of phi used when m >= k+N (0 <= i <= m-k).
 
-        varphi(x; n, i) = sum over j+l = i (0 <= j <= m-k-N, 0 <= l <= N) of
-        [m-k-N, j]_{1/q} L'**j(D'**(m-k-N-j) phi(.; n, l)).
+        varphi(x; n, i) = sum over l of leibniz_coeffs(phi(.; n, l), m-k-N)
+        at i-l, backward: [m-k-N, i-l]_{1/q} L'**(i-l)(D'**(m-k-N-i+l) phi).
         """
-        cfg, inv = self.config, self.qp.inverse
-        extra = cfg.m - cfg.k - cfg.N
-        if extra < 0:
+        cfg = self.config
+        if cfg.m < cfg.k + cfg.N:
             raise DomainError("varphi requires m >= k+N")
-        total = Poly()
-        binom = q_binom_row(extra, inv.q)
-        for j in range(0, min(i, extra) + 1):
-            ell = i - j
-            if ell < 0 or ell > cfg.N:
-                continue
-            term = shift_power(
-                hahn_power(self.phi(n, ell), extra - j, inv), j, inv)
-            if term.is_zero():
-                continue
-            total = total + term * binom[j]
-        return total
+        return self._entry("varphi", n, i, cfg.m - cfg.k + 1,
+                           self._varphi_row)
+
+    def _varphi_row(self, n: int) -> list:
+        cfg, inv = self.config, self.qp.inverse
+        row = [Poly()] * (cfg.m - cfg.k + 1)
+        for ell in range(cfg.N + 1):
+            for j, c in enumerate(leibniz_coeffs(
+                    self.phi(n, ell), cfg.m - cfg.k - cfg.N, inv)):
+                row[ell + j] = row[ell + j] + c
+        return row
 
     def xi(self, n: int, j: int) -> Poly:
         """Leibniz redistribution of psi used when m < k+N.
 
+        xi(x; n, .) = leibniz_coeffs(psi(.; n), k+N-m) backward:
         xi(x; n, j) = [k+N-m, j]_{1/q} L'**j(D'**(k+N-m-j) psi(.; n)).
         """
-        cfg, inv = self.config, self.qp.inverse
-        extra = cfg.k + cfg.N - cfg.m
-        if not 0 <= j <= extra:
-            raise IndexOutOfRange(f"xi column {j} outside 0..{extra}")
-        term = shift_power(hahn_power(self.psi(n), extra - j, inv), j, inv)
-        return term * q_binom(extra, j, inv.q)
+        extra = self.config.k + self.config.N - self.config.m
+        return self._entry("xi", n, j, extra + 1, lambda n: leibniz_coeffs(
+            self.psi(n), extra, self.qp.inverse))
 
     # -- functional building blocks ----------------------------------------
 
@@ -293,11 +286,29 @@ class CoherencePair:
             if not self.varphi(n, i).is_zero())
         return _report(f"varphi-row[n={n}]", lhs, rhs)
 
+    def _pearson(self, name: str, phi: Poly, psi: Poly,
+                 w: MomentFunctional) -> VerifyReport:
+        """The backward difference equation D'(phi w) = psi w."""
+        return _report(name, self.dprime(left_mult(phi, w)), left_mult(psi, w))
+
     # -- determinant systems -----------------------------------------------
 
     @staticmethod
     def _det(rows) -> Poly:
         return det_bareiss(rows)
+
+    def _cramer(self, name: str, matrix, column, cols) -> DeterminantSystem:
+        """The determinant of ``matrix`` and of its copies with column
+        ``col`` replaced by ``column``, for each col in ``cols``; memoised."""
+        dets = []
+        for col in cols:
+            replaced = [row[:] for row in matrix]
+            for row, entry in zip(replaced, column):
+                row[col] = entry
+            dets.append(self._det(replaced))
+        system = DeterminantSystem(self._det(matrix), tuple(dets))
+        self._systems[name] = system
+        return system
 
     def varphi_system(self) -> DeterminantSystem:
         """Determinants A, A1, A2 of the varphi matrix (case m >= k+N).
@@ -316,16 +327,8 @@ class CoherencePair:
         size = cfg.m - cfg.k + 1
         matrix = [[self.varphi(n, j) for j in range(size)]
                   for n in range(size)]
-        column = [self.psi(n) for n in range(size)]
-        dets = []
-        for col in (0, 1):
-            replaced = [row[:] for row in matrix]
-            for n in range(size):
-                replaced[n][col] = column[n]
-            dets.append(self._det(replaced))
-        system = DeterminantSystem(self._det(matrix), tuple(dets), (0, 1))
-        self._systems["varphi"] = system
-        return system
+        return self._cramer("varphi", matrix,
+                            [self.psi(n) for n in range(size)], (0, 1))
 
     def xi_system(self) -> DeterminantSystem:
         """Determinants B, B1, B2, B_{N+2} of the phi/xi matrix (m < k+N).
@@ -346,17 +349,9 @@ class CoherencePair:
             row += [-self.xi(i, j - cfg.N)
                     for j in range(cfg.N + 1, size)]
             matrix.append(row)
-        column = [self.xi(i, 0) for i in range(size)]
-        dets = []
-        for col in (0, 1, cfg.N + 1):
-            replaced = [row[:] for row in matrix]
-            for i in range(size):
-                replaced[i][col] = column[i]
-            dets.append(self._det(replaced))
-        system = DeterminantSystem(self._det(matrix), tuple(dets),
-                                   (0, 1, cfg.N + 1))
-        self._systems["xi"] = system
-        return system
+        return self._cramer("xi", matrix,
+                            [self.xi(i, 0) for i in range(size)],
+                            (0, 1, cfg.N + 1))
 
     def verify_varphi_system(self) -> list[VerifyReport]:
         """Rational-transformation identities from the varphi determinants.
@@ -377,17 +372,14 @@ class CoherencePair:
                     left_mult(a, self.dprime(self.v)),
                     left_mult(a2, self.u)),
         ]
-        lhs = self.dprime(left_mult(a1 * shift(a, qp), self.u))
-        rhs_poly = (hahn_diff(a, qp) * a1 * qp.q
-                    + hahn_diff(a, qp.inverse) * a1
-                    + shift(a, qp.inverse) * a2)
-        out.append(_report("difference equation for u",
-                           lhs, left_mult(rhs_poly, self.u)))
+        out.append(self._pearson(
+            "difference equation for u", a1 * shift(a, qp),
+            (hahn_diff(a, qp) * a1 * qp.q + hahn_diff(a, qp.inverse) * a1
+             + shift(a, qp.inverse) * a2), self.u))
         aa1 = a * a1
-        lhs = self.dprime(left_mult(shift(aa1, qp), self.v))
-        rhs_poly = hahn_diff(aa1, qp) * qp.q + a * a2
-        out.append(_report("difference equation for v",
-                           lhs, left_mult(rhs_poly, self.v)))
+        out.append(self._pearson(
+            "difference equation for v", shift(aa1, qp),
+            hahn_diff(aa1, qp) * qp.q + a * a2, self.v))
         return out
 
     def verify_xi_system(self) -> list[VerifyReport]:
@@ -416,14 +408,12 @@ class CoherencePair:
                     left_mult(blast, self.u)),
         ]
         bb1 = b * b1
-        lhs = self.dprime(left_mult(shift(bb1, qp), self.v))
-        rhs_poly = hahn_diff(bb1, qp) * qp.q + b * b2
-        out.append(_report("difference equation for v",
-                           lhs, left_mult(rhs_poly, self.v)))
-        lhs = self.dprime(left_mult(shift(b, qp), self.u))
-        rhs_poly = hahn_diff(b, qp) * qp.q + blast
-        out.append(_report("difference equation for u",
-                           lhs, left_mult(rhs_poly, self.u)))
+        out.append(self._pearson(
+            "difference equation for v", shift(bb1, qp),
+            hahn_diff(bb1, qp) * qp.q + b * b2, self.v))
+        out.append(self._pearson(
+            "difference equation for u", shift(b, qp),
+            hahn_diff(b, qp) * qp.q + blast, self.u))
         return out
 
     # -- the k = 0 chain ----------------------------------------------------
@@ -433,23 +423,22 @@ class CoherencePair:
 
         big_phi(.; j) = ( <v, Q_j^2> psi(.; j)
             - sum_{l<j} [m, l]_{1/q} L'**(m-l)(D'**l Q_j) big_phi(.; l) )
-            / ( [j]_{1/q}! [m, j]_{1/q} ),
-        with deg big_phi(.; 0) = M+m and deg big_phi(.; j) <= M+m+j.
+            / ( [j]_{1/q}! [m, j]_{1/q} ), each factor of the sum being
+        leibniz_coeffs(Q_j, m) at m-l (backward), with
+        deg big_phi(.; 0) = M+m and deg big_phi(.; j) <= M+m+j.
         """
         cfg, inv = self.config, self.qp.inverse
         if cfg.k != 0:
             raise DomainError("the chain construction requires k = 0")
         if cfg.N == 0 and cfg.m < 1:
             raise DomainError("with N = 0 the chain requires m >= 1")
-        qbar = inv.q
-        fact, binom = q_factorials(cfg.m, qbar), q_binom_row(cfg.m, qbar)
+        fact, binom = q_factorials(cfg.m, inv.q), q_binom_row(cfg.m, inv.q)
         chain: list[Poly] = []
         for j in range(cfg.m + 1):
             value = self.psi(j) * self.v_norms[j]
+            factors = leibniz_coeffs(self.q[j], cfg.m, inv) if j else []
             for ell in range(j):
-                factor = shift_power(
-                    hahn_power(self.q[j], ell, inv), cfg.m - ell, inv)
-                value = value - factor * chain[ell] * binom[ell]
+                value = value - factors[cfg.m - ell] * chain[ell]
             value = value / (fact[j] * binom[j])
             bound = cfg.M + cfg.m + j
             if j == 0 and value.degree != bound:
@@ -466,30 +455,27 @@ class CoherencePair:
         degree-based class bounds for both functionals."""
         cfg, qp = self.config, self.qp
         chain = self.phi_chain()
-        pi_v = left_mult(cfg.pi, self.v)
-        out = [
-            _report("D'(big_phi_1 u) = big_phi_0 u",
-                    self.dprime(left_mult(chain[1], self.u)),
-                    left_mult(chain[0], self.u)),
-            _report("pi v = big_phi_m u",
-                    pi_v, left_mult(chain[cfg.m], self.u)),
-        ]
         top = chain[cfg.m]
-        lhs = self.dprime(left_mult(shift(top, qp), pi_v))
-        rhs_poly = hahn_diff(top, qp) * qp.q + chain[cfg.m - 1]
-        out.append(_report("chain difference equation for pi v",
-                           lhs, left_mult(rhs_poly, pi_v)))
-
+        # f (pi v) and (f pi) v have the same moments, so the chain's
+        # equation on pi v is the v witness's Pearson equation on v
         u_witness = SemiclassicalWitness(chain[1], chain[0], "backward")
+        v_witness = SemiclassicalWitness(
+            shift(top, qp) * cfg.pi,
+            (hahn_diff(top, qp) * qp.q + chain[cfg.m - 1]) * cfg.pi,
+            "backward")
+        out = [
+            self._pearson("D'(big_phi_1 u) = big_phi_0 u",
+                          u_witness.phi, u_witness.psi, self.u),
+            _report("pi v = big_phi_m u",
+                    left_mult(cfg.pi, self.v), left_mult(top, self.u)),
+            self._pearson("chain difference equation for pi v",
+                          v_witness.phi, v_witness.psi, self.v),
+        ]
         u_bound = cfg.M + cfg.m - 1
         out.append(VerifyReport(
             "class bound for u",
             "holds" if u_witness.class_bound <= u_bound else "failed",
             detail=f"witness bound {u_witness.class_bound} <= {u_bound}"))
-        v_witness = SemiclassicalWitness(
-            shift(top, qp) * cfg.pi,
-            (hahn_diff(top, qp) * qp.q + chain[cfg.m - 1]) * cfg.pi,
-            "backward")
         v_bound = cfg.N + cfg.M + 2 * (cfg.m - 1)
         out.append(VerifyReport(
             "class bound for v",

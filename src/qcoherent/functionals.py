@@ -29,7 +29,8 @@ Also here: left multiplication (f u), the product rule
 
     D[q,w](f u) = D[q,w]f u + L[q,w]f D[q,w]u,
 
-and the two equivalent q-binomial expansions of D**n (f u).
+and its n-fold form, the q-Leibniz expansion
+D**n (f u) = sum_k [n, k] L**k(D**(n-k) f) D**k u.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from .errors import (
     NotSimpleSet,
     OrderExceeded,
 )
-from .qcalc import QParams, hahn_power, q_binom_row, shift_power
+from .qcalc import QParams, leibniz_coeffs
 
 
 class MomentFunctional:
@@ -68,12 +69,6 @@ class MomentFunctional:
             raise OrderExceeded(
                 f"moment index {i} exceeds stored order {self.order}")
         return self.moments[i]
-
-    def truncated(self, order: int) -> "MomentFunctional":
-        if order > self.order:
-            raise OrderExceeded(
-                f"cannot extend order {self.order} to {order}")
-        return MomentFunctional(self.moments[:order + 1])
 
     def is_zero(self) -> bool:
         return all(m == 0 for m in self.moments)
@@ -217,48 +212,38 @@ def functional_shift(u: MomentFunctional, qp: QParams) -> MomentFunctional:
         _taylor_shift([p ** j * cj for j, cj in enumerate(c)], w0))
 
 
-def leibniz_expansion(f: Poly, u: MomentFunctional, n: int, qp: QParams,
-                      variant: int = 1) -> MomentFunctional:
-    """One of the two q-binomial expansions of D**n (f u).
+def leibniz_expansion(f: Poly, u: MomentFunctional, n: int,
+                      qp: QParams) -> MomentFunctional:
+    """D**n (f u) by the q-Leibniz rule: sum_k c_k D**k u, where
+    c_k = [n, k] L**k(D**(n-k) f) are ``qcalc.leibniz_coeffs``.
 
-    variant 1: sum_j [n,j] L**(n-j)(D**j f) D**(n-j) u
-    variant 2: sum_j [n,j] L**j(D**(n-j) f) D**j u
-
-    The binomial base is the operator's own q.
+    u is centred once; each D**k u, k >= 1, costs one change back.
     """
-    if variant not in (1, 2):
-        raise DomainError("variant must be 1 or 2")
     total = None
-    binom = q_binom_row(n, qp.q)
     diffs = None  # centred D**k u for k = 0..n, built at the first need
-    for j in range(n + 1):
-        poly_order, u_order = (j, n - j) if variant == 1 else (n - j, j)
-        poly = shift_power(hahn_power(f, poly_order, qp), u_order, qp)
+    for k, poly in enumerate(leibniz_coeffs(f, n, qp)):
         if poly.is_zero():
             continue  # vanishing term must not cap the joint order
-        if u_order == 0:
+        if k == 0:
             du = u
         else:
             if diffs is None:
                 diffs = _centred_diffs(
                     _taylor_shift(u.moments, -qp.omega0), n, qp)
-            du = MomentFunctional(_taylor_shift(diffs[u_order], qp.omega0))
-        term = left_mult(poly, du) * binom[j]
+            du = MomentFunctional(_taylor_shift(diffs[k], qp.omega0))
+        term = left_mult(poly, du)
         total = term if total is None else total + term
     if total is None:
         total = MomentFunctional([Fraction(0)] * (u.order + n + 1))
     return total
 
 
-def functional_agree(u: MomentFunctional, v: MomentFunctional,
-                     up_to: int | None = None):
+def functional_agree(u: MomentFunctional, v: MomentFunctional):
     """Compare moments on the jointly valid range.
 
     Returns (ok, first_failure_index_or_None, order_checked).
     """
     k = min(u.order, v.order)
-    if up_to is not None:
-        k = min(k, up_to)
     for i in range(k + 1):
         if u.moments[i] != v.moments[i]:
             return False, i, k

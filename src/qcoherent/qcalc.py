@@ -134,6 +134,17 @@ def shift_power(f: Poly, m: int, qp: QParams) -> Poly:
     return affine_substitute(f, qp.q ** m, qp.omega * q_bracket(m, qp.q))
 
 
+def leibniz_coeffs(f: Poly, n: int, qp: QParams) -> list:
+    """c_0, ..., c_n with c_k = [n, k] L**k (D**(n-k) f), binomials in q.
+
+    These are the coefficients of the q-Leibniz rule
+    D**n (f u) = sum_k c_k D**k u, for u a polynomial or a functional.
+    """
+    binom = q_binom_row(n, qp.q)
+    return [shift_power(hahn_power(f, n - k, qp), k, qp) * binom[k]
+            for k in range(n + 1)]
+
+
 def normalized_derivative(p: Poly, n: int, m: int, qp: QParams) -> Poly:
     """The normalized discrete derivative ([n]!/[n+m]!) * D**m applied to p.
 

@@ -112,7 +112,7 @@ def test_criterion_01_operator_identities():
 
 
 def test_criterion_02_functional_leibniz():
-    """Both binomial expansions of the n-fold difference of f*u, n <= 4."""
+    """The q-Leibniz expansion of the n-fold difference of f*u, n <= 4."""
     rng = random.Random("criterion-2")
     for _ in range(10):
         qp = sample_qparams(rng)
@@ -121,11 +121,10 @@ def test_criterion_02_functional_leibniz():
         for direction in (qp, qp.inverse):
             for n in range(5):
                 direct = functional_diff_n(left_mult(f, u), n, direction)
-                for variant in (1, 2):
-                    expansion = leibniz_expansion(f, u, n, direction, variant)
-                    ok, idx, checked = functional_agree(direct, expansion)
-                    assert ok and checked == u.order - f.degree + n
-    assert _line(2, True, "q-Leibniz expansions agree with direct differencing")
+                expansion = leibniz_expansion(f, u, n, direction)
+                ok, idx, checked = functional_agree(direct, expansion)
+                assert ok and checked == u.order - f.degree + n
+    assert _line(2, True, "q-Leibniz expansion agrees with direct differencing")
 
 
 def test_criterion_03_dual_basis_derivative_law():

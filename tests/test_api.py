@@ -31,3 +31,24 @@ def test_tracer_targets_resolve():
     assert targets
     for module, attr in targets:
         assert callable(_resolve(module, attr)), (module, attr)
+
+
+def test_no_unused_imports_in_src():
+    # no linter is installed: every name a module imports must be used in
+    # it (``__init__`` only re-exports)
+    src = Path(qcoherent.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0]
+                             for a in node.names}
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

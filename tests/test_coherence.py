@@ -13,7 +13,14 @@ from qcoherent.classify import (
 from qcoherent.coherence import CoherenceConfig, CoherencePair
 from qcoherent.errors import DomainError, IndexOutOfRange
 from qcoherent.functionals import functional_agree, left_mult
-from qcoherent.qcalc import QParams, q_bracket
+from qcoherent.qcalc import (
+    QParams,
+    hahn_power,
+    q_binom,
+    q_bracket,
+    q_factorials,
+    shift_power,
+)
 from qcoherent.sampling import sample_case_instance
 
 F = Fraction
@@ -57,6 +64,104 @@ def pair_derivative():
     config = CoherenceConfig(1, 1, 1, Poly([F(-3, 7), F(1)]))
     return CoherencePair.self_coherent(inst.spec, config, QP,
                                        order=34, depth=7)
+
+
+# -- per-entry oracles for the Leibniz-type tables ----------------------------
+# Each entry written out on its own as q-binomials times L'**a(D'**b .),
+# primes for the backward parameters (1/q, -w/q); the library instead builds
+# whole rows from qcalc.leibniz_coeffs.
+
+def backward_term(poly, diff, shift_order, pair):
+    inv = pair.qp.inverse
+    return shift_power(hahn_power(poly, diff, inv), shift_order, inv)
+
+
+def oracle_phi(pair, n, j):
+    """(-q)**k [n+k]!/([n]! <v, Q_{n+k}^2>) * sum over l of
+    [k+N, l] [N-l, N-j-l] L'**(k+N-l)(D'**l pi) L'**j(D'**(N-j-l) Q_{n+k})."""
+    cfg, qp = pair.config, pair.qp
+    fact = q_factorials(n + cfg.k, qp.q)
+    scale = ((-qp.q) ** cfg.k * fact[n + cfg.k]
+             / fact[n] / pair.v_norms[n + cfg.k])
+    top, fbar = cfg.k + cfg.N, q_factorials(cfg.k + cfg.N, qp.inverse.q)
+    total = Poly()
+    for ell in range(cfg.N - j + 1):
+        dq = cfg.N - j - ell
+        coeff = (fbar[top] / (fbar[ell] * fbar[top - ell])
+                 * fbar[cfg.N - ell] / (fbar[dq] * fbar[j]))
+        total = total + (backward_term(cfg.pi, ell, top - ell, pair)
+                         * backward_term(pair.q[n + cfg.k], dq, j, pair)
+                         * coeff)
+    return total * scale
+
+
+def oracle_varphi(pair, n, i):
+    """sum over j + l = i of [m-k-N, j] L'**j(D'**(m-k-N-j) phi(.; n, l))."""
+    cfg = pair.config
+    extra = cfg.m - cfg.k - cfg.N
+    total = Poly()
+    for j in range(min(i, extra) + 1):
+        if i - j <= cfg.N:
+            total = total + backward_term(
+                oracle_phi(pair, n, i - j), extra - j, j, pair) * q_binom(
+                    extra, j, pair.qp.inverse.q)
+    return total
+
+
+def oracle_xi(pair, n, j):
+    """[k+N-m, j] L'**j(D'**(k+N-m-j) psi(.; n))."""
+    cfg = pair.config
+    extra = cfg.k + cfg.N - cfg.m
+    return backward_term(pair.psi(n), extra - j, j, pair) * q_binom(
+        extra, j, pair.qp.inverse.q)
+
+
+def oracle_chain(pair):
+    """big_phi(.; j) = (<v, Q_j^2> psi(.; j) - sum_{l<j} [m, l]
+    L'**(m-l)(D'**l Q_j) big_phi(.; l)) / ([j]! [m, j]), base 1/q."""
+    m, qbar = pair.config.m, pair.qp.inverse.q
+    fact = q_factorials(m, qbar)
+    chain = []
+    for j in range(m + 1):
+        value = pair.psi(j) * pair.v_norms[j]
+        for ell in range(j):
+            value = value - (backward_term(pair.q[j], ell, m - ell, pair)
+                             * chain[ell] * q_binom(m, ell, qbar))
+        chain.append(value / (fact[j] * q_binom(m, j, qbar)))
+    return chain
+
+
+@pytest.mark.parametrize("name", ["pair_i", "pair_ii", "pair_iiia",
+                                  "pair_derivative"])
+def test_tables_match_per_entry_oracles(name, request):
+    pair = fresh(request.getfixturevalue(name))
+    cfg = pair.config
+    checked = 0
+    for n in range(5):
+        for j in range(cfg.N + 1):
+            assert pair.phi(n, j) == oracle_phi(pair, n, j), (n, j)
+            checked += 1
+        if cfg.m >= cfg.k + cfg.N:
+            for i in range(cfg.m - cfg.k + 1):
+                assert pair.varphi(n, i) == oracle_varphi(pair, n, i), (n, i)
+                checked += 1
+        for j in range(cfg.k + cfg.N - cfg.m + 1):
+            assert pair.xi(n, j) == oracle_xi(pair, n, j), (n, j)
+            checked += 1
+    if cfg.k == 0:
+        assert pair.phi_chain() == oracle_chain(pair)
+    assert checked >= 10
+
+
+def test_table_columns_out_of_range(pair_i, pair_iiia):
+    with pytest.raises(IndexOutOfRange):
+        pair_i.varphi(0, 2)
+    with pytest.raises(IndexOutOfRange):
+        pair_i.varphi(0, -1)
+    with pytest.raises(IndexOutOfRange):
+        pair_iiia.xi(0, 2)
+    with pytest.raises(DomainError):
+        pair_iiia.varphi(0, 0)
 
 
 def test_config_validation():

@@ -20,7 +20,15 @@ from qcoherent.functionals import (
     left_mult,
     pearson_check,
 )
-from qcoherent.qcalc import QParams, hahn_diff, q_factorial, shift
+from qcoherent.qcalc import (
+    QParams,
+    hahn_diff,
+    hahn_power,
+    q_binom,
+    q_factorial,
+    shift,
+    shift_power,
+)
 
 F = Fraction
 
@@ -118,23 +126,38 @@ def test_functional_product_rule(f):
     assert checked >= 0
 
 
+def oracle_second_form(f, u, n, qp):
+    """D**n (f u) as sum_j [n, j] L**(n-j)(D**j f) D**(n-j) u, each term
+    from its own Hahn powers and a direct n-j-fold difference of u."""
+    total = None
+    for j in range(n + 1):
+        poly = shift_power(hahn_power(f, j, qp), n - j, qp)
+        if poly.is_zero():
+            continue
+        term = left_mult(poly, functional_diff_n(u, n - j, qp))
+        term = term * q_binom(n, j, qp.q)
+        total = term if total is None else total + term
+    return total
+
+
 @pytest.mark.parametrize("n", range(5))
-@pytest.mark.parametrize("variant", [1, 2])
-def test_leibniz_both_expansions(n, variant):
+@pytest.mark.parametrize("form", [1, 2])
+def test_leibniz_both_expansions(n, form):
+    # form 1: the oracle's sum over j; form 2: leibniz_expansion's sum over
+    # k = n - j; both against direct differencing of f u
     u = MomentFunctional([F(k * k + 1, k + 1) for k in range(10)])
     f = Poly([F(1, 2), F(-2), F(0), F(3)])  # degree 3
+    expand = oracle_second_form if form == 1 else leibniz_expansion
     for qp in (QP, QP.inverse):
         direct = functional_diff_n(left_mult(f, u), n, qp)
-        expansion = leibniz_expansion(f, u, n, qp, variant=variant)
+        expansion = expand(f, u, n, qp)
         ok, idx, checked = functional_agree(direct, expansion)
-        assert ok, f"n={n} variant={variant} fails at {idx}"
+        assert ok, f"n={n} form={form} fails at {idx}"
         assert checked == u.order - f.degree + n
 
 
 @pytest.mark.parametrize("degree,shifts", [(2, 4), (3, 5)])
-@pytest.mark.parametrize("variant", [1, 2])
-def test_leibniz_expansion_centres_u_once(degree, shifts, variant,
-                                          monkeypatch):
+def test_leibniz_expansion_centres_u_once(degree, shifts, monkeypatch):
     # one Taylor shift into the centred basis, one out per term whose
     # difference order is non-zero (n = 4: orders 4..2 for a quadratic f,
     # 4..1 for a cubic)
@@ -151,7 +174,7 @@ def test_leibniz_expansion_centres_u_once(degree, shifts, variant,
     f = Poly([F(1, 2), F(-2), F(0), F(3)][:degree] + [F(5, 4)])
     direct = functional_diff_n(left_mult(f, u), 4, QP)
     monkeypatch.setattr(functionals_module, "_taylor_shift", spy_shift)
-    expansion = leibniz_expansion(f, u, 4, QP, variant=variant)
+    expansion = leibniz_expansion(f, u, 4, QP)
     assert len(calls) == shifts
     assert functional_agree(direct, expansion)[0]
 
@@ -159,10 +182,11 @@ def test_leibniz_expansion_centres_u_once(degree, shifts, variant,
 def test_leibniz_expansion_edges():
     u = MomentFunctional([F(1), F(2), F(5), F(14), F(42)])
     f = Poly([F(3), F(1)])
-    for variant in (1, 2):
-        assert leibniz_expansion(f, u, 0, QP, variant) == left_mult(f, u)
-        assert leibniz_expansion(Poly.one(), u, 2, QP,
-                                 variant) == functional_diff_n(u, 2, QP)
+    assert leibniz_expansion(f, u, 0, QP) == left_mult(f, u)
+    assert leibniz_expansion(Poly.one(), u, 2, QP) == functional_diff_n(
+        u, 2, QP)
+    zero = leibniz_expansion(Poly(), u, 2, QP)
+    assert zero.is_zero() and zero.order == u.order + 2
 
 
 def test_pearson_check_on_constructed_functional():

@@ -10,6 +10,7 @@ from qcoherent.qcalc import (
     QParams,
     hahn_diff,
     hahn_power,
+    leibniz_coeffs,
     normalized_derivative,
     phi_hat,
     q_binom,
@@ -146,6 +147,38 @@ def test_hahn_power_degree_exhaustion_and_factorial():
     assert hahn_power(x3, 3, qp) == Poly([q_factorial(3, qp.q)])
     assert hahn_power(x3, 4, qp).is_zero()
     assert shift_power(Poly.x(), 0, qp) == Poly.x()
+
+
+@settings(max_examples=40)
+@given(f=polys, g=polys, q=qs, w=omegas, n=st.integers(0, 5))
+def test_leibniz_coeffs_ends_and_product_rule(f, g, q, w, n):
+    # c_0 = D**n f, c_n = L**n f, and D**n (f g) = sum_k c_k D**k g
+    qp = QParams(q, w)
+    coeffs = leibniz_coeffs(f, n, qp)
+    assert len(coeffs) == n + 1
+    assert coeffs[0] == hahn_power(f, n, qp)
+    assert coeffs[n] == shift_power(f, n, qp)
+    total = Poly()
+    for k, c in enumerate(coeffs):
+        total = total + c * hahn_power(g, k, qp)
+    assert total == hahn_power(f * g, n, qp)
+
+
+def test_leibniz_coeffs_on_monomials():
+    # w = 0: D x**d = [d] x**(d-1) and L x**d = q**d x**d, so
+    # c_k = [n, k] q**(k e) [d]!/[e]! x**e with e = d - n + k
+    qp = qp_of(F(-3, 2), 0)
+    q = qp.q
+    for d in range(5):
+        for n in range(6):
+            expected = [
+                Poly.monomial(q_binom(n, k, q) * q ** (k * (d - n + k))
+                              * q_factorial(d, q)
+                              / q_factorial(d - n + k, q), d - n + k)
+                if d - n + k >= 0 else Poly() for k in range(n + 1)]
+            assert leibniz_coeffs(Poly.x() ** d, n, qp) == expected, (d, n)
+    with pytest.raises(DomainError):
+        leibniz_coeffs(Poly.x(), -1, qp)
 
 
 def test_normalized_derivative():
