@@ -157,10 +157,12 @@ def test_leibniz_both_expansions(n, form):
 
 
 @pytest.mark.parametrize("degree,shifts", [(2, 4), (3, 5)])
-def test_leibniz_expansion_centres_u_once(degree, shifts, monkeypatch):
+@pytest.mark.parametrize("direction", [1, 2])
+def test_leibniz_expansion_centres_u_once(direction, degree, shifts,
+                                          monkeypatch):
     # one Taylor shift into the centred basis, one out per term whose
     # difference order is non-zero (n = 4: orders 4..2 for a quadratic f,
-    # 4..1 for a cubic)
+    # 4..1 for a cubic); direction 1 is the operator of QP, 2 its inverse
     import qcoherent.functionals as functionals_module
 
     calls = []
@@ -172,9 +174,10 @@ def test_leibniz_expansion_centres_u_once(degree, shifts, monkeypatch):
 
     u = MomentFunctional([F(k * k + 1, k + 1) for k in range(12)])
     f = Poly([F(1, 2), F(-2), F(0), F(3)][:degree] + [F(5, 4)])
-    direct = functional_diff_n(left_mult(f, u), 4, QP)
+    qp = QP if direction == 1 else QP.inverse
+    direct = functional_diff_n(left_mult(f, u), 4, qp)
     monkeypatch.setattr(functionals_module, "_taylor_shift", spy_shift)
-    expansion = leibniz_expansion(f, u, 4, QP)
+    expansion = leibniz_expansion(f, u, 4, qp)
     assert len(calls) == shifts
     assert functional_agree(direct, expansion)[0]
 
