@@ -262,9 +262,6 @@ def classify_self_coherent(pi: Poly, beta0, gamma1, qp: QParams,
                 s_val = sum_rs
                 if lam == 0:
                     branch = "bessel"
-                    if s_val == 0:
-                        raise DegenerateInput(
-                            "r = s = lambda = 0 forces gamma = 0")
                     roots = (Fraction(0), Fraction(0))
                     family = FamilySpec(
                         "J", (Fraction(0), Fraction(0), s_val, mu), 1 / q,

@@ -96,9 +96,10 @@ class CoherencePair:
     """A coherent pair instance with everything needed for verification.
 
     Holds the two polynomial sequences, their moment functionals, squared
-    norms, the structure table, and the operator parameters.  The psi
-    polynomials, the phi/varphi/xi rows and both determinant systems are
-    built lazily and cached.
+    norms, the structure table, and the operator parameters.  Everything
+    derived from them (the psi polynomials, the phi/varphi/xi rows, both
+    determinant systems and every product f D'**j w of a polynomial and a
+    difference of u or v) is built on first use and kept in one memo.
     """
 
     def __init__(self, config: CoherenceConfig, qp: QParams, p_polys,
@@ -113,9 +114,7 @@ class CoherencePair:
         self.u_norms = list(u_norms)
         self.v_norms = list(v_norms)
         self.table = table
-        self._psi: dict = {}
-        self._rows: dict = {}  # (table name, n) -> list of polynomials
-        self._systems: dict = {}
+        self._memo: dict = {}
 
     @classmethod
     def self_coherent(cls, spec: FamilySpec, config: CoherenceConfig,
@@ -136,6 +135,13 @@ class CoherencePair:
                                  config.k, config.M, qp)
         return cls(config, qp, polys, polys, u, u, norms, norms, table)
 
+    def _once(self, key, build):
+        """The value memoised under ``key``; ``build()`` makes it on first
+        use, and nothing is stored when it raises."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     # -- polynomial tables -------------------------------------------------
 
     def psi(self, n: int) -> Poly:
@@ -145,8 +151,9 @@ class CoherencePair:
         (-q)**m [j+m]!/[j]! * c_{j,n} / <u, P_{j+m}^2> * P_{j+m}(x);
         degree m+n+M exactly when the band-edge coefficient is non-zero.
         """
-        if n in self._psi:
-            return self._psi[n]
+        return self._once(("psi", n), lambda: self._psi(n))
+
+    def _psi(self, n: int) -> Poly:
         cfg, q = self.config, self.qp.q
         total = Poly()
         hi = n + cfg.M
@@ -163,16 +170,13 @@ class CoherencePair:
         if self.table.c(hi, n) != 0 and total.degree != cfg.m + n + cfg.M:
             raise DegreeClaimViolated(
                 f"deg psi(.;{n}) = {total.degree}, expected {cfg.m + n + cfg.M}")
-        self._psi[n] = total
         return total
 
     def _entry(self, name: str, n: int, j: int, size: int, build) -> Poly:
-        """Entry j of row n of a table, each row built whole and cached."""
+        """Entry j of row n of a table, each row built whole and memoised."""
         if not 0 <= j < size:
             raise IndexOutOfRange(f"{name} column {j} outside 0..{size - 1}")
-        if (name, n) not in self._rows:
-            self._rows[name, n] = build(n)
-        return self._rows[name, n][j]
+        return self._once((name, n), lambda: build(n))[j]
 
     def phi(self, n: int, j: int) -> Poly:
         """Coefficient of the j-th backward derivative of v (0 <= j <= N).
@@ -191,7 +195,8 @@ class CoherencePair:
         fact = q_factorials(n + cfg.k, qp.q)
         scale = ((-qp.q) ** cfg.k * fact[n + cfg.k]
                  / fact[n] / self.v_norms[n + cfg.k])
-        a = leibniz_coeffs(cfg.pi, top, inv)
+        a = self._once("pi leibniz",
+                       lambda: leibniz_coeffs(cfg.pi, top, inv))
         row = [Poly()] * (cfg.N + 1)
         for ell in range(cfg.N + 1):
             a_l = a[top - ell] * scale
@@ -242,6 +247,18 @@ class CoherencePair:
         """j-fold backward difference of a functional."""
         return functional_diff_n(w, j, self.qp.inverse)
 
+    def _times(self, f: Poly, w: MomentFunctional,
+               j: int = 0) -> MomentFunctional:
+        """f D'**j w for w = u or v, memoised on (f, w, j).
+
+        psi(.; n) u, pi Q_n v and the phi side's terms recur across the
+        identities, sometimes under other names.  w is keyed by identity,
+        which the pair holds fixed: hashing its moments costs more than
+        most products.
+        """
+        return self._once(("times", f, id(w), j),
+                          lambda: left_mult(f, self.dprime(w, j) if j else w))
+
     def _sum(self, terms) -> MomentFunctional:
         total = None
         for term in terms:
@@ -252,9 +269,9 @@ class CoherencePair:
 
     def _phi_side(self, n: int) -> MomentFunctional:
         """sum_j phi(.; n, j) applied to the j-th backward derivative of v."""
-        return self._sum(
-            left_mult(self.phi(n, j), self.dprime(self.v, j))
-            for j in range(self.config.N + 1))
+        return self._once(("phi side", n), lambda: self._sum(
+            self._times(self.phi(n, j), self.v, j)
+            for j in range(self.config.N + 1)))
 
     # -- verification ------------------------------------------------------
 
@@ -265,7 +282,7 @@ class CoherencePair:
         for m < k+N:   D'**(k+N-m) ( psi(.; n) u ) = sum_j phi(.; n, j) D'**j v.
         """
         cfg = self.config
-        psi_u = left_mult(self.psi(n), self.u)
+        psi_u = self._times(self.psi(n), self.u)
         if cfg.m >= cfg.k + cfg.N:
             lhs = psi_u
             rhs = self.dprime(self._phi_side(n), cfg.m - cfg.k - cfg.N)
@@ -279,9 +296,9 @@ class CoherencePair:
     def verify_varphi_row(self, n: int) -> VerifyReport:
         """psi(.; n) u = sum_i varphi(.; n, i) D'**i v (m >= k+N form)."""
         cfg = self.config
-        lhs = left_mult(self.psi(n), self.u)
+        lhs = self._times(self.psi(n), self.u)
         rhs = self._sum(
-            left_mult(self.varphi(n, i), self.dprime(self.v, i))
+            self._times(self.varphi(n, i), self.v, i)
             for i in range(cfg.m - cfg.k + 1)
             if not self.varphi(n, i).is_zero())
         return _report(f"varphi-row[n={n}]", lhs, rhs)
@@ -289,7 +306,8 @@ class CoherencePair:
     def _pearson(self, name: str, phi: Poly, psi: Poly,
                  w: MomentFunctional) -> VerifyReport:
         """The backward difference equation D'(phi w) = psi w."""
-        return _report(name, self.dprime(left_mult(phi, w)), left_mult(psi, w))
+        return _report(name, self.dprime(self._times(phi, w)),
+                       self._times(psi, w))
 
     # -- determinant systems -----------------------------------------------
 
@@ -297,18 +315,16 @@ class CoherencePair:
     def _det(rows) -> Poly:
         return det_bareiss(rows)
 
-    def _cramer(self, name: str, matrix, column, cols) -> DeterminantSystem:
+    def _cramer(self, matrix, column, cols) -> DeterminantSystem:
         """The determinant of ``matrix`` and of its copies with column
-        ``col`` replaced by ``column``, for each col in ``cols``; memoised."""
+        ``col`` replaced by ``column``, for each col in ``cols``."""
         dets = []
         for col in cols:
             replaced = [row[:] for row in matrix]
             for row, entry in zip(replaced, column):
                 row[col] = entry
             dets.append(self._det(replaced))
-        system = DeterminantSystem(self._det(matrix), tuple(dets))
-        self._systems[name] = system
-        return system
+        return DeterminantSystem(self._det(matrix), tuple(dets))
 
     def varphi_system(self) -> DeterminantSystem:
         """Determinants A, A1, A2 of the varphi matrix (case m >= k+N).
@@ -317,8 +333,9 @@ class CoherencePair:
         A1 and A2 replace its first resp. second column by the vector of
         psi(x; n), n = 0..m-k.
         """
-        if "varphi" in self._systems:
-            return self._systems["varphi"]
+        return self._once("varphi system", self._varphi_system)
+
+    def _varphi_system(self) -> DeterminantSystem:
         cfg = self.config
         if cfg.m < cfg.k + cfg.N:
             raise DomainError("varphi system requires m >= k+N")
@@ -327,7 +344,7 @@ class CoherencePair:
         size = cfg.m - cfg.k + 1
         matrix = [[self.varphi(n, j) for j in range(size)]
                   for n in range(size)]
-        return self._cramer("varphi", matrix,
+        return self._cramer(matrix,
                             [self.psi(n) for n in range(size)], (0, 1))
 
     def xi_system(self) -> DeterminantSystem:
@@ -337,8 +354,9 @@ class CoherencePair:
         columns N+1..k-m+2N hold -xi(x; i, j-N).  The replacement vector is
         xi(x; i, 0), substituted into columns 1, 2 and N+2 (1-based).
         """
-        if "xi" in self._systems:
-            return self._systems["xi"]
+        return self._once("xi system", self._xi_system)
+
+    def _xi_system(self) -> DeterminantSystem:
         cfg = self.config
         if cfg.m >= cfg.k + cfg.N:
             raise DomainError("xi system requires m < k+N")
@@ -349,7 +367,7 @@ class CoherencePair:
             row += [-self.xi(i, j - cfg.N)
                     for j in range(cfg.N + 1, size)]
             matrix.append(row)
-        return self._cramer("xi", matrix,
+        return self._cramer(matrix,
                             [self.xi(i, 0) for i in range(size)],
                             (0, 1, cfg.N + 1))
 
@@ -367,10 +385,10 @@ class CoherencePair:
         qp = self.qp
         out = [
             _report("A*v = A1*u",
-                    left_mult(a, self.v), left_mult(a1, self.u)),
+                    self._times(a, self.v), self._times(a1, self.u)),
             _report("A*D'v = A2*u",
-                    left_mult(a, self.dprime(self.v)),
-                    left_mult(a2, self.u)),
+                    self._times(a, self.v, 1),
+                    self._times(a2, self.u)),
         ]
         out.append(self._pearson(
             "difference equation for u", a1 * shift(a, qp),
@@ -399,13 +417,13 @@ class CoherencePair:
         qp = self.qp
         out = [
             _report("B*v = B1*u",
-                    left_mult(b, self.v), left_mult(b1, self.u)),
+                    self._times(b, self.v), self._times(b1, self.u)),
             _report("B*D'v = B2*u",
-                    left_mult(b, self.dprime(self.v)),
-                    left_mult(b2, self.u)),
+                    self._times(b, self.v, 1),
+                    self._times(b2, self.u)),
             _report("B*D'u = B(N+2)*u",
-                    left_mult(b, self.dprime(self.u)),
-                    left_mult(blast, self.u)),
+                    self._times(b, self.u, 1),
+                    self._times(blast, self.u)),
         ]
         bb1 = b * b1
         out.append(self._pearson(
@@ -467,7 +485,7 @@ class CoherencePair:
             self._pearson("D'(big_phi_1 u) = big_phi_0 u",
                           u_witness.phi, u_witness.psi, self.u),
             _report("pi v = big_phi_m u",
-                    left_mult(cfg.pi, self.v), left_mult(top, self.u)),
+                    self._times(cfg.pi, self.v), self._times(top, self.u)),
             self._pearson("chain difference equation for pi v",
                           v_witness.phi, v_witness.psi, self.v),
         ]
@@ -494,8 +512,8 @@ class CoherencePair:
         if self.config.k != 0:
             raise DomainError("oracle applies to k = 0 only")
         lhs = self.dprime(
-            left_mult(self.q[n] * self.config.pi, self.v), self.config.m)
-        rhs = left_mult(self.psi(n), self.u) * self.v_norms[n]
+            self._times(self.q[n] * self.config.pi, self.v), self.config.m)
+        rhs = self._times(self.psi(n), self.u) * self.v_norms[n]
         return _report(f"direct-differencing oracle[n={n}]", lhs, rhs)
 
     def kzero_phi_oracle(self, n: int) -> VerifyReport:
@@ -505,7 +523,7 @@ class CoherencePair:
         if cfg.k != 0:
             raise DomainError("oracle applies to k = 0 only")
         lhs = self.dprime(
-            left_mult(cfg.pi * self.q[n], self.v),
+            self._times(cfg.pi * self.q[n], self.v),
             cfg.N) * (1 / self.v_norms[n])
         rhs = self._phi_side(n)
         return _report(f"phi-expansion oracle[n={n}]", lhs, rhs)

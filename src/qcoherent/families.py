@@ -467,8 +467,6 @@ def moments_from_ttrr(coeffs: TTRRCoeffs, order: int) -> MomentFunctional:
     moments = [cur[0]]
     for step in range(order):
         jmax = min(step + 1, order - step - 1, width)
-        if jmax < 0:
-            jmax = 0
         new = [Fraction(0)] * (width + 2)
         for j in range(jmax + 1):
             value = cur[j + 1] + coeffs.beta_at(j) * cur[j]

@@ -64,12 +64,6 @@ class MomentFunctional:
     def order(self) -> int:
         return len(self.moments) - 1
 
-    def moment(self, i: int):
-        if i < 0 or i > self.order:
-            raise OrderExceeded(
-                f"moment index {i} exceeds stored order {self.order}")
-        return self.moments[i]
-
     def is_zero(self) -> bool:
         return all(m == 0 for m in self.moments)
 

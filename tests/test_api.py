@@ -1,12 +1,15 @@
-"""Names that other code reaches by string: the public API and the
-benchmark tracer's targets."""
+"""Names that other code reaches by string (the public API and the
+benchmark tracer's targets), and no name that nothing reaches."""
 import ast
 import importlib
+import tokenize
 from pathlib import Path
 
 import qcoherent
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(qcoherent.__file__).resolve().parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _resolve(module: str, dotted: str):
@@ -19,6 +22,13 @@ def _resolve(module: str, dotted: str):
 def test_public_names_resolve():
     for name in qcoherent.__all__:
         assert getattr(qcoherent, name, None) is not None, name
+
+
+def test_all_is_what_init_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(qcoherent.__all__) == sorted(imported)
 
 
 def test_tracer_targets_resolve():
@@ -52,3 +62,37 @@ def test_no_unused_imports_in_src():
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def _references(path: Path) -> set:
+    """NAME tokens of one file, less the name a def or class line binds.
+
+    Tokens, not text: a docstring that says "moment" is no reference.
+    """
+    names, previous = set(), None
+    with path.open("rb") as handle:
+        for token in tokenize.tokenize(handle.readline):
+            if token.type == tokenize.NAME and previous not in ("def",
+                                                                 "class"):
+                names.add(token.string)
+            previous = token.string
+    return names
+
+
+def test_every_definition_is_referenced():
+    # every function, class and method of the library is used somewhere:
+    # by the library, its tests or the benchmark
+    referenced = set()
+    for folder in (SRC, ROOT / "tests", ROOT / "perfbench"):
+        for path in folder.rglob("*.py"):
+            referenced |= _references(path)
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__")) \
+                    and node.name not in referenced:
+                unused.add(f"{path.name}:{node.name}")
+    assert not unused, sorted(unused)

@@ -217,6 +217,18 @@ def test_classify_bessel_degenerate_when_both_roots_vanish():
         classify_self_coherent(pi, beta0, F(1), QP, n_max=6)
 
 
+@pytest.mark.parametrize("qp", [QP, QP0, QParams(F(3), F(-2, 5))])
+@pytest.mark.parametrize("n_max", [0, 6])
+def test_classify_double_root_pivot_stops_at_mu_q_cubed(qp, n_max):
+    # pi = (x - w0)^2, beta_0 = w0: lambda = 0 and r = s = 0, but
+    # pi(beta_0) = 0 gives alpha = -q and mu = q^3, which the mu = q^j
+    # loop refuses for every n_max >= 0 before the Bessel branch
+    w0 = qp.omega0
+    pi = Poly([w0 * w0, -2 * w0, F(1)])
+    with pytest.raises(DegenerateInput, match=r"mu = q\^3 "):
+        classify_self_coherent(pi, w0, F(2, 7), qp, n_max=n_max)
+
+
 @pytest.mark.parametrize("label", ["I", "II", "IIIa", "IIIb",
                                    "IIIb-rzero", "IIIb-bessel"])
 def test_round_trip_seeded(label):

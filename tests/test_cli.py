@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from qcoherent.algebra import rat, rat_str
 from qcoherent.cli import main
+from qcoherent.families import FamilySpec
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +26,22 @@ def test_gen_classical_label(capsys):
                         "--a", "3/4", "--q", "1/2", "--n", "2")
     assert code == 0
     assert len(json.loads(out)) == 3
+
+
+@pytest.mark.parametrize("scale,offset", [
+    (None, "1/3"), ("2/1", None), ("3/2", "-1/4")])
+def test_gen_scale_and_offset(capsys, scale, offset):
+    # an omitted --scale is 1 and an omitted --offset is 0
+    argv = ["gen", "--family", "L", "--a", "2/1", "--b", "3/1", "--c", "0/1",
+            "--q", "1/2", "--n", "5"]
+    argv += [f"--scale={scale}"] if scale else []
+    argv += [f"--offset={offset}"] if offset else []
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    spec = FamilySpec("L", (Fraction(2), Fraction(3), Fraction(0)),
+                      Fraction(1, 2), scale=rat(scale or "1/1"),
+                      offset=rat(offset or "0/1"))
+    assert json.loads(out) == [p.to_strings() for p in spec.polynomials(5)]
 
 
 def test_gen_unknown_family_is_usage_error(capsys):
@@ -84,6 +103,16 @@ def test_verify_coherence_cases(capsys):
         assert statuses <= {"holds", "degenerate"}
 
 
+def test_verify_coherence_fixed_q_and_omega(capsys):
+    code, out = run_cli(capsys, "verify", "coherence", "--case", "I",
+                        "--seed", "2", "--q", "1/2", "--omega", "1/3",
+                        "--order", "24", "--depth", "3")
+    assert code == 0, out
+    data = json.loads(out)
+    assert (data["q"], data["omega"]) == ("1/2", "1/3")
+    assert {r["status"] for r in data["reports"]} == {"holds"}
+
+
 def test_verify_coherence_deterministic(capsys):
     args = ("verify", "coherence", "--case", "IIIa", "--seed", "11",
             "--order", "26", "--depth", "4")
@@ -126,6 +155,35 @@ def test_verify_reduction_reports_a_fault_at_once(capsys, monkeypatch):
     assert code == 2
     assert json.loads(out)["error"] == "InternalInconsistency"
     assert len(calls) == 1
+
+
+def test_verify_reduction_resamples_inadmissible_parameters(
+        capsys, monkeypatch):
+    import qcoherent.cli as cli_module
+    from qcoherent.errors import RegularityViolation
+
+    real_check = cli_module.check_reduction
+    calls = []
+
+    def first_draw_inadmissible(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RegularityViolation("inadmissible draw under test")
+        return real_check(*args)
+
+    monkeypatch.setattr(cli_module, "check_reduction",
+                        first_draw_inadmissible)
+    code, out = run_cli(capsys, "verify", "reduction", "--identity",
+                        "asc-roundtrip", "--seed", "7", "--points", "3",
+                        "--n", "5")
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert len(points) == 3 and len(calls) == 4
+    assert all(p["status"] == "holds" for p in points)
+    # the points are the three draws after the rejected one
+    assert [p["params"] for p in points] == [
+        {k: rat_str(v) for k, v in params.items()}
+        for _, params, _, _ in calls[1:]]
 
 
 def test_verify_leibniz(capsys):

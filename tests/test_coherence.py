@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,34 @@ def test_kzero_oracles(pair_i, pair_ii, pair_iiia):
         for n in range(5):
             assert pair.kzero_psi_oracle(n).ok
             assert pair.kzero_phi_oracle(n).ok
+
+
+@pytest.mark.parametrize("name", ["pair_i", "pair_ii"])
+def test_pipeline_forms_each_shared_product_once(name, request, monkeypatch):
+    # psi(n) u, pi Q_n v and the phi-side terms phi(n, j) D'**j v are read
+    # by several identities (pair_i has w != 0, pair_ii has N = 1); the
+    # pair's memo forms each of them once
+    import qcoherent.coherence as coherence_module
+    from qcoherent.cli import _case_pipeline
+
+    pair = fresh(request.getfixturevalue(name))
+    calls = Counter()
+    real_left_mult = coherence_module.left_mult
+
+    def counted(f, w):
+        calls[f, w] += 1
+        return real_left_mult(f, w)
+
+    monkeypatch.setattr(coherence_module, "left_mult", counted)
+    reports = _case_pipeline(pair, 6)
+    assert {r["status"] for r in reports} == {"holds"}
+    cfg = pair.config
+    for n in range(5):
+        shared = [(pair.psi(n), pair.u), (cfg.pi * pair.q[n], pair.v)]
+        shared += [(pair.phi(n, j), pair.dprime(pair.v, j))
+                   for j in range(cfg.N + 1)]
+        for f, w in shared:
+            assert calls[f, w] == 1, (n, f)
 
 
 def test_report_serialization(pair_i):

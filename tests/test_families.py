@@ -6,6 +6,7 @@ import pytest
 from qcoherent import algebra, families
 from qcoherent.algebra import Laurent, Poly, RatFunc, affine_substitute
 from qcoherent.errors import (
+    INADMISSIBLE,
     DenominatorZero,
     DomainError,
     MissingCoefficient,
@@ -160,6 +161,31 @@ def test_classical_restrictions():
         classical("big-q-jacobi", (F(2), F(3), F(0)), QP)
     assert in_lambda_set(q**-4, q, 8)
     assert not in_lambda_set(F(3), q, 8)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobi_b_zero_reductions_onto_l(seed):
+    # at b = 0 classical() maps both Jacobi families onto L; their
+    # recurrence is the J form of the b != 0 branch at b = 0 (j-as-l-d0)
+    rng = random.Random(f"jacobi-b-zero-{seed}")
+    n_max = 8
+    while True:
+        q = sample_q(rng)
+        a, c = rational(rng, nonzero=True), rational(rng, nonzero=True)
+        qp = QParams(q, F(0))
+        try:
+            big = classical("big-q-jacobi", (a, F(0), c), qp, n_max)
+            little = classical("little-q-jacobi", (a, F(0)), qp, n_max)
+            pairs = [(big.ttrr(n_max), FamilySpec(
+                         "J", (F(1), a, c, F(0)), q, scale=q).ttrr(n_max)),
+                     (little.ttrr(n_max), FamilySpec(
+                         "J", (F(0), a, F(1), F(0)), q).ttrr(n_max))]
+        except INADMISSIBLE:
+            continue
+        break
+    assert big.kind == little.kind == "L"
+    for l_form, j_form in pairs:
+        assert l_form.agrees_with(j_form, n_max)
 
 
 @pytest.mark.parametrize("label,params", [
