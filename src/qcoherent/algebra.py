@@ -12,9 +12,10 @@ Three scalar types are used:
   :class:`RatFunc`, which normalises by a gcd after every operation.  The
   tests use this field as an oracle for the limits.
 
-:class:`Poly` is a dense univariate polynomial whose coefficients may be
-Fractions or rational functions; all higher modules are generic over the
-scalars.  Every value is immutable and every operation is pure and exact.
+:class:`Poly` is a dense univariate polynomial over any exact field, such
+as Q, Q(t) or rational functions in one of the paper's parameters; all
+higher modules are generic over the scalars.  Every value is immutable and
+every operation is pure and exact.
 """
 from __future__ import annotations
 
@@ -64,9 +65,9 @@ class Poly:
     """Dense univariate polynomial; ``coeffs[i]`` multiplies ``x**i``.
 
     The zero polynomial has an empty coefficient tuple and degree -1;
-    otherwise the last coefficient is non-zero.  Coefficients may be
-    Fractions, :class:`RatFunc` values, or plain ints (which interoperate
-    with both).
+    otherwise the last coefficient is non-zero.  Coefficients lie in any
+    exact field whose elements mix with ints and Fractions, and every
+    operand that is not a Poly is taken as a scalar of that field.
     """
 
     __slots__ = ("coeffs",)
@@ -122,21 +123,16 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, RatFunc)):
-            return self == Poly([other])
-        return NotImplemented
+        if not isinstance(other, Poly):
+            other = Poly([other])
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __add__(self, other):
         if not isinstance(other, Poly):
-            if isinstance(other, (int, Fraction, RatFunc)):
-                other = Poly([other])
-            else:
-                return NotImplemented
+            other = Poly([other])
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
 
@@ -146,11 +142,7 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, Poly):
-            return self + (-other)
-        if isinstance(other, (int, Fraction, RatFunc)):
-            return self + Poly([-other])
-        return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -166,9 +158,7 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return Poly(out)
-        if isinstance(other, (int, Fraction, RatFunc)):
-            return Poly([c * other for c in self.coeffs])
-        return NotImplemented
+        return Poly([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 

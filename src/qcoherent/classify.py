@@ -182,8 +182,6 @@ def classify_self_coherent(pi: Poly, beta0, gamma1, qp: QParams,
     if not pi.is_monic() or pi.degree > 2:
         raise DomainError("pi must be monic of degree 0, 1 or 2")
     q, omega0 = qp.q, qp.omega0
-    beta0 = Fraction(beta0)
-    gamma1 = Fraction(gamma1)
     deg = pi.degree
 
     if deg == 0:
@@ -326,8 +324,7 @@ def case_i_instance(qp: QParams, a, b) -> CaseInstance:
     """Pivot of degree 0: the shifted L-family with c = 0 (ab != 0)."""
     if a * b == 0:
         raise DegenerateInput("case I requires ab != 0")
-    spec = FamilySpec("L", (Fraction(a), Fraction(b), Fraction(0)), qp.q,
-                      offset=qp.omega0)
+    spec = FamilySpec("L", (a, b, Fraction(0)), qp.q, offset=qp.omega0)
     return CaseInstance("I", spec, Poly.one(), qp)
 
 
@@ -337,7 +334,6 @@ def case_ii_instance(qp: QParams, a, b, r) -> CaseInstance:
     (a, b) are the root pair of the classification quadratic, so the pivot
     constant satisfies a*b = alpha*c*q*(1-q) with alpha = 1/(r*(q-1)).
     """
-    a, b, r = Fraction(a), Fraction(b), Fraction(r)
     if r == 0:
         raise DegenerateInput("case II requires r != 0")
     spec = FamilySpec("L", (a * r, b * r, r), qp.q, offset=qp.omega0)
@@ -353,7 +349,6 @@ def _pivot_from_roots(qp: QParams, r, s) -> Poly:
 
 def case_iiia_instance(qp: QParams, r, s, c) -> CaseInstance:
     """Quadratic pivot with constant d-sequence: L(r, s, c) at base 1/q."""
-    r, s, c = Fraction(r), Fraction(s), Fraction(c)
     spec = FamilySpec("L", (r, s, c), 1 / qp.q, offset=qp.omega0)
     return CaseInstance("IIIa", spec, _pivot_from_roots(qp, r, s), qp)
 
@@ -363,7 +358,6 @@ def case_iiib_instance(qp: QParams, a, b, r, mu) -> CaseInstance:
 
     The second pivot root is s = a*b.
     """
-    a, b, r, mu = Fraction(a), Fraction(b), Fraction(r), Fraction(mu)
     if mu == 0:
         raise DegenerateInput("case IIIb requires mu != 0")
     spec = FamilySpec("J", (a, b, r, mu), 1 / qp.q, offset=qp.omega0)
@@ -372,7 +366,6 @@ def case_iiib_instance(qp: QParams, a, b, r, mu) -> CaseInstance:
 
 def case_iiib_bessel_instance(qp: QParams, s, mu) -> CaseInstance:
     """The r = lambda = 0 branch: J(0, 0, s, mu) at base 1/q (s != 0)."""
-    s, mu = Fraction(s), Fraction(mu)
     if s == 0 or mu == 0:
         raise DegenerateInput("the branch requires s != 0 and mu != 0")
     spec = FamilySpec("J", (Fraction(0), Fraction(0), s, mu), 1 / qp.q,

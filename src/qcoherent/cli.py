@@ -47,6 +47,7 @@ from .functionals import (
 )
 from .qcalc import QParams
 from .sampling import (
+    CASE_LABELS,
     rational,
     sample_case_instance,
     sample_poly_coeffs,
@@ -64,7 +65,11 @@ def _default_n() -> int:
 
 
 def _parse_poly(text: str) -> Poly:
-    return Poly.from_strings(json.loads(text))
+    items = json.loads(text)
+    if not isinstance(items, list):
+        raise DomainError(
+            f"expected a JSON array of coefficients, got {text!r}")
+    return Poly.from_strings(items)
 
 
 def _qparams(args) -> QParams:
@@ -333,9 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vc = vsub.add_parser("coherence",
                          help="full pipeline on a sampled self-coherent pair")
-    vc.add_argument("--case", required=True,
-                    choices=["I", "II", "IIIa", "IIIb", "IIIb-rzero",
-                             "IIIb-bessel"])
+    vc.add_argument("--case", required=True, choices=CASE_LABELS)
     vc.add_argument("--seed", type=int, default=0)
     vc.add_argument("--q", help="fix q instead of sampling")
     vc.add_argument("--omega", default="0/1")

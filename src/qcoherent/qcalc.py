@@ -15,8 +15,9 @@ Useful operator facts (all verified by the test suite):
     D[q, w] o L[q, w]      = q * L[q, w] o D[q, w]
     L[1/q, -w/q] o L[q, w] = identity
 
-Parameters are concrete exact scalars, never symbols; parametric identities
-are validated by sampling many rational parameter points.
+Parameters are exact field scalars: rationals in production, or the
+elements of a rational function field, so that an identity can be checked
+identically in a free parameter as well as at sampled rational points.
 """
 from __future__ import annotations
 

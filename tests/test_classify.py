@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -250,6 +251,53 @@ def test_round_trip_seeded(label):
         else:
             assert trace.case_label == label
         hits += 1
+
+
+# (constructor, int parameters) for every case constructor
+INT_CASES = [
+    (case_i_instance, (2, 3)),
+    (case_ii_instance, (2, 3, 5)),
+    (case_iiia_instance, (1, -2, 4)),
+    (case_iiib_instance, (2, -3, 3, 7)),
+    (case_iiib_bessel_instance, (2, 7)),
+]
+
+# (pi coefficients, beta_0, gamma_1), all ints, one per explicit branch
+INT_STRUCTURE_DATA = {
+    ("I", None): ((1,), -4, -4),
+    ("II", None): ((-3, 1), -1, -2),
+    ("IIIa", None): ((4, -4, 1), 0, 4),
+    ("IIIb", "general"): ((0, 0, 1), 4, 2),
+    ("IIIb", "r-zero"): ((4, -4, 1), -4, -4),
+    ("IIIb", "bessel"): ((-2, -1, 1), 0, -1),
+}
+
+
+def _no_float(ttrr):
+    return not any(isinstance(v, float) for v in ttrr.beta + ttrr.gamma)
+
+
+@pytest.mark.parametrize("build,params", INT_CASES,
+                         ids=[build.__name__ for build, _ in INT_CASES])
+def test_int_case_parameters_stay_exact(build, params):
+    # the constructors take any field scalars; ints must not let a float in
+    spec = build(QP, *params).spec
+    expected = build(QP, *map(F, params)).spec
+    assert json.dumps(spec.to_json()) == json.dumps(expected.to_json())
+    assert _no_float(spec.ttrr(8))
+
+
+@pytest.mark.parametrize("branch", INT_STRUCTURE_DATA,
+                         ids=lambda branch: "-".join(filter(None, branch)))
+def test_int_structure_data_stays_exact(branch):
+    pi, beta0, gamma1 = INT_STRUCTURE_DATA[branch]
+    trace = classify_self_coherent(Poly(pi), beta0, gamma1, QP, n_max=8)
+    expected = classify_self_coherent(Poly(map(F, pi)), F(beta0), F(gamma1),
+                                      QP, n_max=8)
+    assert json.dumps(trace.to_json()) == json.dumps(expected.to_json())
+    assert (trace.case_label, trace.branch) == branch
+    assert not trace.implicit
+    assert _no_float(trace.predicted) and _no_float(trace.family.ttrr(8))
 
 
 def test_case_instance_guards():

@@ -1,11 +1,22 @@
+import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcoherent.algebra import rat, rat_str
 from qcoherent.cli import main
-from qcoherent.families import FamilySpec
+from qcoherent.families import (
+    CLASSICAL_LABELS,
+    MASTER_ARITY,
+    REDUCTION_IDENTITIES,
+    FamilySpec,
+)
+from qcoherent.sampling import CASE_LABELS
 
 
 def run_cli(capsys, *argv):
@@ -333,3 +344,132 @@ def test_counts_that_check_nothing_are_domain_errors(capsys, argv):
     data = _domain_error(capsys, *argv)
     assert data["error"] == "DomainError"
     assert "must be >=" in data["detail"]
+
+
+@pytest.mark.parametrize("pi", ["5", '"12"', '{"1/1": 0}'])
+def test_coefficient_arrays_must_be_json_arrays(capsys, pi):
+    # a JSON number raised a TypeError; a string or an object was read
+    # item by item, as the characters "1", "2" or the keys
+    data = _domain_error(capsys, "classify", "--pi", pi, "--beta0", "5/1",
+                         "--gamma1=-3/1", "--q", "1/2")
+    assert data["error"] == "DomainError"
+    assert "JSON array" in data["detail"]
+
+
+# -- the error contract over a grammar of argv -------------------------------
+
+RATIONALS = st.sampled_from(["1/2", "-3/4", "2", "5/3", "0/1", "1/3"])
+Q_VALUES = st.sampled_from(["1/2", "2", "-1/3", "3/2"])
+MONIC = st.sampled_from(['["1/1"]', '["-1/2", "1/1"]', '["1/3", "0/1", "1/1"]',
+                         '["2/1", "-3/1", "1/1"]'])
+POLYS = st.sampled_from(['["1/1"]', '["2/1", "3/1"]', '["0/1", "-1/2"]',
+                         '["1/3", "0/1", "1/1"]'])
+SEEDS = st.sampled_from(["0", "1", "7"])
+FORMATS = st.sampled_from(["json", "csv"])
+
+# boundary and malformed values, by the kind of value an option takes
+BAD = {
+    "rational": ["0", "1", "-1", "", "abc", "1/0", "nan", "1//2", "0x10"],
+    "count": ["-1", "x", "", "1.5"],
+    "poly": ["[]", "5", '"12"', "[1.5]", "[null]", '["1/0"]', "[[1]]", "{}",
+             "nope"],
+    "choice": ["nope", ""],
+}
+
+
+def _counts(*values):
+    return st.sampled_from([str(v) for v in values])
+
+
+# words -> (whether the family options apply, {option: (values, kind)}),
+# with small counts so that every command runs in milliseconds
+COMMANDS = {
+    ("gen",): (True, {"--n": (_counts(0, 3), "count"),
+                      "--format": (FORMATS, "choice")}),
+    ("moments",): (True, {"--order": (_counts(0, 6), "count"),
+                          "--format": (FORMATS, "choice")}),
+    ("verify", "pearson"): (True, {
+        "--phi": (POLYS, "poly"), "--psi": (POLYS, "poly"),
+        "--order": (_counts(2, 8), "count"),
+        "--direction": (st.sampled_from(["forward", "backward"]), "choice")}),
+    ("verify", "structure"): (True, {
+        "--pi": (MONIC, "poly"), "--m": (_counts(0, 1, 2), "count"),
+        "--k": (_counts(0, 1), "count"), "--M": (_counts(0, 1), "count"),
+        "--n": (_counts(0, 3), "count")}),
+    ("verify", "coherence"): (False, {
+        "--case": (st.sampled_from(CASE_LABELS), "choice"),
+        "--seed": (SEEDS, "count"), "--q": (Q_VALUES, "rational"),
+        "--omega": (RATIONALS, "rational"),
+        "--order": (_counts(6, 12), "count"),
+        "--depth": (_counts(0, 1, 2), "count")}),
+    ("verify", "reduction"): (False, {
+        "--identity": (st.sampled_from(REDUCTION_IDENTITIES), "choice"),
+        "--seed": (SEEDS, "count"), "--points": (_counts(1, 2), "count"),
+        "--n": (_counts(0, 4), "count")}),
+    ("verify", "leibniz"): (False, {
+        "--seed": (SEEDS, "count"), "--trials": (_counts(1, 2), "count"),
+        "--n": (_counts(0, 3), "count")}),
+    ("classify",): (False, {
+        "--pi": (MONIC, "poly"), "--beta0": (RATIONALS, "rational"),
+        "--gamma1": (RATIONALS, "rational"), "--q": (Q_VALUES, "rational"),
+        "--omega": (RATIONALS, "rational"), "--n": (_counts(0, 4), "count"),
+        "--format": (FORMATS, "choice")}),
+}
+
+
+def _family_options(draw):
+    """A family with exactly its parameters, and some affine options."""
+    label = draw(st.sampled_from(["L", "J", *CLASSICAL_LABELS]))
+    arity = MASTER_ARITY.get(label, CLASSICAL_LABELS.get(label))
+    options = {"--family": (label, "choice"),
+               "--q": (draw(Q_VALUES), "rational")}
+    for name in "abcd"[:arity]:
+        options[f"--{name}"] = (draw(RATIONALS), "rational")
+    for name in ("--omega", "--scale", "--offset"):
+        if draw(st.booleans()):
+            options[name] = (draw(RATIONALS), "rational")
+    return options
+
+
+@st.composite
+def argvs(draw, words):
+    """A well-formed ``words`` command, or one with a single fault: a
+    boundary or malformed value, a missing option, or an unknown option or
+    command."""
+    with_family, grammar = COMMANDS[words]
+    options = _family_options(draw) if with_family else {}
+    for option, (values, kind) in grammar.items():
+        options[option] = (draw(values), kind)
+    fault = draw(st.sampled_from(["none", "none", "value", "drop", "extra"]))
+    if fault in ("value", "drop"):
+        option = draw(st.sampled_from(sorted(options)))
+        if fault == "drop":
+            del options[option]
+        else:
+            kind = options[option][1]
+            options[option] = (draw(st.sampled_from(BAD[kind])), kind)
+    if fault == "extra":
+        words = draw(st.sampled_from([words, ("verify",), ("frobnicate",)]))
+        options["--unknown"] = ("1", None)
+    return list(words) + [f"{option}={value}"
+                          for option, (value, _) in options.items()]
+
+
+@pytest.mark.parametrize("words", sorted(COMMANDS), ids=" ".join)
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(data=st.data())
+def test_error_contract_holds_for_any_argv(words, data):
+    argv = data.draw(argvs(words))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)  # an exception here would be a traceback
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    if not text:  # argparse reports usage errors on stderr alone
+        assert code == 2 and "usage:" in err.getvalue()
+    elif code == 0 and "--format=csv" in argv:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len({len(row) for row in rows}) == 1
+    else:
+        json.loads(text)

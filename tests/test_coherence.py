@@ -10,6 +10,8 @@ from qcoherent.classify import (
     case_i_instance,
     case_ii_instance,
     case_iiia_instance,
+    case_iiib_bessel_instance,
+    case_iiib_instance,
 )
 from qcoherent.coherence import CoherenceConfig, CoherencePair
 from qcoherent.errors import DomainError, IndexOutOfRange
@@ -302,6 +304,38 @@ def test_xi_system_degenerate_for_self_pair(pair_iiia):
                 order=24, depth=6)
             assert xi_column_dependency(pair, 6), (label, inst.qp)
             assert pair.xi_system().degenerate, (label, inst.qp)
+
+
+# (omega, builder) of each width-two case with one parameter left free: the
+# builder takes the operator parameters and the generator p of Q(p).
+SYMBOLIC_CASES = {
+    "IIIa": (F(0), lambda qp, c: case_iiia_instance(qp, F(1, 3), 2, c)),
+    "IIIb": (F(0), lambda qp, a: case_iiib_instance(qp, a, -3, F(5, 2), 7)),
+    "IIIb-rzero": (F(0), lambda qp, a: case_iiib_instance(qp, a, -3, 0, 7)),
+    "IIIb-bessel": (F(1, 3),
+                    lambda qp, s: case_iiib_bessel_instance(qp, s, 7)),
+}
+
+
+@pytest.mark.parametrize("label", SYMBOLIC_CASES)
+def test_xi_system_degenerate_identically(label):
+    # a certificate, not a sample: the unchanged pipeline runs over the
+    # rational function field Q(p) in the free parameter p, so the
+    # determinant and the column dependency vanish as rational functions
+    # of p: for n <= 4 they hold at every value of p, at this q and omega,
+    # for which the family is regular
+    sympy = pytest.importorskip("sympy")
+    omega, build = SYMBOLIC_CASES[label]
+    _, p = sympy.field("p", sympy.QQ)
+    qp = QParams(F(1, 2), omega)
+    inst = build(qp, p)
+    # the determinant system is built from polynomial tables alone, so
+    # no moments are needed
+    pair = CoherencePair.self_coherent(
+        inst.spec, CoherenceConfig(1, 0, 0, inst.pi), qp, order=0, depth=4)
+    assert pair.table.is_coherent
+    assert pair.xi_system().degenerate
+    assert xi_column_dependency(pair, 4)
 
 
 def test_xi_system_nondegenerate_derivative_pair(pair_derivative,
