@@ -27,10 +27,10 @@ explicit family's own recurrence is checked against it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import Poly, rat_str, sqrt_fraction
+from .algebra import Poly, affine_substitute, rat_str, sqrt_fraction
 from .errors import (
     DegenerateInput,
     DomainError,
@@ -181,27 +181,28 @@ def classify_self_coherent(pi: Poly, beta0, gamma1, qp: QParams,
         raise DegenerateInput("gamma_1 must be non-zero")
     if not pi.is_monic() or pi.degree > 2:
         raise DomainError("pi must be monic of degree 0, 1 or 2")
-    q, omega0 = qp.q, qp.omega0
+    # classify in the Jackson frame y = x - w0, then translate to (q, w)
+    q, w0 = qp.q, qp.omega0
+    pc, b0 = affine_substitute(pi, 1, w0), beta0 - w0
     deg = pi.degree
 
     if deg == 0:
         alpha = -q / gamma1
         case = "I"
     elif deg == 1:
-        c_shift = pi(omega0)
-        if c_shift + beta0 == omega0:
+        if pc(0) + b0 == 0:
             raise DegenerateInput(
                 "c + beta_0 = omega_0 forces a zero band coefficient")
-        alpha = -q * (beta0 - omega0 + c_shift) / gamma1
+        alpha = -q * (b0 + pc(0)) / gamma1
         case = "II"
     else:
-        if gamma1 + pi(beta0) == 0:
+        if gamma1 + pc(b0) == 0:
             raise DegenerateInput(
                 "gamma_1 + pi(beta_0) = 0 contradicts regularity")
-        alpha = -q * (gamma1 + pi(beta0)) / gamma1
+        alpha = -q * (gamma1 + pc(b0)) / gamma1
         case = "III"
-    beta = -alpha * (beta0 - omega0)
-    pearson_psi = Poly([beta - alpha * omega0, alpha])
+    beta = -alpha * b0
+    pearson_psi = Poly([beta - alpha * w0, alpha])
 
     branch = None
     lam = mu = delta = None
@@ -211,82 +212,69 @@ def classify_self_coherent(pi: Poly, beta0, gamma1, qp: QParams,
     note = ""
 
     if case == "I":
-        sum_roots = beta0 - omega0
-        prod_roots = gamma1 / (q - 1)
+        sum_roots, prod_roots = b0, gamma1 / (q - 1)
         roots = _split_quadratic(sum_roots, prod_roots)
         if roots is None:
             note = "NonRationalRoot: root pair lives in a quadratic extension"
         else:
-            family = FamilySpec("L", (roots[0], roots[1], Fraction(0)), q,
-                                offset=omega0)
+            family = FamilySpec("L", (roots[0], roots[1], Fraction(0)), q)
     elif case == "II":
         sum_roots = q + beta * (1 - q)
-        prod_roots = alpha * c_shift * q * (1 - q)
+        prod_roots = alpha * pc(0) * q * (1 - q)
         r_scale = 1 / (alpha * (q - 1))
         roots = _split_quadratic(sum_roots, prod_roots)
         if roots is None:
             note = "NonRationalRoot: root pair lives in a quadratic extension"
         else:
             family = FamilySpec(
-                "L", (roots[0] * r_scale, roots[1] * r_scale, r_scale), q,
-                offset=omega0)
+                "L", (roots[0] * r_scale, roots[1] * r_scale, r_scale), q)
     else:
-        shifted = Poly([pi(omega0),
-                        pi.coeff(1) + 2 * omega0, Fraction(1)])
-        sum_rs = -shifted.coeff(1)
-        prod_rs = shifted.coeff(0)
-        sum_roots, prod_roots = sum_rs, prod_rs
+        sum_roots, prod_roots = -pc.coeff(1), pc.coeff(0)
         if alpha == q / (q - 1):
             case = "IIIa"
-            c_shift = (q - 1) * beta + q * sum_rs
-            roots = _split_quadratic(sum_rs, prod_rs)
+            c_val = (q - 1) * beta + q * sum_roots
+            roots = _split_quadratic(sum_roots, prod_roots)
             if roots is None:
                 note = ("NonRationalRoot: pivot roots live in a quadratic "
                         "extension")
             else:
-                family = FamilySpec("L", (roots[0], roots[1], c_shift),
-                                    1 / q, offset=omega0)
+                family = FamilySpec("L", (roots[0], roots[1], c_val), 1 / q)
         else:
             case = "IIIb"
             mu = q * (q + alpha * (1 - q))
-            lam = sum_rs * q - beta * (1 - q)
+            lam = sum_roots * q - beta * (1 - q)
             if mu == 0:
                 raise InternalInconsistency("mu = 0 despite alpha branch")
             for j in range(0, 2 * n_max + 4):
                 if mu == q ** j:
                     raise DegenerateInput(
                         f"mu = q^{j} makes some d_n vanish")
-            if prod_rs == 0:
-                s_val = sum_rs
+            if prod_roots == 0:
                 if lam == 0:
                     branch = "bessel"
                     roots = (Fraction(0), Fraction(0))
                     family = FamilySpec(
-                        "J", (Fraction(0), Fraction(0), s_val, mu), 1 / q,
-                        offset=omega0)
+                        "J", (Fraction(0), Fraction(0), sum_roots, mu), 1 / q)
                 else:
                     branch = "r-zero"
-                    a_val = lam / mu
-                    b_val = mu * s_val / lam
-                    roots = (a_val, b_val)
+                    roots = (lam / mu, mu * sum_roots / lam)
                     family = FamilySpec(
-                        "J", (a_val, b_val, Fraction(0), mu), 1 / q,
-                        offset=omega0)
+                        "J", (*roots, Fraction(0), mu), 1 / q)
             else:
                 branch = "general"
-                delta = lam * lam - 4 * prod_rs * mu
-                pivot = _split_quadratic(sum_rs, prod_rs)
+                delta = lam * lam - 4 * prod_roots * mu
+                pivot = _split_quadratic(sum_roots, prod_roots)
                 droot = sqrt_fraction(delta) if delta >= 0 else None
                 if pivot is None or droot is None:
                     note = ("NonRationalRoot: family roots live in a "
                             "quadratic extension")
                 else:
                     r_val = pivot[0]
-                    a_val = (lam + droot) / (2 * mu)
-                    b_val = (lam - droot) / (2 * r_val)
-                    roots = (a_val, b_val)
-                    family = FamilySpec(
-                        "J", (a_val, b_val, r_val, mu), 1 / q, offset=omega0)
+                    roots = ((lam + droot) / (2 * mu),
+                             (lam - droot) / (2 * r_val))
+                    family = FamilySpec("J", (*roots, r_val, mu), 1 / q)
+    if family is not None:
+        family = replace(family, offset=w0)
 
     predicted = pearson_ttrr(pi, pearson_psi, qp, n_max).coeffs
     if family is not None and not family.ttrr(n_max).agrees_with(

@@ -38,7 +38,6 @@ from .families import (
 from .functionals import (
     MomentFunctional,
     SemiclassicalWitness,
-    VerifyReport,
     _report,
     functional_diff_n,
     leibniz_expansion,
@@ -175,27 +174,6 @@ def _cmd_verify_structure(args) -> int:
     return 0 if table.is_coherent else 1
 
 
-def _case_pipeline(pair: CoherencePair, depth: int) -> list[dict]:
-    table = pair.table
-    reports = [VerifyReport("banded structure relation",
-                            "holds" if table.is_coherent else "failed",
-                            table.n_max).to_json()]
-    for n in range(min(4, depth) + 1):
-        reports.append(pair.verify_functional_equation(n).to_json())
-    cfg = pair.config
-    if cfg.m >= cfg.k + cfg.N and (cfg.N > 0 or cfg.m > cfg.k):
-        reports.extend(r.to_json() for r in pair.verify_varphi_system())
-    if cfg.m < cfg.k + cfg.N:
-        reports.extend(r.to_json() for r in pair.verify_xi_system())
-    if cfg.k == 0:
-        reports.extend(r.to_json() for r in pair.verify_phi_chain())
-        for n in range(min(4, depth) + 1):
-            reports.append(pair.kzero_psi_oracle(n).to_json())
-            if cfg.N >= 1:
-                reports.append(pair.kzero_phi_oracle(n).to_json())
-    return reports
-
-
 def _cmd_verify_coherence(args) -> int:
     _at_least(0, depth=args.depth)
     rng = random.Random(args.seed)
@@ -206,7 +184,7 @@ def _cmd_verify_coherence(args) -> int:
     config = CoherenceConfig(1, 0, 0, instance.pi)
     pair = CoherencePair.self_coherent(instance.spec, config, instance.qp,
                                        order=args.order, depth=args.depth)
-    reports = _case_pipeline(pair, args.depth)
+    reports = [r.to_json() for r in pair.verify(args.depth)]
     _emit({
         "case": args.case,
         "seed": args.seed,

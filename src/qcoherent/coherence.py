@@ -85,7 +85,7 @@ class DeterminantSystem:
     """Cramer data: the system determinant and its column replacements."""
 
     det: Poly
-    replaced: tuple  # replacement-column determinants, in column order
+    replaced: tuple  # replacement-column determinants, () when det is zero
 
     @property
     def degenerate(self) -> bool:
@@ -316,15 +316,19 @@ class CoherencePair:
         return det_bareiss(rows)
 
     def _cramer(self, matrix, column, cols) -> DeterminantSystem:
-        """The determinant of ``matrix`` and of its copies with column
-        ``col`` replaced by ``column``, for each col in ``cols``."""
+        """The determinant of ``matrix`` and, unless it vanishes, of its
+        copies with column ``col`` replaced by ``column``, for each col in
+        ``cols``: a degenerate system has no replaced determinants."""
+        det = self._det(matrix)
+        if det.is_zero():
+            return DeterminantSystem(det, ())
         dets = []
         for col in cols:
             replaced = [row[:] for row in matrix]
             for row, entry in zip(replaced, column):
                 row[col] = entry
             dets.append(self._det(replaced))
-        return DeterminantSystem(self._det(matrix), tuple(dets))
+        return DeterminantSystem(det, tuple(dets))
 
     def varphi_system(self) -> DeterminantSystem:
         """Determinants A, A1, A2 of the varphi matrix (case m >= k+N).
@@ -371,6 +375,21 @@ class CoherencePair:
                             [self.xi(i, 0) for i in range(size)],
                             (0, 1, cfg.N + 1))
 
+    def _transformation(self, name: str, det: Poly, first: Poly,
+                        second: Poly) -> list[VerifyReport]:
+        """X v = X1 u, X D'v = X2 u and the difference equation for v they
+        imply, for a system determinant X = ``det`` named ``name`` and its
+        first two replaced determinants X1, X2."""
+        qp, xx1 = self.qp, det * first
+        return [
+            _report(f"{name}*v = {name}1*u",
+                    self._times(det, self.v), self._times(first, self.u)),
+            _report(f"{name}*D'v = {name}2*u",
+                    self._times(det, self.v, 1), self._times(second, self.u)),
+            self._pearson("difference equation for v", shift(xx1, qp),
+                          hahn_diff(xx1, qp) * qp.q + det * second, self.v),
+        ]
+
     def verify_varphi_system(self) -> list[VerifyReport]:
         """Rational-transformation identities from the varphi determinants.
 
@@ -383,21 +402,11 @@ class CoherencePair:
                                  detail="determinant vanishes identically")]
         a, (a1, a2) = system.det, system.replaced
         qp = self.qp
-        out = [
-            _report("A*v = A1*u",
-                    self._times(a, self.v), self._times(a1, self.u)),
-            _report("A*D'v = A2*u",
-                    self._times(a, self.v, 1),
-                    self._times(a2, self.u)),
-        ]
-        out.append(self._pearson(
+        out = self._transformation("A", a, a1, a2)
+        out.insert(2, self._pearson(
             "difference equation for u", a1 * shift(a, qp),
             (hahn_diff(a, qp) * a1 * qp.q + hahn_diff(a, qp.inverse) * a1
              + shift(a, qp.inverse) * a2), self.u))
-        aa1 = a * a1
-        out.append(self._pearson(
-            "difference equation for v", shift(aa1, qp),
-            hahn_diff(aa1, qp) * qp.q + a * a2, self.v))
         return out
 
     def verify_xi_system(self) -> list[VerifyReport]:
@@ -414,24 +423,12 @@ class CoherencePair:
             return [VerifyReport("xi-system", "degenerate",
                                  detail="determinant vanishes identically")]
         b, (b1, b2, blast) = system.det, system.replaced
-        qp = self.qp
-        out = [
-            _report("B*v = B1*u",
-                    self._times(b, self.v), self._times(b1, self.u)),
-            _report("B*D'v = B2*u",
-                    self._times(b, self.v, 1),
-                    self._times(b2, self.u)),
-            _report("B*D'u = B(N+2)*u",
-                    self._times(b, self.u, 1),
-                    self._times(blast, self.u)),
-        ]
-        bb1 = b * b1
+        out = self._transformation("B", b, b1, b2)
+        out.insert(2, _report("B*D'u = B(N+2)*u", self._times(b, self.u, 1),
+                              self._times(blast, self.u)))
         out.append(self._pearson(
-            "difference equation for v", shift(bb1, qp),
-            hahn_diff(bb1, qp) * qp.q + b * b2, self.v))
-        out.append(self._pearson(
-            "difference equation for u", shift(b, qp),
-            hahn_diff(b, qp) * qp.q + blast, self.u))
+            "difference equation for u", shift(b, self.qp),
+            hahn_diff(b, self.qp) * self.qp.q + blast, self.u))
         return out
 
     # -- the k = 0 chain ----------------------------------------------------
@@ -527,3 +524,32 @@ class CoherencePair:
             cfg.N) * (1 / self.v_norms[n])
         rhs = self._phi_side(n)
         return _report(f"phi-expansion oracle[n={n}]", lhs, rhs)
+
+    # -- the pipeline --------------------------------------------------------
+
+    def verify(self, depth: int) -> list[VerifyReport]:
+        """Every check that applies to this pair's shape, in a fixed order.
+
+        The banded structure relation; the functional equation for
+        n <= min(4, depth); the varphi system when m >= k+N (and it is
+        defined), else the xi system; and for k = 0 the chain and, at each
+        such n, the direct-differencing oracle and (N >= 1) the
+        phi-expansion oracle.
+        """
+        cfg, table = self.config, self.table
+        rows = range(min(4, depth) + 1)
+        out = [VerifyReport("banded structure relation",
+                            "holds" if table.is_coherent else "failed",
+                            table.n_max)]
+        out += [self.verify_functional_equation(n) for n in rows]
+        if cfg.m < cfg.k + cfg.N:
+            out += self.verify_xi_system()
+        elif cfg.N > 0 or cfg.m > cfg.k:
+            out += self.verify_varphi_system()
+        if cfg.k == 0:
+            out += self.verify_phi_chain()
+            for n in rows:
+                out.append(self.kzero_psi_oracle(n))
+                if cfg.N >= 1:
+                    out.append(self.kzero_phi_oracle(n))
+        return out

@@ -35,12 +35,19 @@ class QParams:
     Requires q outside {0, 1} and, for rational q, also q != -1 so that
     q**n != 1 for every n >= 1.  w0 = w/(1 - q) satisfies w0*(1 - q) = w
     and is invariant under passing to the inverse parameters (1/q, -w/q).
+    An int q or w becomes a Fraction; a float is refused.
     """
 
     q: Fraction
     omega: Fraction
 
     def __post_init__(self):
+        for name in ("q", "omega"):
+            value = getattr(self, name)
+            if isinstance(value, float):
+                raise DomainError(f"{name} must be exact, got {value!r}")
+            if isinstance(value, int):
+                object.__setattr__(self, name, Fraction(value))
         q = self.q
         if q == 0 or q == 1 or q == -1:
             raise DomainError(f"q must avoid {{0, 1, -1}}, got {q}")

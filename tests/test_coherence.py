@@ -338,6 +338,21 @@ def test_xi_system_degenerate_identically(label):
     assert xi_column_dependency(pair, 4)
 
 
+def test_xi_system_degenerate_identically_in_c_and_q():
+    # the IIIa certificate with q free as well: over Q(c, q) the system
+    # determinant and the column dependency vanish as rational functions
+    # of (c, q), at r = 1/3, s = 2, omega = 0, for n <= 4
+    sympy = pytest.importorskip("sympy")
+    _, c, q = sympy.field("c,q", sympy.QQ)
+    qp = QParams(q, 0)
+    inst = case_iiia_instance(qp, F(1, 3), 2, c)
+    pair = CoherencePair.self_coherent(
+        inst.spec, CoherenceConfig(1, 0, 0, inst.pi), qp, order=0, depth=4)
+    assert pair.table.is_coherent
+    assert pair.xi_system().degenerate
+    assert xi_column_dependency(pair, 4)
+
+
 def test_xi_system_nondegenerate_derivative_pair(pair_derivative,
                                                  monkeypatch):
     # verify_xi_system reuses the system xi_system built: four
@@ -368,6 +383,26 @@ def test_xi_system_nondegenerate_derivative_pair(pair_derivative,
         assert report.ok, report.identity
         assert report.order_checked >= 16
     assert len(calls) == 4
+
+
+def test_degenerate_system_stops_at_its_determinant(pair_iiia,
+                                                     monkeypatch):
+    # a vanishing system determinant ends the Cramer system: none of the
+    # replaced-column determinants, which no identity would read, is formed
+    import qcoherent.coherence as coherence_module
+
+    calls = []
+    real_bareiss = coherence_module.det_bareiss
+
+    def spy_bareiss(rows):
+        calls.append(rows)
+        return real_bareiss(rows)
+
+    monkeypatch.setattr(coherence_module, "det_bareiss", spy_bareiss)
+    system = fresh(pair_iiia).xi_system()
+    assert system.degenerate
+    assert system.replaced == ()
+    assert len(calls) == 1
 
 
 def test_xi_system_zero_functional_flagged(pair_iiia):
@@ -423,7 +458,6 @@ def test_pipeline_forms_each_shared_product_once(name, request, monkeypatch):
     # by several identities (pair_i has w != 0, pair_ii has N = 1); the
     # pair's memo forms each of them once
     import qcoherent.coherence as coherence_module
-    from qcoherent.cli import _case_pipeline
 
     pair = fresh(request.getfixturevalue(name))
     calls = Counter()
@@ -434,8 +468,8 @@ def test_pipeline_forms_each_shared_product_once(name, request, monkeypatch):
         return real_left_mult(f, w)
 
     monkeypatch.setattr(coherence_module, "left_mult", counted)
-    reports = _case_pipeline(pair, 6)
-    assert {r["status"] for r in reports} == {"holds"}
+    reports = pair.verify(6)
+    assert {r.status for r in reports} == {"holds"}
     cfg = pair.config
     for n in range(5):
         shared = [(pair.psi(n), pair.u), (cfg.pi * pair.q[n], pair.v)]
@@ -443,6 +477,25 @@ def test_pipeline_forms_each_shared_product_once(name, request, monkeypatch):
                    for j in range(cfg.N + 1)]
         for f, w in shared:
             assert calls[f, w] == 1, (n, f)
+
+
+def test_pipeline_on_derivative_pair(pair_derivative):
+    # orders (1, 1) with N = 1: the low functional equation and the xi
+    # system apply; the k = 0 chain and both oracles do not
+    reports = pair_derivative.verify(2)
+    assert [r.identity for r in reports] == [
+        "banded structure relation",
+        "coherence-equation-low[n=0]",
+        "coherence-equation-low[n=1]",
+        "coherence-equation-low[n=2]",
+        "B*v = B1*u",
+        "B*D'v = B2*u",
+        "B*D'u = B(N+2)*u",
+        "difference equation for v",
+        "difference equation for u",
+    ]
+    assert all(r.ok for r in reports), [r.identity for r in reports
+                                        if not r.ok]
 
 
 def test_report_serialization(pair_i):
@@ -488,10 +541,9 @@ def test_determinants_checked_both_ways(pair_i, pair_iiia, pair_derivative,
     assert not fresh(pair_i).varphi_system().degenerate
     assert len(checked) == 3
     assert fresh(pair_iiia).xi_system().degenerate
-    # B is computed last and vanishes both ways
-    assert len(checked) == 7 and checked[-1].is_zero()
+    assert len(checked) == 4 and checked[-1].is_zero()
     assert not fresh(pair_derivative).xi_system().degenerate
-    assert len(checked) == 11
+    assert len(checked) == 8
 
 
 def test_pipelines_at_random_parameter_points():

@@ -44,6 +44,18 @@ def test_qparams_validation():
     assert qp.inverse.omega0 == qp.omega0
 
 
+def test_qparams_int_becomes_fraction_and_float_is_refused():
+    from qcoherent.classify import case_i_instance
+
+    qp = QParams(2, 1)
+    assert qp.omega0 == F(-1) and isinstance(qp.omega0, Fraction)
+    assert qp.inverse.q == F(1, 2) and isinstance(qp.inverse.q, Fraction)
+    ttrr = case_i_instance(qp, 2, 3).spec.ttrr(2)
+    assert not any(isinstance(v, float) for v in ttrr.beta + ttrr.gamma)
+    with pytest.raises(DomainError):
+        QParams(0.5, 0)
+
+
 def test_brackets_and_factorials():
     assert q_bracket(3, F(2)) == 7
     assert q_bracket(0, F(3)) == 0
