@@ -9,14 +9,12 @@ classify  identify a self-coherent sequence from (pi, beta_0, gamma_1)
 
 Rationals are always written "num/den".  Output is deterministic given the
 command line (seeded sampling only); exit codes are 0 on success, 1 when a
-verified identity fails, 2 on usage or domain errors.  QCOHERENT_NMAX sets
-the default generation depth.
+verified identity fails, 2 on usage or domain errors.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -52,15 +50,6 @@ from .sampling import (
     sample_poly_coeffs,
     sample_q,
 )
-
-
-def _default_n() -> int:
-    text = os.environ.get("QCOHERENT_NMAX", "8")
-    try:
-        return int(text)
-    except ValueError:
-        raise DomainError(
-            f"QCOHERENT_NMAX must be an integer, got {text!r}") from None
 
 
 def _parse_poly(text: str) -> Poly:
@@ -234,7 +223,7 @@ def _cmd_verify_leibniz(args) -> int:
         qp = QParams(sample_q(rng), rational(rng))
         f = Poly(sample_poly_coeffs(rng, 3))
         u = MomentFunctional(
-            [rational(rng) for _ in range(12)])
+            [rational(rng) for _ in range(12)]).at(qp.omega0)
         fu = left_mult(f, u)
         for order in range(args.n + 1):
             report = _report(f"leibniz[trial={trial},n={order}]",
@@ -282,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate family polynomials")
     _add_family_options(gen)
-    gen.add_argument("--n", type=int, default=_default_n())
+    gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--format", choices=["json", "csv"], default="json")
     gen.set_defaults(func=_cmd_gen)
 
@@ -311,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--m", type=int, default=1)
     vs.add_argument("--k", type=int, default=0)
     vs.add_argument("--M", type=int, default=0)
-    vs.add_argument("--n", type=int, default=_default_n())
+    vs.add_argument("--n", type=int, default=8)
     vs.set_defaults(func=_cmd_verify_structure)
 
     vc = vsub.add_parser("coherence",
@@ -328,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--identity", required=True)
     vr.add_argument("--seed", type=int, default=0)
     vr.add_argument("--points", type=int, default=10)
-    vr.add_argument("--n", type=int, default=_default_n())
+    vr.add_argument("--n", type=int, default=8)
     vr.set_defaults(func=_cmd_verify_reduction)
 
     vl = vsub.add_parser("leibniz",
@@ -346,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--gamma1", required=True)
     cls.add_argument("--q", required=True)
     cls.add_argument("--omega", default="0/1")
-    cls.add_argument("--n", type=int, default=_default_n())
+    cls.add_argument("--n", type=int, default=8)
     cls.add_argument("--format", choices=["json", "csv"], default="json")
     cls.set_defaults(func=_cmd_classify)
     return parser

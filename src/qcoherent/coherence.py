@@ -129,7 +129,7 @@ class CoherencePair:
         n_need = max(span, order // 2 + 1)
         ttrr = spec.ttrr(n_need)
         polys = ttrr_generate(ttrr, span)
-        u = moments_from_ttrr(ttrr, order)
+        u = moments_from_ttrr(ttrr, order).at(qp.omega0)  # where D' acts
         norms = squared_norms(ttrr, span)
         table = structure_coeffs(polys, polys, config.pi, config.m,
                                  config.k, config.M, qp)
@@ -531,10 +531,10 @@ class CoherencePair:
         """Every check that applies to this pair's shape, in a fixed order.
 
         The banded structure relation; the functional equation for
-        n <= min(4, depth); the varphi system when m >= k+N (and it is
-        defined), else the xi system; and for k = 0 the chain and, at each
-        such n, the direct-differencing oracle and (N >= 1) the
-        phi-expansion oracle.
+        n <= min(4, depth); the varphi system when m >= k+N, else the xi
+        system; and for k = 0 the chain and, at each such n, the
+        direct-differencing oracle and (N >= 1) the phi-expansion oracle.
+        The varphi system and the chain are defined when N > 0 or m > k.
         """
         cfg, table = self.config, self.table
         rows = range(min(4, depth) + 1)
@@ -542,12 +542,14 @@ class CoherencePair:
                             "holds" if table.is_coherent else "failed",
                             table.n_max)]
         out += [self.verify_functional_equation(n) for n in rows]
+        defined = cfg.N > 0 or cfg.m > cfg.k
         if cfg.m < cfg.k + cfg.N:
             out += self.verify_xi_system()
-        elif cfg.N > 0 or cfg.m > cfg.k:
+        elif defined:
             out += self.verify_varphi_system()
         if cfg.k == 0:
-            out += self.verify_phi_chain()
+            if defined:
+                out += self.verify_phi_chain()
             for n in rows:
                 out.append(self.kzero_psi_oracle(n))
                 if cfg.N >= 1:

@@ -1,9 +1,12 @@
 """Truncated moment functionals and their induced difference calculus.
 
 A linear functional on polynomials is represented by its moment sequence
-m_0 .. m_K against the monomials; K is the functional's *order*.  Every
-operation computes and propagates the exact output order, and consuming
-moments beyond the stored order raises instead of silently truncating.
+m_0 .. m_K against the powers (x - c)**i of one centre c; K is the
+functional's *order*.  The centre is a basis, not a property of the
+functional: ``at`` moves it by one binomial change of basis, and equality,
+sums and JSON see through it.  Every operation computes and propagates the
+exact output order, and consuming moments beyond the stored order raises
+instead of silently truncating.
 
 The dual difference and shift operators act through the pairing:
 
@@ -21,9 +24,10 @@ So with centred moments c_n = < u, y**n >,
 
     < D u, y**n > = -(1/q) [n]_{1/q} c_(n-1),   < L u, y**n > = q**-n c_n,
 
-and the only non-diagonal work is one binomial change of basis (a Taylor
-shift by -w0) on the way in and one (by +w0) on the way out; it is the
-identity when w0 = 0.  Moments stay in whatever exact field they come in.
+and each operator returns its result centred at w0.  A functional is
+centred (a Taylor shift) only when it arrives in another basis, so a chain
+of operators with one fixed point pays for one basis change in all.
+Moments stay in whatever exact field they come in.
 
 Also here: left multiplication (f u), the product rule
 
@@ -37,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, det_bareiss, rat, rat_str
+from .algebra import Poly, affine_substitute, det_bareiss, rat, rat_str
 from .errors import (
     DomainError,
     NotSimpleSet,
@@ -47,18 +51,32 @@ from .qcalc import QParams, leibniz_coeffs
 
 
 class MomentFunctional:
-    """Moments m_0 .. m_K of a linear functional; m_i pairs with x**i."""
+    """Moments m_0 .. m_K of a linear functional; m_i pairs with
+    (x - centre)**i, so the default centre 0 gives the monomial moments."""
 
-    __slots__ = ("moments",)
+    __slots__ = ("moments", "centre")
 
-    def __init__(self, moments):
+    def __init__(self, moments, centre=0):
         moments = tuple(moments)
         if not moments:
             raise DomainError("a moment functional needs at least m_0")
         object.__setattr__(self, "moments", moments)
+        object.__setattr__(self, "centre", centre)
 
     def __setattr__(self, name, value):
         raise AttributeError("MomentFunctional is immutable")
+
+    def at(self, c) -> "MomentFunctional":
+        """The same functional centred at c; self when it already is.
+
+        The change of basis is unit lower triangular, so the order and the
+        index of the first moment where two functionals differ are the same
+        in every centre.
+        """
+        if c == self.centre:
+            return self
+        return MomentFunctional(
+            _taylor_shift(self.moments, self.centre - c), c)
 
     @property
     def order(self) -> int:
@@ -69,38 +87,37 @@ class MomentFunctional:
 
     def __eq__(self, other):
         if isinstance(other, MomentFunctional):
-            return self.moments == other.moments
+            return self.moments == other.at(self.centre).moments
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.moments)
+        return hash(self.at(0).moments)
 
     def __add__(self, other):
         if not isinstance(other, MomentFunctional):
             return NotImplemented
-        k = min(self.order, other.order)
+        other = other.at(self.centre)
         return MomentFunctional(
-            [self.moments[i] + other.moments[i] for i in range(k + 1)])
+            [a + b for a, b in zip(self.moments, other.moments)], self.centre)
 
     def __sub__(self, other):
-        if not isinstance(other, MomentFunctional):
-            return NotImplemented
-        k = min(self.order, other.order)
-        return MomentFunctional(
-            [self.moments[i] - other.moments[i] for i in range(k + 1)])
+        return self + other * -1
 
     def __mul__(self, scalar):
-        return MomentFunctional([m * scalar for m in self.moments])
+        return MomentFunctional([m * scalar for m in self.moments],
+                                self.centre)
 
     __rmul__ = __mul__
 
     def __repr__(self):
         shown = ", ".join(str(m) for m in self.moments[:6])
         tail = ", ..." if self.order >= 6 else ""
-        return f"MomentFunctional([{shown}{tail}], order={self.order})"
+        return (f"MomentFunctional([{shown}{tail}], order={self.order}, "
+                f"centre={self.centre})")
 
     def to_json(self) -> dict:
-        return {"moments": [rat_str(m) for m in self.moments],
+        """Monomial moments, whatever the centre."""
+        return {"moments": [rat_str(m) for m in self.at(0).moments],
                 "order": self.order}
 
     @staticmethod
@@ -112,35 +129,40 @@ class MomentFunctional:
 
 
 def act(u: MomentFunctional, f: Poly):
-    """The pairing <u, f>; requires deg f <= order(u)."""
+    """The pairing <u, f>; requires deg f <= order(u).
+
+    f is written in powers of x - centre, at O(deg**2), not u.
+    """
     if f.degree > u.order:
         raise OrderExceeded(
             f"polynomial of degree {f.degree} exceeds order {u.order}")
     total = Fraction(0)
-    for i, c in enumerate(f.coeffs):
+    for i, c in enumerate(affine_substitute(f, 1, u.centre).coeffs):
         total = total + c * u.moments[i]
     return total
 
 
 def left_mult(f: Poly, u: MomentFunctional) -> MomentFunctional:
-    """Moments of f*u, defined by <f u, x**n> = <u, f(x) x**n>.
+    """Moments of f*u, defined by <f u, y**n> = <u, f(x) y**n> with
+    y = x - centre; the result keeps u's centre.
 
     The output order drops by deg f.  A zero polynomial annihilates; the
     result keeps the input order.
     """
     if f.is_zero():
-        return MomentFunctional([Fraction(0)] * (u.order + 1))
+        return MomentFunctional([Fraction(0)] * (u.order + 1), u.centre)
     d = f.degree
     if d > u.order:
         raise OrderExceeded(
             f"cannot multiply by degree {d} at order {u.order}")
+    g = affine_substitute(f, 1, u.centre).coeffs
     out = []
     for n in range(u.order - d + 1):
         s = Fraction(0)
-        for i, c in enumerate(f.coeffs):
+        for i, c in enumerate(g):
             s = s + c * u.moments[n + i]
         out.append(s)
-    return MomentFunctional(out)
+    return MomentFunctional(out, u.centre)
 
 
 def _taylor_shift(moments, a) -> list:
@@ -182,28 +204,21 @@ def _centred_diffs(c, n: int, qp: QParams) -> list:
 
 
 def functional_diff_n(u: MomentFunctional, n: int, qp: QParams) -> MomentFunctional:
-    """The n-fold induced difference D[q,w]**n u; output order grows by n.
-
-    One change to the centred basis, n diagonal steps, one change back.
-    """
+    """The n-fold induced difference D[q,w]**n u, centred at w0; output
+    order grows by n.  n diagonal steps in the centred basis."""
     if n < 0:
         raise DomainError(f"difference order must be >= 0, got {n}")
-    if n == 0:
-        return u
-    w0 = qp.omega0
-    c = _centred_diffs(_taylor_shift(u.moments, -w0), n, qp)[n]
-    return MomentFunctional(_taylor_shift(c, w0))
+    u = u.at(qp.omega0)
+    return MomentFunctional(_centred_diffs(u.moments, n, qp)[n], u.centre)
 
 
 def functional_shift(u: MomentFunctional, qp: QParams) -> MomentFunctional:
-    """The induced shift L[q,w] u; <L u, x**n> = <u, ((x - w)/q)**n>.
-
-    Diagonal in the centred basis: c'_j = q**-j c_j.
+    """The induced shift L[q,w] u, centred at w0; <L u, x**n> =
+    <u, ((x - w)/q)**n>.  Diagonal in the centred basis: c'_j = q**-j c_j.
     """
-    w0, p = qp.omega0, qp.inverse.q
-    c = _taylor_shift(u.moments, -w0)
-    return MomentFunctional(
-        _taylor_shift([p ** j * cj for j, cj in enumerate(c)], w0))
+    u, p = u.at(qp.omega0), qp.inverse.q
+    return MomentFunctional([p ** j * c for j, c in enumerate(u.moments)],
+                            u.centre)
 
 
 def leibniz_expansion(f: Poly, u: MomentFunctional, n: int,
@@ -211,32 +226,25 @@ def leibniz_expansion(f: Poly, u: MomentFunctional, n: int,
     """D**n (f u) by the q-Leibniz rule: sum_k c_k D**k u, where
     c_k = [n, k] L**k(D**(n-k) f) are ``qcalc.leibniz_coeffs``.
 
-    u is centred once; each D**k u, k >= 1, costs one change back.
+    One table of centred differences D**k u serves every term.
     """
-    total = None
-    diffs = None  # centred D**k u for k = 0..n, built at the first need
+    u = u.at(qp.omega0)
+    diffs = _centred_diffs(u.moments, n, qp)
+    total = MomentFunctional([Fraction(0)] * (u.order + n + 1), u.centre)
     for k, poly in enumerate(leibniz_coeffs(f, n, qp)):
-        if poly.is_zero():
-            continue  # vanishing term must not cap the joint order
-        if k == 0:
-            du = u
-        else:
-            if diffs is None:
-                diffs = _centred_diffs(
-                    _taylor_shift(u.moments, -qp.omega0), n, qp)
-            du = MomentFunctional(_taylor_shift(diffs[k], qp.omega0))
-        term = left_mult(poly, du)
-        total = term if total is None else total + term
-    if total is None:
-        total = MomentFunctional([Fraction(0)] * (u.order + n + 1))
+        if not poly.is_zero():  # a vanishing term must not cap the order
+            total = total + left_mult(poly, MomentFunctional(diffs[k],
+                                                             u.centre))
     return total
 
 
 def functional_agree(u: MomentFunctional, v: MomentFunctional):
     """Compare moments on the jointly valid range.
 
-    Returns (ok, first_failure_index_or_None, order_checked).
+    Returns (ok, first_failure_index_or_None, order_checked); v is moved
+    to u's centre, which changes neither.
     """
+    v = v.at(u.centre)
     k = min(u.order, v.order)
     for i in range(k + 1):
         if u.moments[i] != v.moments[i]:
@@ -305,6 +313,7 @@ def pearson_check(witness: SemiclassicalWitness, u: MomentFunctional,
     if witness.phi.degree > u.order or witness.psi.degree > u.order:
         raise OrderExceeded("witness degrees exceed the functional's order")
     params = qp if witness.direction == "forward" else qp.inverse
+    u = u.at(qp.omega0)  # both directions share the fixed point
     lhs = functional_diff(left_mult(witness.phi, u), params)
     return _report("pearson", lhs, left_mult(witness.psi, u))
 
@@ -337,7 +346,7 @@ def dual_basis_functional(basis, n: int, order: int) -> MomentFunctional:
 
 def hankel_regular(u: MomentFunctional, depth: int | None = None) -> bool:
     """Finite regularity certificate: leading principal Hankel determinants
-    built from the moments are non-zero up to floor(K/2)."""
+    are non-zero up to floor(K/2); a change of centre leaves them fixed."""
     max_depth = u.order // 2
     depth = max_depth if depth is None else min(depth, max_depth)
     for r in range(depth + 1):

@@ -288,14 +288,6 @@ def test_zero_denominator_is_domain_error(capsys):
     assert data["error"] == "DomainError"
 
 
-def test_malformed_nmax_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setenv("QCOHERENT_NMAX", "abc")
-    data = _domain_error(capsys, "gen", "--family", "L", "--a", "2/1",
-                         "--b", "3/1", "--c", "0/1", "--q", "1/2")
-    assert data["error"] == "DomainError"
-    assert "QCOHERENT_NMAX" in data["detail"]
-
-
 def test_family_parameters_read_by_name(capsys):
     # a family of arity k takes exactly the first k of --a --b --c --d
     data = _domain_error(capsys, "gen", "--family", "L", "--a=1/1",

@@ -498,6 +498,21 @@ def test_pipeline_on_derivative_pair(pair_derivative):
                                         if not r.ok]
 
 
+def test_pipeline_on_zero_order_zero_width_pair():
+    # m = k = N = 0: neither the varphi system nor the k = 0 chain is
+    # defined, so verify returns the checks that apply instead of raising
+    inst = case_i_instance(QP, 2, 3)
+    pair = CoherencePair.self_coherent(
+        inst.spec, CoherenceConfig(0, 0, 0, Poly.one()), QP, order=20,
+        depth=3)
+    reports = pair.verify(3)
+    assert [r.identity for r in reports] == (
+        ["banded structure relation"]
+        + [f"coherence-equation-high[n={n}]" for n in range(4)]
+        + [f"direct-differencing oracle[n={n}]" for n in range(4)])
+    assert all(r.ok for r in reports)
+
+
 def test_report_serialization(pair_i):
     report = pair_i.verify_functional_equation(0)
     data = report.to_json()

@@ -172,6 +172,25 @@ def test_dual_operators_match_oracles(omega_kind, data, moments, seed, n):
     assert got.order == u.order + n
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(moments=moment_lists, seed=st.integers(0, 2**32 - 1),
+       omega=omegas["w!=0"], c=scalars, n=st.integers(0, 4))
+def test_dual_operators_return_centred_results(moments, seed, omega, c, n):
+    # the input in any centre c; each result centred at w0 != 0, with the
+    # oracles' monomial moments exactly
+    qp = QParams(sample_q(random.Random(seed)), omega)
+    u = MomentFunctional(moments)
+    expected = u
+    for _ in range(n):
+        expected = oracle_functional_diff(expected, qp)
+    for got, want in [
+            (functional_diff(u.at(c), qp), oracle_functional_diff(u, qp)),
+            (functional_shift(u.at(c), qp), oracle_functional_shift(u, qp)),
+            (functional_diff_n(u.at(c), n, qp), expected)]:
+        assert got.centre == qp.omega0 != 0
+        assert got.at(0).moments == want.moments
+
+
 @pytest.mark.parametrize("omega_kind", sorted(omegas))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), coeffs=coefficient_lists,

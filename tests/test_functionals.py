@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoherent.algebra import Poly
+from qcoherent.algebra import Poly, rat_str
+from qcoherent.cli import main
 from qcoherent.errors import DomainError, NotSimpleSet, OrderExceeded
 from qcoherent.functionals import (
     MomentFunctional,
@@ -57,6 +58,41 @@ def pearson_moments(phi, psi, qp, order, backward=True):
         known = sum((comb.coeff(i) * moments[i] for i in range(n + 1)), F(0))
         moments.append(-known / top)
     return MomentFunctional(moments)
+
+
+scalars = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+centres = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(derandomize=True, database=None)
+@given(moments=st.lists(scalars, min_size=1, max_size=12), c=centres)
+def test_centre_round_trip_and_json(moments, c):
+    u = MomentFunctional(moments)
+    centred = u.at(c)
+    assert (centred.centre, centred.order) == (c, u.order)
+    back = centred.at(0)
+    assert (back.moments, back.order) == (u.moments, u.order)
+    assert centred.to_json() == {
+        "moments": [rat_str(m) for m in moments], "order": u.order}
+    assert centred == u and hash(centred) == hash(u)
+
+
+@settings(derandomize=True, database=None)
+@given(data=st.data(), moments=st.lists(scalars, min_size=1, max_size=12),
+       tail=st.lists(scalars, max_size=3), c=centres)
+def test_first_difference_does_not_depend_on_the_centre(data, moments,
+                                                        tail, c):
+    # a change of centre is unit lower triangular, so the first differing
+    # moment and the order checked are the same in every basis
+    u = MomentFunctional(moments)
+    i = data.draw(st.integers(0, u.order))
+    bump = data.draw(scalars.filter(lambda x: x != 0))
+    v = MomentFunctional(moments[:i] + [moments[i] + bump]
+                         + moments[i + 1:] + tail)
+    expected = functional_agree(u, v)
+    assert expected == (False, i, u.order)
+    assert functional_agree(u.at(c), v) == expected
+    assert functional_agree(v, u.at(c)) == expected
 
 
 def test_act_examples():
@@ -156,13 +192,9 @@ def test_leibniz_both_expansions(n, form):
         assert checked == u.order - f.degree + n
 
 
-@pytest.mark.parametrize("degree,shifts", [(2, 4), (3, 5)])
-@pytest.mark.parametrize("direction", [1, 2])
-def test_leibniz_expansion_centres_u_once(direction, degree, shifts,
-                                          monkeypatch):
-    # one Taylor shift into the centred basis, one out per term whose
-    # difference order is non-zero (n = 4: orders 4..2 for a quadratic f,
-    # 4..1 for a cubic); direction 1 is the operator of QP, 2 its inverse
+@pytest.fixture
+def taylor_shifts(monkeypatch):
+    """The shift of every ``_taylor_shift`` call made from now on."""
     import qcoherent.functionals as functionals_module
 
     calls = []
@@ -172,14 +204,40 @@ def test_leibniz_expansion_centres_u_once(direction, degree, shifts,
         calls.append(a)
         return real_shift(moments, a)
 
+    monkeypatch.setattr(functionals_module, "_taylor_shift", spy_shift)
+    return calls
+
+
+@pytest.mark.parametrize("degree,n", [(2, 4), (3, 5)])
+@pytest.mark.parametrize("direction", [1, 2])
+def test_leibniz_expansion_centres_u_once(direction, degree, n,
+                                          taylor_shifts):
+    # u is moved to the fixed point once; every D**k u and every product
+    # with a polynomial stays there; direction 1 is the operator of QP, 2
+    # its inverse
     u = MomentFunctional([F(k * k + 1, k + 1) for k in range(12)])
     f = Poly([F(1, 2), F(-2), F(0), F(3)][:degree] + [F(5, 4)])
     qp = QP if direction == 1 else QP.inverse
-    direct = functional_diff_n(left_mult(f, u), 4, qp)
-    monkeypatch.setattr(functionals_module, "_taylor_shift", spy_shift)
-    expansion = leibniz_expansion(f, u, 4, qp)
-    assert len(calls) == shifts
+    expansion = leibniz_expansion(f, u, n, qp)
+    assert taylor_shifts == [-qp.omega0]
+    assert expansion.centre == qp.omega0
+    direct = functional_diff_n(left_mult(f, u), n, qp)
     assert functional_agree(direct, expansion)[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "coherence", "--case", "I", "--q=1/2", "--omega=1/2"],
+    ["verify", "leibniz", "--seed", "3", "--trials", "1", "--n", "4"],
+    ["verify", "pearson", "--family", "L", "--a=2/1", "--b=3/1", "--c=0/1",
+     "--q=1/2", "--omega=1/2", "--offset=1/1", "--phi", '["1/1"]',
+     "--psi", '["-1/1", "1/6"]', "--order", "16"],
+], ids=["coherence", "leibniz", "pearson"])
+def test_cli_centres_its_functional_once(argv, taylor_shifts, capsys):
+    # every operator of the command has the same fixed point w0 != 0, so
+    # its functional changes basis once, where it is made
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(taylor_shifts) == 1
 
 
 def test_leibniz_expansion_edges():
