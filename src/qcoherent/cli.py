@@ -17,6 +17,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import Poly, rat, rat_str
@@ -83,10 +84,17 @@ def _family_from_args(args, qp: QParams, n_max: int) -> FamilySpec:
     if args.scale is not None or args.offset is not None:
         scale = rat(args.scale) if args.scale is not None else Fraction(1)
         offset = rat(args.offset) if args.offset is not None else Fraction(0)
-        spec = FamilySpec(spec.kind, spec.params, spec.base,
-                          scale=spec.scale * scale, offset=offset,
-                          label=spec.label)
+        spec = replace(spec, scale=spec.scale * scale, offset=offset)
     return spec
+
+
+def _family_moments(args, qp: QParams, centre) -> MomentFunctional:
+    """Moments of the family's functional to --order against
+    (x - centre)**i, walked in that frame."""
+    _at_least(0, order=args.order)
+    terms = args.order // 2 + 1
+    spec = _family_from_args(args, qp, terms)
+    return moments_from_ttrr(spec.ttrr(terms), args.order, centre)
 
 
 def _at_least(minimum: int, **counts) -> None:
@@ -111,6 +119,7 @@ def _exit_from_reports(reports) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _at_least(0, n=args.n)
     qp = _qparams(args)
     spec = _family_from_args(args, qp, args.n)
     polys = spec.polynomials(args.n)
@@ -125,9 +134,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    qp = _qparams(args)
-    spec = _family_from_args(args, qp, max(args.order // 2 + 1, 1))
-    u = moments_from_ttrr(spec.ttrr(args.order // 2 + 1), args.order)
+    u = _family_moments(args, _qparams(args), 0)
     if args.format == "csv":
         _emit_csv("n,moment",
                   [(n, rat_str(m)) for n, m in enumerate(u.moments)])
@@ -138,8 +145,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_verify_pearson(args) -> int:
     qp = _qparams(args)
-    spec = _family_from_args(args, qp, args.order // 2 + 1)
-    u = moments_from_ttrr(spec.ttrr(args.order // 2 + 1), args.order)
+    u = _family_moments(args, qp, qp.omega0)  # where pearson_check acts
     witness = SemiclassicalWitness(_parse_poly(args.phi),
                                    _parse_poly(args.psi), args.direction)
     report = pearson_check(witness, u, qp).to_json()
@@ -164,11 +170,9 @@ def _cmd_verify_structure(args) -> int:
 
 
 def _cmd_verify_coherence(args) -> int:
-    _at_least(0, depth=args.depth)
+    _at_least(0, depth=args.depth, order=args.order)
     rng = random.Random(args.seed)
-    qp = None
-    if args.q is not None:
-        qp = QParams(rat(args.q), rat(args.omega))
+    qp = _qparams(args) if args.q is not None else None
     instance = sample_case_instance(rng, args.case, qp, depth=args.depth)
     config = CoherenceConfig(1, 0, 0, instance.pi)
     pair = CoherencePair.self_coherent(instance.spec, config, instance.qp,
@@ -222,8 +226,8 @@ def _cmd_verify_leibniz(args) -> int:
     for trial in range(args.trials):
         qp = QParams(sample_q(rng), rational(rng))
         f = Poly(sample_poly_coeffs(rng, 3))
-        u = MomentFunctional(
-            [rational(rng) for _ in range(12)]).at(qp.omega0)
+        # drawn as centred moments: the identities hold for any u
+        u = MomentFunctional([rational(rng) for _ in range(12)], qp.omega0)
         fu = left_mult(f, u)
         for order in range(args.n + 1):
             report = _report(f"leibniz[trial={trial},n={order}]",

@@ -129,7 +129,7 @@ class CoherencePair:
         n_need = max(span, order // 2 + 1)
         ttrr = spec.ttrr(n_need)
         polys = ttrr_generate(ttrr, span)
-        u = moments_from_ttrr(ttrr, order).at(qp.omega0)  # where D' acts
+        u = moments_from_ttrr(ttrr, order, qp.omega0)  # where D' acts
         norms = squared_norms(ttrr, span)
         table = structure_coeffs(polys, polys, config.pi, config.m,
                                  config.k, config.M, qp)

@@ -452,15 +452,20 @@ def structure_coeffs(p_polys, q_polys, pi: Poly, m: int, k: int,
     return StructureTable(pi, m, k, index_m, entries, n_max)
 
 
-def moments_from_ttrr(coeffs: TTRRCoeffs, order: int) -> MomentFunctional:
-    """Moments m_0 .. m_order of the functional normalized by m_0 = 1.
+def moments_from_ttrr(coeffs: TTRRCoeffs, order: int, centre=0) -> MomentFunctional:
+    """Moments m_0 .. m_order against (x - centre)**i of the functional
+    normalized by m_0 = 1, returned centred there.
 
-    Uses the chain walk <u, x^{n+1} P_j> = <u, x^n (P_{j+1} + beta_j P_j +
+    The translated sequence P_n(y + centre) has the same gamma_n and
+    beta_n - centre, and its plain moments are the centred ones: the
+    translation costs O(K), a change of basis of the moments O(K**2).
+    Uses the chain walk <u, y^{n+1} P_j> = <u, y^n (P_{j+1} + beta_j P_j +
     gamma_j P_{j-1})>, which touches coefficients only up to index
     ceil(order/2).
     """
     if order < 0:
         raise DomainError("order must be >= 0")
+    coeffs = coeffs.shifted(1, -centre)
     width = order // 2 + 1
     cur = [Fraction(0)] * (width + 2)
     cur[0] = Fraction(1)
@@ -475,7 +480,7 @@ def moments_from_ttrr(coeffs: TTRRCoeffs, order: int) -> MomentFunctional:
             new[j] = value
         cur = new
         moments.append(cur[0])
-    return MomentFunctional(moments)
+    return MomentFunctional(moments, centre)
 
 
 def _compare_ttrr(identity: str, lhs: TTRRCoeffs, beta, gamma,

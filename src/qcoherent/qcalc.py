@@ -107,7 +107,7 @@ def q_binom_row(n: int, base) -> list:
 
 def shift(f: Poly, qp: QParams) -> Poly:
     """The shift (L f)(x) = f(q*x + w)."""
-    return affine_substitute(f, qp.q, qp.omega)
+    return shift_power(f, 1, qp)
 
 
 def hahn_diff(f: Poly, qp: QParams) -> Poly:

@@ -328,11 +328,22 @@ def test_numbers_past_the_int_str_digit_limit(capsys):
      "--q", "1/2", "--n", "-1"],
     ["classify", "--pi", '["1/1"]', "--beta0", "5/1", "--gamma1=-3/1",
      "--q", "1/2", "--n", "-1", "--format", "csv"],
+    ["moments", "--family", "little-q-laguerre", "--a=2/1", "--q=1/2",
+     "--order=-1"],
+    ["verify", "pearson", "--family", "L", "--a=2/1", "--b=3/1", "--c=0/1",
+     "--q=1/2", "--phi", '["1/1"]', "--psi", '["-5/6", "1/6"]',
+     "--order=-1"],
+    ["verify", "coherence", "--case", "I", "--order=-1"],
+    ["gen", "--family", "L", "--a=2/1", "--b=3/1", "--c=0/1", "--q=1/2",
+     "--n=-1"],
 ], ids=["structure-n", "reduction-points", "reduction-no-points",
         "reduction-n", "leibniz-trials", "leibniz-n", "coherence-depth",
-        "classify-n", "classify-n-csv"])
+        "classify-n", "classify-n-csv", "moments-order", "pearson-order",
+        "coherence-order", "gen-n"])
 def test_counts_that_check_nothing_are_domain_errors(capsys, argv):
-    # each of these verified nothing and still exited 0, or blamed sampling
+    # each of these verified nothing and still exited 0, blamed sampling or
+    # the family, or reported an internal message; the count is refused
+    # before any work
     data = _domain_error(capsys, *argv)
     assert data["error"] == "DomainError"
     assert "must be >=" in data["detail"]

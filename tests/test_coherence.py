@@ -174,6 +174,12 @@ def test_config_validation():
         CoherenceConfig(1, 0, 0, Poly([1, 2]))  # not monic
 
 
+def test_pair_functional_is_made_at_the_fixed_point(pair_i):
+    # walked on the recurrence translated by w0, where every dual operator
+    # of the pair acts, so no operator changes its basis
+    assert QP.omega0 != 0 and pair_i.u.centre == QP.omega0
+
+
 def test_psi_single_window_case_i(pair_i):
     # with a width-zero band, psi(.; n) is one scaled P_{n+1}
     q = QP.q

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcoherent import algebra, families
 from qcoherent.algebra import Laurent, Poly, RatFunc, affine_substitute
+from qcoherent.classify import case_i_instance
 from qcoherent.errors import (
     INADMISSIBLE,
     DenominatorZero,
@@ -247,6 +250,36 @@ def test_orthogonality_of_generated_moments(maker):
         for j in range(i + 1):
             value = act(u, polys[i] * polys[j])
             assert value == (norms[i] if i == j else 0)
+
+
+SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["L", "J", "case-I"]),
+       params=st.lists(SMALL, min_size=4, max_size=4),
+       q=st.sampled_from([F(1, 2), F(-1, 3), F(2), F(3, 2)]), omega=SMALL,
+       order=st.integers(0, 40), where=st.sampled_from(["0", "w0", "c"]),
+       c=SMALL)
+def test_translated_walk_is_the_centred_functional(kind, params, q, omega,
+                                                   order, where, c):
+    # a walk in x followed by a Taylor shift of every moment is the oracle
+    # for one walk of the translated recurrence
+    qp = QParams(q, omega)
+    n_max = order // 2 + 1
+    try:
+        if kind == "L":
+            ttrr = l_coeffs(*params[:3], q, n_max)
+        elif kind == "J":
+            ttrr = j_coeffs(*params, q, n_max)
+        else:  # the family offset by w0, as the coherence pipeline uses it
+            ttrr = case_i_instance(qp, *params[:2]).spec.ttrr(n_max)
+    except INADMISSIBLE:
+        assume(False)
+    centre = {"0": 0, "w0": qp.omega0, "c": c}[where]
+    u = moments_from_ttrr(ttrr, order, centre)
+    assert u.centre == centre
+    assert u.moments == moments_from_ttrr(ttrr, order).at(centre).moments
 
 
 def test_structure_coeffs_case_one_band():
