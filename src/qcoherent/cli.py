@@ -65,7 +65,7 @@ def _qparams(args) -> QParams:
     return QParams(rat(args.q), rat(args.omega))
 
 
-def _family_from_args(args, qp: QParams, n_max: int) -> FamilySpec:
+def _family_from_args(args, qp: QParams) -> FamilySpec:
     label = args.family
     arity = MASTER_ARITY.get(label, CLASSICAL_LABELS.get(label))
     if arity is None:
@@ -78,7 +78,7 @@ def _family_from_args(args, qp: QParams, n_max: int) -> FamilySpec:
                           + " ".join(f"--{name}" for name in "abcd"[:arity]))
     params = tuple(rat(v) for v in values[:arity])
     if label in CLASSICAL_LABELS:
-        spec = classical(label, params, qp, n_max)
+        spec = classical(label, params, qp)
     else:
         spec = FamilySpec(label, params, qp.q)
     if args.scale is not None or args.offset is not None:
@@ -93,7 +93,7 @@ def _family_moments(args, qp: QParams, centre) -> MomentFunctional:
     (x - centre)**i, walked in that frame."""
     _at_least(0, order=args.order)
     terms = args.order // 2 + 1
-    spec = _family_from_args(args, qp, terms)
+    spec = _family_from_args(args, qp)
     return moments_from_ttrr(spec.ttrr(terms), args.order, centre)
 
 
@@ -121,8 +121,7 @@ def _exit_from_reports(reports) -> int:
 def _cmd_gen(args) -> int:
     _at_least(0, n=args.n)
     qp = _qparams(args)
-    spec = _family_from_args(args, qp, args.n)
-    polys = spec.polynomials(args.n)
+    polys = _family_from_args(args, qp).polynomials(args.n)
     if args.format == "csv":
         rows = [(n, power, coeff)
                 for n, poly in enumerate(polys)
@@ -155,14 +154,13 @@ def _cmd_verify_pearson(args) -> int:
 
 
 def _cmd_verify_structure(args) -> int:
-    _at_least(0, n=args.n)
+    _at_least(0, n=args.n, m=args.m, k=args.k, M=args.M)
     qp = _qparams(args)
     pi = _parse_poly(args.pi)
-    depth = args.n
-    spec = _family_from_args(args, qp, depth + max(args.m, args.k) + 2)
-    polys = spec.polynomials(depth + max(args.m, args.k + pi.degree) + 1)
+    polys = _family_from_args(args, qp).polynomials(
+        args.n + max(args.m, args.k + pi.degree) + 1)
     table = structure_coeffs(polys, polys, pi, args.m, args.k, args.M, qp,
-                             n_max=depth)
+                             n_max=args.n)
     payload = table.to_json()
     payload["status"] = "holds" if table.is_coherent else "failed"
     _emit(payload)

@@ -79,6 +79,27 @@ class CoherenceConfig:
     def N(self) -> int:
         return self.pi.degree
 
+    @property
+    def system_order(self) -> int:
+        """Order of the determinant system: k-m+2N+1 for the xi system
+        (m < k+N), else m-k+1 for the varphi system."""
+        if self.m < self.k + self.N:
+            return self.k - self.m + 2 * self.N + 1
+        return self.m - self.k + 1
+
+    def table_rows(self, depth: int) -> int:
+        """The last structure row of a pair built for ``depth``.
+
+        depth + 1 + min(m, k+N), or row M + n for the last psi(.; n) that
+        ``verify(depth)`` reads when that lies further: the functional
+        equations read n <= min(4, depth), the determinant system
+        n < system_order (a width-two xi system reads psi(.; 3) at depth 0).
+        """
+        if depth < 0:
+            raise DomainError(f"n_max must be >= 0, got depth {depth}")
+        return max(depth + 1 + min(self.m, self.k + self.N),
+                   self.M + max(min(4, depth), self.system_order - 1))
+
 
 @dataclass(frozen=True)
 class DeterminantSystem:
@@ -98,8 +119,9 @@ class CoherencePair:
     Holds the two polynomial sequences, their moment functionals, squared
     norms, the structure table, and the operator parameters.  Everything
     derived from them (the psi polynomials, the phi/varphi/xi rows, both
-    determinant systems and every product f D'**j w of a polynomial and a
-    difference of u or v) is built on first use and kept in one memo.
+    determinant systems, each difference D'**j of u or v and every product
+    f D'**j w of a polynomial and one of them) is built on first use and
+    kept in one memo.
     """
 
     def __init__(self, config: CoherenceConfig, qp: QParams, p_polys,
@@ -122,17 +144,18 @@ class CoherencePair:
                       depth: int = 8) -> "CoherencePair":
         """Build the pair P = Q from one family spec.
 
-        ``order`` is the stored moment order; ``depth`` the largest index n
-        for which the psi/phi tables will be requested.
+        ``order`` is the stored moment order; ``depth`` the one
+        :meth:`verify` will be given, which fixes the structure rows
+        (:meth:`CoherenceConfig.table_rows`).
         """
-        span = depth + config.m + config.k + config.N + 1
-        n_need = max(span, order // 2 + 1)
-        ttrr = spec.ttrr(n_need)
+        rows = config.table_rows(depth)
+        span = rows + max(config.m, config.k + config.N)
+        ttrr = spec.ttrr(max(span, order // 2 + 1))
         polys = ttrr_generate(ttrr, span)
         u = moments_from_ttrr(ttrr, order, qp.omega0)  # where D' acts
         norms = squared_norms(ttrr, span)
         table = structure_coeffs(polys, polys, config.pi, config.m,
-                                 config.k, config.M, qp)
+                                 config.k, config.M, qp, n_max=rows)
         return cls(config, qp, polys, polys, u, u, norms, norms, table)
 
     def _once(self, key, build):
@@ -249,15 +272,16 @@ class CoherencePair:
 
     def _times(self, f: Poly, w: MomentFunctional,
                j: int = 0) -> MomentFunctional:
-        """f D'**j w for w = u or v, memoised on (f, w, j).
+        """f D'**j w for w = u or v, memoised on (f, w, j), as is D'**j w.
 
         psi(.; n) u, pi Q_n v and the phi side's terms recur across the
-        identities, sometimes under other names.  w is keyed by identity,
-        which the pair holds fixed: hashing its moments costs more than
-        most products.
+        identities, sometimes under other names, and D'**j v recurs in
+        every n's phi side.  w is keyed by identity, which the pair holds
+        fixed: hashing its moments costs more than most products.
         """
-        return self._once(("times", f, id(w), j),
-                          lambda: left_mult(f, self.dprime(w, j) if j else w))
+        diff = (self._once(("diff", id(w), j), lambda: self.dprime(w, j))
+                if j else w)
+        return self._once(("times", f, id(w), j), lambda: left_mult(f, diff))
 
     def _sum(self, terms) -> MomentFunctional:
         total = None
@@ -345,7 +369,7 @@ class CoherencePair:
             raise DomainError("varphi system requires m >= k+N")
         if cfg.N == 0 and cfg.m <= cfg.k:
             raise DomainError("with N = 0 the varphi system needs m > k")
-        size = cfg.m - cfg.k + 1
+        size = cfg.system_order
         matrix = [[self.varphi(n, j) for j in range(size)]
                   for n in range(size)]
         return self._cramer(matrix,
@@ -364,7 +388,7 @@ class CoherencePair:
         cfg = self.config
         if cfg.m >= cfg.k + cfg.N:
             raise DomainError("xi system requires m < k+N")
-        size = cfg.k - cfg.m + 2 * cfg.N + 1
+        size = cfg.system_order
         matrix = []
         for i in range(size):
             row = [self.phi(i, j) for j in range(cfg.N + 1)]
@@ -519,6 +543,8 @@ class CoherencePair:
         cfg = self.config
         if cfg.k != 0:
             raise DomainError("oracle applies to k = 0 only")
+        # for m = N this difference is kzero_psi_oracle's; not shared, so
+        # that each oracle stays a computation of its own
         lhs = self.dprime(
             self._times(cfg.pi * self.q[n], self.v),
             cfg.N) * (1 / self.v_norms[n])

@@ -286,21 +286,20 @@ class FamilySpec:
                           label=data.get("label"))
 
 
-def in_lambda_set(value, q, n_max: int) -> bool:
-    """Membership in the excluded set {q**-n : 1 <= n <= n_max}."""
-    return any(value == q ** -n for n in range(1, n_max + 1))
-
-
 def _restrict(condition: bool, message: str):
     if not condition:
         raise RestrictionViolation(message)
 
 
-def classical(label: str, params, qp: QParams, n_max: int = 12) -> FamilySpec:
+def classical(label: str, params, qp: QParams) -> FamilySpec:
     """Build a classical family as an affine reduction of L or J.
 
-    ``params`` is the tuple of the family's own parameters; restrictions
-    (including exclusions from {q**-n}) are enforced up to ``n_max``.
+    ``params`` is the tuple of the family's own parameters.  Only the
+    restrictions that do not depend on the degree are checked here; each
+    exclusion of a parameter from {q**-n} is the image of an L or J
+    regularity condition under the map below, so the recurrence refuses it
+    (``RegularityViolation``, or ``DenominatorZero`` at the last index for
+    q-bessel and j-type) at exactly the degrees it builds.
     """
     q = qp.q
     params = tuple(params)
@@ -308,7 +307,6 @@ def classical(label: str, params, qp: QParams, n_max: int = 12) -> FamilySpec:
     if arity is not None and len(params) != arity:
         raise DomainError(f"family {label} takes {arity} parameter(s), "
                           f"got {len(params)}")
-    lam = lambda v: in_lambda_set(v, q, n_max)  # noqa: E731
     if label == "al-salam-carlitz":
         (a,) = params
         _restrict(a != 0, "al-salam-carlitz requires a != 0")
@@ -316,14 +314,11 @@ def classical(label: str, params, qp: QParams, n_max: int = 12) -> FamilySpec:
     if label == "big-q-laguerre":
         a, b = params
         _restrict(a * b != 0, "big-q-laguerre requires ab != 0")
-        _restrict(not lam(a) and not lam(b),
-                  "big-q-laguerre requires a, b outside {q^-n}")
         return FamilySpec("L", (1 / a, 1 / b, q ** 0), q,
                           scale=a * b * q, label=label)
     if label == "little-q-laguerre":
         (a,) = params
         _restrict(a != 0, "little-q-laguerre requires a != 0")
-        _restrict(not lam(a), "little-q-laguerre requires a outside {q^-n}")
         return FamilySpec("L", (q * 0, q ** 0, a), q, label=label)
     if label == "l-type":
         (a,) = params
@@ -332,9 +327,6 @@ def classical(label: str, params, qp: QParams, n_max: int = 12) -> FamilySpec:
     if label == "big-q-jacobi":
         a, b, c = params
         _restrict(a * c != 0, "big-q-jacobi requires ac != 0")
-        for v, name in ((a, "a"), (b, "b"), (c, "c"), (a * b, "ab"),
-                        (a * b / c, "ab/c")):
-            _restrict(not lam(v), f"big-q-jacobi requires {name} outside {{q^-n}}")
         if b != 0:
             return FamilySpec("J", (q ** 0, a, c, a * b), q, scale=q, label=label)
         return FamilySpec("L", (1 / a, 1 / c, q ** 0), q,
@@ -342,21 +334,16 @@ def classical(label: str, params, qp: QParams, n_max: int = 12) -> FamilySpec:
     if label == "little-q-jacobi":
         a, b = params
         _restrict(a != 0, "little-q-jacobi requires a != 0")
-        for v, name in ((a, "a"), (b, "b"), (a * b, "ab")):
-            _restrict(not lam(v),
-                      f"little-q-jacobi requires {name} outside {{q^-n}}")
         if b != 0:
             return FamilySpec("J", (q * 0, a, q ** 0, a * b), q, label=label)
         return FamilySpec("L", (1 / a, q * 0, q ** 0), q, scale=a, label=label)
     if label == "q-bessel":
         (a,) = params
         _restrict(a != 0, "q-bessel requires a != 0")
-        _restrict(not lam(-a), "q-bessel requires -a outside {q^-n}")
         return FamilySpec("J", (q * 0, q * 0, q ** 0, -a / q), q, label=label)
     if label == "j-type":
         a, b = params
         _restrict(a * b != 0, "j-type requires ab != 0")
-        _restrict(not lam(a), "j-type requires a outside {q^-n}")
         return FamilySpec("J", (b, q * 0, q * 0, a / q), q, scale=q, label=label)
     raise DomainError(f"unknown classical label {label!r}; "
                       f"known: {', '.join(CLASSICAL_LABELS)}")
@@ -523,7 +510,7 @@ def _lhs_j(p, q):
     return FamilySpec("J", (p["a"], p["b"], p["c"], p["d"]), q)
 
 
-def _identity_specs(name: str, p: dict, qp: QParams, n_max: int):
+def _identity_specs(name: str, p: dict, qp: QParams):
     """LHS/RHS family specs for each displayed reduction identity."""
     q = qp.q
     a, b, c, d = (p.get(k) for k in ("a", "b", "c", "d"))
@@ -532,40 +519,40 @@ def _identity_specs(name: str, p: dict, qp: QParams, n_max: int):
     if name == "l-as-j-via-a":
         return _lhs_l(p, q), FamilySpec("J", (a * b / c, c / a, a, 0 * q), q)
     if name == "asc-roundtrip":
-        rhs = classical("al-salam-carlitz", (a / b,), qp, n_max)
+        rhs = classical("al-salam-carlitz", (a / b,), qp)
         return FamilySpec("L", (a, b, 0 * q), q), _scaled(rhs, b)
     if name == "big-q-laguerre-roundtrip":
-        rhs = classical("big-q-laguerre", (c / a, c / b), qp, n_max)
+        rhs = classical("big-q-laguerre", (c / a, c / b), qp)
         return _lhs_l(p, q), _scaled(rhs, a * b / (c * q))
     if name == "little-q-laguerre-roundtrip-a0":
-        rhs = classical("little-q-laguerre", (c / b,), qp, n_max)
+        rhs = classical("little-q-laguerre", (c / b,), qp)
         return FamilySpec("L", (0 * q, b, c), q), _scaled(rhs, b)
     if name == "little-q-laguerre-roundtrip-b0":
-        rhs = classical("little-q-laguerre", (c / a,), qp, n_max)
+        rhs = classical("little-q-laguerre", (c / a,), qp)
         return FamilySpec("L", (a, 0 * q, c), q), _scaled(rhs, a)
     if name == "l-type-roundtrip":
-        rhs = classical("l-type", (-c,), qp, n_max)
+        rhs = classical("l-type", (-c,), qp)
         return FamilySpec("L", (0 * q, 0 * q, c), q), rhs
     if name == "j-as-l-d0":
         return (FamilySpec("J", (a, b, c, 0 * q), q),
                 FamilySpec("L", (a * b, c, b * c), q))
     if name == "big-q-jacobi-roundtrip":
-        rhs = classical("big-q-jacobi", (b, d / b, c / a), qp, n_max)
+        rhs = classical("big-q-jacobi", (b, d / b, c / a), qp)
         return _lhs_j(p, q), _scaled(rhs, a / q)
     if name == "little-q-jacobi-roundtrip-a0":
-        rhs = classical("little-q-jacobi", (b, d / b), qp, n_max)
+        rhs = classical("little-q-jacobi", (b, d / b), qp)
         return FamilySpec("J", (0 * q, b, c, d), q), _scaled(rhs, c)
     if name == "little-q-jacobi-roundtrip-b0":
-        rhs = classical("little-q-jacobi", (a * d / c, c / a), qp, n_max)
+        rhs = classical("little-q-jacobi", (a * d / c, c / a), qp)
         return FamilySpec("J", (a, 0 * q, c, d), q), _scaled(rhs, c)
     if name == "little-q-jacobi-roundtrip-c0":
-        rhs = classical("little-q-jacobi", (d / b, b), qp, n_max)
+        rhs = classical("little-q-jacobi", (d / b, b), qp)
         return FamilySpec("J", (a, b, 0 * q, d), q), _scaled(rhs, a * b)
     if name == "q-bessel-roundtrip":
-        rhs = classical("q-bessel", (-d * q,), qp, n_max)
+        rhs = classical("q-bessel", (-d * q,), qp)
         return FamilySpec("J", (0 * q, 0 * q, c, d), q), _scaled(rhs, c)
     if name == "j-type-roundtrip":
-        rhs = classical("j-type", (q * d, a), qp, n_max)
+        rhs = classical("j-type", (q * d, a), qp)
         return FamilySpec("J", (a, 0 * q, 0 * q, d), q), _scaled(rhs, 1 / q)
     raise DomainError(f"unknown reduction identity {name!r}")
 
@@ -635,6 +622,6 @@ def check_reduction(name: str, params: dict, qp: QParams,
         rhs = _limit_data((Laurent.monomial(a, -1), t, Laurent.coerce(1),
                            Laurent()), q, n_max)
         return _compare_ttrr(name, lhs, *rhs, n_max)
-    lhs_spec, rhs_spec = _identity_specs(name, params, qp, n_max)
+    lhs_spec, rhs_spec = _identity_specs(name, params, qp)
     lhs, rhs = lhs_spec.ttrr(n_max), rhs_spec.ttrr(n_max)
     return _compare_ttrr(name, lhs, rhs.beta, rhs.gamma, n_max)

@@ -18,6 +18,7 @@ from .classify import (
     case_iiib_bessel_instance,
     case_iiib_instance,
 )
+from .coherence import CoherenceConfig
 from .errors import INADMISSIBLE, QCoherentError
 from .families import structure_coeffs
 from .qcalc import QParams
@@ -85,18 +86,22 @@ def sample_case_instance(rng: random.Random, label: str,
                          depth: int = 10) -> CaseInstance:
     """Draw an admissible self-coherent instance of the given case.
 
-    Rejects draws whose family fails its regularity conditions up to
-    ``depth`` (an error in ``errors.INADMISSIBLE``) and draws whose
-    structure relation is not banded with a non-vanishing band edge at
-    every row; gives up after 400 draws.  Any other error propagates.
+    Rejects draws whose family fails its regularity conditions (an error
+    in ``errors.INADMISSIBLE``) and draws whose structure relation is not
+    banded with a non-vanishing band edge at every row that a pair of
+    order (1, 0) and index 0 built for ``depth`` holds
+    (:meth:`CoherenceConfig.table_rows`); gives up after 400 draws.  Any
+    other error propagates.
     """
     for _ in range(400):
         params = qp if qp is not None else sample_qparams(rng)
         try:
             inst = _draw(rng, label, params)
-            polys = inst.spec.polynomials(depth + inst.pi.degree + 1)
+            config = CoherenceConfig(1, 0, 0, inst.pi)
+            rows = config.table_rows(depth)
+            polys = inst.spec.polynomials(rows + max(1, config.N))
             table = structure_coeffs(polys, polys, inst.pi, 1, 0, 0,
-                                     params, n_max=depth)
+                                     params, n_max=rows)
             if not table.is_coherent:
                 continue
         except INADMISSIBLE:

@@ -133,6 +133,35 @@ def test_verify_coherence_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("case", CASE_LABELS)
+def test_verify_coherence_at_depth_zero(capsys, case):
+    # a width-two case's xi system reads psi(.; 0..3), past the rows that
+    # depth 0 alone asks for; the pair's table holds them
+    for seed in range(10):
+        code, out = run_cli(capsys, "verify", "coherence", "--case", case,
+                            "--seed", str(seed), "--depth", "0")
+        assert code == 0, out
+        statuses = [(r["identity"], r["status"])
+                    for r in json.loads(out)["reports"]]
+        if case in ("I", "II"):
+            assert {s for _, s in statuses} == {"holds"}
+        else:
+            assert [r for r in statuses if r[1] != "holds"] == [
+                ("xi-system", "degenerate")]
+
+
+def test_classical_exclusion_is_checked_at_the_built_degree(capsys):
+    # a = 32 = q^-5 excludes little-q-laguerre from degree 5 on: the
+    # structure table at --n 2 builds degree 4, gen --n 5 degree 5
+    family = ("--family", "little-q-laguerre", "--a=32/1", "--q=1/2")
+    code, out = run_cli(capsys, "verify", "structure", *family,
+                        "--pi", '["0/1","1/1"]', "--n", "2")
+    assert code == 0, out
+    code, out = run_cli(capsys, "gen", *family, "--n", "5")
+    assert code == 2
+    assert json.loads(out)["error"] == "RegularityViolation"
+
+
 def test_verify_reduction(capsys):
     code, out = run_cli(capsys, "verify", "reduction", "--identity",
                         "asc-roundtrip", "--seed", "7", "--points", "3",
@@ -336,10 +365,17 @@ def test_numbers_past_the_int_str_digit_limit(capsys):
     ["verify", "coherence", "--case", "I", "--order=-1"],
     ["gen", "--family", "L", "--a=2/1", "--b=3/1", "--c=0/1", "--q=1/2",
      "--n=-1"],
+    ["verify", "structure", "--family", "L", "--a", "2/1", "--b", "3/1",
+     "--c", "0/1", "--q", "1/2", "--pi", '["1/1"]', "--m=-1"],
+    ["verify", "structure", "--family", "L", "--a", "2/1", "--b", "3/1",
+     "--c", "0/1", "--q", "1/2", "--pi", '["1/1"]', "--k=-1"],
+    ["verify", "structure", "--family", "L", "--a", "2/1", "--b", "3/1",
+     "--c", "0/1", "--q", "1/2", "--pi", '["1/1"]', "--M=-1"],
 ], ids=["structure-n", "reduction-points", "reduction-no-points",
         "reduction-n", "leibniz-trials", "leibniz-n", "coherence-depth",
         "classify-n", "classify-n-csv", "moments-order", "pearson-order",
-        "coherence-order", "gen-n"])
+        "coherence-order", "gen-n", "structure-m", "structure-k",
+        "structure-M"])
 def test_counts_that_check_nothing_are_domain_errors(capsys, argv):
     # each of these verified nothing and still exited 0, blamed sampling or
     # the family, or reported an internal message; the count is refused
@@ -436,9 +472,9 @@ def _family_options(draw):
 
 @st.composite
 def argvs(draw, words):
-    """A well-formed ``words`` command, or one with a single fault: a
-    boundary or malformed value, a missing option, or an unknown option or
-    command."""
+    """The fault drawn and the argv: a well-formed ``words`` command
+    (fault "none"), or one with a single fault: a boundary or malformed
+    value, a missing option, or an unknown option or command."""
     with_family, grammar = COMMANDS[words]
     options = _family_options(draw) if with_family else {}
     for option, (values, kind) in grammar.items():
@@ -454,20 +490,23 @@ def argvs(draw, words):
     if fault == "extra":
         words = draw(st.sampled_from([words, ("verify",), ("frobnicate",)]))
         options["--unknown"] = ("1", None)
-    return list(words) + [f"{option}={value}"
-                          for option, (value, _) in options.items()]
+    return fault, list(words) + [f"{option}={value}"
+                                 for option, (value, _) in options.items()]
 
 
 @pytest.mark.parametrize("words", sorted(COMMANDS), ids=" ".join)
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
 @given(data=st.data())
 def test_error_contract_holds_for_any_argv(words, data):
-    argv = data.draw(argvs(words))
+    fault, argv = data.draw(argvs(words))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)  # an exception here would be a traceback
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if fault == "none" and words[-1] in ("coherence", "reduction", "leibniz"):
+        # these draw their own admissible data: well formed, they run
+        assert code != 2, out.getvalue()
     text = out.getvalue()
     if not text:  # argparse reports usage errors on stderr alone
         assert code == 2 and "usage:" in err.getvalue()

@@ -24,7 +24,7 @@ from qcoherent.qcalc import (
     q_factorials,
     shift_power,
 )
-from qcoherent.sampling import sample_case_instance
+from qcoherent.sampling import CASE_LABELS, sample_case_instance
 
 F = Fraction
 
@@ -483,6 +483,26 @@ def test_pipeline_forms_each_shared_product_once(name, request, monkeypatch):
                    for j in range(cfg.N + 1)]
         for f, w in shared:
             assert calls[f, w] == 1, (n, f)
+
+
+@pytest.mark.parametrize("label", CASE_LABELS)
+def test_pipeline_differences_u_and_v_once_per_order(label, monkeypatch):
+    # D'**j v is read by every n's phi side and the transformation
+    # identities; the pair's memo forms each D'**j of u or v once
+    inst = sample_case_instance(random.Random(f"dprime-{label}"), label,
+                                depth=6)
+    pair = make_pair(inst, order=24)
+    seen = Counter()
+    real_dprime = CoherencePair.dprime
+
+    def counted(self, w, j=1):
+        if w is pair.u or w is pair.v:
+            seen[id(w), j] += 1
+        return real_dprime(self, w, j)
+
+    monkeypatch.setattr(CoherencePair, "dprime", counted)
+    pair.verify(6)
+    assert seen and max(seen.values()) == 1, seen
 
 
 def test_pipeline_on_derivative_pair(pair_derivative):

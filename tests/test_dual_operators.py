@@ -132,7 +132,7 @@ def oracle_check_reduction(name: str, params: dict, qp: QParams,
         rhs = oracle_limit_polys((RatFunc(a) / t, t, RatFunc(1), RatFunc(0)),
                                  q, n_max)
         return oracle_compare_polys(name, lhs, rhs, n_max)
-    lhs, rhs = families._identity_specs(name, params, qp, n_max)
+    lhs, rhs = families._identity_specs(name, params, qp)
     return oracle_compare_polys(name, lhs.polynomials(n_max),
                                 rhs.polynomials(n_max), n_max)
 

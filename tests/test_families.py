@@ -24,7 +24,6 @@ from qcoherent.families import (
     TTRRCoeffs,
     check_reduction,
     classical,
-    in_lambda_set,
     j_coeffs,
     l_coeffs,
     l_coeffs_symmetric,
@@ -158,12 +157,49 @@ def test_classical_restrictions():
     q = QP.q
     with pytest.raises(RestrictionViolation):
         classical("al-salam-carlitz", (F(0),), QP)
-    with pytest.raises(RestrictionViolation):
-        classical("little-q-laguerre", (q**-3,), QP)  # a in Lambda
+    with pytest.raises(RegularityViolation):  # a = q^-3: b = c q^3 in L
+        classical("little-q-laguerre", (q**-3,), QP).ttrr(3)
     with pytest.raises(RestrictionViolation):
         classical("big-q-jacobi", (F(2), F(3), F(0)), QP)
-    assert in_lambda_set(q**-4, q, 8)
-    assert not in_lambda_set(F(3), q, 8)
+
+
+def _excluded(label, p, v):
+    """Parameters of ``label`` that put its restricted quantity ``p`` at
+    the value v, the other parameters generic."""
+    a, b, c = F(3, 7), F(5, 11), F(-2, 13)
+    return {
+        ("big-q-laguerre", "a"): (v, b), ("big-q-laguerre", "b"): (a, v),
+        ("little-q-laguerre", "a"): (v,),
+        ("big-q-jacobi", "a"): (v, b, c), ("big-q-jacobi", "b"): (a, v, c),
+        ("big-q-jacobi", "c"): (a, b, v),
+        ("big-q-jacobi", "ab"): (a, v / a, c),
+        ("big-q-jacobi", "ab/c"): (a, b, a * b / v),
+        ("little-q-jacobi", "a"): (v, b), ("little-q-jacobi", "b"): (a, v),
+        ("little-q-jacobi", "ab"): (a, v / a),
+        ("q-bessel", "-a"): (-v,),
+        ("j-type", "a"): (v, b),
+    }[label, p]
+
+
+@pytest.mark.parametrize("label,p", [
+    ("big-q-laguerre", "a"), ("big-q-laguerre", "b"),
+    ("little-q-laguerre", "a"),
+    ("big-q-jacobi", "a"), ("big-q-jacobi", "b"), ("big-q-jacobi", "c"),
+    ("big-q-jacobi", "ab"), ("big-q-jacobi", "ab/c"),
+    ("little-q-jacobi", "a"), ("little-q-jacobi", "b"),
+    ("little-q-jacobi", "ab"),
+    ("q-bessel", "-a"), ("j-type", "a"),
+])
+@pytest.mark.parametrize("q", [F(1, 2), F(-1, 3), F(2), F(5, 3), F(-7, 4)])
+def test_classical_exclusions_are_master_regularity(label, p, q):
+    # classical() checks no {q^-n} exclusion itself: each is the image of
+    # an L or J regularity condition, so the recurrence refuses it
+    qp = QParams(q, F(0))
+    for n in range(1, 9):
+        with pytest.raises(INADMISSIBLE):
+            classical(label, _excluded(label, p, q ** -n), qp).ttrr(8)
+    # the same parameters away from {q^-n} build
+    classical(label, _excluded(label, p, F(7, 9)), qp).ttrr(8)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -177,8 +213,8 @@ def test_jacobi_b_zero_reductions_onto_l(seed):
         a, c = rational(rng, nonzero=True), rational(rng, nonzero=True)
         qp = QParams(q, F(0))
         try:
-            big = classical("big-q-jacobi", (a, F(0), c), qp, n_max)
-            little = classical("little-q-jacobi", (a, F(0)), qp, n_max)
+            big = classical("big-q-jacobi", (a, F(0), c), qp)
+            little = classical("little-q-jacobi", (a, F(0)), qp)
             pairs = [(big.ttrr(n_max), FamilySpec(
                          "J", (F(1), a, c, F(0)), q, scale=q).ttrr(n_max)),
                      (little.ttrr(n_max), FamilySpec(
