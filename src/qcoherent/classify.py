@@ -302,9 +302,9 @@ class CaseInstance:
     pi: Poly
     qp: QParams
 
-    def structure_data(self, n_max: int = 1):
+    def structure_data(self):
         """(pi, beta_0, gamma_1) as consumed by the classifier."""
-        ttrr = self.spec.ttrr(max(n_max, 1))
+        ttrr = self.spec.ttrr(1)
         return self.pi, ttrr.beta_at(0), ttrr.gamma_at(1)
 
 

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .algebra import Poly, rat, rat_str
 from .classify import classify_self_coherent
-from .coherence import CoherenceConfig, CoherencePair
 from .errors import INADMISSIBLE, DomainError, QCoherentError
 from .families import (
     CLASSICAL_LABELS,
@@ -92,9 +91,8 @@ def _family_moments(args, qp: QParams, centre) -> MomentFunctional:
     """Moments of the family's functional to --order against
     (x - centre)**i, walked in that frame."""
     _at_least(0, order=args.order)
-    terms = args.order // 2 + 1
     spec = _family_from_args(args, qp)
-    return moments_from_ttrr(spec.ttrr(terms), args.order, centre)
+    return moments_from_ttrr(spec.ttrr(args.order // 2), args.order, centre)
 
 
 def _at_least(minimum: int, **counts) -> None:
@@ -158,7 +156,7 @@ def _cmd_verify_structure(args) -> int:
     qp = _qparams(args)
     pi = _parse_poly(args.pi)
     polys = _family_from_args(args, qp).polynomials(
-        args.n + max(args.m, args.k + pi.degree) + 1)
+        args.n + max(args.m, args.k + pi.degree))
     table = structure_coeffs(polys, polys, pi, args.m, args.k, args.M, qp,
                              n_max=args.n)
     payload = table.to_json()
@@ -169,12 +167,12 @@ def _cmd_verify_structure(args) -> int:
 
 def _cmd_verify_coherence(args) -> int:
     _at_least(0, depth=args.depth, order=args.order)
-    rng = random.Random(args.seed)
-    qp = _qparams(args) if args.q is not None else None
-    instance = sample_case_instance(rng, args.case, qp, depth=args.depth)
-    config = CoherenceConfig(1, 0, 0, instance.pi)
-    pair = CoherencePair.self_coherent(instance.spec, config, instance.qp,
-                                       order=args.order, depth=args.depth)
+    if args.q is None and args.omega is not None:
+        raise DomainError("--omega needs --q: without it q and w are drawn")
+    qp = None if args.q is None else QParams(
+        rat(args.q), Fraction(0) if args.omega is None else rat(args.omega))
+    instance, pair = sample_case_instance(random.Random(args.seed), args.case,
+                                          qp, args.order, args.depth)
     reports = [r.to_json() for r in pair.verify(args.depth)]
     _emit({
         "case": args.case,
@@ -310,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--case", required=True, choices=CASE_LABELS)
     vc.add_argument("--seed", type=int, default=0)
     vc.add_argument("--q", help="fix q instead of sampling")
-    vc.add_argument("--omega", default="0/1")
+    vc.add_argument("--omega", help="fix w, with --q (default 0/1)")
     vc.add_argument("--order", type=int, default=36)
     vc.add_argument("--depth", type=int, default=6)
     vc.set_defaults(func=_cmd_verify_coherence)

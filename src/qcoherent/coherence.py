@@ -150,7 +150,7 @@ class CoherencePair:
         """
         rows = config.table_rows(depth)
         span = rows + max(config.m, config.k + config.N)
-        ttrr = spec.ttrr(max(span, order // 2 + 1))
+        ttrr = spec.ttrr(max(span, order // 2))
         polys = ttrr_generate(ttrr, span)
         u = moments_from_ttrr(ttrr, order, qp.omega0)  # where D' acts
         norms = squared_norms(ttrr, span)

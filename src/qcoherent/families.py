@@ -448,7 +448,7 @@ def moments_from_ttrr(coeffs: TTRRCoeffs, order: int, centre=0) -> MomentFunctio
     translation costs O(K), a change of basis of the moments O(K**2).
     Uses the chain walk <u, y^{n+1} P_j> = <u, y^n (P_{j+1} + beta_j P_j +
     gamma_j P_{j-1})>, which touches coefficients only up to index
-    ceil(order/2).
+    order // 2.
     """
     if order < 0:
         raise DomainError("order must be >= 0")

@@ -18,9 +18,8 @@ from .classify import (
     case_iiib_bessel_instance,
     case_iiib_instance,
 )
-from .coherence import CoherenceConfig
+from .coherence import CoherenceConfig, CoherencePair
 from .errors import INADMISSIBLE, QCoherentError
-from .families import structure_coeffs
 from .qcalc import QParams
 
 CASE_LABELS = ("I", "II", "IIIa", "IIIb", "IIIb-bessel", "IIIb-rzero")
@@ -82,30 +81,28 @@ def _draw(rng: random.Random, label: str, qp: QParams) -> CaseInstance:
 
 
 def sample_case_instance(rng: random.Random, label: str,
-                         qp: QParams | None = None,
-                         depth: int = 10) -> CaseInstance:
-    """Draw an admissible self-coherent instance of the given case.
+                         qp: QParams | None = None, order: int = 40,
+                         depth: int = 10) -> tuple[CaseInstance, CoherencePair]:
+    """Draw an admissible self-coherent instance of the given case, with
+    its pair of derivative orders (1, 0) and index 0: moments to ``order``
+    and the structure rows that ``verify(depth)`` reads
+    (:meth:`CoherencePair.self_coherent`).
 
     Rejects draws whose family fails its regularity conditions (an error
-    in ``errors.INADMISSIBLE``) and draws whose structure relation is not
-    banded with a non-vanishing band edge at every row that a pair of
-    order (1, 0) and index 0 built for ``depth`` holds
-    (:meth:`CoherenceConfig.table_rows`); gives up after 400 draws.  Any
-    other error propagates.
+    in ``errors.INADMISSIBLE``) and draws whose pair's structure table is
+    not banded with a non-vanishing band edge; gives up after 400 draws.
+    Any other error propagates.
     """
     for _ in range(400):
         params = qp if qp is not None else sample_qparams(rng)
         try:
             inst = _draw(rng, label, params)
-            config = CoherenceConfig(1, 0, 0, inst.pi)
-            rows = config.table_rows(depth)
-            polys = inst.spec.polynomials(rows + max(1, config.N))
-            table = structure_coeffs(polys, polys, inst.pi, 1, 0, 0,
-                                     params, n_max=rows)
-            if not table.is_coherent:
-                continue
+            pair = CoherencePair.self_coherent(
+                inst.spec, CoherenceConfig(1, 0, 0, inst.pi), params,
+                order, depth)
         except INADMISSIBLE:
             continue
-        return inst
+        if pair.table.is_coherent:
+            return inst, pair
     raise QCoherentError(
         f"could not sample an admissible case {label} instance")

@@ -75,22 +75,15 @@ def pair_case_i():
 @pytest.fixture(scope="module")
 def pair_case_ii():
     rng = random.Random("acceptance-case-ii")
-    inst = sample_case_instance(rng, "II", QParams(F(1, 2), F(1)), depth=6)
-    return (inst,
-            CoherencePair.self_coherent(
-                inst.spec, CoherenceConfig(1, 0, 0, inst.pi), inst.qp,
-                order=30, depth=6))
+    return sample_case_instance(rng, "II", QParams(F(1, 2), F(1)),
+                                order=30, depth=6)
 
 
 @pytest.fixture(scope="module")
 def pair_case_iiia():
     rng = random.Random("acceptance-case-iiia")
-    inst = sample_case_instance(rng, "IIIa", QParams(F(1, 2), F(1)),
-                                depth=IIIA_DEPTH)
-    return (inst,
-            CoherencePair.self_coherent(
-                inst.spec, CoherenceConfig(1, 0, 0, inst.pi), inst.qp,
-                order=44, depth=IIIA_DEPTH))
+    return sample_case_instance(rng, "IIIa", QParams(F(1, 2), F(1)),
+                                order=44, depth=IIIA_DEPTH)
 
 
 def test_criterion_01_operator_identities():
@@ -249,8 +242,8 @@ def test_criterion_07_structure_relations_of_classified_families():
     rng = random.Random("criterion-7")
     for label in ("I", "II", "IIIa", "IIIb"):
         for _ in range(3):
-            inst = sample_case_instance(rng, label, depth=10)
-            trace = classify_self_coherent(*inst.structure_data(10),
+            inst, _ = sample_case_instance(rng, label, order=0, depth=10)
+            trace = classify_self_coherent(*inst.structure_data(),
                                            inst.qp, n_max=10)
             assert trace.family is not None
             polys = trace.family.polynomials(11 + trace.pearson_phi.degree)
@@ -391,8 +384,8 @@ def test_criterion_13_classification_round_trip():
             ("IIIb", 10), ("IIIb-rzero", 5), ("IIIb-bessel", 5)]
     for label, count in plan:
         for _ in range(count):
-            inst = sample_case_instance(rng, label, depth=10)
-            trace = classify_self_coherent(*inst.structure_data(10),
+            inst, _ = sample_case_instance(rng, label, order=0, depth=10)
+            trace = classify_self_coherent(*inst.structure_data(),
                                            inst.qp, n_max=10)
             assert trace.family is not None, label
             assert trace.family.polynomials(10) == inst.spec.polynomials(10)

@@ -8,6 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcoherent.cli as cli_module
+import qcoherent.coherence as coherence_module
+import qcoherent.families as families_module
+import qcoherent.sampling as sampling_module
 from qcoherent.algebra import rat, rat_str
 from qcoherent.cli import main
 from qcoherent.families import (
@@ -133,6 +137,36 @@ def test_verify_coherence_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_coherence_omega_needs_q(capsys):
+    # the sampler draws q and w together, so a w alone was dropped
+    data = _domain_error(capsys, "verify", "coherence", "--case", "I",
+                         "--seed", "3", "--omega=1/2")
+    assert data["error"] == "DomainError"
+    assert "--q" in data["detail"]
+
+
+@pytest.mark.parametrize("case", CASE_LABELS)
+def test_verify_coherence_builds_one_structure_table(capsys, monkeypatch,
+                                                     case):
+    # seed 0's first regular draw is accepted in every case; the table that
+    # accepts it is the pair's own
+    tables = []
+    real = families_module.structure_coeffs
+
+    def counted(*args, **kwargs):
+        tables.append(args)
+        return real(*args, **kwargs)
+
+    for module in (cli_module, coherence_module, families_module,
+                   sampling_module):
+        if hasattr(module, "structure_coeffs"):
+            monkeypatch.setattr(module, "structure_coeffs", counted)
+    code, out = run_cli(capsys, "verify", "coherence", "--case", case,
+                        "--seed", "0", "--order", "12", "--depth", "2")
+    assert code == 0, out
+    assert len(tables) == 1
+
+
 @pytest.mark.parametrize("case", CASE_LABELS)
 def test_verify_coherence_at_depth_zero(capsys, case):
     # a width-two case's xi system reads psi(.; 0..3), past the rows that
@@ -150,16 +184,37 @@ def test_verify_coherence_at_depth_zero(capsys, case):
                 ("xi-system", "degenerate")]
 
 
+def little_q_laguerre(a):
+    return ("--family", "little-q-laguerre", f"--a={a}/1", "--q=1/2")
+
+
 def test_classical_exclusion_is_checked_at_the_built_degree(capsys):
-    # a = 32 = q^-5 excludes little-q-laguerre from degree 5 on: the
-    # structure table at --n 2 builds degree 4, gen --n 5 degree 5
-    family = ("--family", "little-q-laguerre", "--a=32/1", "--q=1/2")
-    code, out = run_cli(capsys, "verify", "structure", *family,
-                        "--pi", '["0/1","1/1"]', "--n", "2")
-    assert code == 0, out
-    code, out = run_cli(capsys, "gen", *family, "--n", "5")
+    # a = q^-n excludes little-q-laguerre from degree n on: the structure
+    # table at --n 2 (m = 1, k = 0, N = 1) reads P_0..P_3 and builds degree
+    # 3, gen --n 5 degree 5
+    for a, expected in ((32, 0), (16, 0), (8, 2)):
+        code, out = run_cli(capsys, "verify", "structure",
+                            *little_q_laguerre(a), "--pi", '["0/1","1/1"]',
+                            "--n", "2")
+        assert code == expected, (a, out)
+        assert ("RegularityViolation" in out) == (expected == 2)
+    code, out = run_cli(capsys, "gen", *little_q_laguerre(32), "--n", "5")
     assert code == 2
     assert json.loads(out)["error"] == "RegularityViolation"
+
+
+def test_moments_are_built_from_the_coefficients_they_read(capsys):
+    # m_0..m_20 read gamma_1..gamma_10: a = 2048 = q^-11 first breaks
+    # gamma_11, a = 1024 = q^-10 breaks gamma_10. The backward Pearson pair
+    # of little-q-laguerre at q = 1/2 is phi = -(a/2) x, psi = x + a/2 - 1.
+    for a, expected in ((2048, 0), (1024, 2)):
+        witness = ("--phi", f'["0/1","{-a // 2}/1"]',
+                   "--psi", f'["{a // 2 - 1}/1","1/1"]')
+        for command in (("moments",), ("verify", "pearson", *witness)):
+            code, out = run_cli(capsys, *command, *little_q_laguerre(a),
+                                "--order", "20")
+            assert code == expected, (a, command, out)
+            assert ("RegularityViolation" in out) == (expected == 2)
 
 
 def test_verify_reduction(capsys):

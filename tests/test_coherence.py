@@ -304,10 +304,7 @@ def test_xi_system_degenerate_for_self_pair(pair_iiia):
     for label in ("IIIa", "IIIb", "IIIb-rzero", "IIIb-bessel"):
         rng = random.Random(f"xi-column-dependency-{label}")
         for _ in range(3):
-            inst = sample_case_instance(rng, label, depth=6)
-            pair = CoherencePair.self_coherent(
-                inst.spec, CoherenceConfig(1, 0, 0, inst.pi), inst.qp,
-                order=24, depth=6)
+            inst, pair = sample_case_instance(rng, label, order=24, depth=6)
             assert xi_column_dependency(pair, 6), (label, inst.qp)
             assert pair.xi_system().degenerate, (label, inst.qp)
 
@@ -489,9 +486,8 @@ def test_pipeline_forms_each_shared_product_once(name, request, monkeypatch):
 def test_pipeline_differences_u_and_v_once_per_order(label, monkeypatch):
     # D'**j v is read by every n's phi side and the transformation
     # identities; the pair's memo forms each D'**j of u or v once
-    inst = sample_case_instance(random.Random(f"dprime-{label}"), label,
-                                depth=6)
-    pair = make_pair(inst, order=24)
+    _, pair = sample_case_instance(random.Random(f"dprime-{label}"), label,
+                                   order=24, depth=6)
     seen = Counter()
     real_dprime = CoherencePair.dprime
 
@@ -592,18 +588,12 @@ def test_pipelines_at_random_parameter_points():
     # points through both pipeline shapes
     rng = random.Random("pipeline-sweep")
     for _ in range(3):
-        inst = sample_case_instance(rng, "I", depth=4)
-        pair = CoherencePair.self_coherent(
-            inst.spec, CoherenceConfig(1, 0, 0, inst.pi), inst.qp,
-            order=24, depth=4)
+        _, pair = sample_case_instance(rng, "I", order=24, depth=4)
         assert pair.verify_functional_equation(2).ok
         assert all(r.ok for r in pair.verify_varphi_system())
         assert all(r.ok for r in pair.verify_phi_chain())
     for _ in range(2):
-        inst = sample_case_instance(rng, "IIIa", depth=4)
-        pair = CoherencePair.self_coherent(
-            inst.spec, CoherenceConfig(1, 0, 0, inst.pi), inst.qp,
-            order=24, depth=4)
+        _, pair = sample_case_instance(rng, "IIIa", order=24, depth=4)
         assert pair.verify_functional_equation(2).ok
         assert pair.kzero_phi_oracle(2).ok
         assert all(r.ok for r in pair.verify_phi_chain())
