@@ -39,8 +39,8 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise DomainError(f"zero denominator in {value!r}") from None
+        except (ValueError, ZeroDivisionError):  # "abc", "nan", "1/0"
+            pass
     raise DomainError(f"cannot interpret {value!r} as a rational")
 
 

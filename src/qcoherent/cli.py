@@ -53,7 +53,10 @@ from .sampling import (
 
 
 def _parse_poly(text: str) -> Poly:
-    items = json.loads(text)
+    try:
+        items = json.loads(text)
+    except json.JSONDecodeError:
+        raise DomainError(f"not JSON: {text!r}") from None
     if not isinstance(items, list):
         raise DomainError(
             f"expected a JSON array of coefficients, got {text!r}")
@@ -155,10 +158,10 @@ def _cmd_verify_structure(args) -> int:
     _at_least(0, n=args.n, m=args.m, k=args.k, M=args.M)
     qp = _qparams(args)
     pi = _parse_poly(args.pi)
-    polys = _family_from_args(args, qp).polynomials(
+    ttrr = _family_from_args(args, qp).ttrr(
         args.n + max(args.m, args.k + pi.degree))
-    table = structure_coeffs(polys, polys, pi, args.m, args.k, args.M, qp,
-                             n_max=args.n)
+    table = structure_coeffs(ttrr, ttrr, pi, args.m, args.k, args.M, qp,
+                             args.n)
     payload = table.to_json()
     payload["status"] = "holds" if table.is_coherent else "failed"
     _emit(payload)
@@ -251,12 +254,12 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _add_family_options(parser, require_q=True):
+def _add_family_options(parser):
     parser.add_argument("--family", required=True,
                         help="L, J, or a classical label")
     for name in "abcd":
         parser.add_argument(f"--{name}", help="family parameter (num/den)")
-    parser.add_argument("--q", required=require_q, help="base q (num/den)")
+    parser.add_argument("--q", required=True, help="base q (num/den)")
     parser.add_argument("--omega", default="0/1",
                         help="shift parameter w (default 0/1)")
     parser.add_argument("--scale", help="extra affine scale")
@@ -349,7 +352,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (QCoherentError, ValueError) as exc:  # JSONDecodeError included
+    except QCoherentError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return 2
 

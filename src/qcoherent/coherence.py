@@ -154,8 +154,8 @@ class CoherencePair:
         polys = ttrr_generate(ttrr, span)
         u = moments_from_ttrr(ttrr, order, qp.omega0)  # where D' acts
         norms = squared_norms(ttrr, span)
-        table = structure_coeffs(polys, polys, config.pi, config.m,
-                                 config.k, config.M, qp, n_max=rows)
+        table = structure_coeffs(ttrr, ttrr, config.pi, config.m,
+                                 config.k, config.M, qp, rows)
         return cls(config, qp, polys, polys, u, u, norms, norms, table)
 
     def _once(self, key, build):

@@ -35,6 +35,7 @@ from fractions import Fraction
 from .algebra import (
     Laurent,
     Poly,
+    affine_substitute,
     expand_in_basis,
     limit_at_zero,
     rat,
@@ -409,28 +410,31 @@ class StructureTable:
         }
 
 
-def structure_coeffs(p_polys, q_polys, pi: Poly, m: int, k: int,
-                     index_m: int, qp: QParams,
-                     n_max: int | None = None) -> StructureTable:
-    """Expand pi * P_n^{[m]} in the simple set (Q_j^{[k]}) for each n.
+def structure_coeffs(p_coeffs: TTRRCoeffs, q_coeffs: TTRRCoeffs, pi: Poly,
+                     m: int, k: int, index_m: int, qp: QParams,
+                     n_max: int) -> StructureTable:
+    """Expand pi * P_n^{[m]} in the simple set (Q_j^{[k]}) for n <= n_max.
 
-    P_n^{[m]} is the degree-preserving normalized m-th difference, so the
-    left side is monic of degree N + n and the top coefficient c_{n,n+N}
-    is 1 by construction (asserted).
+    The sequences are generated from their recurrences translated to
+    y = x - w0, where D_(q,w) is D_(q,0) and each normalized difference is
+    a scaling of the coefficients; a common translation leaves every c_{n,j}
+    unchanged.  P_n^{[m]} is degree-preserving, so the left side is monic
+    of degree N + n and the top coefficient c_{n,n+N} is 1 by construction
+    (asserted).
     """
     if not pi.is_monic():
         raise DomainError("pi must be monic")
-    deg_pi = pi.degree
-    available = min(len(p_polys) - 1 - m, len(q_polys) - 1 - k - deg_pi)
-    if n_max is None:
-        n_max = available
-    if n_max > available:
-        raise MissingCoefficient(
-            f"need polynomials up to degree {n_max + max(m, k + deg_pi)}")
-    q_der = normalized_derivative_set(q_polys, k, qp)
+    deg_pi, w0, jackson = pi.degree, qp.omega0, QParams(qp.q, 0)
+    shared = q_coeffs is p_coeffs  # one sequence, generated once
+    p_y = ttrr_generate(p_coeffs.shifted(1, -w0),  # P_n(y + w0)
+                        n_max + (max(m, k + deg_pi) if shared else m))
+    q_y = p_y if shared else ttrr_generate(q_coeffs.shifted(1, -w0),
+                                           n_max + k + deg_pi)
+    pi_y = affine_substitute(pi, 1, w0)
+    q_der = normalized_derivative_set(q_y[:n_max + k + deg_pi + 1], k, jackson)
     entries = {}
     for row in range(n_max + 1):
-        lhs = pi * normalized_derivative(p_polys[row + m], row, m, qp)
+        lhs = pi_y * normalized_derivative(p_y[row + m], row, m, jackson)
         coords = expand_in_basis(lhs, q_der[:row + deg_pi + 1])
         if coords[row + deg_pi] != 1:
             raise InternalInconsistency("top structure coefficient is not 1")

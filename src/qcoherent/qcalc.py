@@ -92,13 +92,6 @@ def q_factorial(n: int, base):
     return q_factorials(n, base)[n]
 
 
-def q_binom(n: int, k: int, base):
-    if k < 0 or k > n:
-        raise DomainError(f"binomial index k = {k} outside 0..{n}")
-    f = q_factorials(n, base)
-    return f[n] / (f[k] * f[n - k])
-
-
 def q_binom_row(n: int, base) -> list:
     """[n, 0], [n, 1], ..., [n, n] from one table of q-factorials."""
     f = q_factorials(n, base)

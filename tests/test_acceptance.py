@@ -246,9 +246,9 @@ def test_criterion_07_structure_relations_of_classified_families():
             trace = classify_self_coherent(*inst.structure_data(),
                                            inst.qp, n_max=10)
             assert trace.family is not None
-            polys = trace.family.polynomials(11 + trace.pearson_phi.degree)
-            table = structure_coeffs(polys, polys, trace.pearson_phi,
-                                     1, 0, 0, inst.qp, n_max=10)
+            ttrr = trace.family.ttrr(11 + trace.pearson_phi.degree)
+            table = structure_coeffs(ttrr, ttrr, trace.pearson_phi,
+                                     1, 0, 0, inst.qp, 10)
             assert table.in_band            # nothing below the band
             assert table.cond1_ok           # c_{n,n} != 0 for n <= 10
             for n in range(11):             # top coefficient is 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import qcoherent.cli as cli_module
 import qcoherent.coherence as coherence_module
+import qcoherent.errors as errors
 import qcoherent.families as families_module
 import qcoherent.sampling as sampling_module
 from qcoherent.algebra import rat, rat_str
@@ -569,4 +570,8 @@ def test_error_contract_holds_for_any_argv(words, data):
         rows = list(csv.reader(io.StringIO(text)))
         assert len({len(row) for row in rows}) == 1
     else:
-        json.loads(text)
+        payload = json.loads(text)
+        if code == 2:  # the error object names a library error
+            error = getattr(errors, payload["error"], None)
+            assert isinstance(error, type), payload
+            assert issubclass(error, errors.QCoherentError), payload

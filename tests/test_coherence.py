@@ -19,7 +19,7 @@ from qcoherent.functionals import functional_agree, left_mult
 from qcoherent.qcalc import (
     QParams,
     hahn_power,
-    q_binom,
+    q_binom_row,
     q_bracket,
     q_factorials,
     shift_power,
@@ -106,8 +106,8 @@ def oracle_varphi(pair, n, i):
     for j in range(min(i, extra) + 1):
         if i - j <= cfg.N:
             total = total + backward_term(
-                oracle_phi(pair, n, i - j), extra - j, j, pair) * q_binom(
-                    extra, j, pair.qp.inverse.q)
+                oracle_phi(pair, n, i - j), extra - j, j, pair) * q_binom_row(
+                    extra, pair.qp.inverse.q)[j]
     return total
 
 
@@ -115,8 +115,8 @@ def oracle_xi(pair, n, j):
     """[k+N-m, j] L'**j(D'**(k+N-m-j) psi(.; n))."""
     cfg = pair.config
     extra = cfg.k + cfg.N - cfg.m
-    return backward_term(pair.psi(n), extra - j, j, pair) * q_binom(
-        extra, j, pair.qp.inverse.q)
+    return backward_term(pair.psi(n), extra - j, j, pair) * q_binom_row(
+        extra, pair.qp.inverse.q)[j]
 
 
 def oracle_chain(pair):
@@ -129,8 +129,8 @@ def oracle_chain(pair):
         value = pair.psi(j) * pair.v_norms[j]
         for ell in range(j):
             value = value - (backward_term(pair.q[j], ell, m - ell, pair)
-                             * chain[ell] * q_binom(m, ell, qbar))
-        chain.append(value / (fact[j] * q_binom(m, j, qbar)))
+                             * chain[ell] * q_binom_row(m, qbar)[ell])
+        chain.append(value / (fact[j] * q_binom_row(m, qbar)[j]))
     return chain
 
 

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcoherent import algebra, families
-from qcoherent.algebra import Laurent, Poly, RatFunc, affine_substitute
+from qcoherent import algebra, families, qcalc
+from qcoherent.algebra import (
+    Laurent,
+    Poly,
+    RatFunc,
+    affine_substitute,
+    expand_in_basis,
+)
 from qcoherent.classify import case_i_instance
 from qcoherent.errors import (
     INADMISSIBLE,
@@ -33,7 +39,12 @@ from qcoherent.families import (
     ttrr_generate,
 )
 from qcoherent.functionals import act
-from qcoherent.qcalc import QParams, q_bracket
+from qcoherent.qcalc import (
+    QParams,
+    normalized_derivative,
+    normalized_derivative_set,
+    q_bracket,
+)
 from qcoherent.sampling import rational, sample_q
 
 F = Fraction
@@ -320,9 +331,9 @@ def test_translated_walk_is_the_centred_functional(kind, params, q, omega,
 
 def test_structure_coeffs_case_one_band():
     spec = FamilySpec("L", (F(2), F(3), F(0)), QP.q, offset=QP.omega0)
-    polys = spec.polynomials(8)
-    table = structure_coeffs(polys, polys, Poly.one(), 1, 0, 0, QP)
-    assert table.N == 0 and table.n_max >= 6
+    ttrr = spec.ttrr(8)
+    table = structure_coeffs(ttrr, ttrr, Poly.one(), 1, 0, 0, QP, 7)
+    assert table.N == 0 and table.n_max == 7
     for n in range(table.n_max + 1):
         assert table.c(n, n) == 1
     assert table.in_band and table.cond1_ok and table.is_coherent
@@ -332,19 +343,110 @@ def test_structure_coeffs_row_zero_value():
     # pi_1 * P_0^[1] = P_1 + c00 with c00 = c + beta0 - omega0
     c = F(3, 7)
     spec = FamilySpec("L", (F(2), F(3), F(1, 4)), QP.q, offset=QP.omega0)
-    polys = spec.polynomials(6)
+    ttrr = spec.ttrr(6)
     pi = Poly([c - QP.omega0, F(1)])
-    table = structure_coeffs(polys, polys, pi, 1, 0, 0, QP)
-    beta0 = spec.ttrr(1).beta_at(0)
-    assert table.c(0, 0) == c + beta0 - QP.omega0
+    table = structure_coeffs(ttrr, ttrr, pi, 1, 0, 0, QP, 5)
+    assert table.c(0, 0) == c + ttrr.beta_at(0) - QP.omega0
 
 
 def test_structure_coeffs_flags_non_coherent_pair():
-    p = FamilySpec("L", (F(2), F(3), F(0)), QP.q).polynomials(8)
-    q = FamilySpec("L", (F(5), F(-1), F(0)), QP.q).polynomials(8)
-    table = structure_coeffs(p, q, Poly.one(), 1, 0, 0, QP)
+    p = FamilySpec("L", (F(2), F(3), F(0)), QP.q).ttrr(8)
+    q = FamilySpec("L", (F(5), F(-1), F(0)), QP.q).ttrr(8)
+    table = structure_coeffs(p, q, Poly.one(), 1, 0, 0, QP, 7)
     assert not table.in_band
     assert table.below_band  # non-zero coefficients beyond the band
+
+
+def oracle_structure_rows(p_spec, q_spec, pi, m, k, qp, n_max):
+    """c_{n,0..n+N} for n <= n_max from the polynomials in x: pi times the
+    normalized m-th difference at (q, w) of P_(n+m), expanded in the
+    normalized k-th differences of Q_0..Q_(n+N+k)."""
+    deg = pi.degree
+    p_polys = p_spec.polynomials(n_max + m)
+    q_der = normalized_derivative_set(q_spec.polynomials(n_max + k + deg),
+                                      k, qp)
+    return [expand_in_basis(pi * normalized_derivative(p_polys[n + m], n, m,
+                                                       qp),
+                            q_der[:n + deg + 1])
+            for n in range(n_max + 1)]
+
+
+def table_rows(table):
+    return [[table.c(n, j) for j in range(n + table.N + 1)]
+            for n in range(table.n_max + 1)]
+
+
+STRUCTURE_PIVOTS = {0: Poly.one(), 1: Poly([F(1, 5), F(1)]),
+                    2: Poly([F(-2, 3), F(1, 2), F(1)])}
+L23 = FamilySpec("L", (F(2), F(3), F(0)), QP.q)
+STRUCTURE_PAIRS = {
+    "self-L": (FamilySpec("L", (F(2), F(3), F(1, 4)), QP.q,
+                          offset=F(-1, 3)),) * 2,
+    "self-J": (FamilySpec("J", (F(1, 2), F(1, 3), F(3), F(1, 5)), QP.q,
+                          scale=F(3, 2)),) * 2,
+    "L(2,3,0)/L(5,-1,0)": (L23, FamilySpec("L", (F(5), F(-1), F(0)), QP.q)),
+}
+
+
+@pytest.mark.parametrize("pair", STRUCTURE_PAIRS)
+@pytest.mark.parametrize("m, k, index_m, deg",
+                         [(1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 0, 2),
+                          (1, 1, 1, 1), (2, 1, 0, 1)])
+def test_structure_coeffs_match_the_x_frame_oracle(pair, m, k, index_m,
+                                                   deg):
+    # the table is built at (q, 0) from recurrences translated by
+    # w0 = 2; the oracle differences the polynomials in x at (q, w)
+    p_spec, q_spec = STRUCTURE_PAIRS[pair]
+    pi, n_max = STRUCTURE_PIVOTS[deg], 6
+    p = p_spec.ttrr(n_max + m + k + deg)
+    q = p if q_spec is p_spec else q_spec.ttrr(n_max + k + deg)
+    table = structure_coeffs(p, q, pi, m, k, index_m, QP, n_max)
+    assert table.pi == pi and (table.m, table.k, table.M) == (m, k, index_m)
+    assert table_rows(table) == oracle_structure_rows(
+        p_spec, q_spec, pi, m, k, QP, n_max)
+
+
+def test_structure_coeffs_match_the_oracle_over_qp():
+    # identically in p: w = p moves the frame by w0 = 2p, and p enters the
+    # family and the pivot as well
+    sympy = pytest.importorskip("sympy")
+    _, p = sympy.field("p", sympy.QQ)
+    qp = QParams(F(1, 2), p)
+    spec = FamilySpec("L", (p, F(3), F(1, 4)), qp.q)
+    pi = Poly([p, F(1)])
+    ttrr = spec.ttrr(8)
+    table = structure_coeffs(ttrr, ttrr, pi, 2, 1, 0, qp, 4)
+    assert table_rows(table) == oracle_structure_rows(spec, spec, pi, 2, 1,
+                                                      qp, 4)
+
+
+def test_structure_coeffs_translate_only_the_pivot(monkeypatch):
+    # the sequences come from translated recurrences and the differences
+    # are taken at (q, 0): the one Taylor shift is the pivot's
+    shifts = []
+    real = algebra.affine_substitute
+
+    def spy(f, s, t):
+        if t != 0:
+            shifts.append(t)
+        return real(f, s, t)
+
+    for module in (qcalc, families):
+        monkeypatch.setattr(module, "affine_substitute", spy, raising=False)
+    ttrr = STRUCTURE_PAIRS["self-L"][0].ttrr(11)
+    structure_coeffs(ttrr, ttrr, Poly.one(), 1, 0, 0, QP, 10)
+    assert shifts == [QP.omega0]
+
+
+def test_structure_coeffs_refuse_a_short_recurrence():
+    # rows 0..5 at (m, k, N) = (1, 0, 0) read P_0..P_6 and Q_0..Q_5: P_6
+    # reads beta_5 and gamma_5, Q_5 reads beta_4 and gamma_4
+    spec = STRUCTURE_PAIRS["self-L"][0]
+    p, q = spec.ttrr(5), spec.ttrr(4)
+    assert structure_coeffs(p, q, Poly.one(), 1, 0, 0, QP, 5).n_max == 5
+    for short_p, short_q in ((q, q), (p, spec.ttrr(3))):
+        with pytest.raises(MissingCoefficient):
+            structure_coeffs(short_p, short_q, Poly.one(), 1, 0, 0, QP, 5)
 
 
 FIXED_PARAMS = {

@@ -25,7 +25,7 @@ from qcoherent.qcalc import (
     QParams,
     hahn_diff,
     hahn_power,
-    q_binom,
+    q_binom_row,
     q_factorial,
     shift,
     shift_power,
@@ -171,7 +171,7 @@ def oracle_second_form(f, u, n, qp):
         if poly.is_zero():
             continue
         term = left_mult(poly, functional_diff_n(u, n - j, qp))
-        term = term * q_binom(n, j, qp.q)
+        term = term * q_binom_row(n, qp.q)[j]
         total = term if total is None else total + term
     return total
 
