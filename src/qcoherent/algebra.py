@@ -266,8 +266,11 @@ def affine_substitute(p: Poly, s, t) -> Poly:
     """Return ``p(s*x + t)``: a Taylor shift by ``t`` (repeated synthetic
     division, O(deg**2) scalar operations), then coefficient k times s**k.
 
-    ``s = 0`` collapses the result to the constant ``p(t)``.
+    ``s = 0`` collapses the result to the constant ``p(t)``; the identity
+    substitution returns ``p`` itself, which is immutable.
     """
+    if s == 1 and t == 0:
+        return p
     a = list(p.coeffs)
     if t != 0:
         for low in range(len(a) - 1):

@@ -30,7 +30,6 @@ from .families import (
     REDUCTION_IDENTITIES,
     check_reduction,
     classical,
-    moments_from_ttrr,
     structure_coeffs,
 )
 from .functionals import (
@@ -92,10 +91,9 @@ def _family_from_args(args, qp: QParams) -> FamilySpec:
 
 def _family_moments(args, qp: QParams, centre) -> MomentFunctional:
     """Moments of the family's functional to --order against
-    (x - centre)**i, walked in that frame."""
+    (x - centre)**i (:meth:`FamilySpec.moments`)."""
     _at_least(0, order=args.order)
-    spec = _family_from_args(args, qp)
-    return moments_from_ttrr(spec.ttrr(args.order // 2), args.order, centre)
+    return _family_from_args(args, qp).moments(args.order, centre)
 
 
 def _at_least(minimum: int, **counts) -> None:

@@ -37,7 +37,6 @@ from .errors import (
 from .families import (
     FamilySpec,
     StructureTable,
-    moments_from_ttrr,
     squared_norms,
     structure_coeffs,
     ttrr_generate,
@@ -152,7 +151,7 @@ class CoherencePair:
         span = rows + max(config.m, config.k + config.N)
         ttrr = spec.ttrr(max(span, order // 2))
         polys = ttrr_generate(ttrr, span)
-        u = moments_from_ttrr(ttrr, order, qp.omega0)  # where D' acts
+        u = spec.moments(order, qp.omega0)  # where D' acts
         norms = squared_norms(ttrr, span)
         table = structure_coeffs(ttrr, ttrr, config.pi, config.m,
                                  config.k, config.M, qp, rows)

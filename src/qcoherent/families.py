@@ -25,6 +25,10 @@ exact: the J closed forms are evaluated with parameters that are Laurent
 polynomials in t, and each coefficient's limit at t = 0 is read off the
 valuations of its numerator and denominator, with no gcd.  The tests take
 the same limits over the field Q(t) as an oracle.
+
+A family's moments are walked on its own Pearson equation, in the frame
+where it is classical for Jackson's operator (:meth:`FamilySpec.moments`);
+the chain walk :func:`moments_from_ttrr` serves any recurrence data.
 """
 from __future__ import annotations
 
@@ -49,7 +53,12 @@ from .errors import (
     RegularityViolation,
     RestrictionViolation,
 )
-from .functionals import MomentFunctional, VerifyReport
+from .functionals import (
+    MomentFunctional,
+    VerifyReport,
+    _pearson_fit,
+    _pearson_walk,
+)
 from .qcalc import QParams, normalized_derivative, normalized_derivative_set
 
 
@@ -268,6 +277,30 @@ class FamilySpec:
 
     def polynomials(self, n_max: int) -> list[Poly]:
         return ttrr_generate(self.ttrr(n_max), n_max)
+
+    def pearson(self) -> tuple:
+        """(phi, psi) with D_(base,0)(phi u) = psi u in y = x - offset,
+        psi = y + e, fitted to the family's moments c_0..c_5 there
+        (:func:`_pearson_fit`)."""
+        return _pearson_fit(self.moments(5, self.offset).moments, self.base)
+
+    def moments(self, order: int, centre=0) -> MomentFunctional:
+        """Moments m_0 .. m_order of the family's functional against
+        (x - centre)**i, normalized by m_0 = 1.
+
+        The recurrence to order // 2 is built first, so a family that is
+        not regular that far is refused as by :func:`moments_from_ttrr`.
+        The chain walk gives c_0..c_5 in y = x - offset; past them each
+        moment is one step of the Pearson recurrence (:func:`_pearson_walk`),
+        and the result is moved to ``centre``.
+        """
+        ttrr = self.ttrr(order // 2)
+        if order <= 5:
+            return moments_from_ttrr(ttrr, order, centre)
+        seed = moments_from_ttrr(ttrr, 5, self.offset).moments
+        phi, psi = _pearson_fit(seed, self.base)
+        walked = _pearson_walk(seed, phi, psi, self.base, order)
+        return MomentFunctional(walked, self.offset).at(centre)
 
     def to_json(self) -> dict:
         return {"kind": self.kind,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcoherent import algebra, families, qcalc
+from qcoherent import algebra, families, functionals, qcalc
 from qcoherent.algebra import (
     Laurent,
     Poly,
@@ -13,11 +14,12 @@ from qcoherent.algebra import (
     affine_substitute,
     expand_in_basis,
 )
-from qcoherent.classify import case_i_instance
+from qcoherent.classify import case_i_instance, pearson_ttrr
 from qcoherent.errors import (
     INADMISSIBLE,
     DenominatorZero,
     DomainError,
+    InternalInconsistency,
     MissingCoefficient,
     PoleAtZero,
     QCoherentError,
@@ -25,6 +27,8 @@ from qcoherent.errors import (
     RestrictionViolation,
 )
 from qcoherent.families import (
+    CLASSICAL_LABELS,
+    MASTER_ARITY,
     REDUCTION_IDENTITIES,
     FamilySpec,
     TTRRCoeffs,
@@ -38,7 +42,12 @@ from qcoherent.families import (
     structure_coeffs,
     ttrr_generate,
 )
-from qcoherent.functionals import act
+from qcoherent.functionals import (
+    MomentFunctional,
+    SemiclassicalWitness,
+    act,
+    pearson_check,
+)
 from qcoherent.qcalc import (
     QParams,
     normalized_derivative,
@@ -327,6 +336,181 @@ def test_translated_walk_is_the_centred_functional(kind, params, q, omega,
     u = moments_from_ttrr(ttrr, order, centre)
     assert u.centre == centre
     assert u.moments == moments_from_ttrr(ttrr, order).at(centre).moments
+
+
+# -- moments from the Pearson recurrence -------------------------------------
+# FamilySpec.moments walks the Pearson equation in the family's frame; the
+# chain walk moments_from_ttrr on the same recurrence is its oracle.
+
+def _chain_moments(spec, order, centre=0):
+    return moments_from_ttrr(spec.ttrr(order // 2), order, centre)
+
+
+def _label_spec(label, params, qp):
+    if label in MASTER_ARITY:
+        return FamilySpec(label, tuple(params[:MASTER_ARITY[label]]), qp.q)
+    return classical(label, params[:CLASSICAL_LABELS[label]], qp)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(label=st.sampled_from(["L", "J", *CLASSICAL_LABELS]),
+       params=st.lists(SMALL, min_size=4, max_size=4),
+       q=st.sampled_from([F(1, 2), F(-1, 3), F(2), F(3, 2)]),
+       inverse=st.booleans(), omega=SMALL,
+       scale=SMALL.filter(lambda s: s != 0), offset=SMALL,
+       order=st.integers(0, 40), where=st.sampled_from(["0", "w0", "c"]),
+       c=SMALL)
+def test_pearson_moments_are_the_chain_walk(label, params, q, inverse, omega,
+                                            scale, offset, order, where, c):
+    qp = QParams(q, omega)
+    try:
+        spec = _label_spec(label, params, QParams(1 / q, omega) if inverse
+                           else qp)
+    except INADMISSIBLE:
+        assume(False)
+    spec = dataclasses.replace(spec, scale=spec.scale * scale, offset=offset)
+    centre = {"0": 0, "w0": qp.omega0, "c": c}[where]
+    try:
+        want = _chain_moments(spec, order, centre)
+    except INADMISSIBLE as exc:
+        with pytest.raises(type(exc)):
+            spec.moments(order, centre)
+        return
+    got = spec.moments(order, centre)
+    assert list(got.moments) == list(want.moments)
+    assert got.centre == centre
+
+
+@pytest.mark.parametrize("spec,order,centre", [
+    (FamilySpec("L", (F(2), F(1, 2), F(-2, 3)), F(2, 3)), 100, 0),
+    (FamilySpec("J", (F(2), F(-5, 2), F(-2, 3), F(-4)), F(2, 3)), 80, 0),
+    (classical("little-q-laguerre", (F(-3, 2),), QParams(F(2, 3), 0)), 80, 0),
+    (classical("q-bessel", (F(5, 2),), QParams(F(2, 3), 0)), 80, 0),
+    (FamilySpec("L", (F(2), F(1, 2), F(-2, 3)), F(3, 2), offset=F(-2, 3)),
+     80, F(-2, 3)),
+], ids=["L-100", "J-80", "little-q-laguerre-80", "q-bessel-80",
+        "L-offset-w0-80"])
+def test_pearson_moments_at_high_order(spec, order, centre):
+    got = spec.moments(order, centre)
+    assert list(got.moments) == list(_chain_moments(spec, order,
+                                                     centre).moments)
+
+
+@pytest.mark.parametrize("label,p", [
+    ("little-q-laguerre", "a"), ("q-bessel", "a"), ("q-bessel", "-a"),
+    ("little-q-jacobi", "a"), ("little-q-jacobi", "b"),
+    ("little-q-jacobi", "ab"),
+    ("big-q-jacobi", "a"), ("big-q-jacobi", "b"), ("big-q-jacobi", "c"),
+    ("big-q-jacobi", "ab"), ("big-q-jacobi", "ab/c"), ("j-type", "a"),
+])
+@pytest.mark.parametrize("q", [F(1, 2), F(-7, 4)])
+def test_pearson_moments_refuse_as_the_chain_walk(label, p, q):
+    # p = q^-n is refused by the recurrence at index n: below it both walks
+    # give the same moments, from it on the same error class
+    qp = QParams(q, F(0))
+    for n in (2, 5, 9):
+        v = q ** -n
+        params = (v,) if (label, p) == ("q-bessel", "a") else _excluded(
+            label, p, v)
+        spec = classical(label, params, qp)
+        for order in range(25):
+            try:
+                want = _chain_moments(spec, order)
+            except INADMISSIBLE as exc:
+                with pytest.raises(type(exc)):
+                    spec.moments(order)
+                continue
+            assert list(spec.moments(order).moments) == list(want.moments)
+
+
+ROUND_TRIP_PARAMS = {
+    "al-salam-carlitz": (F(-3, 2),), "big-q-laguerre": (F(2), F(-5, 3)),
+    "little-q-laguerre": (F(-3, 2),), "l-type": (F(4, 3),),
+    "big-q-jacobi": (F(2), F(-1, 3), F(5, 2)),
+    "little-q-jacobi": (F(-2, 5), F(3, 4)), "q-bessel": (F(5, 2),),
+    "j-type": (F(-3, 2), F(-2)),
+}
+
+
+@pytest.mark.parametrize("label", CLASSICAL_LABELS)
+@pytest.mark.parametrize("q", [F(2, 3), F(3, 2)], ids=["q", "1/q"])
+def test_pearson_pair_round_trips_through_the_classifier(label, q):
+    # pearson_ttrr is the inverse map: the fitted pair gives back the
+    # family's recurrence in its frame, and the pair holds on its moments
+    spec = dataclasses.replace(
+        classical(label, ROUND_TRIP_PARAMS[label], QParams(q, F(0))),
+        offset=F(-4, 7))
+    phi, psi = spec.pearson()
+    assert phi.degree <= 2 and psi.degree == 1 and psi.is_monic()
+    n = 6
+    predicted = pearson_ttrr(phi, psi, QParams(1 / spec.base, 0), n).coeffs
+    assert predicted.agrees_with(spec.ttrr(n).shifted(1, -spec.offset), n)
+    in_y = MomentFunctional(spec.moments(20, spec.offset).moments)
+    witness = SemiclassicalWitness(phi, psi, "forward")
+    assert pearson_check(witness, in_y, QParams(spec.base, 0)).ok
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_pearson_fit_refuses_a_perturbed_seed(index, monkeypatch):
+    # the fit checks row 4 of the Pearson equation, so a wrong seed moment
+    # raises instead of walking on to wrong moments
+    spec = FamilySpec("J", (F(2), F(-5, 2), F(-2, 3), F(-4)), F(2, 3),
+                      scale=F(3, 2), offset=F(1, 5))
+    seed = list(moments_from_ttrr(spec.ttrr(2), 5, spec.offset).moments)
+    seed[index] += F(1, 7)
+    with pytest.raises(InternalInconsistency):
+        functionals._pearson_fit(seed, spec.base)
+    real = families.moments_from_ttrr
+
+    def bumped(coeffs, order, centre=0):
+        u = real(coeffs, order, centre)
+        if order != 5:
+            return u
+        return MomentFunctional(seed, u.centre)
+
+    monkeypatch.setattr(families, "moments_from_ttrr", bumped)
+    with pytest.raises(InternalInconsistency):
+        spec.moments(20)
+
+
+def test_pearson_walk_refuses_a_zero_pivot():
+    # no family regular to index order // 2 was seen to reach a zero pivot
+    # below order (test_pearson_moments_refuse_as_the_chain_walk), so the
+    # guard is checked on the walk itself: 1 + t_6 a = 0
+    base = F(1, 2)
+    t6 = functionals._dual_steps(base, 7)[6]
+    phi, psi = Poly([F(1), F(2), -1 / t6]), Poly([F(-3), F(1)])
+    seed = [F(1), F(3), F(2), F(5), F(7), F(11)]
+    assert len(functionals._pearson_walk(seed, phi, psi, base, 6)) == 7
+    with pytest.raises(RegularityViolation, match="t_6"):
+        functionals._pearson_walk(seed, phi, psi, base, 7)
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--family", "J", "--a=2/1", "--b=-5/2", "--c=-2/3",
+     "--d=-4/1", "--q=2/3", "--order", "40"],
+    ["moments", "--family", "q-bessel", "--a=5/2", "--q=2/3", "--offset=1/3",
+     "--order", "30"],
+    ["verify", "pearson", "--family", "L", "--a=2/1", "--b=3/1", "--c=0/1",
+     "--q=1/2", "--omega=1/2", "--offset=1/1", "--phi", '["1/1"]',
+     "--psi", '["-1/1", "1/6"]', "--order", "40"],
+    ["verify", "coherence", "--case", "IIIb", "--q=1/2", "--omega=0/1"],
+], ids=["moments", "moments-offset", "pearson", "coherence"])
+def test_family_moments_walk_the_chain_only_for_the_seed(argv, monkeypatch,
+                                                         capsys):
+    from qcoherent.cli import main
+
+    orders = []
+    real = families.moments_from_ttrr
+
+    def spy(coeffs, order, centre=0):
+        orders.append(order)
+        return real(coeffs, order, centre)
+
+    monkeypatch.setattr(families, "moments_from_ttrr", spy)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert orders and max(orders) <= 5
 
 
 def test_structure_coeffs_case_one_band():
