@@ -24,9 +24,9 @@ means the difference parameters (1/q, -w/q).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .algebra import Poly, det_bareiss
+from .algebra import Poly, affine_substitute, det_bareiss
 from .errors import (
     DegreeClaimViolated,
     DomainError,
@@ -34,13 +34,7 @@ from .errors import (
     InternalInconsistency,
     MissingData,
 )
-from .families import (
-    FamilySpec,
-    StructureTable,
-    squared_norms,
-    structure_coeffs,
-    ttrr_generate,
-)
+from .families import FamilySpec, StructureTable, squared_norms, structure_coeffs
 from .functionals import (
     MomentFunctional,
     SemiclassicalWitness,
@@ -115,21 +109,26 @@ class DeterminantSystem:
 class CoherencePair:
     """A coherent pair instance with everything needed for verification.
 
-    Holds the two polynomial sequences, their moment functionals, squared
-    norms, the structure table, and the operator parameters.  Everything
-    derived from them (the psi polynomials, the phi/varphi/xi rows, both
-    determinant systems, each difference D'**j of u or v and every product
-    f D'**j w of a polynomial and one of them) is built on first use and
-    kept in one memo.
+    Holds the moment functionals, squared norms, the structure table with
+    the two polynomial sequences it was expanded from, and the operator
+    parameters.  A pair lives in the Hahn operator's own frame y = x - w0,
+    where D_(q,w) is Jackson's D_(q,0), so its ``qp`` has w = 0 (a
+    ``DomainError`` otherwise); :meth:`self_coherent` translates a family
+    there.  Everything derived (the psi polynomials, the phi/varphi/xi
+    rows, both determinant systems, each difference D'**j of u or v and
+    every product f D'**j w of a polynomial and one of them) is built on
+    first use and kept in one memo.
     """
 
-    def __init__(self, config: CoherenceConfig, qp: QParams, p_polys,
-                 q_polys, u: MomentFunctional, v: MomentFunctional,
+    def __init__(self, config: CoherenceConfig, qp: QParams,
+                 u: MomentFunctional, v: MomentFunctional,
                  u_norms, v_norms, table: StructureTable):
+        if qp.omega != 0:
+            raise DomainError("a pair runs at w = 0, in y = x - w0: its "
+                              "structure table's sequences are in y")
         self.config = config
         self.qp = qp
-        self.p = list(p_polys)
-        self.q = list(q_polys)
+        self.p, self.q = table.p, table.q
         self.u = u
         self.v = v
         self.u_norms = list(u_norms)
@@ -141,21 +140,24 @@ class CoherencePair:
     def self_coherent(cls, spec: FamilySpec, config: CoherenceConfig,
                       qp: QParams, order: int = 40,
                       depth: int = 8) -> "CoherencePair":
-        """Build the pair P = Q from one family spec.
+        """Build the pair P = Q from one family spec at (q, w).
 
-        ``order`` is the stored moment order; ``depth`` the one
-        :meth:`verify` will be given, which fixes the structure rows
-        (:meth:`CoherenceConfig.table_rows`).
+        The family and pi are translated once to y = x - w0, where the pair
+        runs at (q, 0); every table and report is then that of the pair in
+        x at (q, w), read in y.  ``order`` is the stored moment order;
+        ``depth`` the one :meth:`verify` will be given, which fixes the
+        structure rows (:meth:`CoherenceConfig.table_rows`).
         """
-        rows = config.table_rows(depth)
+        spec = replace(spec, offset=spec.offset - qp.omega0)
+        config = replace(config, pi=affine_substitute(config.pi, 1, qp.omega0))
+        rows, jackson = config.table_rows(depth), QParams(qp.q, 0)
         span = rows + max(config.m, config.k + config.N)
-        ttrr = spec.ttrr(max(span, order // 2))
-        polys = ttrr_generate(ttrr, span)
-        u = spec.moments(order, qp.omega0)  # where D' acts
+        ttrr = spec.ttrr(span)
+        u = spec.moments(order)
         norms = squared_norms(ttrr, span)
         table = structure_coeffs(ttrr, ttrr, config.pi, config.m,
-                                 config.k, config.M, qp, rows)
-        return cls(config, qp, polys, polys, u, u, norms, norms, table)
+                                 config.k, config.M, jackson, rows)
+        return cls(config, jackson, u, u, norms, norms, table)
 
     def _once(self, key, build):
         """The value memoised under ``key``; ``build()`` makes it on first

@@ -390,11 +390,13 @@ class StructureTable:
     N = deg pi.  Coefficients below the band j = n - M are recorded as data
     (not errors) so near-coherence can be reported; ``in_band`` says they
     all vanish and ``cond1_ok`` that the band edge c_{n,n-M} is non-zero
-    for n >= M.
+    for n >= M.  ``p`` and ``q`` are the sequences P_0..P_(n_max+m) and
+    Q_0..Q_(n_max+k+N) it was expanded from (to n_max + max(m, k+N) each
+    when they are one sequence), as polynomials in y = x - w0.
     """
 
     def __init__(self, pi: Poly, m: int, k: int, index_m: int, entries,
-                 n_max: int):
+                 n_max: int, p_polys, q_polys):
         self.pi = pi
         self.m = m
         self.k = k
@@ -402,6 +404,8 @@ class StructureTable:
         self.N = pi.degree
         self.entries = dict(entries)
         self.n_max = n_max
+        self.p = p_polys
+        self.q = q_polys
 
     def c(self, n: int, j: int):
         if not 0 <= n <= self.n_max:
@@ -473,7 +477,7 @@ def structure_coeffs(p_coeffs: TTRRCoeffs, q_coeffs: TTRRCoeffs, pi: Poly,
             raise InternalInconsistency("top structure coefficient is not 1")
         for j, value in enumerate(coords):
             entries[(row, j)] = value
-    return StructureTable(pi, m, k, index_m, entries, n_max)
+    return StructureTable(pi, m, k, index_m, entries, n_max, p_y, q_y)
 
 
 def moments_from_ttrr(coeffs: TTRRCoeffs, order: int, centre=0) -> MomentFunctional:

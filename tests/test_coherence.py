@@ -1,11 +1,13 @@
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from qcoherent.algebra import Poly, det_cofactor
+from qcoherent.algebra import Poly, affine_substitute, det_cofactor
 from qcoherent.classify import (
     case_i_instance,
     case_ii_instance,
@@ -30,6 +32,16 @@ F = Fraction
 
 QP = QParams(F(1, 2), F(1))  # omega0 = 2
 
+# the x-frame instance behind each fixture pair at QP; the derivative pair
+# takes case II's family with a pivot of its own
+INSTANCES = {
+    "pair_i": case_i_instance(QP, 2, 3),
+    "pair_ii": case_ii_instance(QP, 2, 3, F(1, 5)),
+    "pair_iiia": case_iiia_instance(QP, F(1, 3), F(-2), F(1, 4)),
+}
+INSTANCES["pair_derivative"] = INSTANCES["pair_ii"]
+DERIVATIVE_PI = Poly([F(-3, 7), F(1)])
+
 
 def make_pair(instance, order=30, depth=6):
     config = CoherenceConfig(1, 0, 0, instance.pi)
@@ -39,34 +51,32 @@ def make_pair(instance, order=30, depth=6):
 
 def fresh(pair):
     """The same pair with empty table and determinant-system caches."""
-    return CoherencePair(pair.config, pair.qp, pair.p, pair.q, pair.u,
-                         pair.v, pair.u_norms, pair.v_norms, pair.table)
+    return CoherencePair(pair.config, pair.qp, pair.u, pair.v,
+                         pair.u_norms, pair.v_norms, pair.table)
 
 
 @pytest.fixture(scope="module")
 def pair_i():
-    return make_pair(case_i_instance(QP, 2, 3))
+    return make_pair(INSTANCES["pair_i"])
 
 
 @pytest.fixture(scope="module")
 def pair_ii():
-    return make_pair(case_ii_instance(QP, 2, 3, F(1, 5)))
+    return make_pair(INSTANCES["pair_ii"])
 
 
 @pytest.fixture(scope="module")
 def pair_iiia():
-    return make_pair(case_iiia_instance(QP, F(1, 3), F(-2), F(1, 4)),
-                     order=44, depth=7)
+    return make_pair(INSTANCES["pair_iiia"], order=44, depth=7)
 
 
 @pytest.fixture(scope="module")
 def pair_derivative():
     # pair (P, P) with orders (1, 1), pivot x - c, index 1: banded by the
     # recurrence of the derivative sequence, and genuinely solvable
-    inst = case_ii_instance(QP, 2, 3, F(1, 5))
-    config = CoherenceConfig(1, 1, 1, Poly([F(-3, 7), F(1)]))
-    return CoherencePair.self_coherent(inst.spec, config, QP,
-                                       order=34, depth=7)
+    config = CoherenceConfig(1, 1, 1, DERIVATIVE_PI)
+    return CoherencePair.self_coherent(INSTANCES["pair_derivative"].spec,
+                                       config, QP, order=34, depth=7)
 
 
 # -- per-entry oracles for the Leibniz-type tables ----------------------------
@@ -134,26 +144,107 @@ def oracle_chain(pair):
     return chain
 
 
-@pytest.mark.parametrize("name", ["pair_i", "pair_ii", "pair_iiia",
-                                  "pair_derivative"])
-def test_tables_match_per_entry_oracles(name, request):
-    pair = fresh(request.getfixturevalue(name))
+def assert_tables_match_oracles(pair, data, back):
+    """Each phi/varphi/xi entry for n < 5 and the k = 0 chain of ``pair``,
+    moved by ``back``, equals its oracle evaluated on ``data``."""
     cfg = pair.config
     checked = 0
     for n in range(5):
         for j in range(cfg.N + 1):
-            assert pair.phi(n, j) == oracle_phi(pair, n, j), (n, j)
+            assert back(pair.phi(n, j)) == oracle_phi(data, n, j), (n, j)
             checked += 1
         if cfg.m >= cfg.k + cfg.N:
             for i in range(cfg.m - cfg.k + 1):
-                assert pair.varphi(n, i) == oracle_varphi(pair, n, i), (n, i)
+                assert (back(pair.varphi(n, i))
+                        == oracle_varphi(data, n, i)), (n, i)
                 checked += 1
         for j in range(cfg.k + cfg.N - cfg.m + 1):
-            assert pair.xi(n, j) == oracle_xi(pair, n, j), (n, j)
+            assert back(pair.xi(n, j)) == oracle_xi(data, n, j), (n, j)
             checked += 1
     if cfg.k == 0:
-        assert pair.phi_chain() == oracle_chain(pair)
+        assert [back(f) for f in pair.phi_chain()] == oracle_chain(data)
     assert checked >= 10
+
+
+@pytest.mark.parametrize("name", ["pair_i", "pair_ii", "pair_iiia",
+                                  "pair_derivative"])
+def test_tables_match_per_entry_oracles(name, request):
+    pair = fresh(request.getfixturevalue(name))
+    assert_tables_match_oracles(pair, pair, lambda f: f)
+
+
+@pytest.mark.parametrize("name", ["pair_i", "pair_ii", "pair_iiia",
+                                  "pair_derivative"])
+def test_tables_match_per_entry_oracles_in_x(name, request):
+    # the pair is built in y = x - w0 at (q, 0); the oracles run here on
+    # x-frame data with the Hahn operator at QP itself (w0 = 2): Q_n from
+    # the family's recurrence in x, the pivot in x and psi(.; n), a sum of
+    # scaled P_(j+m), translated back.  Each table translated back by w0
+    # must equal the x-frame oracle
+    pair = fresh(request.getfixturevalue(name))
+    w0, spec = QP.omega0, INSTANCES[name].spec
+    pi = DERIVATIVE_PI if name == "pair_derivative" else INSTANCES[name].pi
+
+    def back(f):
+        return affine_substitute(f, 1, -w0)
+
+    x_q = spec.polynomials(len(pair.q) - 1)
+    assert pair.qp.omega == 0 and back(pair.config.pi) == pi
+    assert [back(f) for f in pair.q] == x_q
+    data = SimpleNamespace(config=replace(pair.config, pi=pi), qp=QP,
+                           q=x_q, v_norms=pair.v_norms,
+                           psi=lambda n: back(pair.psi(n)))
+    assert_tables_match_oracles(pair, data, back)
+
+
+@pytest.mark.parametrize("label", CASE_LABELS)
+def test_reports_at_w_equal_reports_at_zero(label):
+    # the same draw at (q, w) and at (q, 0) gives the same reports: a case
+    # family sits at w0, and in y = x - w0 the pair at (q, w) is the pair
+    # at (q, 0)
+    runs = []
+    for omega in (F(1), F(0)):
+        inst, pair = sample_case_instance(
+            random.Random(f"frame-{label}"), label, QParams(F(1, 2), omega),
+            order=24, depth=4)
+        runs.append((inst.spec.params, pair.verify(4)))
+    assert runs[0] == runs[1]
+    assert {r.status for r in runs[0][1]} <= {"holds", "degenerate"}
+
+
+def test_pair_is_built_and_verified_in_one_frame(monkeypatch):
+    # self_coherent generates its sequence once (inside structure_coeffs,
+    # in y = x - w0), and verify at w0 = 2 makes no Taylor shift of a
+    # polynomial: the pair runs at (q, 0)
+    import qcoherent.algebra as algebra_module
+    import qcoherent.families as families_module
+
+    generated, shifts = [], []
+    real_generate = families_module.ttrr_generate
+    real_substitute = algebra_module.affine_substitute
+
+    def spy_generate(coeffs, n_max):
+        generated.append(n_max)
+        return real_generate(coeffs, n_max)
+
+    def spy_substitute(p, s, t):
+        if t != 0:
+            shifts.append(t)
+        return real_substitute(p, s, t)
+
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("qcoherent"):
+            continue
+        if hasattr(module, "ttrr_generate"):
+            monkeypatch.setattr(module, "ttrr_generate", spy_generate)
+        if hasattr(module, "affine_substitute"):
+            monkeypatch.setattr(module, "affine_substitute", spy_substitute)
+    pair = make_pair(INSTANCES["pair_i"])
+    assert len(generated) == 1
+    shifts.clear()
+    reports = pair.verify(6)
+    assert {r.status for r in reports} == {"holds"}
+    assert shifts == []
 
 
 def test_table_columns_out_of_range(pair_i, pair_iiia):
@@ -174,10 +265,20 @@ def test_config_validation():
         CoherenceConfig(1, 0, 0, Poly([1, 2]))  # not monic
 
 
+def test_pair_refuses_an_operator_with_w_nonzero(pair_i):
+    # the table's sequences are polynomials in y = x - w0, where the
+    # operator is (q, 0): at (q, w) they would be read in the wrong frame
+    with pytest.raises(DomainError):
+        CoherencePair(pair_i.config, QP, pair_i.u, pair_i.v,
+                      pair_i.u_norms, pair_i.v_norms, pair_i.table)
+
+
 def test_pair_functional_is_made_at_the_fixed_point(pair_i):
-    # walked on the recurrence translated by w0, where every dual operator
-    # of the pair acts, so no operator changes its basis
-    assert QP.omega0 != 0 and pair_i.u.centre == QP.omega0
+    # the pair runs in y = x - w0 at (q, 0): its functional is walked there,
+    # centred at y = 0, where every dual operator of the pair acts, so no
+    # operator changes its basis
+    assert QP.omega0 != 0
+    assert pair_i.qp.omega == 0 and pair_i.u.centre == 0
 
 
 def test_psi_single_window_case_i(pair_i):
@@ -219,9 +320,9 @@ def test_functional_equation_low_form(pair_iiia):
 def test_perturbed_structure_coefficient_breaks_equation(pair_i):
     import copy
 
-    broken = CoherencePair(pair_i.config, pair_i.qp, pair_i.p, pair_i.q,
-                           pair_i.u, pair_i.v, pair_i.u_norms,
-                           pair_i.v_norms, copy.copy(pair_i.table))
+    broken = CoherencePair(pair_i.config, pair_i.qp, pair_i.u, pair_i.v,
+                           pair_i.u_norms, pair_i.v_norms,
+                           copy.copy(pair_i.table))
     broken.table = copy.copy(pair_i.table)
     broken.table.entries = dict(pair_i.table.entries)
     broken.table.entries[(2, 2)] = pair_i.table.entries[(2, 2)] + 1
@@ -263,9 +364,8 @@ def test_varphi_system_detects_unrelated_functional(pair_i):
     from qcoherent.functionals import MomentFunctional
 
     stranger = MomentFunctional([F(1)] + [F(k + 2, 3) for k in range(30)])
-    twisted = CoherencePair(pair_i.config, pair_i.qp, pair_i.p, pair_i.q,
-                            pair_i.u, stranger, pair_i.u_norms,
-                            pair_i.v_norms, pair_i.table)
+    twisted = CoherencePair(pair_i.config, pair_i.qp, pair_i.u, stranger,
+                            pair_i.u_norms, pair_i.v_norms, pair_i.table)
     reports = twisted.verify_varphi_system()
     assert any(not r.ok for r in reports)
 
@@ -341,6 +441,44 @@ def test_xi_system_degenerate_identically(label):
     assert xi_column_dependency(pair, 4)
 
 
+# width-two cases at rational parameters, each a builder of the operator
+# parameters alone
+W_CASES = {
+    "IIIa": lambda qp: case_iiia_instance(qp, F(1, 3), 2, F(1, 5)),
+    "IIIb": lambda qp: case_iiib_instance(qp, 2, -3, F(5, 2), 7),
+    "IIIb-bessel": lambda qp: case_iiib_bessel_instance(qp, 3, 7),
+}
+
+
+@pytest.mark.parametrize("label", W_CASES)
+def test_tables_free_of_w_identically(label):
+    # a certificate that w drops out: built at w = a free generator of
+    # Q(w), the pair's psi, phi and xi tables for n <= 3 equal those built
+    # at w = 0, compared in Q(w).  A case family and its pivot's roots sit
+    # at w0, so in y = x - w0 the pair does not depend on w, and a
+    # certificate at one w covers every w at which the family is regular
+    sympy = pytest.importorskip("sympy")
+    field, w = sympy.field("w", sympy.QQ)
+
+    def in_q_w(poly):
+        # a coefficient is a Fraction or in Q(w), and a Fraction that is
+        # not an integer never equals its own image in Q(w)
+        return [field(c) for c in poly.coeffs]
+
+    tables = []
+    for omega in (w, field.zero):
+        qp = QParams(F(1, 2), omega)
+        inst = W_CASES[label](qp)
+        pair = CoherencePair.self_coherent(
+            inst.spec, CoherenceConfig(1, 0, 0, inst.pi), qp, order=0,
+            depth=4)
+        tables.append([[in_q_w(f) for f in [pair.psi(n)]
+                        + [pair.phi(n, j) for j in range(3)]
+                        + [pair.xi(n, j) for j in range(2)]]
+                       for n in range(4)])
+    assert tables[0] == tables[1]
+
+
 def test_xi_system_degenerate_identically_in_c_and_q():
     # the IIIa certificate with q free as well: over Q(c, q) the system
     # determinant and the column dependency vanish as rational functions
@@ -412,9 +550,8 @@ def test_xi_system_zero_functional_flagged(pair_iiia):
     from qcoherent.functionals import MomentFunctional
 
     zero = MomentFunctional([F(0)] * 30)
-    degenerate = CoherencePair(pair_iiia.config, pair_iiia.qp, pair_iiia.p,
-                               pair_iiia.q, pair_iiia.u, zero,
-                               pair_iiia.u_norms, pair_iiia.v_norms,
+    degenerate = CoherencePair(pair_iiia.config, pair_iiia.qp, pair_iiia.u,
+                               zero, pair_iiia.u_norms, pair_iiia.v_norms,
                                pair_iiia.table)
     reports = degenerate.verify_xi_system()
     assert reports[0].status == "degenerate"
@@ -554,7 +691,7 @@ def test_xi_boundary_index_is_shifted_psi(pair_iiia):
     # psi scaled by the base-1/q binomial (here [1, 1] = 1)
     from qcoherent.qcalc import shift_power
 
-    inv = QP.inverse
+    inv = pair_iiia.qp.inverse
     for n in range(3):
         assert pair_iiia.xi(n, 1) == shift_power(pair_iiia.psi(n), 1, inv)
 
