@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .algebra import Poly, rat, rat_str
+from .algebra import Poly, affine_substitute, rat, rat_str
 from .classify import classify_self_coherent
 from .errors import INADMISSIBLE, DomainError, QCoherentError
 from .families import (
@@ -89,13 +89,6 @@ def _family_from_args(args, qp: QParams) -> FamilySpec:
     return spec
 
 
-def _family_moments(args, qp: QParams, centre) -> MomentFunctional:
-    """Moments of the family's functional to --order against
-    (x - centre)**i (:meth:`FamilySpec.moments`)."""
-    _at_least(0, order=args.order)
-    return _family_from_args(args, qp).moments(args.order, centre)
-
-
 def _at_least(minimum: int, **counts) -> None:
     """Refuse a count below ``minimum`` before any work is done."""
     for name, value in counts.items():
@@ -132,7 +125,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    u = _family_moments(args, _qparams(args), 0)
+    qp = _qparams(args)
+    _at_least(0, order=args.order)
+    u = _family_from_args(args, qp).moments(args.order)
     if args.format == "csv":
         _emit_csv("n,moment",
                   [(n, rat_str(m)) for n, m in enumerate(u.moments)])
@@ -143,10 +138,16 @@ def _cmd_moments(args) -> int:
 
 def _cmd_verify_pearson(args) -> int:
     qp = _qparams(args)
-    u = _family_moments(args, qp, qp.omega0)  # where pearson_check acts
-    witness = SemiclassicalWitness(_parse_poly(args.phi),
-                                   _parse_poly(args.psi), args.direction)
-    report = pearson_check(witness, u, qp).to_json()
+    _at_least(0, order=args.order)
+    # the family and the witness are translated to y = x - w0, where the
+    # check runs at (q, 0)
+    w0 = qp.omega0
+    spec = _family_from_args(args, qp)
+    u = replace(spec, offset=spec.offset - w0).moments(args.order)
+    witness = SemiclassicalWitness(
+        affine_substitute(_parse_poly(args.phi), 1, w0),
+        affine_substitute(_parse_poly(args.psi), 1, w0), args.direction)
+    report = pearson_check(witness, u, QParams(qp.q, 0)).to_json()
     report["class_bound"] = witness.class_bound
     _emit(report)
     return _exit_from_reports([report])
@@ -223,13 +224,15 @@ def _cmd_verify_leibniz(args) -> int:
     for trial in range(args.trials):
         qp = QParams(sample_q(rng), rational(rng))
         f = Poly(sample_poly_coeffs(rng, 3))
-        # drawn as centred moments: the identities hold for any u
-        u = MomentFunctional([rational(rng) for _ in range(12)], qp.omega0)
+        # u is drawn in y = x - w0, where the check runs at (q, 0): the
+        # identities hold for any u
+        u = MomentFunctional([rational(rng) for _ in range(12)])
+        f, jackson = affine_substitute(f, 1, qp.omega0), QParams(qp.q, 0)
         fu = left_mult(f, u)
         for order in range(args.n + 1):
             report = _report(f"leibniz[trial={trial},n={order}]",
-                             functional_diff_n(fu, order, qp),
-                             leibniz_expansion(f, u, order, qp))
+                             functional_diff_n(fu, order, jackson),
+                             leibniz_expansion(f, u, order, jackson))
             reports.append(report.to_json())
     _emit({"seed": args.seed, "trials": args.trials, "reports": reports})
     return _exit_from_reports(reports)

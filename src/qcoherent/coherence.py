@@ -146,14 +146,16 @@ class CoherencePair:
         runs at (q, 0); every table and report is then that of the pair in
         x at (q, w), read in y.  ``order`` is the stored moment order;
         ``depth`` the one :meth:`verify` will be given, which fixes the
-        structure rows (:meth:`CoherenceConfig.table_rows`).
+        structure rows (:meth:`CoherenceConfig.table_rows`).  One recurrence,
+        to the larger index either needs, serves the table, the norms and
+        the moments.
         """
         spec = replace(spec, offset=spec.offset - qp.omega0)
         config = replace(config, pi=affine_substitute(config.pi, 1, qp.omega0))
         rows, jackson = config.table_rows(depth), QParams(qp.q, 0)
         span = rows + max(config.m, config.k + config.N)
-        ttrr = spec.ttrr(span)
-        u = spec.moments(order)
+        ttrr = spec.ttrr(max(span, order // 2))
+        u = spec._walk_moments(ttrr, order)
         norms = squared_norms(ttrr, span)
         table = structure_coeffs(ttrr, ttrr, config.pi, config.m,
                                  config.k, config.M, jackson, rows)

@@ -58,6 +58,7 @@ from .functionals import (
     VerifyReport,
     _pearson_fit,
     _pearson_walk,
+    _taylor_shift,
 )
 from .qcalc import QParams, normalized_derivative, normalized_derivative_set
 
@@ -282,25 +283,30 @@ class FamilySpec:
         """(phi, psi) with D_(base,0)(phi u) = psi u in y = x - offset,
         psi = y + e, fitted to the family's moments c_0..c_5 there
         (:func:`_pearson_fit`)."""
-        return _pearson_fit(self.moments(5, self.offset).moments, self.base)
+        in_y = dataclasses.replace(self, offset=0).moments(5)
+        return _pearson_fit(in_y.moments, self.base)
 
-    def moments(self, order: int, centre=0) -> MomentFunctional:
-        """Moments m_0 .. m_order of the family's functional against
-        (x - centre)**i, normalized by m_0 = 1.
+    def moments(self, order: int) -> MomentFunctional:
+        """Moments m_0 .. m_order of the family's functional against x**i,
+        normalized by m_0 = 1.
 
         The recurrence to order // 2 is built first, so a family that is
         not regular that far is refused as by :func:`moments_from_ttrr`.
         The chain walk gives c_0..c_5 in y = x - offset; past them each
         moment is one step of the Pearson recurrence (:func:`_pearson_walk`),
-        and the result is moved to ``centre``.
+        and one Taylor shift, none at offset 0, takes the result to x.
         """
-        ttrr = self.ttrr(order // 2)
+        return self._walk_moments(self.ttrr(order // 2), order)
+
+    def _walk_moments(self, ttrr: TTRRCoeffs, order: int) -> MomentFunctional:
+        """:meth:`moments` from ``ttrr``, this family's recurrence to index
+        order // 2 or beyond."""
         if order <= 5:
-            return moments_from_ttrr(ttrr, order, centre)
-        seed = moments_from_ttrr(ttrr, 5, self.offset).moments
+            return moments_from_ttrr(ttrr, order)
+        seed = moments_from_ttrr(ttrr.shifted(1, -self.offset), 5).moments
         phi, psi = _pearson_fit(seed, self.base)
         walked = _pearson_walk(seed, phi, psi, self.base, order)
-        return MomentFunctional(walked, self.offset).at(centre)
+        return MomentFunctional(_taylor_shift(walked, self.offset))
 
     def to_json(self) -> dict:
         return {"kind": self.kind,
@@ -480,20 +486,18 @@ def structure_coeffs(p_coeffs: TTRRCoeffs, q_coeffs: TTRRCoeffs, pi: Poly,
     return StructureTable(pi, m, k, index_m, entries, n_max, p_y, q_y)
 
 
-def moments_from_ttrr(coeffs: TTRRCoeffs, order: int, centre=0) -> MomentFunctional:
-    """Moments m_0 .. m_order against (x - centre)**i of the functional
-    normalized by m_0 = 1, returned centred there.
+def moments_from_ttrr(coeffs: TTRRCoeffs, order: int) -> MomentFunctional:
+    """Moments m_0 .. m_order against x**i of the functional normalized by
+    m_0 = 1.
 
-    The translated sequence P_n(y + centre) has the same gamma_n and
-    beta_n - centre, and its plain moments are the centred ones: the
-    translation costs O(K), a change of basis of the moments O(K**2).
-    Uses the chain walk <u, y^{n+1} P_j> = <u, y^n (P_{j+1} + beta_j P_j +
+    Moments against (x - c)**i are those of the translated recurrence
+    ``coeffs.shifted(1, -c)``: same gamma_n, beta_n - c.  Uses the chain
+    walk <u, x^{n+1} P_j> = <u, x^n (P_{j+1} + beta_j P_j +
     gamma_j P_{j-1})>, which touches coefficients only up to index
     order // 2.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    coeffs = coeffs.shifted(1, -centre)
     width = order // 2 + 1
     cur = [Fraction(0)] * (width + 2)
     cur[0] = Fraction(1)
@@ -508,7 +512,7 @@ def moments_from_ttrr(coeffs: TTRRCoeffs, order: int, centre=0) -> MomentFunctio
             new[j] = value
         cur = new
         moments.append(cur[0])
-    return MomentFunctional(moments, centre)
+    return MomentFunctional(moments)
 
 
 def _compare_ttrr(identity: str, lhs: TTRRCoeffs, beta, gamma,

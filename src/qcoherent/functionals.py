@@ -1,12 +1,9 @@
 """Truncated moment functionals and their induced difference calculus.
 
 A linear functional on polynomials is represented by its moment sequence
-m_0 .. m_K against the powers (x - c)**i of one centre c; K is the
-functional's *order*.  The centre is a basis, not a property of the
-functional: ``at`` moves it by one binomial change of basis, and equality,
-sums and JSON see through it.  Every operation computes and propagates the
-exact output order, and consuming moments beyond the stored order raises
-instead of silently truncating.
+m_0 .. m_K against the powers x**i; K is the functional's *order*.  Every
+operation computes and propagates the exact output order, and consuming
+moments beyond the stored order raises instead of silently truncating.
 
 The dual difference and shift operators act through the pairing:
 
@@ -15,19 +12,20 @@ The dual difference and shift operators act through the pairing:
 
 Both are computed in the centred basis y**n, y = x - w0, where w0 is the
 fixed point w/(1 - q).  The inverse parameters (1/q, -w/q) have the same
-fixed point, so one centring serves the operator and its pairing partner,
-and there both are diagonal:
+fixed point, so one change of variable serves the operator and its
+pairing partner, and there both are diagonal:
 
     D[1/q,-w/q] y**n = [n]_{1/q} y**(n-1),    L[1/q,-w/q] y**n = q**-n y**n.
 
 So with centred moments c_n = < u, y**n >,
 
-    < D u, y**n > = -(1/q) [n]_{1/q} c_(n-1),   < L u, y**n > = q**-n c_n,
+    < D u, y**n > = -(1/q) [n]_{1/q} c_(n-1),   < L u, y**n > = q**-n c_n.
 
-and each operator returns its result centred at w0.  A functional is
-centred (a Taylor shift) only when it arrives in another basis, so a chain
-of operators with one fixed point pays for one basis change in all.
-Moments stay in whatever exact field they come in.
+In y the Hahn operator D[q,w] is Jackson's D[q,0], so the frame is a rule
+applied once, where data enter: a caller that translates its functional
+and polynomials to y works at (q, 0), where no operator changes basis.
+At w != 0 an operator takes one Taylor shift of the moments to y and one
+back.  Moments stay in whatever exact field they come in.
 
 Also here: left multiplication (f u), the product rule
 
@@ -55,32 +53,18 @@ from .qcalc import QParams, leibniz_coeffs
 
 
 class MomentFunctional:
-    """Moments m_0 .. m_K of a linear functional; m_i pairs with
-    (x - centre)**i, so the default centre 0 gives the monomial moments."""
+    """Moments m_0 .. m_K of a linear functional, m_i = <u, x**i>."""
 
-    __slots__ = ("moments", "centre")
+    __slots__ = ("moments",)
 
-    def __init__(self, moments, centre=0):
+    def __init__(self, moments):
         moments = tuple(moments)
         if not moments:
             raise DomainError("a moment functional needs at least m_0")
         object.__setattr__(self, "moments", moments)
-        object.__setattr__(self, "centre", centre)
 
     def __setattr__(self, name, value):
         raise AttributeError("MomentFunctional is immutable")
-
-    def at(self, c) -> "MomentFunctional":
-        """The same functional centred at c; self when it already is.
-
-        The change of basis is unit lower triangular, so the order and the
-        index of the first moment where two functionals differ are the same
-        in every centre.
-        """
-        if c == self.centre:
-            return self
-        return MomentFunctional(
-            _taylor_shift(self.moments, self.centre - c), c)
 
     @property
     def order(self) -> int:
@@ -91,37 +75,33 @@ class MomentFunctional:
 
     def __eq__(self, other):
         if isinstance(other, MomentFunctional):
-            return self.moments == other.at(self.centre).moments
+            return self.moments == other.moments
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.at(0).moments)
+        return hash(self.moments)
 
     def __add__(self, other):
         if not isinstance(other, MomentFunctional):
             return NotImplemented
-        other = other.at(self.centre)
         return MomentFunctional(
-            [a + b for a, b in zip(self.moments, other.moments)], self.centre)
+            [a + b for a, b in zip(self.moments, other.moments)])
 
     def __sub__(self, other):
         return self + other * -1
 
     def __mul__(self, scalar):
-        return MomentFunctional([m * scalar for m in self.moments],
-                                self.centre)
+        return MomentFunctional([m * scalar for m in self.moments])
 
     __rmul__ = __mul__
 
     def __repr__(self):
         shown = ", ".join(str(m) for m in self.moments[:6])
         tail = ", ..." if self.order >= 6 else ""
-        return (f"MomentFunctional([{shown}{tail}], order={self.order}, "
-                f"centre={self.centre})")
+        return f"MomentFunctional([{shown}{tail}], order={self.order})"
 
     def to_json(self) -> dict:
-        """Monomial moments, whatever the centre."""
-        return {"moments": [rat_str(m) for m in self.at(0).moments],
+        return {"moments": [rat_str(m) for m in self.moments],
                 "order": self.order}
 
     @staticmethod
@@ -133,56 +113,64 @@ class MomentFunctional:
 
 
 def act(u: MomentFunctional, f: Poly):
-    """The pairing <u, f>; requires deg f <= order(u).
-
-    f is written in powers of x - centre, at O(deg**2), not u.
-    """
+    """The pairing <u, f>; requires deg f <= order(u)."""
     if f.degree > u.order:
         raise OrderExceeded(
             f"polynomial of degree {f.degree} exceeds order {u.order}")
     total = Fraction(0)
-    for i, c in enumerate(affine_substitute(f, 1, u.centre).coeffs):
-        total = total + c * u.moments[i]
+    for c, m in zip(f.coeffs, u.moments):
+        total = total + c * m
     return total
 
 
 def left_mult(f: Poly, u: MomentFunctional) -> MomentFunctional:
-    """Moments of f*u, defined by <f u, y**n> = <u, f(x) y**n> with
-    y = x - centre; the result keeps u's centre.
+    """Moments of f*u, defined by <f u, x**n> = <u, f(x) x**n>.
 
     The output order drops by deg f.  A zero polynomial annihilates; the
     result keeps the input order.
     """
     if f.is_zero():
-        return MomentFunctional([Fraction(0)] * (u.order + 1), u.centre)
+        return MomentFunctional([Fraction(0)] * (u.order + 1))
     d = f.degree
     if d > u.order:
         raise OrderExceeded(
             f"cannot multiply by degree {d} at order {u.order}")
-    g = affine_substitute(f, 1, u.centre).coeffs
+    g = f.coeffs
     out = []
     for n in range(u.order - d + 1):
         s = Fraction(0)
         for i, c in enumerate(g):
             s = s + c * u.moments[n + i]
         out.append(s)
-    return MomentFunctional(out, u.centre)
+    return MomentFunctional(out)
 
 
-def _taylor_shift(moments, a) -> list:
+def _taylor_shift(moments, a):
     """Moments against (x + a)**n from the moments m_n against x**n.
 
     <u, (x + a)**n> = sum_k C(n, k) a**(n-k) m_k, computed as a Pascal
-    triangle of <u, x**k (x + a)**j> in O(K**2) scalar operations; the
-    identity when a = 0.  Generic over the scalar field.
+    triangle of <u, x**k (x + a)**j> in O(K**2) scalar operations.  At
+    a = 0 the input itself, not a copy.  Generic over the scalar field.
     """
     if a == 0:
-        return list(moments)
+        return moments
     out, row = [], list(moments)
     while row:
         out.append(row[0])
         row = [row[k + 1] + a * row[k] for k in range(len(row) - 1)]
     return out
+
+
+def _to_y(moments, qp: QParams):
+    """Moments against y**n, y = x - w0, from those against x**n; the
+    input itself at w = 0, where y = x."""
+    return moments if qp.omega == 0 else _taylor_shift(moments, -qp.omega0)
+
+
+def _from_y(moments, qp: QParams) -> MomentFunctional:
+    """The functional whose moments against y**n, y = x - w0, are given."""
+    return MomentFunctional(
+        moments if qp.omega == 0 else _taylor_shift(moments, qp.omega0))
 
 
 def functional_diff(u: MomentFunctional, qp: QParams) -> MomentFunctional:
@@ -214,21 +202,20 @@ def _centred_diffs(c, n: int, qp: QParams) -> list:
 
 
 def functional_diff_n(u: MomentFunctional, n: int, qp: QParams) -> MomentFunctional:
-    """The n-fold induced difference D[q,w]**n u, centred at w0; output
-    order grows by n.  n diagonal steps in the centred basis."""
+    """The n-fold induced difference D[q,w]**n u; output order grows by n.
+    n diagonal steps in the centred basis."""
     if n < 0:
         raise DomainError(f"difference order must be >= 0, got {n}")
-    u = u.at(qp.omega0)
-    return MomentFunctional(_centred_diffs(u.moments, n, qp)[n], u.centre)
+    return _from_y(_centred_diffs(_to_y(u.moments, qp), n, qp)[n], qp)
 
 
 def functional_shift(u: MomentFunctional, qp: QParams) -> MomentFunctional:
-    """The induced shift L[q,w] u, centred at w0; <L u, x**n> =
-    <u, ((x - w)/q)**n>.  Diagonal in the centred basis: c'_j = q**-j c_j.
+    """The induced shift L[q,w] u; <L u, x**n> = <u, ((x - w)/q)**n>.
+    Diagonal in the centred basis: c'_j = q**-j c_j.
     """
-    u, p = u.at(qp.omega0), qp.inverse.q
-    return MomentFunctional([p ** j * c for j, c in enumerate(u.moments)],
-                            u.centre)
+    p = qp.inverse.q
+    return _from_y([p ** j * c for j, c in enumerate(_to_y(u.moments, qp))],
+                   qp)
 
 
 def leibniz_expansion(f: Poly, u: MomentFunctional, n: int,
@@ -236,25 +223,23 @@ def leibniz_expansion(f: Poly, u: MomentFunctional, n: int,
     """D**n (f u) by the q-Leibniz rule: sum_k c_k D**k u, where
     c_k = [n, k] L**k(D**(n-k) f) are ``qcalc.leibniz_coeffs``.
 
-    One table of centred differences D**k u serves every term.
+    Computed in y = x - w0 at (q, 0), with f(y + w0): one table of centred
+    differences D**k u serves every term.
     """
-    u = u.at(qp.omega0)
-    diffs = _centred_diffs(u.moments, n, qp)
-    total = MomentFunctional([Fraction(0)] * (u.order + n + 1), u.centre)
-    for k, poly in enumerate(leibniz_coeffs(f, n, qp)):
+    diffs = _centred_diffs(_to_y(u.moments, qp), n, qp)
+    total = MomentFunctional([Fraction(0)] * (u.order + n + 1))
+    f = affine_substitute(f, 1, qp.omega0)
+    for k, poly in enumerate(leibniz_coeffs(f, n, QParams(qp.q, 0))):
         if not poly.is_zero():  # a vanishing term must not cap the order
-            total = total + left_mult(poly, MomentFunctional(diffs[k],
-                                                             u.centre))
-    return total
+            total = total + left_mult(poly, MomentFunctional(diffs[k]))
+    return _from_y(total.moments, qp)
 
 
 def functional_agree(u: MomentFunctional, v: MomentFunctional):
     """Compare moments on the jointly valid range.
 
-    Returns (ok, first_failure_index_or_None, order_checked); v is moved
-    to u's centre, which changes neither.
+    Returns (ok, first_failure_index_or_None, order_checked).
     """
-    v = v.at(u.centre)
     k = min(u.order, v.order)
     for i in range(k + 1):
         if u.moments[i] != v.moments[i]:
@@ -323,7 +308,6 @@ def pearson_check(witness: SemiclassicalWitness, u: MomentFunctional,
     if witness.phi.degree > u.order or witness.psi.degree > u.order:
         raise OrderExceeded("witness degrees exceed the functional's order")
     params = qp if witness.direction == "forward" else qp.inverse
-    u = u.at(qp.omega0)  # both directions share the fixed point
     lhs = functional_diff(left_mult(witness.phi, u), params)
     return _report("pearson", lhs, left_mult(witness.psi, u))
 
@@ -412,7 +396,7 @@ def dual_basis_functional(basis, n: int, order: int) -> MomentFunctional:
 
 def hankel_regular(u: MomentFunctional, depth: int | None = None) -> bool:
     """Finite regularity certificate: leading principal Hankel determinants
-    are non-zero up to floor(K/2); a change of centre leaves them fixed."""
+    are non-zero up to floor(K/2); a translation of x leaves them fixed."""
     max_depth = u.order // 2
     depth = max_depth if depth is None else min(depth, max_depth)
     for r in range(depth + 1):

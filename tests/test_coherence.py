@@ -17,7 +17,8 @@ from qcoherent.classify import (
 )
 from qcoherent.coherence import CoherenceConfig, CoherencePair
 from qcoherent.errors import DomainError, IndexOutOfRange
-from qcoherent.functionals import functional_agree, left_mult
+from qcoherent.families import FamilySpec
+from qcoherent.functionals import _taylor_shift, functional_agree, left_mult
 from qcoherent.qcalc import (
     QParams,
     hahn_power,
@@ -274,11 +275,38 @@ def test_pair_refuses_an_operator_with_w_nonzero(pair_i):
 
 
 def test_pair_functional_is_made_at_the_fixed_point(pair_i):
-    # the pair runs in y = x - w0 at (q, 0): its functional is walked there,
-    # centred at y = 0, where every dual operator of the pair acts, so no
-    # operator changes its basis
-    assert QP.omega0 != 0
-    assert pair_i.qp.omega == 0 and pair_i.u.centre == 0
+    # the pair runs in y = x - w0 at (q, 0): its functional is the family's
+    # translated by w0, whose moments are those of u against (x - w0)**i,
+    # where every dual operator of the pair acts, so no operator changes
+    # its basis
+    spec = INSTANCES["pair_i"].spec
+    in_y = replace(spec, offset=spec.offset - QP.omega0)
+    assert QP.omega0 != 0 and pair_i.qp.omega == 0
+    assert pair_i.u == in_y.moments(30)
+    x_frame = spec.moments(30).moments
+    assert list(pair_i.u.moments) == _taylor_shift(x_frame, -QP.omega0)
+
+
+@pytest.mark.parametrize("order,depth", [(36, 6), (0, 4), (60, 2)])
+@pytest.mark.parametrize("name", ["pair_i", "pair_ii", "pair_iiia"])
+def test_self_coherent_builds_one_recurrence(name, order, depth,
+                                             monkeypatch):
+    # the table, the norms and the moments share one recurrence, built to
+    # the larger index either needs
+    calls = []
+    real = FamilySpec.base_ttrr
+
+    def spy(spec, n_max):
+        calls.append(n_max)
+        return real(spec, n_max)
+
+    monkeypatch.setattr(FamilySpec, "base_ttrr", spy)
+    inst = INSTANCES[name]
+    config = CoherenceConfig(1, 0, 0, inst.pi)
+    pair = CoherencePair.self_coherent(inst.spec, config, inst.qp,
+                                       order=order, depth=depth)
+    assert len(calls) == 1
+    assert calls[0] >= max(order // 2, pair.table.n_max + 1)
 
 
 def test_psi_single_window_case_i(pair_i):

@@ -42,6 +42,7 @@ from qcoherent.functionals import (
     functional_diff,
     functional_diff_n,
     functional_shift,
+    _taylor_shift,
 )
 from qcoherent.qcalc import (
     QParams,
@@ -176,19 +177,28 @@ def test_dual_operators_match_oracles(omega_kind, data, moments, seed, n):
 @given(moments=moment_lists, seed=st.integers(0, 2**32 - 1),
        omega=omegas["w!=0"], c=scalars, n=st.integers(0, 4))
 def test_dual_operators_return_centred_results(moments, seed, omega, c, n):
-    # the input in any centre c; each result centred at w0 != 0, with the
-    # oracles' monomial moments exactly
+    # the results are monomial moments, the oracles' exactly; and the
+    # operators commute with a change of variable: u read in y = x - c, at
+    # the parameters with fixed point w0 - c, gives each result read in y
+    # (c = w0 is the Jackson frame, at w = 0)
     qp = QParams(sample_q(random.Random(seed)), omega)
     u = MomentFunctional(moments)
     expected = u
     for _ in range(n):
         expected = oracle_functional_diff(expected, qp)
-    for got, want in [
-            (functional_diff(u.at(c), qp), oracle_functional_diff(u, qp)),
-            (functional_shift(u.at(c), qp), oracle_functional_shift(u, qp)),
-            (functional_diff_n(u.at(c), n, qp), expected)]:
-        assert got.centre == qp.omega0 != 0
-        assert got.at(0).moments == want.moments
+    for c, qp_c in ((c, QParams(qp.q, qp.omega - c * (1 - qp.q))),
+                    (qp.omega0, QParams(qp.q, 0))):
+        u_c = MomentFunctional(_taylor_shift(u.moments, -c))
+        for got, got_c, want in [
+                (functional_diff(u, qp), functional_diff(u_c, qp_c),
+                 oracle_functional_diff(u, qp)),
+                (functional_shift(u, qp), functional_shift(u_c, qp_c),
+                 oracle_functional_shift(u, qp)),
+                (functional_diff_n(u, n, qp),
+                 functional_diff_n(u_c, n, qp_c), expected)]:
+            assert got.moments == want.moments
+            assert list(got_c.moments) == list(
+                _taylor_shift(want.moments, -c))
 
 
 @pytest.mark.parametrize("omega_kind", sorted(omegas))

@@ -333,9 +333,9 @@ def test_translated_walk_is_the_centred_functional(kind, params, q, omega,
     except INADMISSIBLE:
         assume(False)
     centre = {"0": 0, "w0": qp.omega0, "c": c}[where]
-    u = moments_from_ttrr(ttrr, order, centre)
-    assert u.centre == centre
-    assert u.moments == moments_from_ttrr(ttrr, order).at(centre).moments
+    u = moments_from_ttrr(ttrr.shifted(1, -centre), order)
+    assert list(u.moments) == list(functionals._taylor_shift(
+        moments_from_ttrr(ttrr, order).moments, -centre))
 
 
 # -- moments from the Pearson recurrence -------------------------------------
@@ -343,7 +343,14 @@ def test_translated_walk_is_the_centred_functional(kind, params, q, omega,
 # chain walk moments_from_ttrr on the same recurrence is its oracle.
 
 def _chain_moments(spec, order, centre=0):
-    return moments_from_ttrr(spec.ttrr(order // 2), order, centre)
+    """The chain walk's moments against (x - centre)**i."""
+    return moments_from_ttrr(spec.ttrr(order // 2).shifted(1, -centre), order)
+
+
+def _centred(spec, centre):
+    """The family translated by -centre: its moments against x**i are the
+    spec's against (x - centre)**i."""
+    return dataclasses.replace(spec, offset=spec.offset - centre)
 
 
 def _label_spec(label, params, qp):
@@ -374,11 +381,10 @@ def test_pearson_moments_are_the_chain_walk(label, params, q, inverse, omega,
         want = _chain_moments(spec, order, centre)
     except INADMISSIBLE as exc:
         with pytest.raises(type(exc)):
-            spec.moments(order, centre)
+            _centred(spec, centre).moments(order)
         return
-    got = spec.moments(order, centre)
+    got = _centred(spec, centre).moments(order)
     assert list(got.moments) == list(want.moments)
-    assert got.centre == centre
 
 
 @pytest.mark.parametrize("spec,order,centre", [
@@ -391,7 +397,7 @@ def test_pearson_moments_are_the_chain_walk(label, params, q, inverse, omega,
 ], ids=["L-100", "J-80", "little-q-laguerre-80", "q-bessel-80",
         "L-offset-w0-80"])
 def test_pearson_moments_at_high_order(spec, order, centre):
-    got = spec.moments(order, centre)
+    got = _centred(spec, centre).moments(order)
     assert list(got.moments) == list(_chain_moments(spec, order,
                                                      centre).moments)
 
@@ -445,7 +451,7 @@ def test_pearson_pair_round_trips_through_the_classifier(label, q):
     n = 6
     predicted = pearson_ttrr(phi, psi, QParams(1 / spec.base, 0), n).coeffs
     assert predicted.agrees_with(spec.ttrr(n).shifted(1, -spec.offset), n)
-    in_y = MomentFunctional(spec.moments(20, spec.offset).moments)
+    in_y = _centred(spec, spec.offset).moments(20)
     witness = SemiclassicalWitness(phi, psi, "forward")
     assert pearson_check(witness, in_y, QParams(spec.base, 0)).ok
 
@@ -456,17 +462,14 @@ def test_pearson_fit_refuses_a_perturbed_seed(index, monkeypatch):
     # raises instead of walking on to wrong moments
     spec = FamilySpec("J", (F(2), F(-5, 2), F(-2, 3), F(-4)), F(2, 3),
                       scale=F(3, 2), offset=F(1, 5))
-    seed = list(moments_from_ttrr(spec.ttrr(2), 5, spec.offset).moments)
+    seed = list(_chain_moments(spec, 5, spec.offset).moments)
     seed[index] += F(1, 7)
     with pytest.raises(InternalInconsistency):
         functionals._pearson_fit(seed, spec.base)
     real = families.moments_from_ttrr
 
-    def bumped(coeffs, order, centre=0):
-        u = real(coeffs, order, centre)
-        if order != 5:
-            return u
-        return MomentFunctional(seed, u.centre)
+    def bumped(coeffs, order):
+        return MomentFunctional(seed) if order == 5 else real(coeffs, order)
 
     monkeypatch.setattr(families, "moments_from_ttrr", bumped)
     with pytest.raises(InternalInconsistency):
@@ -503,9 +506,9 @@ def test_family_moments_walk_the_chain_only_for_the_seed(argv, monkeypatch,
     orders = []
     real = families.moments_from_ttrr
 
-    def spy(coeffs, order, centre=0):
+    def spy(coeffs, order):
         orders.append(order)
-        return real(coeffs, order, centre)
+        return real(coeffs, order)
 
     monkeypatch.setattr(families, "moments_from_ttrr", spy)
     assert main(argv) == 0

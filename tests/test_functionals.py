@@ -1,15 +1,17 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoherent.algebra import Poly, rat_str
+from qcoherent.algebra import Poly, affine_substitute, rat_str
 from qcoherent.cli import main
 from qcoherent.errors import DomainError, NotSimpleSet, OrderExceeded
 from qcoherent.functionals import (
     MomentFunctional,
     SemiclassicalWitness,
+    _taylor_shift,
     hankel_regular,
     act,
     dual_basis_functional,
@@ -64,17 +66,26 @@ scalars = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 centres = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
+def test_moment_functional_holds_moments_only():
+    # moments against x**i and nothing else: no centre, no change of basis
+    assert MomentFunctional.__slots__ == ("moments",)
+    assert not hasattr(MomentFunctional([F(1)]), "at")
+
+
 @settings(derandomize=True, database=None)
 @given(moments=st.lists(scalars, min_size=1, max_size=12), c=centres)
 def test_centre_round_trip_and_json(moments, c):
+    # a centre c is a Taylor shift of the moments to y = x - c: it keeps
+    # the order, the way back is exact, and JSON holds the moments in x
     u = MomentFunctional(moments)
-    centred = u.at(c)
-    assert (centred.centre, centred.order) == (c, u.order)
-    back = centred.at(0)
+    centred = _taylor_shift(u.moments, -c)
+    assert len(centred) == len(u.moments)
+    back = MomentFunctional(_taylor_shift(centred, c))
     assert (back.moments, back.order) == (u.moments, u.order)
-    assert centred.to_json() == {
+    assert u.to_json() == {
         "moments": [rat_str(m) for m in moments], "order": u.order}
-    assert centred == u and hash(centred) == hash(u)
+    assert back == u and hash(back) == hash(u)
+    assert _taylor_shift(u.moments, 0) is u.moments  # no shift, no copy
 
 
 @settings(derandomize=True, database=None)
@@ -91,8 +102,10 @@ def test_first_difference_does_not_depend_on_the_centre(data, moments,
                          + moments[i + 1:] + tail)
     expected = functional_agree(u, v)
     assert expected == (False, i, u.order)
-    assert functional_agree(u.at(c), v) == expected
-    assert functional_agree(v, u.at(c)) == expected
+    u_c, v_c = (MomentFunctional(_taylor_shift(w.moments, -c))
+                for w in (u, v))
+    assert functional_agree(u_c, v_c) == expected
+    assert functional_agree(v_c, u_c) == (False, i, u.order)
 
 
 def test_act_examples():
@@ -194,17 +207,22 @@ def test_leibniz_both_expansions(n, form):
 
 @pytest.fixture
 def taylor_shifts(monkeypatch):
-    """The shift of every ``_taylor_shift`` call made from now on."""
+    """The shift of every ``_taylor_shift`` call with a != 0 made from now
+    on, from any module of the library."""
     import qcoherent.functionals as functionals_module
 
     calls = []
     real_shift = functionals_module._taylor_shift
 
     def spy_shift(moments, a):
-        calls.append(a)
+        if a != 0:
+            calls.append(a)
         return real_shift(moments, a)
 
-    monkeypatch.setattr(functionals_module, "_taylor_shift", spy_shift)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qcoherent") \
+                and getattr(module, "_taylor_shift", None) is real_shift:
+            monkeypatch.setattr(module, "_taylor_shift", spy_shift)
     return calls
 
 
@@ -212,15 +230,22 @@ def taylor_shifts(monkeypatch):
 @pytest.mark.parametrize("direction", [1, 2])
 def test_leibniz_expansion_centres_u_once(direction, degree, n,
                                           taylor_shifts):
-    # u is moved to the fixed point once; every D**k u and every product
-    # with a polynomial stays there; direction 1 is the operator of QP, 2
-    # its inverse
+    # at w0 != 0, u is moved to the fixed point once and the sum back once;
+    # every D**k u and every product with a polynomial stays there, and on
+    # data already translated to y = x - w0 the expansion at (q, 0) moves
+    # nothing; direction 1 is the operator of QP, 2 its inverse
     u = MomentFunctional([F(k * k + 1, k + 1) for k in range(12)])
     f = Poly([F(1, 2), F(-2), F(0), F(3)][:degree] + [F(5, 4)])
     qp = QP if direction == 1 else QP.inverse
+    w0 = qp.omega0
     expansion = leibniz_expansion(f, u, n, qp)
-    assert taylor_shifts == [-qp.omega0]
-    assert expansion.centre == qp.omega0
+    assert taylor_shifts == [-w0, w0]
+    u_y = MomentFunctional(_taylor_shift(u.moments, -w0))
+    taylor_shifts.clear()
+    in_y = leibniz_expansion(affine_substitute(f, 1, w0), u_y, n,
+                             QParams(qp.q, 0))
+    assert taylor_shifts == []
+    assert list(in_y.moments) == _taylor_shift(expansion.moments, -w0)
     direct = functional_diff_n(left_mult(f, u), n, qp)
     assert functional_agree(direct, expansion)[0]
 
@@ -234,12 +259,78 @@ def test_leibniz_expansion_centres_u_once(direction, degree, n,
 ], ids=["coherence", "leibniz", "pearson"])
 def test_cli_centres_its_functional_once(argv, taylor_shifts, capsys):
     # every operator of the command has the same fixed point w0 != 0, and
-    # the functional is made there: a family's moments are walked on the
-    # recurrence translated by w0, and leibniz draws its u as centred
-    # moments, so no command changes a functional's basis
+    # the command translates its data there once and runs at (q, 0): a
+    # family's moments are walked in y = x - w0, where a family offset by
+    # w0 sits at 0, and leibniz draws its u there, so no command changes
+    # a functional's basis
     assert main(argv) == 0
     capsys.readouterr()
     assert taylor_shifts == []
+
+
+def _pearson_oracle(witness, u, qp):
+    """(ok, first failure, order checked) of D(phi u) = psi u on monomial
+    moments, each side paired with x**n directly:
+    <D_p(phi u), x**n> = -(1/p.q) <u, phi D_(1/p) x**n>."""
+    p = qp if witness.direction == "forward" else qp.inverse
+    k = min(u.order - witness.phi.degree + 1, u.order - witness.psi.degree)
+    for n in range(k + 1):
+        xn = Poly.monomial(F(1), n)
+        lhs = -act(u, witness.phi * hahn_diff(xn, p.inverse)) / p.q
+        if lhs != act(u, witness.psi * xn):
+            return False, n, k
+    return True, None, k
+
+
+def _in_y(u, polys, qp):
+    """u and the polynomials translated to y = x - w0."""
+    w0 = qp.omega0
+    return (MomentFunctional(_taylor_shift(u.moments, -w0)),
+            [affine_substitute(p, 1, w0) for p in polys])
+
+
+@pytest.mark.parametrize("holds", [True, False], ids=["holds", "fails"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_checks_at_q_w_are_the_checks_in_y_at_q_0(direction, holds):
+    # x-frame data checked at (q, w) give the report of the same data
+    # translated to y = x - w0 and checked at (q, 0), where D_(q,w) is
+    # Jackson's D_(q,0); the Pearson report is also that of a direct
+    # pairing with x**n
+    qp, order = QParams(F(3, 2), F(-1, 3)), 14
+    jackson = QParams(qp.q, 0)
+    phi, psi = Poly([F(1, 2), F(1), F(1, 3)]), Poly([F(-5, 3), F(2)])
+    u = pearson_moments(phi, psi, qp, order,
+                        backward=direction == "backward")
+    if not holds:
+        u = MomentFunctional(u.moments[:6] + (u.moments[6] + 1,)
+                             + u.moments[7:])
+    witness = SemiclassicalWitness(phi, psi, direction)
+    in_x = pearson_check(witness, u, qp)
+    u_y, (phi_y, psi_y) = _in_y(u, (phi, psi), qp)
+    in_y = pearson_check(SemiclassicalWitness(phi_y, psi_y, direction), u_y,
+                         jackson)
+    fields = ("status", "order_checked", "first_failure")
+    assert [getattr(in_x, a) for a in fields] == [
+        getattr(in_y, a) for a in fields]
+    assert in_x.ok == holds
+    assert (in_x.ok, in_x.first_failure, in_x.order_checked) == \
+        _pearson_oracle(witness, u, qp)
+
+    # the Leibniz expansion of f, against D**n (f u), or of a wrong g != f
+    params = qp if direction == "forward" else qp.inverse
+    f = Poly([F(1, 2), F(-2), F(0), F(3)])
+    g = f if holds else f + Poly.monomial(F(1, 5), 2)
+    u_y, (f_y, g_y) = _in_y(u, (f, g), qp)
+    y_params = QParams(params.q, 0)
+    for n in range(4):
+        in_x = functional_agree(functional_diff_n(left_mult(f, u), n, params),
+                                leibniz_expansion(g, u, n, params))
+        in_y = functional_agree(
+            functional_diff_n(left_mult(f_y, u_y), n, y_params),
+            leibniz_expansion(g_y, u_y, n, y_params))
+        assert in_x == in_y
+        ok, _, checked = in_x
+        assert ok == holds and checked == u.order - f.degree + n
 
 
 def test_leibniz_expansion_edges():

@@ -1,0 +1,92 @@
+"""Golden outputs: the SHA-256 of (argv, exit code, stdout) for one command
+line per subcommand, and for the commands whose functionals are made in
+the Hahn operator's frame at w != 0.
+
+A digest changes only when a command's output or exit code does; to
+regenerate one after an intended change of output, print
+``_digest(argv)`` for the argv and paste it in.
+"""
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from qcoherent.cli import main
+
+L_CASE_I = ["--family", "L", "--a=2/1", "--b=3/1", "--c=0/1"]
+
+GOLDEN = {
+    "gen": (
+        ["gen", "--family", "L", "--a=2/1", "--b=3/1", "--c=1/5",
+         "--q=1/2", "--n", "6"],
+        "70c1f7f89d0761d52f913ec184d4a3f9e95c26bace059daa457e843cac27447a"),
+    "moments": (
+        ["moments", "--family", "J", "--a=2/1", "--b=-5/2", "--c=-2/3",
+         "--d=-4/1", "--q=2/3", "--offset=1/3", "--order", "20"],
+        "c137e00afb16b6dd76145215dc465b6fa714e135c9f4dd8cca60af9d70d56592"),
+    "pearson": (
+        ["verify", "pearson", *L_CASE_I, "--q=1/2", "--phi", '["1/1"]',
+         "--psi", '["-5/6", "1/6"]', "--order", "20"],
+        "0a34623b25588b415f0fbb1bd4bb8d858f8f83d4a57399c1750a81818a9fb6bd"),
+    # offset = w0 = 1: the witness holds
+    "pearson-w": (
+        ["verify", "pearson", *L_CASE_I, "--q=1/2", "--omega=1/2",
+         "--offset=1/1", "--phi", '["1/1"]', "--psi", '["-1/1", "1/6"]',
+         "--order", "16"],
+        "63c2835b5d85ef617183fe7626ab8c8e9ed915150b90e1ca25f20c503def234f"),
+    # the same witness with the family off w0: it fails
+    "pearson-w-offset": (
+        ["verify", "pearson", *L_CASE_I, "--q=1/2", "--omega=1/2",
+         "--offset=1/3", "--phi", '["1/1"]', "--psi", '["-1/1", "1/6"]',
+         "--order", "16"],
+        "9296db77eaea9a9258560c087dda46b6c549ebfe3487c9a774312fa3caeec4ae"),
+    # the pair FamilySpec.pearson fits, written in x: it holds forward
+    "pearson-forward-w": (
+        ["verify", "pearson", "--family", "L", "--a=2/1", "--b=1/2",
+         "--c=-2/3", "--q=3/2", "--omega=-1/3", "--offset=2/3",
+         "--phi", '["-14/9", "23/12", "-1/2"]', "--psi", '["-25/6", "1/1"]',
+         "--direction", "forward", "--order", "30"],
+        "3fd3acc8b2ec449e55e2e4679d9f7c4667b8bca140f7e287f840bc3d69df8fc5"),
+    "pearson-bad-psi": (
+        ["verify", "pearson", *L_CASE_I, "--q=1/2", "--omega=1/2",
+         "--phi", '["1/1"]', "--psi", '["1/1"]'],
+        "863523fc5218e7b5e195d22ac7b2bff09df8e9eb79b210468f0abff581c5df59"),
+    "structure": (
+        ["verify", "structure", *L_CASE_I, "--q=1/2", "--omega=1/3",
+         "--offset=2/3", "--pi", '["1/1"]', "--n", "6"],
+        "d83a719374cbd3cc84b7630825a40fb728b879845e32f469dbf2ccc4908ab7a6"),
+    "coherence": (
+        ["verify", "coherence", "--case", "IIIa", "--seed", "1",
+         "--order", "24", "--depth", "3"],
+        "f4f2cc11162238c3c7fd213da292c5889741ae0d86454339c156033c236f7ffe"),
+    "coherence-I-w": (
+        ["verify", "coherence", "--case", "I", "--q=1/2", "--omega=1/2"],
+        "6e8dc37146fe3329533ca9453dee39b1d49a29366edd81e095c7044584ebfc9c"),
+    "reduction": (
+        ["verify", "reduction", "--identity", "l-as-j-via-b",
+         "--points", "2", "--n", "6"],
+        "8eea46f73a277efaf5df87bfb8a0876778e1c60a9c28b5476075f017ffcbfadc"),
+    "leibniz-w": (
+        ["verify", "leibniz", "--seed", "3", "--trials", "2", "--n", "4"],
+        "3fc0cbf8a265bd58ae7cca03f53df311ef9bc3a1f1571cb14da7a7c3220db0a9"),
+    "classify": (
+        ["classify", "--pi", '["1/1"]', "--beta0=5/1", "--gamma1=-3/1",
+         "--q=1/2", "--n", "6"],
+        "5d88b9cefe67eedad2ff5aade571d902f77218452c3800aaf1c8217aeb040d86"),
+}
+
+
+def _digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    record = json.dumps([argv, code, out.getvalue()])
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_output(name):
+    argv, digest = GOLDEN[name]
+    assert _digest(argv) == digest
