@@ -155,7 +155,7 @@ class CoherencePair:
         rows, jackson = config.table_rows(depth), QParams(qp.q, 0)
         span = rows + max(config.m, config.k + config.N)
         ttrr = spec.ttrr(max(span, order // 2))
-        u = spec._walk_moments(ttrr, order)
+        u = spec._walk_moments(order)
         norms = squared_norms(ttrr, span)
         table = structure_coeffs(ttrr, ttrr, config.pi, config.m,
                                  config.k, config.M, jackson, rows)

@@ -26,9 +26,11 @@ polynomials in t, and each coefficient's limit at t = 0 is read off the
 valuations of its numerator and denominator, with no gcd.  The tests take
 the same limits over the field Q(t) as an oracle.
 
-A family's moments are walked on its own Pearson equation, in the frame
-where it is classical for Jackson's operator (:meth:`FamilySpec.moments`);
-the chain walk :func:`moments_from_ttrr` serves any recurrence data.
+A family's moments are walked from c_0 = 1 on its own Pearson equation,
+whose pair (phi, psi) is in closed form, in the frame where it is classical
+for Jackson's operator (:meth:`FamilySpec.pearson`,
+:meth:`FamilySpec.moments`); the chain walk :func:`moments_from_ttrr`
+serves any recurrence data.
 """
 from __future__ import annotations
 
@@ -56,7 +58,6 @@ from .errors import (
 from .functionals import (
     MomentFunctional,
     VerifyReport,
-    _pearson_fit,
     _pearson_walk,
     _taylor_shift,
 )
@@ -100,6 +101,8 @@ class TTRRCoeffs:
         """Coefficients of s**n F_n((x - t)/s) given those of F_n."""
         if scale == 0:
             raise DomainError("affine scale must be non-zero")
+        if scale == 1 and offset == 0:
+            return self  # immutable, so the identity map may share it
         return TTRRCoeffs([scale * b + offset for b in self.beta],
                           [scale * scale * g for g in self.gamma])
 
@@ -280,11 +283,35 @@ class FamilySpec:
         return ttrr_generate(self.ttrr(n_max), n_max)
 
     def pearson(self) -> tuple:
-        """(phi, psi) with D_(base,0)(phi u) = psi u in y = x - offset,
-        psi = y + e, fitted to the family's moments c_0..c_5 there
-        (:func:`_pearson_fit`)."""
-        in_y = dataclasses.replace(self, offset=0).moments(5)
-        return _pearson_fit(in_y.moments, self.base)
+        """(phi, psi), psi = y + e, with D_(base,0)(phi u) = psi u for the
+        family's functional u in y = x - offset: the closed forms of Medem,
+        Alvarez-Nodarse & Marcellan (2001) at q = base, taken to
+        scale**2 phi(y/scale) and scale psi(y/scale),
+
+            L(a, b, c):    phi = (1 - q)(y - s a)(y - s b),
+                           psi = y - s (a + b) + s c q;
+            J(a, b, c, d): phi = (q - 1)(y - s ab)(y - s c) / (d q**2 - 1),
+                           psi = y + s (ab - adq - bcq + c) / (d q**2 - 1).
+
+        The recurrence to index 2 is built first, so a family not regular
+        that far, where the pair need not be unique, is refused as by
+        :meth:`ttrr`.
+        """
+        self.ttrr(2)
+        return self._pearson_pair()
+
+    def _pearson_pair(self) -> tuple:
+        """:meth:`pearson` for a caller that has built the recurrence to
+        index 0 or beyond, which checks d q**2 - 1 = -(1 - d*base**2)."""
+        q, s, y = self.base, self.scale, Poly.x()
+        if self.kind == "L":
+            a, b, c = self.params
+            return ((y - s * a) * (y - s * b) * (1 - q),
+                    y - s * (a + b) + s * c * q)
+        a, b, c, d = self.params
+        den = d * q * q - 1
+        return ((y - s * a * b) * (y - s * c) * ((q - 1) / den),
+                y + s * (a * b - a * d * q - b * c * q + c) / den)
 
     def moments(self, order: int) -> MomentFunctional:
         """Moments m_0 .. m_order of the family's functional against x**i,
@@ -292,20 +319,20 @@ class FamilySpec:
 
         The recurrence to order // 2 is built first, so a family that is
         not regular that far is refused as by :func:`moments_from_ttrr`.
-        The chain walk gives c_0..c_5 in y = x - offset; past them each
-        moment is one step of the Pearson recurrence (:func:`_pearson_walk`),
-        and one Taylor shift, none at offset 0, takes the result to x.
+        Each moment in y = x - offset is then one step of the Pearson
+        recurrence from c_0 = 1 (:func:`_pearson_walk`), and one Taylor
+        shift, none at offset 0, takes the result to x.
         """
-        return self._walk_moments(self.ttrr(order // 2), order)
+        self.ttrr(order // 2)
+        return self._walk_moments(order)
 
-    def _walk_moments(self, ttrr: TTRRCoeffs, order: int) -> MomentFunctional:
-        """:meth:`moments` from ``ttrr``, this family's recurrence to index
-        order // 2 or beyond."""
-        if order <= 5:
-            return moments_from_ttrr(ttrr, order)
-        seed = moments_from_ttrr(ttrr.shifted(1, -self.offset), 5).moments
-        phi, psi = _pearson_fit(seed, self.base)
-        walked = _pearson_walk(seed, phi, psi, self.base, order)
+    def _walk_moments(self, order: int) -> MomentFunctional:
+        """:meth:`moments` for a caller that has built this family's
+        recurrence to index order // 2 or beyond."""
+        if order < 0:
+            raise DomainError("order must be >= 0")
+        phi, psi = self._pearson_pair()
+        walked = _pearson_walk(phi, psi, self.base, order)
         return MomentFunctional(_taylor_shift(walked, self.offset))
 
     def to_json(self) -> dict:

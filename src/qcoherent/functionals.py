@@ -34,7 +34,8 @@ Also here: left multiplication (f u), the product rule
 and its n-fold form, the q-Leibniz expansion
 D**n (f u) = sum_k [n, k] L**k(D**(n-k) f) D**k u; and the Pearson
 equation D(phi u) = psi u, deg phi <= 2, deg psi = 1, which on the centred
-moments is a three-term recurrence in the moments themselves.
+moments is a three-term recurrence in the moments themselves, walked from
+c_0 = 1 with no other seed.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ from fractions import Fraction
 from .algebra import Poly, affine_substitute, det_bareiss, rat, rat_str
 from .errors import (
     DomainError,
-    InternalInconsistency,
     NotSimpleSet,
     OrderExceeded,
     RegularityViolation,
@@ -312,53 +312,19 @@ def pearson_check(witness: SemiclassicalWitness, u: MomentFunctional,
     return _report("pearson", lhs, left_mult(witness.psi, u))
 
 
-def _det3(rows):
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+def _pearson_walk(phi: Poly, psi: Poly, base, order: int) -> list:
+    """c_0..c_order, c_0 = 1, of the functional with D_(base,0)(phi u) =
+    psi u, for phi = a y**2 + b y + c and psi = y + e.  On y**n the
+    equation is the row
 
+        c_(n+1) (1 + t_n a) = -(e + t_n b) c_n - t_n c c_(n-1),
 
-def _pearson_fit(c, base) -> tuple:
-    """(phi, psi), psi = y + e, with D_(base,0)(phi u) = psi u, from the
-    centred moments c_0..c_5 of u.
-
-    On y**n, with phi = a y**2 + b y + c, the equation is the row
-
-        c_(n+1) + e c_n + t_n (a c_(n+1) + b c_n + c c_(n-1)) = 0.
-
-    Row 0 gives e; rows 1..3, each over t_n, are a Hankel system in
-    (a, b, c) whose determinant is -Delta_2 = -gamma_1**2 gamma_2
-    (c_0 = 1), non-zero for a functional regular to index 2.  Row 4 must
-    then hold: moments of a functional that satisfies no such equation,
-    or a wrong seed, are an InternalInconsistency.
-    """
-    t = _dual_steps(base, 5)
-    e = -c[1] / c[0]
-    rows = [[c[n + 1], c[n], c[n - 1]] for n in (1, 2, 3)]
-    rhs = [-(c[n + 1] + e * c[n]) / t[n] for n in (1, 2, 3)]
-    det = _det3(rows)
-    if det == 0:
-        raise InternalInconsistency(
-            "Hankel determinant Delta_2 = 0 in a Pearson fit")
-    a, b, cc = (_det3([row[:j] + [r] + row[j + 1:]
-                       for row, r in zip(rows, rhs)]) / det
-                for j in range(3))
-    if c[5] + e * c[4] + t[4] * (a * c[5] + b * c[4] + cc * c[3]) != 0:
-        raise InternalInconsistency(
-            "the moments break the fitted Pearson equation at row 4")
-    return Poly([cc, b, a]), Poly([e, base ** 0])
-
-
-def _pearson_walk(seed, phi: Poly, psi: Poly, base, order: int) -> list:
-    """c_0..c_order from the seed c_0..c_5 and a Pearson pair with psi
-    monic of degree 1, by rows n = 5..order-1 of :func:`_pearson_fit`:
-
-        c_(n+1) (1 + t_n a) = -(e + t_n b) c_n - t_n c c_(n-1).
-
+    walked for n = 0..order-1; at n = 0, t_0 = 0 and the row is c_1 = -e.
     A zero pivot 1 + t_n a leaves c_(n+1) undetermined: RegularityViolation.
     """
     a, b, cc, e = phi.coeff(2), phi.coeff(1), phi.coeff(0), psi.coeff(0)
-    t, c = _dual_steps(base, order), list(seed)
-    for n in range(len(c) - 1, order):
+    t, c = _dual_steps(base, order), [base ** 0]
+    for n in range(order):
         pivot = 1 + t[n] * a
         if pivot == 0:
             raise RegularityViolation(

@@ -70,6 +70,7 @@ def test_ttrr_first_steps_and_monicity():
     assert polys[2] == (x - 2) * (x - 5) + 3
     for n, p in enumerate(polys):
         assert p.degree == n and p.is_monic()
+    assert coeffs.shifted(1, 0) is coeffs  # immutable, so shared
 
 
 def test_ttrr_rejects_zero_gamma_and_short_tables():
@@ -339,8 +340,46 @@ def test_translated_walk_is_the_centred_functional(kind, params, q, omega,
 
 
 # -- moments from the Pearson recurrence -------------------------------------
-# FamilySpec.moments walks the Pearson equation in the family's frame; the
-# chain walk moments_from_ttrr on the same recurrence is its oracle.
+# FamilySpec.moments walks the Pearson equation in the family's frame from
+# c_0 = 1, on the closed-form pair of FamilySpec.pearson; the chain walk
+# moments_from_ttrr on the same recurrence is its oracle, and the Hankel fit
+# below, on the chain walk's c_0..c_5, is the oracle for the pair.
+
+def _det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _pearson_fit(c, base) -> tuple:
+    """(phi, psi), psi = y + e, with D_(base,0)(phi u) = psi u, fitted to
+    the centred moments c_0..c_5 of u.
+
+    On y**n, with phi = a y**2 + b y + c, the equation is the row
+
+        c_(n+1) + e c_n + t_n (a c_(n+1) + b c_n + c c_(n-1)) = 0.
+
+    Row 0 gives e; rows 1..3, each over t_n, are a Hankel system in
+    (a, b, c) whose determinant is -Delta_2 = -gamma_1**2 gamma_2
+    (c_0 = 1), non-zero for a functional regular to index 2.  Row 4 must
+    then hold: moments of a functional that satisfies no such equation are
+    an InternalInconsistency.
+    """
+    t = functionals._dual_steps(base, 5)
+    e = -c[1] / c[0]
+    rows = [[c[n + 1], c[n], c[n - 1]] for n in (1, 2, 3)]
+    rhs = [-(c[n + 1] + e * c[n]) / t[n] for n in (1, 2, 3)]
+    det = _det3(rows)
+    if det == 0:
+        raise InternalInconsistency(
+            "Hankel determinant Delta_2 = 0 in a Pearson fit")
+    a, b, cc = (_det3([row[:j] + [r] + row[j + 1:]
+                       for row, r in zip(rows, rhs)]) / det
+                for j in range(3))
+    if c[5] + e * c[4] + t[4] * (a * c[5] + b * c[4] + cc * c[3]) != 0:
+        raise InternalInconsistency(
+            "the moments break the fitted Pearson equation at row 4")
+    return Poly([cc, b, a]), Poly([e, base ** 0])
+
 
 def _chain_moments(spec, order, centre=0):
     """The chain walk's moments against (x - centre)**i."""
@@ -441,7 +480,7 @@ ROUND_TRIP_PARAMS = {
 @pytest.mark.parametrize("label", CLASSICAL_LABELS)
 @pytest.mark.parametrize("q", [F(2, 3), F(3, 2)], ids=["q", "1/q"])
 def test_pearson_pair_round_trips_through_the_classifier(label, q):
-    # pearson_ttrr is the inverse map: the fitted pair gives back the
+    # pearson_ttrr is the inverse map: the closed-form pair gives back the
     # family's recurrence in its frame, and the pair holds on its moments
     spec = dataclasses.replace(
         classical(label, ROUND_TRIP_PARAMS[label], QParams(q, F(0))),
@@ -456,24 +495,63 @@ def test_pearson_pair_round_trips_through_the_classifier(label, q):
     assert pearson_check(witness, in_y, QParams(spec.base, 0)).ok
 
 
+@pytest.mark.parametrize("label", CLASSICAL_LABELS)
+@pytest.mark.parametrize("q", [F(1, 2), F(3, 2), F(-2, 3)])
+@pytest.mark.parametrize("offset", [F(0), F(1, 3)])
+def test_pearson_closed_forms_are_the_fit(label, q, offset):
+    # the Hankel fit to the chain walk's c_0..c_5 in y = x - offset is the
+    # oracle for the closed-form pair
+    params = (F(-7, 5), F(11, 4), F(5, 13))[:CLASSICAL_LABELS[label]]
+    spec = dataclasses.replace(classical(label, params, QParams(q, F(0))),
+                               offset=offset)
+    seed = _chain_moments(spec, 5, offset).moments
+    assert spec.pearson() == _pearson_fit(seed, spec.base)
+
+
+def test_pearson_closed_forms_give_the_recurrence_identically():
+    # certificate: over Q(a, b, c, d, q, s) the recurrence that
+    # pearson_ttrr derives from the closed-form pair is the family's, for
+    # n <= 4, so the L- and J-families are classical with this pair in all
+    # their parameters, base and scale
+    sympy = pytest.importorskip("sympy")
+    _, a, b, c, d, q, s = sympy.field("a,b,c,d,q,s", sympy.QQ)
+    for spec in (FamilySpec("L", (a, b, c), q, scale=s),
+                 FamilySpec("J", (a, b, c, d), q, scale=s)):
+        phi, psi = spec.pearson()
+        got = pearson_ttrr(phi, psi, QParams(1 / q, 0), 4).coeffs
+        want = spec.ttrr(4)
+        assert (got.beta, got.gamma) == (want.beta, want.gamma)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("L", (F(4, 3), F(3), F(2)), F(2, 3)),  # a = c q
+    FamilySpec("L", (F(3), F(1), F(9, 4)), F(2, 3)),  # b = c q**2
+    FamilySpec("L", (F(0), F(0), F(0)), F(1, 2)),  # gamma_1 = 0
+    FamilySpec("J", (F(2), F(1), F(-1), F(9, 4)), F(2, 3)),  # d q**2 = 1
+    FamilySpec("J", (F(2), F(3, 2), F(-1), F(1, 5)), F(2, 3)),  # b q = 1
+    FamilySpec("J", (F(2), F(1, 3), F(-1), F(9, 4)), F(2, 3),
+               scale=F(3), offset=F(1, 7)),  # d q**2 = 1, moved
+], ids=["L-a", "L-b", "L-gamma", "J-d-den", "J-b", "J-d-den-moved"])
+def test_pearson_refuses_as_the_recurrence(spec):
+    # a family that ttrr(2) refuses has no pair: the same error class, and
+    # never a ZeroDivisionError from the closed-form denominator
+    with pytest.raises(QCoherentError) as refused:
+        spec.ttrr(2)
+    with pytest.raises(type(refused.value)):
+        spec.pearson()
+
+
 @pytest.mark.parametrize("index", range(6))
-def test_pearson_fit_refuses_a_perturbed_seed(index, monkeypatch):
-    # the fit checks row 4 of the Pearson equation, so a wrong seed moment
-    # raises instead of walking on to wrong moments
+def test_pearson_fit_refuses_a_perturbed_seed(index):
+    # the oracle fit checks row 4 of the Pearson equation, so a wrong seed
+    # moment raises instead of fitting a wrong pair
     spec = FamilySpec("J", (F(2), F(-5, 2), F(-2, 3), F(-4)), F(2, 3),
                       scale=F(3, 2), offset=F(1, 5))
     seed = list(_chain_moments(spec, 5, spec.offset).moments)
+    assert _pearson_fit(seed, spec.base) == spec.pearson()
     seed[index] += F(1, 7)
     with pytest.raises(InternalInconsistency):
-        functionals._pearson_fit(seed, spec.base)
-    real = families.moments_from_ttrr
-
-    def bumped(coeffs, order):
-        return MomentFunctional(seed) if order == 5 else real(coeffs, order)
-
-    monkeypatch.setattr(families, "moments_from_ttrr", bumped)
-    with pytest.raises(InternalInconsistency):
-        spec.moments(20)
+        _pearson_fit(seed, spec.base)
 
 
 def test_pearson_walk_refuses_a_zero_pivot():
@@ -483,10 +561,10 @@ def test_pearson_walk_refuses_a_zero_pivot():
     base = F(1, 2)
     t6 = functionals._dual_steps(base, 7)[6]
     phi, psi = Poly([F(1), F(2), -1 / t6]), Poly([F(-3), F(1)])
-    seed = [F(1), F(3), F(2), F(5), F(7), F(11)]
-    assert len(functionals._pearson_walk(seed, phi, psi, base, 6)) == 7
+    walked = functionals._pearson_walk(phi, psi, base, 6)
+    assert len(walked) == 7 and walked[:2] == [1, 3]  # c_1 = -e
     with pytest.raises(RegularityViolation, match="t_6"):
-        functionals._pearson_walk(seed, phi, psi, base, 7)
+        functionals._pearson_walk(phi, psi, base, 7)
 
 
 @pytest.mark.parametrize("argv", [
@@ -499,8 +577,9 @@ def test_pearson_walk_refuses_a_zero_pivot():
      "--psi", '["-1/1", "1/6"]', "--order", "40"],
     ["verify", "coherence", "--case", "IIIb", "--q=1/2", "--omega=0/1"],
 ], ids=["moments", "moments-offset", "pearson", "coherence"])
-def test_family_moments_walk_the_chain_only_for_the_seed(argv, monkeypatch,
-                                                         capsys):
+def test_family_moments_never_walk_the_chain(argv, monkeypatch, capsys):
+    # the Pearson walk starts from c_0 = 1, so no command needs the chain
+    # walk for a seed
     from qcoherent.cli import main
 
     orders = []
@@ -513,7 +592,7 @@ def test_family_moments_walk_the_chain_only_for_the_seed(argv, monkeypatch,
     monkeypatch.setattr(families, "moments_from_ttrr", spy)
     assert main(argv) == 0
     capsys.readouterr()
-    assert orders and max(orders) <= 5
+    assert orders == []
 
 
 def test_structure_coeffs_case_one_band():

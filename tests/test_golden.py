@@ -1,6 +1,6 @@
 """Golden outputs: the SHA-256 of (argv, exit code, stdout) for one command
-line per subcommand, and for the commands whose functionals are made in
-the Hahn operator's frame at w != 0.
+line per subcommand, for the commands whose functionals are made in the
+Hahn operator's frame at w != 0, and for `moments` at orders 5 and 0.
 
 A digest changes only when a command's output or exit code does; to
 regenerate one after an intended change of output, print
@@ -26,6 +26,15 @@ GOLDEN = {
         ["moments", "--family", "J", "--a=2/1", "--b=-5/2", "--c=-2/3",
          "--d=-4/1", "--q=2/3", "--offset=1/3", "--order", "20"],
         "c137e00afb16b6dd76145215dc465b6fa714e135c9f4dd8cca60af9d70d56592"),
+    # orders 5 and 0: the low orders, which every workload argv skips
+    "moments-low": (
+        ["moments", "--family", "J", "--a=2/1", "--b=-5/2", "--c=-2/3",
+         "--d=-4/1", "--q=2/3", "--offset=1/3", "--order", "5"],
+        "a5e5a2bc55e213909efc502636436db23d32603fdf3dfc8db8a1aff651ca7b94"),
+    "moments-zero": (
+        ["moments", "--family", "L", "--a=2/1", "--b=1/2", "--c=-2/3",
+         "--q=2/3", "--order", "0"],
+        "39d30a6c9d6ab6b5acc1f026906ee4ef7c01ae35eb2abdfbba9df0a5fe9ce91a"),
     "pearson": (
         ["verify", "pearson", *L_CASE_I, "--q=1/2", "--phi", '["1/1"]',
          "--psi", '["-5/6", "1/6"]', "--order", "20"],
