@@ -14,8 +14,9 @@ module (``qcoherent.algebra``, ``qcoherent.qcalc``, ...).
 
 from .algebra import Poly
 from .classify import ClassificationTrace, classify_self_coherent
-from .coherence import CoherenceConfig, CoherencePair
+from .coherence import CoherencePair
 from .families import (
+    CoherenceConfig,
     FamilySpec,
     TTRRCoeffs,
     check_reduction,

@@ -123,9 +123,15 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
+        """Equal as polynomials.  Where the coefficient tuples differ the
+        difference decides, so that equal scalars of two types, such as
+        Fraction(7, 2) and 7/2 in sympy's Q(w), which compare unequal,
+        make equal polynomials; two such polynomials may hash differently.
+        """
         if not isinstance(other, Poly):
             other = Poly([other])
-        return self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs or (
+            len(self.coeffs) == len(other.coeffs) and (self - other).is_zero())
 
     def __hash__(self):
         return hash(self.coeffs)

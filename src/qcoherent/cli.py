@@ -25,6 +25,7 @@ from .classify import classify_self_coherent
 from .errors import INADMISSIBLE, DomainError, QCoherentError
 from .families import (
     CLASSICAL_LABELS,
+    CoherenceConfig,
     FamilySpec,
     MASTER_ARITY,
     REDUCTION_IDENTITIES,
@@ -63,7 +64,8 @@ def _parse_poly(text: str) -> Poly:
 
 
 def _qparams(args) -> QParams:
-    return QParams(rat(args.q), rat(args.omega))
+    # gen and moments take no --omega: a family does not depend on w
+    return QParams(rat(args.q), rat(getattr(args, "omega", "0/1")))
 
 
 def _family_from_args(args, qp: QParams) -> FamilySpec:
@@ -155,13 +157,13 @@ def _cmd_verify_pearson(args) -> int:
 
 def _cmd_verify_structure(args) -> int:
     _at_least(0, n=args.n, m=args.m, k=args.k, M=args.M)
-    qp = _qparams(args)
-    pi = _parse_poly(args.pi)
-    ttrr = _family_from_args(args, qp).ttrr(
-        args.n + max(args.m, args.k + pi.degree))
-    table = structure_coeffs(ttrr, ttrr, pi, args.m, args.k, args.M, qp,
-                             args.n)
-    payload = table.to_json()
+    qp, pi = _qparams(args), _parse_poly(args.pi)
+    spec = _family_from_args(args, qp)
+    config = CoherenceConfig(args.m, args.k, args.M, pi)
+    ttrr = spec.ttrr(config.span(args.n))
+    table = structure_coeffs(ttrr, ttrr, config, qp, args.n)
+    # the table holds pi in y = x - w0; the user's pi is in x
+    payload = {"pi": pi.to_strings(), **table.to_json()}
     payload["status"] = "holds" if table.is_coherent else "failed"
     _emit(payload)
     return 0 if table.is_coherent else 1
@@ -255,14 +257,15 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _add_family_options(parser):
+def _add_family_options(parser, omega: bool = True):
     parser.add_argument("--family", required=True,
                         help="L, J, or a classical label")
     for name in "abcd":
         parser.add_argument(f"--{name}", help="family parameter (num/den)")
     parser.add_argument("--q", required=True, help="base q (num/den)")
-    parser.add_argument("--omega", default="0/1",
-                        help="shift parameter w (default 0/1)")
+    if omega:
+        parser.add_argument("--omega", default="0/1",
+                            help="shift parameter w (default 0/1)")
     parser.add_argument("--scale", help="extra affine scale")
     parser.add_argument("--offset", help="affine offset")
 
@@ -274,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate family polynomials")
-    _add_family_options(gen)
+    _add_family_options(gen, omega=False)
     gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--format", choices=["json", "csv"], default="json")
     gen.set_defaults(func=_cmd_gen)
 
     mom = sub.add_parser("moments", help="moment sequence of a family")
-    _add_family_options(mom)
+    _add_family_options(mom, omega=False)
     mom.add_argument("--order", type=int, default=20)
     mom.add_argument("--format", choices=["json", "csv"], default="json")
     mom.set_defaults(func=_cmd_moments)

@@ -21,12 +21,18 @@ coefficients this module constructs the polynomial tables
 builds the Cramer determinant systems they satisfy, and verifies every
 resulting functional equation exactly on moments.  "Backward" throughout
 means the difference parameters (1/q, -w/q).
+
+A pair is its structure table and its two functionals: the table
+(:func:`families.structure_coeffs`) holds the shape (m, k, M, pi), the
+operator, P and Q with their recurrences, all in the Hahn operator's own
+frame y = x - w0, so there is nothing else to pass and no second frame to
+disagree with.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .algebra import Poly, affine_substitute, det_bareiss
+from .algebra import Poly, det_bareiss
 from .errors import (
     DegreeClaimViolated,
     DomainError,
@@ -34,7 +40,13 @@ from .errors import (
     InternalInconsistency,
     MissingData,
 )
-from .families import FamilySpec, StructureTable, squared_norms, structure_coeffs
+from .families import (
+    CoherenceConfig,
+    FamilySpec,
+    StructureTable,
+    squared_norms,
+    structure_coeffs,
+)
 from .functionals import (
     MomentFunctional,
     SemiclassicalWitness,
@@ -54,47 +66,6 @@ from .qcalc import (
 
 
 @dataclass(frozen=True)
-class CoherenceConfig:
-    """Structure-relation shape: derivative orders (m, k), index M, pivot pi."""
-
-    m: int
-    k: int
-    M: int
-    pi: Poly
-
-    def __post_init__(self):
-        if min(self.m, self.k, self.M) < 0:
-            raise DomainError("m, k, M must be non-negative")
-        if not self.pi.is_monic():
-            raise DomainError("pi must be monic")
-
-    @property
-    def N(self) -> int:
-        return self.pi.degree
-
-    @property
-    def system_order(self) -> int:
-        """Order of the determinant system: k-m+2N+1 for the xi system
-        (m < k+N), else m-k+1 for the varphi system."""
-        if self.m < self.k + self.N:
-            return self.k - self.m + 2 * self.N + 1
-        return self.m - self.k + 1
-
-    def table_rows(self, depth: int) -> int:
-        """The last structure row of a pair built for ``depth``.
-
-        depth + 1 + min(m, k+N), or row M + n for the last psi(.; n) that
-        ``verify(depth)`` reads when that lies further: the functional
-        equations read n <= min(4, depth), the determinant system
-        n < system_order (a width-two xi system reads psi(.; 3) at depth 0).
-        """
-        if depth < 0:
-            raise DomainError(f"n_max must be >= 0, got depth {depth}")
-        return max(depth + 1 + min(self.m, self.k + self.N),
-                   self.M + max(min(4, depth), self.system_order - 1))
-
-
-@dataclass(frozen=True)
 class DeterminantSystem:
     """Cramer data: the system determinant and its column replacements."""
 
@@ -107,59 +78,48 @@ class DeterminantSystem:
 
 
 class CoherencePair:
-    """A coherent pair instance with everything needed for verification.
+    """A coherent pair: its structure table and its two functionals.
 
-    Holds the moment functionals, squared norms, the structure table with
-    the two polynomial sequences it was expanded from, and the operator
-    parameters.  A pair lives in the Hahn operator's own frame y = x - w0,
-    where D_(q,w) is Jackson's D_(q,0), so its ``qp`` has w = 0 (a
-    ``DomainError`` otherwise); :meth:`self_coherent` translates a family
-    there.  Everything derived (the psi polynomials, the phi/varphi/xi
-    rows, both determinant systems, each difference D'**j of u or v and
-    every product f D'**j w of a polynomial and one of them) is built on
-    first use and kept in one memo.
+    The table fixes everything else (:class:`StructureTable`): the shape
+    (``config``), the operator (``qp``, Jackson's (q, 0) in the Hahn
+    operator's own frame y = x - w0), the sequences P and Q in y, and
+    through their recurrences the squared norms of u and v, which are
+    given by their moments against y**i.  :meth:`self_coherent` builds a
+    self pair from a family at (q, w).  Everything derived (the psi
+    polynomials, the phi/varphi/xi rows, both determinant systems, each
+    difference D'**j of u or v and every product f D'**j w of a polynomial
+    and one of them) is built on first use and kept in one memo.
     """
 
-    def __init__(self, config: CoherenceConfig, qp: QParams,
-                 u: MomentFunctional, v: MomentFunctional,
-                 u_norms, v_norms, table: StructureTable):
-        if qp.omega != 0:
-            raise DomainError("a pair runs at w = 0, in y = x - w0: its "
-                              "structure table's sequences are in y")
-        self.config = config
-        self.qp = qp
+    def __init__(self, table: StructureTable, u: MomentFunctional,
+                 v: MomentFunctional):
+        self.table, self.u, self.v = table, u, v
+        self.config, self.qp = table.config, table.qp
         self.p, self.q = table.p, table.q
-        self.u = u
-        self.v = v
-        self.u_norms = list(u_norms)
-        self.v_norms = list(v_norms)
-        self.table = table
+        self.u_norms = squared_norms(table.p_coeffs, len(table.p) - 1)
+        self.v_norms = (self.u_norms if table.q_coeffs is table.p_coeffs
+                        else squared_norms(table.q_coeffs, len(table.q) - 1))
         self._memo: dict = {}
 
     @classmethod
     def self_coherent(cls, spec: FamilySpec, config: CoherenceConfig,
                       qp: QParams, order: int = 40,
                       depth: int = 8) -> "CoherencePair":
-        """Build the pair P = Q from one family spec at (q, w).
+        """Build the pair P = Q from one family spec, and pi, at (q, w).
 
-        The family and pi are translated once to y = x - w0, where the pair
-        runs at (q, 0); every table and report is then that of the pair in
-        x at (q, w), read in y.  ``order`` is the stored moment order;
-        ``depth`` the one :meth:`verify` will be given, which fixes the
-        structure rows (:meth:`CoherenceConfig.table_rows`).  One recurrence,
-        to the larger index either needs, serves the table, the norms and
-        the moments.
+        :func:`structure_coeffs` takes the family's recurrence and pi to
+        y = x - w0, where the pair runs at (q, 0), and u is walked on the
+        family translated there; every table and report is then that of the
+        pair in x at (q, w), read in y.  ``order`` is the stored moment
+        order; ``depth`` the one :meth:`verify` will be given, which fixes
+        the structure rows (:meth:`CoherenceConfig.table_rows`).  One
+        recurrence, to the larger index either needs, serves the table, the
+        norms and the moments.
         """
-        spec = replace(spec, offset=spec.offset - qp.omega0)
-        config = replace(config, pi=affine_substitute(config.pi, 1, qp.omega0))
-        rows, jackson = config.table_rows(depth), QParams(qp.q, 0)
-        span = rows + max(config.m, config.k + config.N)
-        ttrr = spec.ttrr(max(span, order // 2))
-        u = spec._walk_moments(order)
-        norms = squared_norms(ttrr, span)
-        table = structure_coeffs(ttrr, ttrr, config.pi, config.m,
-                                 config.k, config.M, jackson, rows)
-        return cls(config, jackson, u, u, norms, norms, table)
+        rows = config.table_rows(depth)
+        ttrr = spec.ttrr(max(config.span(rows), order // 2))
+        u = replace(spec, offset=spec.offset - qp.omega0)._walk_moments(order)
+        return cls(structure_coeffs(ttrr, ttrr, config, qp, rows), u, u)
 
     def _once(self, key, build):
         """The value memoised under ``key``; ``build()`` makes it on first

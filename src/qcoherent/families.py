@@ -31,6 +31,13 @@ whose pair (phi, psi) is in closed form, in the frame where it is classical
 for Jackson's operator (:meth:`FamilySpec.pearson`,
 :meth:`FamilySpec.moments`); the chain walk :func:`moments_from_ttrr`
 serves any recurrence data.
+
+The shape of a structure relation, orders (m, k), index M and monic pivot
+pi, is a :class:`CoherenceConfig`; its :meth:`CoherenceConfig.span` is the
+one rule for how far rows 0..n read the sequences.  From two recurrences
+and a shape in x at (q, w), :func:`structure_coeffs` builds a
+:class:`StructureTable` held wholly in the Hahn operator's own frame
+y = x - w0: pivot, recurrences, sequences and the operator (q, 0).
 """
 from __future__ import annotations
 
@@ -416,29 +423,79 @@ def classical(label: str, params, qp: QParams) -> FamilySpec:
                       f"known: {', '.join(CLASSICAL_LABELS)}")
 
 
+@dataclass(frozen=True)
+class CoherenceConfig:
+    """Structure-relation shape: derivative orders (m, k), index M, pivot pi."""
+
+    m: int
+    k: int
+    M: int
+    pi: Poly
+
+    def __post_init__(self):
+        if min(self.m, self.k, self.M) < 0:
+            raise DomainError("m, k, M must be non-negative")
+        if not self.pi.is_monic():
+            raise DomainError("pi must be monic")
+
+    @property
+    def N(self) -> int:
+        return self.pi.degree
+
+    def span(self, n: int) -> int:
+        """The last index of P and Q that structure rows 0..n read when P
+        and Q are one sequence: P_(n+m) and Q_(n+k+N)."""
+        return n + max(self.m, self.k + self.N)
+
+    @property
+    def system_order(self) -> int:
+        """Order of the determinant system: k-m+2N+1 for the xi system
+        (m < k+N), else m-k+1 for the varphi system."""
+        if self.m < self.k + self.N:
+            return self.k - self.m + 2 * self.N + 1
+        return self.m - self.k + 1
+
+    def table_rows(self, depth: int) -> int:
+        """The last structure row of a pair built for ``depth``.
+
+        depth + 1 + min(m, k+N), or row M + n for the last psi(.; n) that
+        ``verify(depth)`` reads when that lies further: the functional
+        equations read n <= min(4, depth), the determinant system
+        n < system_order (a width-two xi system reads psi(.; 3) at depth 0).
+        """
+        if depth < 0:
+            raise DomainError(f"n_max must be >= 0, got depth {depth}")
+        return max(depth + 1 + min(self.m, self.k + self.N),
+                   self.M + max(min(4, depth), self.system_order - 1))
+
+
 class StructureTable:
     """Expansion coefficients c_{n,j} of pi * P_n^{[m]} in the set Q_j^{[k]}.
 
-    Rows n = 0..n_max; row n stores every coefficient for j = 0..n+N where
-    N = deg pi.  Coefficients below the band j = n - M are recorded as data
-    (not errors) so near-coherence can be reported; ``in_band`` says they
-    all vanish and ``cond1_ok`` that the band edge c_{n,n-M} is non-zero
-    for n >= M.  ``p`` and ``q`` are the sequences P_0..P_(n_max+m) and
-    Q_0..Q_(n_max+k+N) it was expanded from (to n_max + max(m, k+N) each
-    when they are one sequence), as polynomials in y = x - w0.
+    A table is wholly in the Hahn operator's own frame y = x - w0, where
+    the operator ``qp`` is Jackson's (q, 0): its ``config`` holds pi(y + w0),
+    ``p_coeffs`` and ``q_coeffs`` the recurrences of P and Q translated to
+    y (one object when P = Q), and ``p`` and ``q`` the sequences
+    P_0..P_(n_max+m) and Q_0..Q_(n_max+k+N) generated from them (to
+    ``config.span(n_max)`` each when they are one sequence).
+
+    Rows n = 0..n_max; row n stores every coefficient for j = 0..n+N.
+    Coefficients below the band j = n - M are recorded as data (not
+    errors) so near-coherence can be reported; ``in_band`` says they all
+    vanish and ``cond1_ok`` that the band edge c_{n,n-M} is non-zero for
+    n >= M.
     """
 
-    def __init__(self, pi: Poly, m: int, k: int, index_m: int, entries,
-                 n_max: int, p_polys, q_polys):
-        self.pi = pi
-        self.m = m
-        self.k = k
-        self.M = index_m
-        self.N = pi.degree
-        self.entries = dict(entries)
-        self.n_max = n_max
-        self.p = p_polys
-        self.q = q_polys
+    def __init__(self, config: CoherenceConfig, qp: QParams,
+                 p_coeffs: TTRRCoeffs, q_coeffs: TTRRCoeffs, p: list,
+                 q: list, entries: dict, n_max: int):
+        self.config, self.qp = config, qp
+        self.p_coeffs, self.q_coeffs, self.p, self.q = p_coeffs, q_coeffs, p, q
+        self.entries, self.n_max = entries, n_max
+
+    @property
+    def N(self) -> int:
+        return self.config.N
 
     def c(self, n: int, j: int):
         if not 0 <= n <= self.n_max:
@@ -451,7 +508,7 @@ class StructureTable:
     def below_band(self) -> list:
         out = []
         for (n, j), value in sorted(self.entries.items()):
-            if j < n - self.M and value != 0:
+            if j < n - self.config.M and value != 0:
                 out.append((n, j, value))
         return out
 
@@ -461,17 +518,18 @@ class StructureTable:
 
     @property
     def cond1_ok(self) -> bool:
-        return all(self.c(n, n - self.M) != 0
-                   for n in range(self.M, self.n_max + 1))
+        index_m = self.config.M
+        return all(self.c(n, n - index_m) != 0
+                   for n in range(index_m, self.n_max + 1))
 
     @property
     def is_coherent(self) -> bool:
         return self.in_band and self.cond1_ok
 
     def to_json(self) -> dict:
+        cfg = self.config
         return {
-            "pi": self.pi.to_strings(),
-            "m": self.m, "k": self.k, "M": self.M, "N": self.N,
+            "m": cfg.m, "k": cfg.k, "M": cfg.M, "N": cfg.N,
             "n_max": self.n_max,
             "rows": [[rat_str(self.c(n, j)) for j in range(n + self.N + 1)]
                      for n in range(self.n_max + 1)],
@@ -480,37 +538,38 @@ class StructureTable:
         }
 
 
-def structure_coeffs(p_coeffs: TTRRCoeffs, q_coeffs: TTRRCoeffs, pi: Poly,
-                     m: int, k: int, index_m: int, qp: QParams,
+def structure_coeffs(p_coeffs: TTRRCoeffs, q_coeffs: TTRRCoeffs,
+                     config: CoherenceConfig, qp: QParams,
                      n_max: int) -> StructureTable:
-    """Expand pi * P_n^{[m]} in the simple set (Q_j^{[k]}) for n <= n_max.
+    """Expand pi * P_n^{[m]} in the simple set (Q_j^{[k]}) for n <= n_max,
+    with P, Q and pi in x and the operator at (q, w).
 
     The sequences are generated from their recurrences translated to
     y = x - w0, where D_(q,w) is D_(q,0) and each normalized difference is
     a scaling of the coefficients; a common translation leaves every c_{n,j}
-    unchanged.  P_n^{[m]} is degree-preserving, so the left side is monic
-    of degree N + n and the top coefficient c_{n,n+N} is 1 by construction
-    (asserted).
+    unchanged.  The table keeps pi, the recurrences and the sequences in y
+    (:class:`StructureTable`).  P_n^{[m]} is degree-preserving, so the left
+    side is monic of degree N + n and the top coefficient c_{n,n+N} is 1 by
+    construction (asserted).
     """
-    if not pi.is_monic():
-        raise DomainError("pi must be monic")
-    deg_pi, w0, jackson = pi.degree, qp.omega0, QParams(qp.q, 0)
-    shared = q_coeffs is p_coeffs  # one sequence, generated once
-    p_y = ttrr_generate(p_coeffs.shifted(1, -w0),  # P_n(y + w0)
-                        n_max + (max(m, k + deg_pi) if shared else m))
-    q_y = p_y if shared else ttrr_generate(q_coeffs.shifted(1, -w0),
-                                           n_max + k + deg_pi)
-    pi_y = affine_substitute(pi, 1, w0)
-    q_der = normalized_derivative_set(q_y[:n_max + k + deg_pi + 1], k, jackson)
+    w0, jackson = qp.omega0, QParams(qp.q, 0)
+    config = dataclasses.replace(config, pi=affine_substitute(config.pi, 1, w0))
+    m, k, deg_pi = config.m, config.k, config.N
+    p_y = p_coeffs.shifted(1, -w0)  # P_n(y + w0)
+    q_y = p_y if q_coeffs is p_coeffs else q_coeffs.shifted(1, -w0)
+    shared = q_y is p_y  # one sequence, generated once
+    p = ttrr_generate(p_y, config.span(n_max) if shared else n_max + m)
+    q = p if shared else ttrr_generate(q_y, n_max + k + deg_pi)
+    q_der = normalized_derivative_set(q[:n_max + k + deg_pi + 1], k, jackson)
     entries = {}
     for row in range(n_max + 1):
-        lhs = pi_y * normalized_derivative(p_y[row + m], row, m, jackson)
+        lhs = config.pi * normalized_derivative(p[row + m], row, m, jackson)
         coords = expand_in_basis(lhs, q_der[:row + deg_pi + 1])
         if coords[row + deg_pi] != 1:
             raise InternalInconsistency("top structure coefficient is not 1")
         for j, value in enumerate(coords):
             entries[(row, j)] = value
-    return StructureTable(pi, m, k, index_m, entries, n_max, p_y, q_y)
+    return StructureTable(config, jackson, p_y, q_y, p, q, entries, n_max)
 
 
 def moments_from_ttrr(coeffs: TTRRCoeffs, order: int) -> MomentFunctional:

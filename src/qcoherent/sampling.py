@@ -18,8 +18,9 @@ from .classify import (
     case_iiib_bessel_instance,
     case_iiib_instance,
 )
-from .coherence import CoherenceConfig, CoherencePair
+from .coherence import CoherencePair
 from .errors import INADMISSIBLE, QCoherentError
+from .families import CoherenceConfig
 from .qcalc import QParams
 
 CASE_LABELS = ("I", "II", "IIIa", "IIIb", "IIIb-bessel", "IIIb-rzero")

@@ -15,10 +15,11 @@ from qcoherent.classify import (
     classify_self_coherent,
     pearson_ttrr,
 )
-from qcoherent.coherence import CoherenceConfig, CoherencePair
+from qcoherent.coherence import CoherencePair
 from qcoherent.errors import QCoherentError
 from qcoherent.families import (
     REDUCTION_IDENTITIES,
+    CoherenceConfig,
     FamilySpec,
     check_reduction,
     j_coeffs,
@@ -247,8 +248,9 @@ def test_criterion_07_structure_relations_of_classified_families():
                                            inst.qp, n_max=10)
             assert trace.family is not None
             ttrr = trace.family.ttrr(11 + trace.pearson_phi.degree)
-            table = structure_coeffs(ttrr, ttrr, trace.pearson_phi,
-                                     1, 0, 0, inst.qp, 10)
+            table = structure_coeffs(
+                ttrr, ttrr, CoherenceConfig(1, 0, 0, trace.pearson_phi),
+                inst.qp, 10)
             assert table.in_band            # nothing below the band
             assert table.cond1_ok           # c_{n,n} != 0 for n <= 10
             for n in range(11):             # top coefficient is 1

@@ -47,6 +47,22 @@ def test_poly_monomial_product():
     assert Poly([0, 2]) * Poly([0, 0, 3]) == Poly([0, 0, 0, 6])
 
 
+def test_poly_equality_across_mixed_scalars():
+    # over sympy's Q(w), 7/2 and Fraction(7, 2) compare unequal as
+    # scalars; as coefficients they make equal polynomials, and unequal
+    # ones stay unequal
+    sympy = pytest.importorskip("sympy")
+    field, w = sympy.field("w", sympy.QQ)
+    assert field(7) / 2 != F(7, 2)
+    assert Poly([field(7) / 2]) == Poly([F(7, 2)])
+    assert Poly([F(7, 2)]) == Poly([field(7) / 2])
+    assert Poly([field(1) / 3, w]) == Poly([F(1, 3), w])
+    assert Poly([field(7) / 2]) == F(7, 2)
+    assert Poly([field(7) / 2 + w]) != Poly([F(7, 2)])
+    assert Poly([field(7) / 2, 1]) != Poly([F(7, 2)])
+    assert Poly([F(1, 2), 1]) != Poly([F(1, 3), 1])
+
+
 def test_poly_degree_bookkeeping():
     p = Poly([1, 0, 2])
     q = Poly([3, 4])

@@ -77,6 +77,20 @@ def test_moments_output(capsys):
     assert data["moments"][1] == "5/1"
 
 
+@pytest.mark.parametrize("command", [["gen", "--n", "3"],
+                                     ["moments", "--order", "6"]])
+def test_gen_and_moments_take_no_omega(capsys, command):
+    # a family's polynomials and moments do not depend on w, so gen and
+    # moments have no --omega to ignore: argparse refuses it
+    family = ["--family", "L", "--a=2/1", "--b=3/1", "--c=0/1", "--q=1/2"]
+    assert main(command + family) == 0
+    capsys.readouterr()
+    assert main(command + family + ["--omega=5/7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--omega" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_pearson_roundtrip(capsys):
     # backward pair of the worked zero-pivot case: phi = 1,
     # psi = (q/gamma_1)(beta_0 - x) = (x - 5)/6
@@ -476,35 +490,39 @@ def _counts(*values):
     return st.sampled_from([str(v) for v in values])
 
 
-# words -> (whether the family options apply, {option: (values, kind)}),
-# with small counts so that every command runs in milliseconds
+# the optional options of a family; gen and moments take no --omega
+FRAME = ("--omega", "--scale", "--offset")
+
+# words -> (the family's optional options, None without a family,
+# {option: (values, kind)}), with small counts so that every command runs
+# in milliseconds
 COMMANDS = {
-    ("gen",): (True, {"--n": (_counts(0, 3), "count"),
-                      "--format": (FORMATS, "choice")}),
-    ("moments",): (True, {"--order": (_counts(0, 6), "count"),
-                          "--format": (FORMATS, "choice")}),
-    ("verify", "pearson"): (True, {
+    ("gen",): (FRAME[1:], {"--n": (_counts(0, 3), "count"),
+                           "--format": (FORMATS, "choice")}),
+    ("moments",): (FRAME[1:], {"--order": (_counts(0, 6), "count"),
+                               "--format": (FORMATS, "choice")}),
+    ("verify", "pearson"): (FRAME, {
         "--phi": (POLYS, "poly"), "--psi": (POLYS, "poly"),
         "--order": (_counts(2, 8), "count"),
         "--direction": (st.sampled_from(["forward", "backward"]), "choice")}),
-    ("verify", "structure"): (True, {
+    ("verify", "structure"): (FRAME, {
         "--pi": (MONIC, "poly"), "--m": (_counts(0, 1, 2), "count"),
         "--k": (_counts(0, 1), "count"), "--M": (_counts(0, 1), "count"),
         "--n": (_counts(0, 3), "count")}),
-    ("verify", "coherence"): (False, {
+    ("verify", "coherence"): (None, {
         "--case": (st.sampled_from(CASE_LABELS), "choice"),
         "--seed": (SEEDS, "count"), "--q": (Q_VALUES, "rational"),
         "--omega": (RATIONALS, "rational"),
         "--order": (_counts(6, 12), "count"),
         "--depth": (_counts(0, 1, 2), "count")}),
-    ("verify", "reduction"): (False, {
+    ("verify", "reduction"): (None, {
         "--identity": (st.sampled_from(REDUCTION_IDENTITIES), "choice"),
         "--seed": (SEEDS, "count"), "--points": (_counts(1, 2), "count"),
         "--n": (_counts(0, 4), "count")}),
-    ("verify", "leibniz"): (False, {
+    ("verify", "leibniz"): (None, {
         "--seed": (SEEDS, "count"), "--trials": (_counts(1, 2), "count"),
         "--n": (_counts(0, 3), "count")}),
-    ("classify",): (False, {
+    ("classify",): (None, {
         "--pi": (MONIC, "poly"), "--beta0": (RATIONALS, "rational"),
         "--gamma1": (RATIONALS, "rational"), "--q": (Q_VALUES, "rational"),
         "--omega": (RATIONALS, "rational"), "--n": (_counts(0, 4), "count"),
@@ -512,15 +530,16 @@ COMMANDS = {
 }
 
 
-def _family_options(draw):
-    """A family with exactly its parameters, and some affine options."""
+def _family_options(draw, frame):
+    """A family with exactly its parameters, and some of the options in
+    ``frame``."""
     label = draw(st.sampled_from(["L", "J", *CLASSICAL_LABELS]))
     arity = MASTER_ARITY.get(label, CLASSICAL_LABELS.get(label))
     options = {"--family": (label, "choice"),
                "--q": (draw(Q_VALUES), "rational")}
     for name in "abcd"[:arity]:
         options[f"--{name}"] = (draw(RATIONALS), "rational")
-    for name in ("--omega", "--scale", "--offset"):
+    for name in frame:
         if draw(st.booleans()):
             options[name] = (draw(RATIONALS), "rational")
     return options
@@ -531,8 +550,8 @@ def argvs(draw, words):
     """The fault drawn and the argv: a well-formed ``words`` command
     (fault "none"), or one with a single fault: a boundary or malformed
     value, a missing option, or an unknown option or command."""
-    with_family, grammar = COMMANDS[words]
-    options = _family_options(draw) if with_family else {}
+    frame, grammar = COMMANDS[words]
+    options = {} if frame is None else _family_options(draw, frame)
     for option, (values, kind) in grammar.items():
         options[option] = (draw(values), kind)
     fault = draw(st.sampled_from(["none", "none", "value", "drop", "extra"]))

@@ -15,9 +15,9 @@ from qcoherent.classify import (
     case_iiib_bessel_instance,
     case_iiib_instance,
 )
-from qcoherent.coherence import CoherenceConfig, CoherencePair
+from qcoherent.coherence import CoherencePair
 from qcoherent.errors import DomainError, IndexOutOfRange
-from qcoherent.families import FamilySpec
+from qcoherent.families import CoherenceConfig, FamilySpec, structure_coeffs
 from qcoherent.functionals import _taylor_shift, functional_agree, left_mult
 from qcoherent.qcalc import (
     QParams,
@@ -52,8 +52,7 @@ def make_pair(instance, order=30, depth=6):
 
 def fresh(pair):
     """The same pair with empty table and determinant-system caches."""
-    return CoherencePair(pair.config, pair.qp, pair.u, pair.v,
-                         pair.u_norms, pair.v_norms, pair.table)
+    return CoherencePair(pair.table, pair.u, pair.v)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +212,27 @@ def test_reports_at_w_equal_reports_at_zero(label):
     assert {r.status for r in runs[0][1]} <= {"holds", "degenerate"}
 
 
+@pytest.mark.parametrize("label", CASE_LABELS)
+def test_pair_is_a_table_and_two_functionals(label):
+    # the public constructor at w != 0: a table built from the family's
+    # recurrence and the caller's pivot, both in x, at (q, w), and u walked
+    # in y = x - w0, give the reports of self_coherent.  The table alone
+    # fixes the frame, so no pivot or operator can be paired in another
+    qp = QParams(F(1, 2), F(1, 3))
+    inst, pair = sample_case_instance(random.Random(0), label, qp, 30, 4)
+    config = CoherenceConfig(1, 0, 0, inst.pi)
+    rows = config.table_rows(4)
+    ttrr = inst.spec.ttrr(config.span(rows))
+    spec_y = replace(inst.spec, offset=inst.spec.offset - qp.omega0)
+    u_y = spec_y.moments(30)
+    built = CoherencePair(structure_coeffs(ttrr, ttrr, config, qp, rows),
+                          u_y, u_y)
+    reports = built.verify(4)
+    assert reports == pair.verify(4)
+    assert len(reports) >= 17
+    assert {r.status for r in reports} <= {"holds", "degenerate"}
+
+
 def test_pair_is_built_and_verified_in_one_frame(monkeypatch):
     # self_coherent generates its sequence once (inside structure_coeffs,
     # in y = x - w0), and verify at w0 = 2 makes no Taylor shift of a
@@ -264,14 +284,6 @@ def test_config_validation():
         CoherenceConfig(-1, 0, 0, Poly.one())
     with pytest.raises(DomainError):
         CoherenceConfig(1, 0, 0, Poly([1, 2]))  # not monic
-
-
-def test_pair_refuses_an_operator_with_w_nonzero(pair_i):
-    # the table's sequences are polynomials in y = x - w0, where the
-    # operator is (q, 0): at (q, w) they would be read in the wrong frame
-    with pytest.raises(DomainError):
-        CoherencePair(pair_i.config, QP, pair_i.u, pair_i.v,
-                      pair_i.u_norms, pair_i.v_norms, pair_i.table)
 
 
 def test_pair_functional_is_made_at_the_fixed_point(pair_i):
@@ -348,12 +360,10 @@ def test_functional_equation_low_form(pair_iiia):
 def test_perturbed_structure_coefficient_breaks_equation(pair_i):
     import copy
 
-    broken = CoherencePair(pair_i.config, pair_i.qp, pair_i.u, pair_i.v,
-                           pair_i.u_norms, pair_i.v_norms,
-                           copy.copy(pair_i.table))
-    broken.table = copy.copy(pair_i.table)
-    broken.table.entries = dict(pair_i.table.entries)
-    broken.table.entries[(2, 2)] = pair_i.table.entries[(2, 2)] + 1
+    table = copy.copy(pair_i.table)
+    table.entries = dict(pair_i.table.entries)
+    table.entries[(2, 2)] = pair_i.table.entries[(2, 2)] + 1
+    broken = CoherencePair(table, pair_i.u, pair_i.v)
     report = broken.verify_functional_equation(2)
     assert not report.ok and report.first_failure is not None
 
@@ -392,8 +402,7 @@ def test_varphi_system_detects_unrelated_functional(pair_i):
     from qcoherent.functionals import MomentFunctional
 
     stranger = MomentFunctional([F(1)] + [F(k + 2, 3) for k in range(30)])
-    twisted = CoherencePair(pair_i.config, pair_i.qp, pair_i.u, stranger,
-                            pair_i.u_norms, pair_i.v_norms, pair_i.table)
+    twisted = CoherencePair(pair_i.table, pair_i.u, stranger)
     reports = twisted.verify_varphi_system()
     assert any(not r.ok for r in reports)
 
@@ -482,17 +491,12 @@ W_CASES = {
 def test_tables_free_of_w_identically(label):
     # a certificate that w drops out: built at w = a free generator of
     # Q(w), the pair's psi, phi and xi tables for n <= 3 equal those built
-    # at w = 0, compared in Q(w).  A case family and its pivot's roots sit
+    # at w = 0, compared as polynomials (equal across Fraction and Q(w)
+    # coefficients).  A case family and its pivot's roots sit
     # at w0, so in y = x - w0 the pair does not depend on w, and a
     # certificate at one w covers every w at which the family is regular
     sympy = pytest.importorskip("sympy")
     field, w = sympy.field("w", sympy.QQ)
-
-    def in_q_w(poly):
-        # a coefficient is a Fraction or in Q(w), and a Fraction that is
-        # not an integer never equals its own image in Q(w)
-        return [field(c) for c in poly.coeffs]
-
     tables = []
     for omega in (w, field.zero):
         qp = QParams(F(1, 2), omega)
@@ -500,9 +504,8 @@ def test_tables_free_of_w_identically(label):
         pair = CoherencePair.self_coherent(
             inst.spec, CoherenceConfig(1, 0, 0, inst.pi), qp, order=0,
             depth=4)
-        tables.append([[in_q_w(f) for f in [pair.psi(n)]
-                        + [pair.phi(n, j) for j in range(3)]
-                        + [pair.xi(n, j) for j in range(2)]]
+        tables.append([[pair.psi(n)] + [pair.phi(n, j) for j in range(3)]
+                       + [pair.xi(n, j) for j in range(2)]
                        for n in range(4)])
     assert tables[0] == tables[1]
 
@@ -578,9 +581,7 @@ def test_xi_system_zero_functional_flagged(pair_iiia):
     from qcoherent.functionals import MomentFunctional
 
     zero = MomentFunctional([F(0)] * 30)
-    degenerate = CoherencePair(pair_iiia.config, pair_iiia.qp, pair_iiia.u,
-                               zero, pair_iiia.u_norms, pair_iiia.v_norms,
-                               pair_iiia.table)
+    degenerate = CoherencePair(pair_iiia.table, pair_iiia.u, zero)
     reports = degenerate.verify_xi_system()
     assert reports[0].status == "degenerate"
 

@@ -30,6 +30,7 @@ from qcoherent.families import (
     CLASSICAL_LABELS,
     MASTER_ARITY,
     REDUCTION_IDENTITIES,
+    CoherenceConfig,
     FamilySpec,
     TTRRCoeffs,
     check_reduction,
@@ -595,10 +596,13 @@ def test_family_moments_never_walk_the_chain(argv, monkeypatch, capsys):
     assert orders == []
 
 
+CONSTANT_PIVOT = CoherenceConfig(1, 0, 0, Poly.one())
+
+
 def test_structure_coeffs_case_one_band():
     spec = FamilySpec("L", (F(2), F(3), F(0)), QP.q, offset=QP.omega0)
     ttrr = spec.ttrr(8)
-    table = structure_coeffs(ttrr, ttrr, Poly.one(), 1, 0, 0, QP, 7)
+    table = structure_coeffs(ttrr, ttrr, CONSTANT_PIVOT, QP, 7)
     assert table.N == 0 and table.n_max == 7
     for n in range(table.n_max + 1):
         assert table.c(n, n) == 1
@@ -611,14 +615,15 @@ def test_structure_coeffs_row_zero_value():
     spec = FamilySpec("L", (F(2), F(3), F(1, 4)), QP.q, offset=QP.omega0)
     ttrr = spec.ttrr(6)
     pi = Poly([c - QP.omega0, F(1)])
-    table = structure_coeffs(ttrr, ttrr, pi, 1, 0, 0, QP, 5)
+    table = structure_coeffs(ttrr, ttrr, CoherenceConfig(1, 0, 0, pi),
+                             QP, 5)
     assert table.c(0, 0) == c + ttrr.beta_at(0) - QP.omega0
 
 
 def test_structure_coeffs_flags_non_coherent_pair():
     p = FamilySpec("L", (F(2), F(3), F(0)), QP.q).ttrr(8)
     q = FamilySpec("L", (F(5), F(-1), F(0)), QP.q).ttrr(8)
-    table = structure_coeffs(p, q, Poly.one(), 1, 0, 0, QP, 7)
+    table = structure_coeffs(p, q, CONSTANT_PIVOT, QP, 7)
     assert not table.in_band
     assert table.below_band  # non-zero coefficients beyond the band
 
@@ -666,8 +671,14 @@ def test_structure_coeffs_match_the_x_frame_oracle(pair, m, k, index_m,
     pi, n_max = STRUCTURE_PIVOTS[deg], 6
     p = p_spec.ttrr(n_max + m + k + deg)
     q = p if q_spec is p_spec else q_spec.ttrr(n_max + k + deg)
-    table = structure_coeffs(p, q, pi, m, k, index_m, QP, n_max)
-    assert table.pi == pi and (table.m, table.k, table.M) == (m, k, index_m)
+    config = CoherenceConfig(m, k, index_m, pi)
+    table = structure_coeffs(p, q, config, QP, n_max)
+    # the table holds its shape, operator and recurrences in y = x - w0
+    assert table.config == dataclasses.replace(
+        config, pi=affine_substitute(pi, 1, QP.omega0))
+    assert table.qp == QParams(QP.q, 0) and table.N == deg
+    assert (table.p_coeffs.beta[0], table.q_coeffs.beta[0]) == (
+        p.beta[0] - QP.omega0, q.beta[0] - QP.omega0)
     assert table_rows(table) == oracle_structure_rows(
         p_spec, q_spec, pi, m, k, QP, n_max)
 
@@ -681,7 +692,8 @@ def test_structure_coeffs_match_the_oracle_over_qp():
     spec = FamilySpec("L", (p, F(3), F(1, 4)), qp.q)
     pi = Poly([p, F(1)])
     ttrr = spec.ttrr(8)
-    table = structure_coeffs(ttrr, ttrr, pi, 2, 1, 0, qp, 4)
+    table = structure_coeffs(ttrr, ttrr, CoherenceConfig(2, 1, 0, pi), qp,
+                             4)
     assert table_rows(table) == oracle_structure_rows(spec, spec, pi, 2, 1,
                                                       qp, 4)
 
@@ -700,7 +712,7 @@ def test_structure_coeffs_translate_only_the_pivot(monkeypatch):
     for module in (qcalc, families):
         monkeypatch.setattr(module, "affine_substitute", spy, raising=False)
     ttrr = STRUCTURE_PAIRS["self-L"][0].ttrr(11)
-    structure_coeffs(ttrr, ttrr, Poly.one(), 1, 0, 0, QP, 10)
+    structure_coeffs(ttrr, ttrr, CONSTANT_PIVOT, QP, 10)
     assert shifts == [QP.omega0]
 
 
@@ -709,10 +721,10 @@ def test_structure_coeffs_refuse_a_short_recurrence():
     # reads beta_5 and gamma_5, Q_5 reads beta_4 and gamma_4
     spec = STRUCTURE_PAIRS["self-L"][0]
     p, q = spec.ttrr(5), spec.ttrr(4)
-    assert structure_coeffs(p, q, Poly.one(), 1, 0, 0, QP, 5).n_max == 5
+    assert structure_coeffs(p, q, CONSTANT_PIVOT, QP, 5).n_max == 5
     for short_p, short_q in ((q, q), (p, spec.ttrr(3))):
         with pytest.raises(MissingCoefficient):
-            structure_coeffs(short_p, short_q, Poly.one(), 1, 0, 0, QP, 5)
+            structure_coeffs(short_p, short_q, CONSTANT_PIVOT, QP, 5)
 
 
 FIXED_PARAMS = {

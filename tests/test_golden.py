@@ -1,6 +1,7 @@
 """Golden outputs: the SHA-256 of (argv, exit code, stdout) for one command
 line per subcommand, for the commands whose functionals are made in the
-Hahn operator's frame at w != 0, and for `moments` at orders 5 and 0.
+Hahn operator's frame at w != 0, for `verify structure` at w != 0 with a
+non-constant pivot, and for `moments` at orders 5 and 0.
 
 A digest changes only when a command's output or exit code does; to
 regenerate one after an intended change of output, print
@@ -16,6 +17,7 @@ import pytest
 from qcoherent.cli import main
 
 L_CASE_I = ["--family", "L", "--a=2/1", "--b=3/1", "--c=0/1"]
+L_PARAMS = ["--family", "L", "--a=2/1", "--b=3/1", "--c=1/5"]
 
 GOLDEN = {
     "gen": (
@@ -66,6 +68,18 @@ GOLDEN = {
         ["verify", "structure", *L_CASE_I, "--q=1/2", "--omega=1/3",
          "--offset=2/3", "--pi", '["1/1"]', "--n", "6"],
         "d83a719374cbd3cc84b7630825a40fb728b879845e32f469dbf2ccc4908ab7a6"),
+    # w != 0 with a non-constant pivot: the table holds pi in y = x - w0,
+    # and the output names the pivot in x.  Both fail to be banded
+    "structure-w-pi": (
+        ["verify", "structure", *L_PARAMS, "--q=1/2", "--omega=1/3",
+         "--offset=2/3", "--pi", '["-1/2","1/1"]', "--m", "1", "--k", "0",
+         "--M", "1", "--n", "5"],
+        "13e00cab5b8df667cafd7082ea3ddcb2ec1ddcf27f5cea64c694c61d6e477eae"),
+    "structure-w-pi-2": (
+        ["verify", "structure", *L_PARAMS, "--q=1/2", "--omega=1/3",
+         "--offset=2/3", "--pi", '["1/3","-1/2","1/1"]', "--m", "2", "--k",
+         "1", "--M", "0", "--n", "4"],
+        "2ac85c596a538debe770f2516eaed2af03ffd5269a81e1a009037ac72926ead1"),
     "coherence": (
         ["verify", "coherence", "--case", "IIIa", "--seed", "1",
          "--order", "24", "--depth", "3"],
