@@ -550,7 +550,9 @@ def structure_coeffs(p_coeffs: TTRRCoeffs, q_coeffs: TTRRCoeffs,
     unchanged.  The table keeps pi, the recurrences and the sequences in y
     (:class:`StructureTable`).  P_n^{[m]} is degree-preserving, so the left
     side is monic of degree N + n and the top coefficient c_{n,n+N} is 1 by
-    construction (asserted).
+    construction (asserted).  A pair reads the squared norms up to the top
+    index of each sequence, so a recurrence without gamma at that index is
+    refused here (``MissingCoefficient``), not by the pair.
     """
     w0, jackson = qp.omega0, QParams(qp.q, 0)
     config = dataclasses.replace(config, pi=affine_substitute(config.pi, 1, w0))
@@ -558,8 +560,13 @@ def structure_coeffs(p_coeffs: TTRRCoeffs, q_coeffs: TTRRCoeffs,
     p_y = p_coeffs.shifted(1, -w0)  # P_n(y + w0)
     q_y = p_y if q_coeffs is p_coeffs else q_coeffs.shifted(1, -w0)
     shared = q_y is p_y  # one sequence, generated once
-    p = ttrr_generate(p_y, config.span(n_max) if shared else n_max + m)
-    q = p if shared else ttrr_generate(q_y, n_max + k + deg_pi)
+    top_p = config.span(n_max) if shared else n_max + m
+    top_q = top_p if shared else n_max + k + deg_pi
+    for coeffs, top in ((p_y, top_p), (q_y, top_q)):
+        if top:  # there is no gamma_0
+            coeffs.gamma_at(top)  # raises when the norms would lack it
+    p = ttrr_generate(p_y, top_p)
+    q = p if shared else ttrr_generate(q_y, top_q)
     q_der = normalized_derivative_set(q[:n_max + k + deg_pi + 1], k, jackson)
     entries = {}
     for row in range(n_max + 1):

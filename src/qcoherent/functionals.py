@@ -36,9 +36,16 @@ D**n (f u) = sum_k [n, k] L**k(D**(n-k) f) D**k u; and the Pearson
 equation D(phi u) = psi u, deg phi <= 2, deg psi = 1, which on the centred
 moments is a three-term recurrence in the moments themselves, walked from
 c_0 = 1 with no other seed.
+
+Left multiplication brings f's coefficients to one common denominator and
+u's moments to another, as FLINT's ``fmpq_poly`` does: over Q each output
+moment is then an integer dot product of numerators, normalised once.  A
+scalar of any other field (Q(t)) is its own numerator over 1, so one code
+path serves every field; moments and coefficients stay as they are given.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,11 +130,26 @@ def act(u: MomentFunctional, f: Poly):
     return total
 
 
+def _over_common_den(values):
+    """(numerators, den) with values[i] = numerators[i] / den.
+
+    Over Q the numerators are ints over one positive int den; a scalar of
+    any other field (Q(t)) splits as (itself, 1).
+    """
+    pairs = [(x.numerator, x.denominator) if isinstance(x, (int, Fraction))
+             else (x, 1) for x in values]
+    den = math.lcm(*(d for _, d in pairs))
+    return [n if d == den else n * (den // d) for n, d in pairs], den
+
+
 def left_mult(f: Poly, u: MomentFunctional) -> MomentFunctional:
     """Moments of f*u, defined by <f u, x**n> = <u, f(x) x**n>.
 
     The output order drops by deg f.  A zero polynomial annihilates; the
-    result keeps the input order.
+    result keeps the input order.  A constant scales u.  Otherwise f and u
+    are brought to one denominator each, every output is a dot product of
+    numerators over f's non-zero coefficients (integer arithmetic over Q),
+    and each is divided once by the product of the denominators.
     """
     if f.is_zero():
         return MomentFunctional([Fraction(0)] * (u.order + 1))
@@ -135,13 +157,16 @@ def left_mult(f: Poly, u: MomentFunctional) -> MomentFunctional:
     if d > u.order:
         raise OrderExceeded(
             f"cannot multiply by degree {d} at order {u.order}")
-    g = f.coeffs
+    if d == 0:
+        return u * f.coeffs[0]
+    g, gd = _over_common_den(f.coeffs)
+    m, md = _over_common_den(u.moments)
+    terms = [(i, c) for i, c in enumerate(g) if c != 0]
+    den = gd * md
     out = []
     for n in range(u.order - d + 1):
-        s = Fraction(0)
-        for i, c in enumerate(g):
-            s = s + c * u.moments[n + i]
-        out.append(s)
+        s = sum(c * m[n + i] for i, c in terms)
+        out.append(Fraction(s, den) if isinstance(s, int) else s / den)
     return MomentFunctional(out)
 
 

@@ -16,7 +16,7 @@ from qcoherent.classify import (
     case_iiib_instance,
 )
 from qcoherent.coherence import CoherencePair
-from qcoherent.errors import DomainError, IndexOutOfRange
+from qcoherent.errors import DomainError, IndexOutOfRange, MissingCoefficient
 from qcoherent.families import CoherenceConfig, FamilySpec, structure_coeffs
 from qcoherent.functionals import _taylor_shift, functional_agree, left_mult
 from qcoherent.qcalc import (
@@ -231,6 +231,21 @@ def test_pair_is_a_table_and_two_functionals(label):
     assert reports == pair.verify(4)
     assert len(reports) >= 17
     assert {r.status for r in reports} <= {"holds", "degenerate"}
+
+
+@pytest.mark.parametrize("qp", [QParams(F(1, 2), F(0)), QP])
+def test_every_table_structure_coeffs_accepts_builds_a_pair(qp):
+    # rows 0..5 at (1, 0, 0, 1) generate P_0..P_6, which reads gamma_1..
+    # gamma_5; the pair's norms read gamma_6 too.  A recurrence that lacks
+    # it is refused by structure_coeffs, with the error the pair raised
+    spec = FamilySpec("L", (F(2), F(3), F(1, 4)), F(1, 2), offset=F(-1, 3))
+    config = CoherenceConfig(1, 0, 0, Poly.one())
+    with pytest.raises(MissingCoefficient, match="gamma_6 not stored"):
+        structure_coeffs(spec.ttrr(5), spec.ttrr(5), config, qp, 5)
+    ttrr = spec.ttrr(6)
+    u = spec.moments(12)
+    pair = CoherencePair(structure_coeffs(ttrr, ttrr, config, qp, 5), u, u)
+    assert len(pair.u_norms) == len(pair.table.p) == 7
 
 
 def test_pair_is_built_and_verified_in_one_frame(monkeypatch):

@@ -8,7 +8,8 @@ dual oracles compute < D u, x**n > and < L u, x**n > the direct way:
 D[1/q,-w/q] x**n by that division, or ((x - w)/q)**n by repeated
 multiplication, paired with u.  The library computes all of these by a
 Taylor shift to the fixed point w0 = w/(1 - q), where the operators act on
-single powers, so the two must agree exactly.
+single powers, so the two must agree exactly.  Left multiplication is
+checked against the one Fraction dot product per moment that it replaced.
 
 The reduction oracle generates P_0..P_n of both sides of an identity from
 their recurrences and compares the polynomials, and takes the two limit
@@ -42,6 +43,7 @@ from qcoherent.functionals import (
     functional_diff,
     functional_diff_n,
     functional_shift,
+    left_mult,
     _taylor_shift,
 )
 from qcoherent.qcalc import (
@@ -83,6 +85,19 @@ def oracle_functional_diff(u: MomentFunctional, qp: QParams) -> MomentFunctional
     for n in range(u.order + 2):
         inner = oracle_hahn_diff(Poly.monomial(Fraction(1), n), inv)
         out.append(scale * act(u, inner))
+    return MomentFunctional(out)
+
+
+def oracle_left_mult(f: Poly, u: MomentFunctional) -> MomentFunctional:
+    """< f u, x**n > = < u, f x**n >, one Fraction dot product per moment."""
+    if f.is_zero():
+        return MomentFunctional([Fraction(0)] * (u.order + 1))
+    out = []
+    for n in range(u.order - f.degree + 1):
+        s = Fraction(0)
+        for i, c in enumerate(f.coeffs):
+            s = s + c * u.moments[n + i]
+        out.append(s)
     return MomentFunctional(out)
 
 
@@ -249,6 +264,65 @@ def test_dual_operators_keep_rational_function_scalars():
     assert du == oracle_functional_diff(oracle_functional_diff(u, qp), qp)
     assert all(isinstance(m, RatFunc) for m in du.moments)
     assert functional_shift(u, qp) == oracle_functional_shift(u, qp)
+
+
+big_integers = st.integers(-2**130, 2**130)
+# Fraction(n, d) with d of either sign, small or large
+exact_rationals = st.one_of(scalars, st.builds(
+    Fraction, big_integers, big_integers.filter(lambda d: d != 0)))
+_t = RatFunc.t()
+rational_functions = st.one_of(
+    st.builds(lambda a, b: a + _t * b, scalars, scalars),
+    st.builds(lambda a, b, c: (_t * a + b) / (_t + c), scalars, scalars,
+              scalars))
+left_mult_fields = {
+    "Q": exact_rationals,
+    "Q(t)": rational_functions,
+    "Q mixed with Q(t)": st.one_of(exact_rationals, rational_functions),
+}
+
+
+@pytest.mark.parametrize("field", sorted(left_mult_fields))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), order=st.integers(0, 10))
+def test_left_mult_matches_the_fraction_oracle(field, data, order):
+    # every degree 0..order, with zero coefficients (int or Fraction)
+    # inside f and int coefficients beside Fractions
+    scalar = left_mult_fields[field]
+    u = MomentFunctional(data.draw(
+        st.lists(scalar, min_size=order + 1, max_size=order + 1)))
+    deg = data.draw(st.integers(0, order))
+    inner = st.one_of(st.sampled_from([0, F(0)]), st.integers(-5, 5), scalar)
+    f = Poly(data.draw(st.lists(inner, min_size=deg, max_size=deg))
+             + [data.draw(scalar.filter(lambda c: c != 0))])
+    got = left_mult(f, u)
+    assert got.moments == oracle_left_mult(f, u).moments
+    assert got.order == order - deg
+    assert got is not u  # a constant f scales u into a new functional
+    if field == "Q":
+        assert all(type(m) is Fraction for m in got.moments)
+    if field == "Q(t)":
+        assert all(isinstance(m, RatFunc) for m in got.moments)
+
+
+def test_left_mult_makes_no_fraction_arithmetic_over_q(monkeypatch):
+    # over Q the dot products run on integer numerators over one
+    # denominator; a Fraction loop in their place would show up here
+    rng = random.Random(23)
+    u = MomentFunctional([F(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+                          for _ in range(37)])
+    f = Poly([F(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(5)]
+             + [F(7, 3)])
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def spy(a, b, real=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return real(a, b)
+        monkeypatch.setattr(Fraction, name, spy)
+    got = left_mult(f, u)
+    monkeypatch.undo()
+    assert calls == []
+    assert got.order == 31 and got == oracle_left_mult(f, u)
 
 
 def test_negative_difference_order_is_domain_error():

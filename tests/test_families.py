@@ -717,12 +717,12 @@ def test_structure_coeffs_translate_only_the_pivot(monkeypatch):
 
 
 def test_structure_coeffs_refuse_a_short_recurrence():
-    # rows 0..5 at (m, k, N) = (1, 0, 0) read P_0..P_6 and Q_0..Q_5: P_6
-    # reads beta_5 and gamma_5, Q_5 reads beta_4 and gamma_4
+    # rows 0..5 at (m, k, N) = (1, 0, 0) read P_0..P_6 and Q_0..Q_5, and a
+    # pair's norms read gamma at each top index: gamma_6 of P, gamma_5 of Q
     spec = STRUCTURE_PAIRS["self-L"][0]
-    p, q = spec.ttrr(5), spec.ttrr(4)
+    p, q = spec.ttrr(6), spec.ttrr(5)
     assert structure_coeffs(p, q, CONSTANT_PIVOT, QP, 5).n_max == 5
-    for short_p, short_q in ((q, q), (p, spec.ttrr(3))):
+    for short_p, short_q in ((q, q), (q, spec.ttrr(5)), (p, spec.ttrr(4))):
         with pytest.raises(MissingCoefficient):
             structure_coeffs(short_p, short_q, CONSTANT_PIVOT, QP, 5)
 
