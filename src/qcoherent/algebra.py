@@ -50,6 +50,19 @@ def rat_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def num_den(x):
+    """(numerator, positive int denominator) of a scalar: the parts of an
+    int or a Fraction, and (x, 1) for a scalar of any other field."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    return x, 1
+
+
+def over_den(num, den):
+    """The scalar num / den for a numerator from :func:`num_den`."""
+    return Fraction(num, den) if isinstance(num, int) else num / den
+
+
 def sqrt_fraction(x: Fraction):
     """Exact rational square root of ``x``, or None if ``x`` is not a square."""
     if x < 0:

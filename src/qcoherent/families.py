@@ -1,6 +1,7 @@
 """Three-term recurrences, the two master q-families, and their reductions.
 
-Monic orthogonal sequences are generated from recurrence data
+Monic orthogonal sequences are generated from recurrence data, on integer
+numerators over one denominator (:func:`ttrr_generate`),
 
     x P_n = P_{n+1} + beta_n P_n + gamma_n P_{n-1},  gamma_n != 0.
 
@@ -15,6 +16,7 @@ classical orthogonal sequence of the q-difference calculus:
   implemented once, as numerator/denominator pairs, in
   :func:`_j_closed_forms`; :func:`j_coeffs` divides them.
 
+Each closed form builds every power of q and every factor once.
 Classical labels (Al-Salam-Carlitz, big/little q-Laguerre and q-Jacobi,
 q-Bessel and the two exceptional sequences) are defined purely through
 affine reductions onto these families, never through independent data,
@@ -42,6 +44,7 @@ y = x - w0: pivot, recurrences, sequences and the operator (q, 0).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,6 +54,8 @@ from .algebra import (
     affine_substitute,
     expand_in_basis,
     limit_at_zero,
+    num_den,
+    over_den,
     rat,
     rat_str,
 )
@@ -124,19 +129,31 @@ class TTRRCoeffs:
 
 
 def ttrr_generate(coeffs: TTRRCoeffs, n_max: int) -> list[Poly]:
-    """Monic P_0 .. P_{n_max} from the three-term recurrence."""
+    """Monic P_0 .. P_{n_max} from the three-term recurrence, each held as
+    numerators over one int denominator (:func:`num_den`), divided by its
+    content over Q and made scalars once, at the end."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    polys = [Poly.one()]
-    if n_max == 0:
-        return polys
-    x = Poly.x()
-    polys.append(x - coeffs.beta_at(0))
-    for n in range(1, n_max):
-        nxt = ((x - coeffs.beta_at(n)) * polys[n]
-               - coeffs.gamma_at(n) * polys[n - 1])
-        polys.append(nxt)
-    return polys
+    rows, over_q = [([1], 1)], True
+    for n in range(n_max):
+        (cur, den), (bn, bd) = rows[-1], num_den(coeffs.beta_at(n))
+        up = cur if bd == 1 else [bd * c for c in cur]
+        nxt = [-bn * cur[0], *(u - bn * c for u, c in zip(up, cur[1:])),
+               up[-1]]  # the leading numerator is the denominator
+        den, over_q = bd * den, over_q and isinstance(bn, int)
+        if n:
+            (low, low_den), (gn, gd) = rows[-2], num_den(coeffs.gamma_at(n))
+            lcm = math.lcm(den, gd * low_den)
+            if lcm != den:
+                nxt = [(lcm // den) * v for v in nxt]
+            g = gn * (lcm // (gd * low_den))
+            for i, r in enumerate(low):
+                nxt[i] -= g * r
+            den, over_q = lcm, over_q and isinstance(gn, int)
+        content = math.gcd(*nxt) if over_q else 1
+        rows.append(([v // content for v in nxt], den // content)
+                    if content != 1 else (nxt, den))
+    return [Poly([over_den(c, den) for c in nums]) for nums, den in rows]
 
 
 def squared_norms(coeffs: TTRRCoeffs, n_max: int) -> list:
@@ -161,9 +178,10 @@ def l_coeffs(a, b, c, base, n_max: int) -> TTRRCoeffs:
     """
     _validate_base(base)
     for n in range(1, n_max + 1):
-        if a == c * base ** n:
+        cq = c * base ** n
+        if a == cq:
             raise RegularityViolation(f"a = c*base^{n} in the L-family")
-        if b == c * base ** n:
+        if b == cq:
             raise RegularityViolation(f"b = c*base^{n} in the L-family")
     return l_coeffs_symmetric(a + b, a * b, c, base, n_max)
 
@@ -174,13 +192,13 @@ def l_coeffs_symmetric(sum_ab, prod_ab, c, base, n_max: int) -> TTRRCoeffs:
     evaluates them after its named regularity checks.
     """
     _validate_base(base)
-    beta = [(sum_ab - c * (base ** (n + 1) + base ** n - 1)) * base ** n
-            for n in range(n_max + 1)]
+    pw = [base ** n for n in range(n_max + 2)]
+    cq = [c * p for p in pw]
+    beta = [(sum_ab + c - cq[n + 1] - cq[n]) * pw[n] for n in range(n_max + 1)]
     gamma = []
     for n in range(n_max):
-        bp = base ** (n + 1)
-        cbp = c * bp   # (a - c*bp)(b - c*bp) = ab - c*bp*(a + b - c*bp)
-        value = -(prod_ab - cbp * (sum_ab - cbp)) * (1 - bp) * base ** n
+        cbp = cq[n + 1]  # (a - cbp)(b - cbp) = ab - cbp*(a + b - cbp)
+        value = -(prod_ab - cbp * (sum_ab - cbp)) * (1 - pw[n + 1]) * pw[n]
         if value == 0:
             raise RegularityViolation(
                 f"gamma_{n + 1} = 0 for the symmetric L-family data")
@@ -193,41 +211,33 @@ def _j_closed_forms(a, b, c, d, base, n_max: int):
     pairs, generic over the scalar ring of the parameters.
 
     Regularity requires, for 1 <= n <= n_max: b != base**-n, d != base**-n,
-    a != c*base**n, b != d*base**n, c != a*d*base**n.  Each closed-form
-    denominator factor 1 - d*base**j is checked to be non-zero.
+    a != c*base**n, b != d*base**n, c != a*d*base**n, each read off its
+    factor of gamma_n.  Then each denominator factor 1 - d*base**j read is
+    checked to be non-zero (base is no root of unity: one at most is zero).
     """
     _validate_base(base)
-    for n in range(1, n_max + 1):
-        if b == base ** -n:
-            raise RegularityViolation(f"b = base^-{n} in the J-family")
-        if d == base ** -n:
-            raise RegularityViolation(f"d = base^-{n} in the J-family")
-        if a == c * base ** n:
-            raise RegularityViolation(f"a = c*base^{n} in the J-family")
-        if b == d * base ** n:
-            raise RegularityViolation(f"b = d*base^{n} in the J-family")
-        if c == a * d * base ** n:
-            raise RegularityViolation(f"c = a*d*base^{n} in the J-family")
-
-    def dfac(j: int):
-        value = 1 - d * base ** j
-        if value == 0:
+    pw = [base ** j for j in range(2 * n_max + 3)]
+    dq = [d * p for p in pw]
+    dfac = [1 - v for v in dq]
+    factors = [(1 - b * pw[n], dfac[n], a - c * pw[n], b - dq[n],
+                c - a * dq[n]) for n in range(1, n_max + 1)]
+    conditions = ("b = base^-{}", "d = base^-{}", "a = c*base^{}",
+                  "b = d*base^{}", "c = a*d*base^{}")
+    for n, row in enumerate(factors, 1):
+        for value, condition in zip(row, conditions):
+            if value == 0:
+                raise RegularityViolation(
+                    f"{condition.format(n)} in the J-family")
+    for j in range(2 * n_max + 3) if n_max else (0, 2):  # n_max = 0: no gamma
+        if dfac[j] == 0:
             raise DenominatorZero(f"1 - d*base^{j} = 0 in the J-family")
-        return value
-
-    beta, gamma = [], []
-    for n in range(n_max + 1):
-        qn = base ** n
-        num = ((a * (b + d) + c * (b + 1)) * (1 + d * base ** (2 * n + 1))
-               - (c * (b + d) + a * d * (b + 1)) * (1 + base) * qn)
-        beta.append((qn * num, dfac(2 * n) * dfac(2 * n + 2)))
-    for n in range(n_max):
-        qn = base ** n
-        qn1 = base ** (n + 1)
-        num = (qn * (1 - qn1) * (1 - b * qn1) * (1 - d * qn1)
-               * (a - c * qn1) * (b - d * qn1) * (c - a * d * qn1))
-        gamma.append((-num, dfac(2 * n + 1) * dfac(2 * n + 2) ** 2
-                      * dfac(2 * n + 3)))
+    lead = a * (b + d) + c * (b + 1)
+    mid = (c * (b + d) + a * d * (b + 1)) * (1 + base)
+    beta = [(pw[n] * (lead * (1 + dq[2 * n + 1]) - mid * pw[n]),
+             dfac[2 * n] * dfac[2 * n + 2]) for n in range(n_max + 1)]
+    gamma = [(-(pw[n] * (1 - pw[n + 1]) * f1 * f2 * f3 * f4 * f5),
+              dfac[2 * n + 1] * dfac[2 * n + 2] ** 2 * dfac[2 * n + 3])
+             for n, (f1, f2, f3, f4, f5) in enumerate(factors)]
     return beta, gamma
 
 
@@ -506,11 +516,8 @@ class StructureTable:
 
     @property
     def below_band(self) -> list:
-        out = []
-        for (n, j), value in sorted(self.entries.items()):
-            if j < n - self.config.M and value != 0:
-                out.append((n, j, value))
-        return out
+        return [(n, j, value) for (n, j), value in sorted(self.entries.items())
+                if j < n - self.config.M and value != 0]
 
     @property
     def in_band(self) -> bool:
@@ -640,28 +647,20 @@ def _scaled(spec: FamilySpec, extra_scale) -> FamilySpec:
     return dataclasses.replace(spec, scale=spec.scale * extra_scale)
 
 
-def _lhs_l(p, q):
-    return FamilySpec("L", (p["a"], p["b"], p["c"]), q)
-
-
-def _lhs_j(p, q):
-    return FamilySpec("J", (p["a"], p["b"], p["c"], p["d"]), q)
-
-
 def _identity_specs(name: str, p: dict, qp: QParams):
     """LHS/RHS family specs for each displayed reduction identity."""
     q = qp.q
     a, b, c, d = (p.get(k) for k in ("a", "b", "c", "d"))
-    if name == "l-as-j-via-b":
-        return _lhs_l(p, q), FamilySpec("J", (a * b / c, c / b, b, 0 * q), q)
-    if name == "l-as-j-via-a":
-        return _lhs_l(p, q), FamilySpec("J", (a * b / c, c / a, a, 0 * q), q)
+    if name in ("l-as-j-via-b", "l-as-j-via-a"):
+        via = b if name == "l-as-j-via-b" else a
+        return (FamilySpec("L", (a, b, c), q),
+                FamilySpec("J", (a * b / c, c / via, via, 0 * q), q))
     if name == "asc-roundtrip":
         rhs = classical("al-salam-carlitz", (a / b,), qp)
         return FamilySpec("L", (a, b, 0 * q), q), _scaled(rhs, b)
     if name == "big-q-laguerre-roundtrip":
         rhs = classical("big-q-laguerre", (c / a, c / b), qp)
-        return _lhs_l(p, q), _scaled(rhs, a * b / (c * q))
+        return FamilySpec("L", (a, b, c), q), _scaled(rhs, a * b / (c * q))
     if name == "little-q-laguerre-roundtrip-a0":
         rhs = classical("little-q-laguerre", (c / b,), qp)
         return FamilySpec("L", (0 * q, b, c), q), _scaled(rhs, b)
@@ -676,7 +675,7 @@ def _identity_specs(name: str, p: dict, qp: QParams):
                 FamilySpec("L", (a * b, c, b * c), q))
     if name == "big-q-jacobi-roundtrip":
         rhs = classical("big-q-jacobi", (b, d / b, c / a), qp)
-        return _lhs_j(p, q), _scaled(rhs, a / q)
+        return FamilySpec("J", (a, b, c, d), q), _scaled(rhs, a / q)
     if name == "little-q-jacobi-roundtrip-a0":
         rhs = classical("little-q-jacobi", (b, d / b), qp)
         return FamilySpec("J", (0 * q, b, c, d), q), _scaled(rhs, c)

@@ -49,7 +49,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, affine_substitute, det_bareiss, rat, rat_str
+from .algebra import (
+    Poly,
+    affine_substitute,
+    det_bareiss,
+    num_den,
+    over_den,
+    rat,
+    rat_str,
+)
 from .errors import (
     DomainError,
     NotSimpleSet,
@@ -136,8 +144,7 @@ def _over_common_den(values):
     Over Q the numerators are ints over one positive int den; a scalar of
     any other field (Q(t)) splits as (itself, 1).
     """
-    pairs = [(x.numerator, x.denominator) if isinstance(x, (int, Fraction))
-             else (x, 1) for x in values]
+    pairs = [num_den(x) for x in values]
     den = math.lcm(*(d for _, d in pairs))
     return [n if d == den else n * (den // d) for n, d in pairs], den
 
@@ -166,7 +173,7 @@ def left_mult(f: Poly, u: MomentFunctional) -> MomentFunctional:
     out = []
     for n in range(u.order - d + 1):
         s = sum(c * m[n + i] for i, c in terms)
-        out.append(Fraction(s, den) if isinstance(s, int) else s / den)
+        out.append(over_den(s, den))
     return MomentFunctional(out)
 
 

@@ -1,7 +1,8 @@
 """Golden outputs: the SHA-256 of (argv, exit code, stdout) for one command
 line per subcommand, for the commands whose functionals are made in the
 Hahn operator's frame at w != 0, for `verify structure` at w != 0 with a
-non-constant pivot, and for `moments` at orders 5 and 0.
+non-constant pivot, for `moments` at orders 5 and 0, and for three `gen`
+refusals whose error class and message are part of the contract.
 
 A digest changes only when a command's output or exit code does; to
 regenerate one after an intended change of output, print
@@ -94,6 +95,22 @@ GOLDEN = {
     "leibniz-w": (
         ["verify", "leibniz", "--seed", "3", "--trials", "2", "--n", "4"],
         "3fc0cbf8a265bd58ae7cca03f53df311ef9bc3a1f1571cb14da7a7c3220db0a9"),
+    # refusals, exit 2: c = a*d*q at n = 1 comes before b = q**-2 at n = 2
+    "gen-j-regularity": (
+        ["gen", "--family", "J", "--a=2/1", "--b=4/1", "--c=1/3", "--d=1/3",
+         "--q=1/2", "--n", "5"],
+        "5b621c1927aa5f722ef87778271611bde782e7740b40b76b567b8b2dbf47cb12"),
+    # d = q**-7, outside the regularity range n <= 3: the odd denominator
+    # factor 1 - d*q**7 of gamma_3 vanishes
+    "gen-j-denominator": (
+        ["gen", "--family", "J", "--a=2/1", "--b=-5/2", "--c=-2/3",
+         "--d=128/1", "--q=1/2", "--n", "3"],
+        "523c0514bd9edf54f46c56d6e1fa34584f5880e71da0a3f0e42bb0d341410b21"),
+    # a = c*q**2
+    "gen-l-regularity": (
+        ["gen", "--family", "L", "--a=3/4", "--b=2/1", "--c=3/1", "--q=1/2",
+         "--n", "6"],
+        "053a21e5b8fa5529eafd20bee4f76a943f724cab19c99b2c3e1f505005aa3041"),
     "classify": (
         ["classify", "--pi", '["1/1"]', "--beta0=5/1", "--gamma1=-3/1",
          "--q=1/2", "--n", "6"],

@@ -1,0 +1,307 @@
+"""The recurrence closed forms and the sequence generator against their
+plain oracles.
+
+The oracles are the direct loops: the L and J closed forms with every
+power and every factor formed where it is used, regularity checked
+before the closed forms, and the monic sequence generated by `Poly`
+arithmetic on `Fraction`s.  Production evaluates each factor once and
+generates on integer numerators over one denominator; values, error
+classes and error messages must agree exactly.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcoherent.algebra import Laurent, Poly, RatFunc
+from qcoherent.errors import (
+    DenominatorZero,
+    DomainError,
+    QCoherentError,
+    RegularityViolation,
+)
+from qcoherent.families import (
+    FamilySpec,
+    TTRRCoeffs,
+    _j_closed_forms,
+    _validate_base,
+    l_coeffs,
+    l_coeffs_symmetric,
+    ttrr_generate,
+)
+from qcoherent.sampling import sample_q
+
+F = Fraction
+
+
+def oracle_l_coeffs_symmetric(sum_ab, prod_ab, c, base, n_max):
+    """(beta, gamma) of the L closed forms in (a+b, ab, c), every power
+    formed where it is used."""
+    _validate_base(base)
+    beta = [(sum_ab - c * (base ** (n + 1) + base ** n - 1)) * base ** n
+            for n in range(n_max + 1)]
+    gamma = []
+    for n in range(n_max):
+        bp = base ** (n + 1)
+        cbp = c * bp
+        value = -(prod_ab - cbp * (sum_ab - cbp)) * (1 - bp) * base ** n
+        if value == 0:
+            raise RegularityViolation(
+                f"gamma_{n + 1} = 0 for the symmetric L-family data")
+        gamma.append(value)
+    return beta, gamma
+
+
+def oracle_l_coeffs(a, b, c, base, n_max):
+    """The named L regularity checks, then the symmetric closed forms."""
+    _validate_base(base)
+    for n in range(1, n_max + 1):
+        if a == c * base ** n:
+            raise RegularityViolation(f"a = c*base^{n} in the L-family")
+        if b == c * base ** n:
+            raise RegularityViolation(f"b = c*base^{n} in the L-family")
+    return oracle_l_coeffs_symmetric(a + b, a * b, c, base, n_max)
+
+
+def oracle_j_closed_forms(a, b, c, d, base, n_max):
+    """The J closed forms as (num, den) pairs: the five regularity checks n
+    by n, then each denominator factor checked where it is read."""
+    _validate_base(base)
+    for n in range(1, n_max + 1):
+        if b == base ** -n:
+            raise RegularityViolation(f"b = base^-{n} in the J-family")
+        if d == base ** -n:
+            raise RegularityViolation(f"d = base^-{n} in the J-family")
+        if a == c * base ** n:
+            raise RegularityViolation(f"a = c*base^{n} in the J-family")
+        if b == d * base ** n:
+            raise RegularityViolation(f"b = d*base^{n} in the J-family")
+        if c == a * d * base ** n:
+            raise RegularityViolation(f"c = a*d*base^{n} in the J-family")
+
+    def dfac(j):
+        value = 1 - d * base ** j
+        if value == 0:
+            raise DenominatorZero(f"1 - d*base^{j} = 0 in the J-family")
+        return value
+
+    beta, gamma = [], []
+    for n in range(n_max + 1):
+        qn = base ** n
+        num = ((a * (b + d) + c * (b + 1)) * (1 + d * base ** (2 * n + 1))
+               - (c * (b + d) + a * d * (b + 1)) * (1 + base) * qn)
+        beta.append((qn * num, dfac(2 * n) * dfac(2 * n + 2)))
+    for n in range(n_max):
+        qn = base ** n
+        qn1 = base ** (n + 1)
+        num = (qn * (1 - qn1) * (1 - b * qn1) * (1 - d * qn1)
+               * (a - c * qn1) * (b - d * qn1) * (c - a * d * qn1))
+        gamma.append((-num, dfac(2 * n + 1) * dfac(2 * n + 2) ** 2
+                      * dfac(2 * n + 3)))
+    return beta, gamma
+
+
+def oracle_ttrr_generate(coeffs, n_max):
+    """The monic sequence by `Poly` arithmetic on the scalars as given."""
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    polys = [Poly.one()]
+    if n_max == 0:
+        return polys
+    x = Poly.x()
+    polys.append(x - coeffs.beta_at(0))
+    for n in range(1, n_max):
+        polys.append((x - coeffs.beta_at(n)) * polys[n]
+                     - coeffs.gamma_at(n) * polys[n - 1])
+    return polys
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the class and message it raised."""
+    try:
+        return fn(*args)
+    except QCoherentError as exc:
+        return type(exc), str(exc)
+
+
+def l_values(coeffs):
+    return list(coeffs.beta), list(coeffs.gamma)
+
+
+small = st.builds(F, st.integers(-7, 7), st.integers(1, 5))
+bases = st.integers(0, 2**32 - 1).map(lambda s: sample_q(random.Random(s)))
+
+
+def near_conditions(data, base, count):
+    """``count`` parameters, each small or a small one times a power of
+    base, so that the regularity conditions and the denominator factors
+    are met often."""
+    scaled = st.builds(lambda c, k: c * base ** k, small, st.integers(-22, 22))
+    return data.draw(st.lists(st.one_of(small, scaled), min_size=count,
+                              max_size=count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), base=bases, n_max=st.integers(0, 20))
+def test_j_closed_forms_match_the_oracle_over_q(data, base, n_max):
+    params = near_conditions(data, base, 4)
+    assert (outcome(_j_closed_forms, *params, base, n_max)
+            == outcome(oracle_j_closed_forms, *params, base, n_max))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), base=bases, n_max=st.integers(0, 20))
+def test_l_closed_forms_match_the_oracle_over_q(data, base, n_max):
+    a, b, c = near_conditions(data, base, 3)
+    got = outcome(l_coeffs, a, b, c, base, n_max)
+    assert (l_values(got) if isinstance(got, TTRRCoeffs) else got) \
+        == outcome(oracle_l_coeffs, a, b, c, base, n_max)
+    got = outcome(l_coeffs_symmetric, a + b, a * b, c, base, n_max)
+    assert (l_values(got) if isinstance(got, TTRRCoeffs) else got) \
+        == outcome(oracle_l_coeffs_symmetric, a + b, a * b, c, base, n_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=small.filter(bool), c=small.filter(bool), base=bases,
+       n_max=st.integers(0, 12))
+def test_j_closed_forms_match_the_oracle_on_the_limit_tuples(a, c, base,
+                                                             n_max):
+    t = Laurent.monomial(1, 1)
+    for params in ((Laurent(), Laurent.monomial(c, -1), t, Laurent()),
+                   (Laurent.monomial(a, -1), t, Laurent.coerce(1),
+                    Laurent())):
+        assert (_j_closed_forms(*params, base, n_max)
+                == oracle_j_closed_forms(*params, base, n_max))
+
+
+# each J and L regularity condition, by its message, as the parameters
+# that meet it at base q and index n
+J_CONDITIONS = {
+    "b = base^-{}": lambda q, n: (F(2), q ** -n, F(-3), F(-5, 3)),
+    "d = base^-{}": lambda q, n: (F(2), F(-7, 3), F(-3), q ** -n),
+    "a = c*base^{}": lambda q, n: (F(-3) * q ** n, F(-7, 3), F(-3), F(-5, 3)),
+    "b = d*base^{}": lambda q, n: (F(2), F(-5, 3) * q ** n, F(-3), F(-5, 3)),
+    "c = a*d*base^{}": lambda q, n: (F(2), F(-7, 3), F(-10, 3) * q ** n,
+                                     F(-5, 3)),
+}
+L_CONDITIONS = {
+    "a = c*base^{}": lambda q, n: (F(3) * q ** n, F(-7, 3), F(3)),
+    "b = c*base^{}": lambda q, n: (F(2), F(3) * q ** n, F(3)),
+}
+N_MAX = 6
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-3, 2), F(5, 3), F(-2, 5)])
+@pytest.mark.parametrize("n", [1, N_MAX])
+@pytest.mark.parametrize("condition", sorted(J_CONDITIONS))
+def test_j_refusals_match_the_oracle(condition, n, q):
+    params = J_CONDITIONS[condition](q, n)
+    got = outcome(_j_closed_forms, *params, q, N_MAX)
+    assert got == outcome(oracle_j_closed_forms, *params, q, N_MAX)
+    assert got == (RegularityViolation,
+                   f"{condition.format(n)} in the J-family")
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-3, 2), F(5, 3), F(-2, 5)])
+@pytest.mark.parametrize("n", [1, N_MAX])
+@pytest.mark.parametrize("condition", sorted(L_CONDITIONS))
+def test_l_refusals_match_the_oracle(condition, n, q):
+    params = L_CONDITIONS[condition](q, n)
+    got = outcome(l_coeffs, *params, q, N_MAX)
+    assert got == outcome(oracle_l_coeffs, *params, q, N_MAX)
+    assert got == (RegularityViolation,
+                   f"{condition.format(n)} in the L-family")
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-3, 2), F(5, 3)])
+@pytest.mark.parametrize("n_max", [0, 1, N_MAX])
+@pytest.mark.parametrize("shift", [0, 1, 2, 3])
+def test_j_denominator_zero_matches_the_oracle(shift, n_max, q):
+    # d = q^-j with j = 0 (d = 1) or j = n_max + shift past the regularity
+    # range; at n_max = 0 gamma's odd factor 1 - d q is never read
+    j = 0 if shift == 0 else n_max + shift
+    params = (F(2), F(-7, 3), F(-4), q ** -j)
+    got = outcome(_j_closed_forms, *params, q, n_max)
+    assert got == outcome(oracle_j_closed_forms, *params, q, n_max)
+    if j <= 2 * n_max + 2 and (j % 2 == 0 or n_max):
+        assert got == (DenominatorZero, f"1 - d*base^{j} = 0 in the J-family")
+
+
+# -- ttrr_generate ------------------------------------------------------------
+
+big = st.integers(-2**90, 2**90)
+q_scalars = st.one_of(small, st.builds(F, big, big.filter(bool)))
+_t = RatFunc.t()
+qt_scalars = st.one_of(
+    st.builds(lambda a, b: a + _t * b, small, small),
+    st.builds(lambda a, b, c: (_t * a + b) / (_t + c), small, small, small))
+FIELDS = {
+    "Q": q_scalars,
+    "Q(t)": qt_scalars,
+    "Q mixed with Q(t)": st.one_of(q_scalars, qt_scalars),
+}
+N_TOP = {"Q": 30, "Q(t)": 6, "Q mixed with Q(t)": 6}
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ttrr_generate_matches_the_fraction_oracle(field, data):
+    scalar = FIELDS[field]
+    n_max = data.draw(st.integers(0, N_TOP[field]))
+    beta = data.draw(st.lists(scalar, min_size=n_max + 1, max_size=n_max + 1))
+    gamma = data.draw(st.lists(scalar.filter(lambda g: g != 0),
+                               min_size=n_max, max_size=n_max))
+    coeffs = TTRRCoeffs(beta, gamma)
+    got = ttrr_generate(coeffs, n_max)
+    assert got == oracle_ttrr_generate(coeffs, n_max)
+    assert all(p.degree == n and p.is_monic() for n, p in enumerate(got))
+    if field == "Q":
+        assert all(type(c) is Fraction for p in got for c in p.coeffs)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("L", (F(2), F(1, 2), F(-2, 3)), F(2, 3)),
+    FamilySpec("J", (F(3, 4), F(-5, 2), F(-2, 3), F(-4)), F(-3, 2),
+               scale=F(5, 7), offset=F(1, 3)),
+])
+def test_ttrr_generate_on_family_recurrences(spec):
+    # a family's P_n share large factors in their numerators, so the
+    # content is divided out at nearly every step
+    coeffs = spec.ttrr(25)
+    assert ttrr_generate(coeffs, 25) == oracle_ttrr_generate(coeffs, 25)
+
+
+def test_ttrr_generate_over_sympy_qt():
+    sympy = pytest.importorskip("sympy")
+    _, t = sympy.field("t", sympy.QQ)
+    beta = [t, (t + 1) / (t - 2), F(1, 3), -t ** 2, 3 * t / 5]
+    gamma = [1 / t, t - F(1, 2), (2 * t + 1) / (t ** 2 + 1), F(-7, 4)]
+    coeffs = TTRRCoeffs(beta, gamma)
+    for n_max in range(5):
+        assert ttrr_generate(coeffs, n_max) == oracle_ttrr_generate(coeffs,
+                                                                    n_max)
+
+
+def test_ttrr_generate_makes_no_fraction_arithmetic_over_q(monkeypatch):
+    # over Q the recurrence runs on integer numerators over one
+    # denominator; a Fraction loop in its place would show up here
+    rng = random.Random(29)
+    coeffs = TTRRCoeffs(
+        [F(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+         for _ in range(25)],
+        [F(rng.choice((-1, 1)) * rng.randint(1, 10**30),
+           rng.randint(1, 10**30)) for _ in range(24)])
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__"):
+        def spy(a, b, real=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return real(a, b)
+        monkeypatch.setattr(Fraction, name, spy)
+    got = ttrr_generate(coeffs, 24)
+    monkeypatch.undo()
+    assert calls == []
+    assert got == oracle_ttrr_generate(coeffs, 24)
