@@ -21,6 +21,7 @@ from .families import (
     TTRRCoeffs,
     check_reduction,
     classical,
+    l_coeffs_symmetric,
     moments_from_ttrr,
     structure_coeffs,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "functional_diff",
     "hahn_diff",
     "hahn_power",
+    "l_coeffs_symmetric",
     "left_mult",
     "moments_from_ttrr",
     "pearson_check",

@@ -59,8 +59,11 @@ def num_den(x):
 
 
 def over_den(num, den):
-    """The scalar num / den for a numerator from :func:`num_den`."""
-    return Fraction(num, den) if isinstance(num, int) else num / den
+    """The scalar num / den for parts from :func:`num_den`: one Fraction
+    from two ints, else the quotient in the field of the other operand."""
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return num / den
 
 
 def sqrt_fraction(x: Fraction):

@@ -14,6 +14,7 @@ verified identity fails, 2 on usage or domain errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -348,11 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built on first use and shared by
+    every later :func:`main` call (parsing leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # 4300 digits by default
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

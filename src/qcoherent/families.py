@@ -173,17 +173,13 @@ def l_coeffs(a, b, c, base, n_max: int) -> TTRRCoeffs:
     """L-family recurrence coefficients at the given base (q or 1/q).
 
     Regularity requires a != c*base**n and b != c*base**n for 1 <= n <= n_max;
-    each failure is named here.  The values are the symmetric closed forms
-    of :func:`l_coeffs_symmetric` at (a + b, a*b, c).
+    each failure is named here, read off the table of c*base**n that the
+    closed forms use.  The values are the symmetric closed forms of
+    :func:`l_coeffs_symmetric` at (a + b, a*b, c).
     """
-    _validate_base(base)
-    for n in range(1, n_max + 1):
-        cq = c * base ** n
-        if a == cq:
-            raise RegularityViolation(f"a = c*base^{n} in the L-family")
-        if b == cq:
-            raise RegularityViolation(f"b = c*base^{n} in the L-family")
-    return l_coeffs_symmetric(a + b, a * b, c, base, n_max)
+    (an, ad), (bn, bd) = num_den(a), num_den(b)
+    return _l_closed_forms((an * bd + bn * ad, ad * bd), (an * bn, ad * bd),
+                           c, base, n_max, (("a", an, ad), ("b", bn, bd)))
 
 
 def l_coeffs_symmetric(sum_ab, prod_ab, c, base, n_max: int) -> TTRRCoeffs:
@@ -191,36 +187,81 @@ def l_coeffs_symmetric(sum_ab, prod_ab, c, base, n_max: int) -> TTRRCoeffs:
     when only the sum and product of a and b are rational.  :func:`l_coeffs`
     evaluates them after its named regularity checks.
     """
+    return _l_closed_forms(num_den(sum_ab), num_den(prod_ab), c, base, n_max)
+
+
+def _l_closed_forms(s, p, c, base, n_max: int, named=()) -> TTRRCoeffs:
+    """The L closed forms at a + b = sn/sd and ab = pn/pd, given as
+    (numerator, denominator) pairs, on int numerators.
+
+    With q = base = qn/qd and c*q**j = cq[j] / (cd qd**j), cq[j] = cn qn**j,
+
+        beta_n    = qn**n (sn cd qd**(n+1) + sd (cn qd**(n+1) - cq[n+1]
+                           - qd cq[n])) / (sd cd qd**(2n+1)),
+        gamma_n+1 = -(pn sd k**2 - pd cq[n+1] (sn k - sd cq[n+1]))
+                    (qd**(n+1) - qn**(n+1)) qn**n / (pd sd k**2 qd**(2n+1))
+
+    with k = cd qd**(n+1).  Each ``(name, xn, xd)`` of ``named`` is first
+    checked against x = c*base**n, n = 1..n_max, on the same table.
+    """
     _validate_base(base)
-    pw = [base ** n for n in range(n_max + 2)]
-    cq = [c * p for p in pw]
-    beta = [(sum_ab + c - cq[n + 1] - cq[n]) * pw[n] for n in range(n_max + 1)]
+    (sn, sd), (pn, pd), (cn, cd), (qn, qd) = s, p, num_den(c), num_den(base)
+    qn_pw = [qn ** j for j in range(n_max + 2)]
+    qd_pw = [qd ** j for j in range(n_max + 2)]
+    cq = [cn * v for v in qn_pw]
+    cd_pw = [cd * v for v in qd_pw]
+    for n in range(1, n_max + 1):
+        for name, xn, xd in named:
+            if xn * cd_pw[n] == xd * cq[n]:
+                raise RegularityViolation(
+                    f"{name} = c*base^{n} in the L-family")
+    beta = [over_den(qn_pw[n] * (sn * cd_pw[n + 1] + sd * (
+                cn * qd_pw[n + 1] - cq[n + 1] - qd * cq[n])),
+                     sd * cd_pw[n + 1] * qd_pw[n]) for n in range(n_max + 1)]
     gamma = []
     for n in range(n_max):
-        cbp = cq[n + 1]  # (a - cbp)(b - cbp) = ab - cbp*(a + b - cbp)
-        value = -(prod_ab - cbp * (sum_ab - cbp)) * (1 - pw[n + 1]) * pw[n]
-        if value == 0:
+        k, cqk = cd_pw[n + 1], cq[n + 1]
+        num = ((pn * sd * k * k - pd * cqk * (sn * k - sd * cqk))
+               * (qd_pw[n + 1] - qn_pw[n + 1]) * qn_pw[n])
+        if num == 0:
             raise RegularityViolation(
                 f"gamma_{n + 1} = 0 for the symmetric L-family data")
-        gamma.append(value)
+        gamma.append(over_den(-num, pd * sd * k * k * qd_pw[n] * qd_pw[n + 1]))
     return TTRRCoeffs(beta, gamma)
 
 
 def _j_closed_forms(a, b, c, d, base, n_max: int):
     """J-family beta_0..beta_n_max and gamma_1..gamma_n_max as (num, den)
-    pairs, generic over the scalar ring of the parameters.
+    pairs, generic over the scalar ring of the parameters, on int
+    numerators over Q.
 
     Regularity requires, for 1 <= n <= n_max: b != base**-n, d != base**-n,
-    a != c*base**n, b != d*base**n, c != a*d*base**n, each read off its
-    factor of gamma_n.  Then each denominator factor 1 - d*base**j read is
-    checked to be non-zero (base is no root of unity: one at most is zero).
+    a != c*base**n, b != d*base**n, c != a*d*base**n, each read off the
+    numerator of its factor of gamma_n.  Then each denominator factor
+    1 - d*base**j read is checked to be non-zero (base is no root of unity:
+    one at most is zero).  With x = xn/xd for each parameter, base = qn/qd
+    and e_j = dd qd**j - dn qn**j, so that 1 - d*base**j = e_j / (dd qd**j),
+
+        beta_n    = qn**n qd**(n+1) (lead (dd qd**(2n+1) + dn qn**(2n+1))
+                    - mid (qn qd)**n) / (ad bd cd e_2n e_(2n+2)),
+        gamma_n+1 = -qn**n (qd**(n+1) - qn**(n+1)) qd**(n+2) dd f1 ... f5
+                    / ((ad bd cd)**2 e_(2n+1) e_(2n+2)**2 e_(2n+3)),
+
+    where lead is the numerator of a (b + d) + c (b + 1) over ad bd cd dd,
+    mid is (qd + qn) dd times that of c (b + d) + a d (b + 1), and f1 .. f5
+    are the numerators of the five factors at index n + 1.
     """
     _validate_base(base)
-    pw = [base ** j for j in range(2 * n_max + 3)]
-    dq = [d * p for p in pw]
-    dfac = [1 - v for v in dq]
-    factors = [(1 - b * pw[n], dfac[n], a - c * pw[n], b - dq[n],
-                c - a * dq[n]) for n in range(1, n_max + 1)]
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = (num_den(x) for x in (a, b, c, d))
+    qn, qd = num_den(base)
+    pn = [qn ** j for j in range(2 * n_max + 3)]
+    pd = [qd ** j for j in range(2 * n_max + 3)]
+    dfac = [dd * y - dn * x for x, y in zip(pn, pd)]
+    factors = [(bd * pd[n] - bn * pn[n], dfac[n],
+                an * (cd * pd[n]) - cn * (ad * pn[n]),
+                bn * (dd * pd[n]) - dn * (bd * pn[n]),
+                cn * (ad * dd * pd[n]) - an * dn * (cd * pn[n]))
+               for n in range(1, n_max + 1)]
     conditions = ("b = base^-{}", "d = base^-{}", "a = c*base^{}",
                   "b = d*base^{}", "c = a*d*base^{}")
     for n, row in enumerate(factors, 1):
@@ -231,22 +272,28 @@ def _j_closed_forms(a, b, c, d, base, n_max: int):
     for j in range(2 * n_max + 3) if n_max else (0, 2):  # n_max = 0: no gamma
         if dfac[j] == 0:
             raise DenominatorZero(f"1 - d*base^{j} = 0 in the J-family")
-    lead = a * (b + d) + c * (b + 1)
-    mid = (c * (b + d) + a * d * (b + 1)) * (1 + base)
-    beta = [(pw[n] * (lead * (1 + dq[2 * n + 1]) - mid * pw[n]),
-             dfac[2 * n] * dfac[2 * n + 2]) for n in range(n_max + 1)]
-    gamma = [(-(pw[n] * (1 - pw[n + 1]) * f1 * f2 * f3 * f4 * f5),
-              dfac[2 * n + 1] * dfac[2 * n + 2] ** 2 * dfac[2 * n + 3])
+    b_d, b_1 = bn * dd + dn * bd, bn + bd  # b + d over bd dd, b + 1 over bd
+    lead = an * cd * b_d + cn * ad * dd * b_1
+    mid = (cn * ad * b_d + an * dn * cd * b_1) * (qd + qn) * dd
+    abc = ad * bd * cd
+    beta = [(pn[n] * pd[n + 1] * (lead * (dd * pd[2 * n + 1]
+                                          + dn * pn[2 * n + 1])
+                                  - mid * (pn[n] * pd[n])),
+             abc * dfac[2 * n] * dfac[2 * n + 2]) for n in range(n_max + 1)]
+    gamma = [(-(pn[n] * (pd[n + 1] - pn[n + 1]) * pd[n + 2] * dd
+                * f1 * f2 * f3 * f4 * f5),
+              abc * abc * dfac[2 * n + 1] * dfac[2 * n + 2] ** 2
+              * dfac[2 * n + 3])
              for n, (f1, f2, f3, f4, f5) in enumerate(factors)]
     return beta, gamma
 
 
 def j_coeffs(a, b, c, d, base, n_max: int) -> TTRRCoeffs:
     """J-family recurrence coefficients at the given base: the closed forms
-    of :func:`_j_closed_forms`, each numerator divided by its denominator."""
+    of :func:`_j_closed_forms`, each pair made one scalar."""
     beta, gamma = _j_closed_forms(a, b, c, d, base, n_max)
-    return TTRRCoeffs([num / den for num, den in beta],
-                      [num / den for num, den in gamma])
+    return TTRRCoeffs([over_den(*pair) for pair in beta],
+                      [over_den(*pair) for pair in gamma])
 
 
 # master family kind or classical label -> number of its own parameters

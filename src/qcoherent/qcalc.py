@@ -21,10 +21,11 @@ identically in a free parameter as well as at sampled rational points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, affine_substitute
+from .algebra import Poly, affine_substitute, num_den, over_den
 from .errors import DegreeMismatch, DomainError
 
 
@@ -54,7 +55,9 @@ class QParams:
 
     @property
     def omega0(self):
-        return self.omega / (1 - self.q)
+        """w/(1 - q), one scalar from the parts of w and q."""
+        (wn, wd), (qn, qd) = num_den(self.omega), num_den(self.q)
+        return over_den(wn * qd, wd * (qd - qn))
 
     @property
     def inverse(self) -> "QParams":
@@ -87,11 +90,6 @@ def q_factorials(n: int, base) -> list:
     return out
 
 
-def q_factorial(n: int, base):
-    """[n]! = [1][2]...[n]."""
-    return q_factorials(n, base)[n]
-
-
 def q_binom_row(n: int, base) -> list:
     """[n, 0], [n, 1], ..., [n, n] from one table of q-factorials."""
     f = q_factorials(n, base)
@@ -116,15 +114,36 @@ def hahn_power(f: Poly, m: int, qp: QParams) -> Poly:
         return f
     if f.degree < m:
         return Poly()
-    q, w0 = qp.q, qp.omega0
+    return _scaled_difference(f, m, qp, normalized=False)
+
+
+def _scaled_difference(f: Poly, m: int, qp: QParams, normalized: bool):
+    """D**m f for deg f = n + m >= m >= 1, divided by [n+m]!/[n]! when
+    ``normalized``.
+
+    In y = x - w0, D**m y**(i+m) = ([i+m]!/[i]!) y**i.  With q = qn/qd and
+    the one int table E_k = qn**k - qd**k, [k] = E_k / (E_1 qd**(k-1)), so
+
+        [i+m]!/[i]! = E_(i+1) ... E_(i+m) / (E_1**m qd**(m i + m(m-1)/2)),
+
+    and each output coefficient is one scalar made from int numerators (a
+    scalar outside Q splits as (itself, 1), see :func:`num_den`).
+    """
+    w0 = qp.omega0
     c = affine_substitute(f, 1, w0).coeffs
-    ratio = q_factorial(m, q)  # [n+m]!/[n]! at n = 0
-    low, high = q * 0, q_bracket(m, q)  # [n], [n+m]
+    n = len(c) - 1 - m
+    qn, qd = num_den(qp.q)
+    e = [qn ** k - qd ** k for k in range(n + m + 1)]
+    scale = [math.prod(e[i + 1:i + m + 1]) for i in range(n + 1)]
+    # output i is c[i+m] * scale[i] * up[n - i] / den, up[j] = qd**(m j),
+    # and den is E_1**m qd**(m n + m(m-1)/2), or scale[n] when normalized
+    den = (scale[n] if normalized
+           else e[1] ** m * qd ** (m * n + m * (m - 1) // 2))
+    up = [qd ** (m * j) for j in range(n + 1)]
     out = []
-    for n in range(len(c) - m):
-        out.append(c[n + m] * ratio)
-        low, high = 1 + q * low, 1 + q * high
-        ratio = ratio * high / low
+    for i in range(n + 1):
+        cn, cd = num_den(c[i + m])
+        out.append(over_den(cn * scale[i] * up[n - i], cd * den))
     return affine_substitute(Poly(out), 1, -w0)
 
 
@@ -157,11 +176,9 @@ def normalized_derivative(p: Poly, n: int, m: int, qp: QParams) -> Poly:
         raise DegreeMismatch(
             f"expected a polynomial of degree {n + m}, got degree {p.degree}"
         )
-    out = hahn_power(p, m, qp)
-    if m == 0:
-        return out
-    f = q_factorials(n + m, qp.q)
-    return out * (f[n] / f[n + m])
+    if m <= 0:
+        return hahn_power(p, m, qp)  # p itself, or the order refused
+    return _scaled_difference(p, m, qp, normalized=True)
 
 
 def normalized_derivative_set(polys, m: int, qp: QParams) -> list:

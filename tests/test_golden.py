@@ -1,8 +1,9 @@
 """Golden outputs: the SHA-256 of (argv, exit code, stdout) for one command
 line per subcommand, for the commands whose functionals are made in the
 Hahn operator's frame at w != 0, for `verify structure` at w != 0 with a
-non-constant pivot, for `moments` at orders 5 and 0, and for three `gen`
-refusals whose error class and message are part of the contract.
+non-constant pivot and at q = 3/2 to n = 20, for `moments` at orders 5 and
+0, for the two limiting reductions and three J round trips, and for three
+`gen` refusals whose error class and message are part of the contract.
 
 A digest changes only when a command's output or exit code does; to
 regenerate one after an intended change of output, print
@@ -15,10 +16,19 @@ import json
 
 import pytest
 
+import qcoherent.cli as cli
 from qcoherent.cli import main
 
 L_CASE_I = ["--family", "L", "--a=2/1", "--b=3/1", "--c=0/1"]
 L_PARAMS = ["--family", "L", "--a=2/1", "--b=3/1", "--c=1/5"]
+STRUCTURE_Q32 = ["verify", "structure", *L_PARAMS, "--q=3/2", "--omega=1/3",
+                 "--offset=2/3"]
+
+
+def _reduction(identity):
+    return ["verify", "reduction", "--identity", identity, "--points", "3",
+            "--n", "10"]
+
 
 GOLDEN = {
     "gen": (
@@ -92,6 +102,32 @@ GOLDEN = {
         ["verify", "reduction", "--identity", "l-as-j-via-b",
          "--points", "2", "--n", "6"],
         "8eea46f73a277efaf5df87bfb8a0876778e1c60a9c28b5476075f017ffcbfadc"),
+    # the J closed forms over Laurent polynomials in t, limits at t = 0
+    "reduction-l00c-limit": (
+        _reduction("l00c-limit"),
+        "fb92ed3300e39b6a8d29360df5fc2d2115c6260d5f7dc4af547c6f5bca2ba707"),
+    "reduction-la10-limit": (
+        _reduction("la10-limit"),
+        "a5ddc15735ded52af117c49bf2af3fbd93250673a111991ec043f705f30c35a4"),
+    # J round trips onto classical labels, each at three sampled points
+    "reduction-big-q-jacobi": (
+        _reduction("big-q-jacobi-roundtrip"),
+        "8b90478bf4c55574d732de2d2bedfaf16055cc3afad2b55f7f233aab1801ecf0"),
+    "reduction-q-bessel": (
+        _reduction("q-bessel-roundtrip"),
+        "0ef062c75b2809f624f8d4648806d630ee5da74549c84ffc2c39d8835a4f5e9b"),
+    "reduction-j-type": (
+        _reduction("j-type-roundtrip"),
+        "3d733b0e2361d98d0ffb452a6031c0018ea2ff02360b2cf641188280b1c0decd"),
+    # normalized differences of orders 1 and 2 at |q| > 1 over 21 rows; both
+    # tables fail to be banded (exit 1), and every c_(n,j) is printed
+    "structure-q32-m1": (
+        [*STRUCTURE_Q32, "--pi", '["1/1"]', "--m", "1", "--n", "20"],
+        "d0f5cf71eabb9099a5d7afb7ab7afd9ea5fd81cbe8c70d8448a282bd35032ccf"),
+    "structure-q32-m2": (
+        [*STRUCTURE_Q32, "--pi", '["-1/2","1/1"]', "--m", "2", "--k", "1",
+         "--n", "20"],
+        "cd631b3dc2fcf0dfcc2717777f5f1024ae1e1e666dacdd2dcfa623b320773763"),
     "leibniz-w": (
         ["verify", "leibniz", "--seed", "3", "--trials", "2", "--n", "4"],
         "3fc0cbf8a265bd58ae7cca03f53df311ef9bc3a1f1571cb14da7a7c3220db0a9"),
@@ -130,3 +166,25 @@ def _digest(argv) -> str:
 def test_golden_output(name):
     argv, digest = GOLDEN[name]
     assert _digest(argv) == digest
+
+
+def test_one_parser_serves_every_main_call(monkeypatch):
+    # main builds its parser on the first call and reuses it: a usage error
+    # (exit 2) and --help (exit 0) leave it fit for the next command
+    builds = []
+
+    def spy(real=cli.build_parser):
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    with contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["gen", "--family", "L"]) == 2
+        assert main(["--help"]) == 0
+    assert "--q" in err.getvalue() and "usage: qcoherent" in out.getvalue()
+    for name in ("gen", "reduction", "gen-l-regularity"):
+        argv, digest = GOLDEN[name]
+        assert _digest(argv) == digest
+    assert builds == [1]

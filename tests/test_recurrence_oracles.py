@@ -1,12 +1,14 @@
-"""The recurrence closed forms and the sequence generator against their
-plain oracles.
+"""The recurrence closed forms, the sequence generator and the Hahn
+difference scales against their plain oracles.
 
 The oracles are the direct loops: the L and J closed forms with every
 power and every factor formed where it is used, regularity checked
-before the closed forms, and the monic sequence generated by `Poly`
-arithmetic on `Fraction`s.  Production evaluates each factor once and
-generates on integer numerators over one denominator; values, error
-classes and error messages must agree exactly.
+before the closed forms, the monic sequence generated by `Poly`
+arithmetic on `Fraction`s, and D**m with its [n+m]!/[n]! ratios walked
+bracket by bracket.  Production forms each factor once on integer
+numerators and makes each value one scalar; values, error classes and
+error messages must agree exactly.  A closed-form (num, den) pair is
+compared by its value, not its parts, which depend on the representation.
 """
 import random
 from fractions import Fraction
@@ -15,8 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoherent.algebra import Laurent, Poly, RatFunc
+from qcoherent.algebra import (
+    Laurent,
+    Poly,
+    RatFunc,
+    affine_substitute,
+    limit_at_zero,
+)
 from qcoherent.errors import (
+    DegreeMismatch,
     DenominatorZero,
     DomainError,
     QCoherentError,
@@ -30,6 +39,13 @@ from qcoherent.families import (
     l_coeffs,
     l_coeffs_symmetric,
     ttrr_generate,
+)
+from qcoherent.qcalc import (
+    QParams,
+    hahn_power,
+    normalized_derivative,
+    q_bracket,
+    q_factorials,
 )
 from qcoherent.sampling import sample_q
 
@@ -118,12 +134,54 @@ def oracle_ttrr_generate(coeffs, n_max):
     return polys
 
 
+def oracle_hahn_power(f, m, qp):
+    """D**m f by a Taylor shift to w0 = w/(1 - q), the ratios [n+m]!/[n]!
+    walked bracket by bracket on the scalars, and a shift back."""
+    if m < 0:
+        raise DomainError(f"derivative order must be >= 0, got {m}")
+    if m == 0:
+        return f
+    if f.degree < m:
+        return Poly()
+    q, w0 = qp.q, qp.omega / (1 - qp.q)
+    c = affine_substitute(f, 1, w0).coeffs
+    ratio = q_factorials(m, q)[m]  # [n+m]!/[n]! at n = 0
+    low, high = q * 0, q_bracket(m, q)  # [n], [n+m]
+    out = []
+    for n in range(len(c) - m):
+        out.append(c[n + m] * ratio)
+        low, high = 1 + q * low, 1 + q * high
+        ratio = ratio * high / low
+    return affine_substitute(Poly(out), 1, -w0)
+
+
+def oracle_normalized_derivative(p, n, m, qp):
+    """D**m p times [n]!/[n+m]! from a fresh table of q-factorials."""
+    if p.degree != n + m:
+        raise DegreeMismatch(
+            f"expected a polynomial of degree {n + m}, got degree {p.degree}")
+    out = oracle_hahn_power(p, m, qp)
+    if m == 0:
+        return out
+    f = q_factorials(n + m, qp.q)
+    return out * (f[n] / f[n + m])
+
+
 def outcome(fn, *args):
     """The value of fn(*args), or the class and message it raised."""
     try:
         return fn(*args)
     except QCoherentError as exc:
         return type(exc), str(exc)
+
+
+def quotients(result):
+    """The values num/den of closed-form (beta, gamma) pairs over Q, or
+    the refusal as given."""
+    if isinstance(result[0], type):
+        return result
+    return tuple([Fraction(num) / den for num, den in pairs]
+                 for pairs in result)
 
 
 def l_values(coeffs):
@@ -147,8 +205,8 @@ def near_conditions(data, base, count):
 @given(data=st.data(), base=bases, n_max=st.integers(0, 20))
 def test_j_closed_forms_match_the_oracle_over_q(data, base, n_max):
     params = near_conditions(data, base, 4)
-    assert (outcome(_j_closed_forms, *params, base, n_max)
-            == outcome(oracle_j_closed_forms, *params, base, n_max))
+    assert (quotients(outcome(_j_closed_forms, *params, base, n_max))
+            == quotients(outcome(oracle_j_closed_forms, *params, base, n_max)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,12 +226,20 @@ def test_l_closed_forms_match_the_oracle_over_q(data, base, n_max):
        n_max=st.integers(0, 12))
 def test_j_closed_forms_match_the_oracle_on_the_limit_tuples(a, c, base,
                                                              n_max):
+    # the same quotients of Laurent polynomials: equal cross-products, and
+    # the same limit (or pole) at t = 0
     t = Laurent.monomial(1, 1)
     for params in ((Laurent(), Laurent.monomial(c, -1), t, Laurent()),
                    (Laurent.monomial(a, -1), t, Laurent.coerce(1),
                     Laurent())):
-        assert (_j_closed_forms(*params, base, n_max)
-                == oracle_j_closed_forms(*params, base, n_max))
+        got = _j_closed_forms(*params, base, n_max)
+        want = oracle_j_closed_forms(*params, base, n_max)
+        assert [len(pairs) for pairs in got] == [len(pairs) for pairs in want]
+        for (num, den), (num_o, den_o) in zip(got[0] + got[1],
+                                              want[0] + want[1]):
+            assert num * den_o == num_o * den
+            assert (outcome(limit_at_zero, num, den)
+                    == outcome(limit_at_zero, num_o, den_o))
 
 
 # each J and L regularity condition, by its message, as the parameters
@@ -223,8 +289,8 @@ def test_j_denominator_zero_matches_the_oracle(shift, n_max, q):
     # range; at n_max = 0 gamma's odd factor 1 - d q is never read
     j = 0 if shift == 0 else n_max + shift
     params = (F(2), F(-7, 3), F(-4), q ** -j)
-    got = outcome(_j_closed_forms, *params, q, n_max)
-    assert got == outcome(oracle_j_closed_forms, *params, q, n_max)
+    got = quotients(outcome(_j_closed_forms, *params, q, n_max))
+    assert got == quotients(outcome(oracle_j_closed_forms, *params, q, n_max))
     if j <= 2 * n_max + 2 and (j % 2 == 0 or n_max):
         assert got == (DenominatorZero, f"1 - d*base^{j} = 0 in the J-family")
 
@@ -305,3 +371,107 @@ def test_ttrr_generate_makes_no_fraction_arithmetic_over_q(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert got == oracle_ttrr_generate(coeffs, 24)
+
+
+# -- the normalized q-difference ----------------------------------------------
+
+q_bases = st.builds(F, st.integers(-40, 40), st.integers(1, 40)).filter(
+    lambda q: q not in (0, 1, -1))  # either sign, |q| < 1 and > 1
+nonzero_small = small.filter(bool)
+
+
+def poly_of(coeffs):
+    """A polynomial of degree len(coeffs) - 1: a zero top is made 1."""
+    return Poly(coeffs[:-1] + [coeffs[-1] or F(1)])
+
+
+def assert_q_difference_matches(f, qp):
+    for m in range(5):
+        got = hahn_power(f, m, qp)
+        assert got == oracle_hahn_power(f, m, qp), m
+        if f.degree >= m:
+            n = f.degree - m
+            assert (outcome(normalized_derivative, f, n, m, qp)
+                    == outcome(oracle_normalized_derivative, f, n, m, qp)), m
+        assert (outcome(normalized_derivative, f, f.degree, m + 1, qp)
+                == outcome(oracle_normalized_derivative, f, f.degree, m + 1,
+                           qp))  # a degree mismatch, refused alike
+
+
+@settings(max_examples=120, deadline=None)
+@given(coeffs=st.lists(q_scalars, min_size=1, max_size=13), q=q_bases,
+       w=st.one_of(nonzero_small, st.just(F(0))))
+def test_q_difference_matches_the_fraction_oracle_over_q(coeffs, q, w):
+    f = poly_of(coeffs)
+    qp = QParams(q, w)
+    assert_q_difference_matches(f, qp)
+    for m in range(5):
+        assert all(type(c) is Fraction for c in hahn_power(f, m, qp).coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.one_of(q_scalars, qt_scalars), min_size=1,
+                       max_size=6), q=q_bases, w=nonzero_small)
+def test_q_difference_matches_the_oracle_on_mixed_vectors(coeffs, q, w):
+    # Fraction and Q(t) coefficients in one polynomial
+    assert_q_difference_matches(poly_of(coeffs), QParams(q, w))
+
+
+def test_q_difference_matches_the_oracle_over_sympy_q():
+    sympy = pytest.importorskip("sympy")
+    _, q, w = sympy.field("q,w", sympy.QQ)
+    rng = random.Random(41)
+    for degree in range(9):
+        f = Poly([F(rng.randint(-9, 9), rng.randint(1, 9))
+                  for _ in range(degree)] + [F(rng.randint(1, 9), 7)])
+        assert_q_difference_matches(f, QParams(q, F(1, 3)))
+        assert_q_difference_matches(f, QParams(q, w))
+        assert_q_difference_matches(f, QParams(F(-3, 2), w))
+
+
+# -- no Fraction arithmetic over Q --------------------------------------------
+
+def fraction_ops_of(monkeypatch, fn, *args):
+    """(names of the Fraction + - * / calls made, value) of fn(*args)."""
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        def spy(a, b, real=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return real(a, b)
+        monkeypatch.setattr(Fraction, name, spy)
+    try:
+        return calls, fn(*args)
+    finally:
+        monkeypatch.undo()
+
+
+def test_closed_forms_make_no_fraction_arithmetic_over_q(monkeypatch):
+    # the factors are int numerators, and each value one Fraction
+    base, n_max = F(-5, 3), 24
+    params = (F(3, 4), F(-5, 2), F(-2, 3), F(-4, 7))
+    calls, got = fraction_ops_of(monkeypatch, _j_closed_forms, *params, base,
+                                 n_max)
+    assert calls == []
+    assert quotients(got) == quotients(oracle_j_closed_forms(*params, base,
+                                                             n_max))
+    calls, got = fraction_ops_of(monkeypatch, l_coeffs, *params[:3], base,
+                                 n_max)
+    assert calls == []
+    assert l_values(got) == oracle_l_coeffs(*params[:3], base, n_max)
+
+
+def test_q_difference_makes_no_fraction_arithmetic_over_q(monkeypatch):
+    # at w = 0, the frame every structure table is built in
+    rng = random.Random(43)
+    p = Poly([F(rng.randint(-10**20, 10**20), rng.randint(1, 10**20))
+              for _ in range(20)] + [F(1)])
+    qp = QParams(F(3, 2), F(0))
+    for m in range(1, 5):
+        calls, got = fraction_ops_of(monkeypatch, hahn_power, p, m, qp)
+        assert calls == []
+        assert got == oracle_hahn_power(p, m, qp)
+        calls, got = fraction_ops_of(monkeypatch, normalized_derivative, p,
+                                     20 - m, m, qp)
+        assert calls == []
+        assert got == oracle_normalized_derivative(p, 20 - m, m, qp)
