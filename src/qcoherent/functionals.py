@@ -21,6 +21,14 @@ So with centred moments c_n = < u, y**n >,
 
     < D u, y**n > = -(1/q) [n]_{1/q} c_(n-1),   < L u, y**n > = q**-n c_n.
 
+The steps of D**n compose in closed form.  With q = qn/qd and the int
+table E_j = qn**j - qd**j, -(1/q) [j]_{1/q} = -qd E_j / (qn**j E_1), so
+
+    < D**n u, y**j > = (-qd)**n E_(j-n+1) ... E_j c_(j-n)
+                       / (qn**(n j - n(n-1)/2) E_1**n),
+
+one scalar per moment, whatever n is.
+
 In y the Hahn operator D[q,w] is Jackson's D[q,0], so the frame is a rule
 applied once, where data enter: a caller that translates its functional
 and polynomials to y works at (q, 0), where no operator changes basis.
@@ -39,9 +47,12 @@ c_0 = 1 with no other seed.
 
 Left multiplication brings f's coefficients to one common denominator and
 u's moments to another, as FLINT's ``fmpq_poly`` does: over Q each output
-moment is then an integer dot product of numerators, normalised once.  A
-scalar of any other field (Q(t)) is its own numerator over 1, so one code
-path serves every field; moments and coefficients stay as they are given.
+moment is then an integer dot product of numerators, normalised once.  The
+Leibniz expansion is the same sum over all its terms at once: the moments
+of every D**k u are int numerators over one denominator, so each output
+moment is normalised once.  A scalar of any other field (Q(t)) is its own
+numerator over 1, so one code path serves every field; moments and
+coefficients stay as they are given.
 """
 from __future__ import annotations
 
@@ -149,32 +160,45 @@ def _over_common_den(values):
     return [n if d == den else n * (den // d) for n, d in pairs], den
 
 
+def _sum_of_products(terms, den, order: int) -> MomentFunctional:
+    """The functional sum of f u over the pairs (f, m) in ``terms``, where
+    m holds the numerators of u's moments over the one denominator
+    ``den``, at the given output order (order(u) - deg f for each term).
+
+    Each f is brought to one denominator and scaled to the lcm of them, so
+    over Q each output moment is a sum of integer dot products, divided
+    once.  An f of degree above its u's order is refused.
+    """
+    parts, fd = [], 1
+    for f, m in terms:
+        if f.degree >= len(m):
+            raise OrderExceeded(f"cannot multiply by degree {f.degree} at "
+                                f"order {len(m) - 1}")
+        g, gd = _over_common_den(f.coeffs)
+        parts.append((g, gd, m))
+        fd = math.lcm(fd, gd)
+    parts = [([(i, c * (fd // gd)) for i, c in enumerate(g) if c != 0], m)
+             for g, gd, m in parts]
+    return MomentFunctional(
+        [over_den(sum(c * m[n + i] for nz, m in parts for i, c in nz),
+                  fd * den) for n in range(order + 1)])
+
+
 def left_mult(f: Poly, u: MomentFunctional) -> MomentFunctional:
     """Moments of f*u, defined by <f u, x**n> = <u, f(x) x**n>.
 
     The output order drops by deg f.  A zero polynomial annihilates; the
     result keeps the input order.  A constant scales u.  Otherwise f and u
-    are brought to one denominator each, every output is a dot product of
-    numerators over f's non-zero coefficients (integer arithmetic over Q),
-    and each is divided once by the product of the denominators.
+    are brought to one denominator each, and each output is one dot product
+    of numerators over f's non-zero coefficients (integer arithmetic over
+    Q), divided once by the product of the denominators.
     """
     if f.is_zero():
         return MomentFunctional([Fraction(0)] * (u.order + 1))
-    d = f.degree
-    if d > u.order:
-        raise OrderExceeded(
-            f"cannot multiply by degree {d} at order {u.order}")
-    if d == 0:
+    if f.degree == 0:
         return u * f.coeffs[0]
-    g, gd = _over_common_den(f.coeffs)
     m, md = _over_common_den(u.moments)
-    terms = [(i, c) for i, c in enumerate(g) if c != 0]
-    den = gd * md
-    out = []
-    for n in range(u.order - d + 1):
-        s = sum(c * m[n + i] for i, c in terms)
-        out.append(over_den(s, den))
-    return MomentFunctional(out)
+    return _sum_of_products([(f, m)], md, u.order - f.degree)
 
 
 def _taylor_shift(moments, a):
@@ -220,25 +244,42 @@ def _dual_steps(base, count: int) -> list:
     return out
 
 
-def _centred_diffs(c, n: int, qp: QParams) -> list:
-    """Centred moments of u, D u, ..., D**n u from those of u.
+def _dual_scales(n: int, size: int, q):
+    """(rows, den) with <D_(q,0)**k u, y**j> = rows[k][j-k] c_(j-k) / den
+    for k = 0..n and j = k..k+size-1, from the centred moments
+    c_i = <u, y**i>, i < size; moments 0..k-1 of D**k u vanish.
 
-    Each step is diagonal: c'_0 = 0, c'_j = -(1/q) [j]_{1/q} c_(j-1).
+    A single step sends c_(j-1) to -t_j c_(j-1) at place j, where
+    t_j = [j]_(1/q) / q = qd E_j / (qn**j E_1) for q = qn/qd and the int
+    table E_j = qn**j - qd**j.  So k steps scale c_(j-k) by
+
+        (-qd)**k E_(j-k+1) ... E_j / (qn**(k j - k(k-1)/2) E_1**k),
+
+    and den = E_1**n qn**top, top being that exponent at k = n and the last
+    j: one int numerator per moment over a den shared by every k.
     """
-    factors = [-t for t in _dual_steps(qp.q, len(c) + n)]
-    out = [c]
-    for _ in range(n):
-        c = [c[0] * 0] + [factors[j] * c[j - 1] for j in range(1, len(c) + 1)]
-        out.append(c)
-    return out
+    qn, qd = num_den(q)
+    e = [qn ** j - qd ** j for j in range(size + n + 1)]
+    top = n * (size + n - 1) - n * (n - 1) // 2
+    rows = []
+    for k in range(n + 1):
+        lift, drop = (-qd) ** k * e[1] ** (n - k), top + k * (k - 1) // 2
+        rows.append([lift * math.prod(e[j - k + 1:j + 1]) * qn ** (drop - k * j)
+                     for j in range(k, size + k)])
+    return rows, e[1] ** n * qn ** top
 
 
 def functional_diff_n(u: MomentFunctional, n: int, qp: QParams) -> MomentFunctional:
     """The n-fold induced difference D[q,w]**n u; output order grows by n.
-    n diagonal steps in the centred basis."""
-    if n < 0:
-        raise DomainError(f"difference order must be >= 0, got {n}")
-    return _from_y(_centred_diffs(_to_y(u.moments, qp), n, qp)[n], qp)
+    One scalar per moment in the centred basis (:func:`_dual_scales`)."""
+    if n <= 0:
+        if n < 0:
+            raise DomainError(f"difference order must be >= 0, got {n}")
+        return u
+    c = [num_den(x) for x in _to_y(u.moments, qp)]
+    rows, den = _dual_scales(n, len(c), qp.q)
+    return _from_y([over_den(c[0][0] * 0, 1)] * n + [
+        over_den(s * cn, den * cd) for s, (cn, cd) in zip(rows[n], c)], qp)
 
 
 def functional_shift(u: MomentFunctional, qp: QParams) -> MomentFunctional:
@@ -255,16 +296,17 @@ def leibniz_expansion(f: Poly, u: MomentFunctional, n: int,
     """D**n (f u) by the q-Leibniz rule: sum_k c_k D**k u, where
     c_k = [n, k] L**k(D**(n-k) f) are ``qcalc.leibniz_coeffs``.
 
-    Computed in y = x - w0 at (q, 0), with f(y + w0): one table of centred
-    differences D**k u serves every term.
+    Computed in y = x - w0 at (q, 0), with f(y + w0) and u centred once;
+    every term's dot products are summed over one common denominator.
     """
-    diffs = _centred_diffs(_to_y(u.moments, qp), n, qp)
-    total = MomentFunctional([Fraction(0)] * (u.order + n + 1))
     f = affine_substitute(f, 1, qp.omega0)
-    for k, poly in enumerate(leibniz_coeffs(f, n, QParams(qp.q, 0))):
-        if not poly.is_zero():  # a vanishing term must not cap the order
-            total = total + left_mult(poly, MomentFunctional(diffs[k]))
-    return _from_y(total.moments, qp)
+    cn, cd = _over_common_den(_to_y(u.moments, qp))
+    rows, den = _dual_scales(n, len(cn), qp.q)
+    terms = [(poly, [cn[0] * 0] * k + [s * x for s, x in zip(rows[k], cn)])
+             for k, poly in enumerate(leibniz_coeffs(f, n, QParams(qp.q, 0)))
+             if not poly.is_zero()]  # a vanishing term must not cap the order
+    return _from_y(_sum_of_products(terms, den * cd, u.order + n
+                                    - max(f.degree, 0)).moments, qp)
 
 
 def functional_agree(u: MomentFunctional, v: MomentFunctional):

@@ -159,10 +159,31 @@ def leibniz_coeffs(f: Poly, n: int, qp: QParams) -> list:
 
     These are the coefficients of the q-Leibniz rule
     D**n (f u) = sum_k c_k D**k u, for u a polynomial or a functional.
+
+    In y = x - w0, with g(y) = f(y + w0) and m = n - k, coefficient i of c_k
+    is [n, k] q**(k i) ([i+m]!/[i]!) g_(i+m).  With q = qn/qd and the int
+    table E_j = qn**j - qd**j, [n, k] = E_(m+1) ... E_n / (E_1 ... E_k
+    qd**(k m)) and [i+m]!/[i]! is as in :func:`_scaled_difference`, so each
+    coefficient is one scalar from int numerators.  f is centred once and
+    each row moved back once (not at all when w = 0).
     """
-    binom = q_binom_row(n, qp.q)
-    return [shift_power(hahn_power(f, n - k, qp), k, qp) * binom[k]
-            for k in range(n + 1)]
+    if n < 0:
+        raise DomainError(f"Leibniz order must be >= 0, got {n}")
+    w0 = qp.omega0
+    g = [num_den(c) for c in affine_substitute(f, 1, w0).coeffs]
+    qn, qd = num_den(qp.q)
+    e = [qn ** j - qd ** j for j in range(max(n, len(g), 1) + 1)]
+    rows = []
+    for k in range(n + 1):
+        m = n - k
+        top = math.prod(e[m + 1:n + 1])
+        low = (math.prod(e[1:k + 1]) * e[1] ** m
+               * qd ** (k * m + m * (m - 1) // 2))
+        row = [over_den(top * math.prod(e[i + 1:i + m + 1]) * qn ** (k * i)
+                        * cn, low * qd ** (n * i) * cd)
+               for i, (cn, cd) in enumerate(g[m:])]
+        rows.append(affine_substitute(Poly(row), 1, -w0))
+    return rows
 
 
 def normalized_derivative(p: Poly, n: int, m: int, qp: QParams) -> Poly:

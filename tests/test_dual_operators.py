@@ -44,12 +44,15 @@ from qcoherent.functionals import (
     functional_diff_n,
     functional_shift,
     left_mult,
+    leibniz_expansion,
     _taylor_shift,
 )
 from qcoherent.qcalc import (
     QParams,
     hahn_diff,
     hahn_power,
+    leibniz_coeffs,
+    q_binom_row,
     shift,
     shift_power,
 )
@@ -307,12 +310,23 @@ def test_left_mult_matches_the_fraction_oracle(field, data, order):
 
 def test_left_mult_makes_no_fraction_arithmetic_over_q(monkeypatch):
     # over Q the dot products run on integer numerators over one
-    # denominator; a Fraction loop in their place would show up here
+    # denominator; a Fraction loop in their place would show up here.  So
+    # do D**n u, the Leibniz rows and the expansion at w = 0
     rng = random.Random(23)
     u = MomentFunctional([F(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
                           for _ in range(37)])
     f = Poly([F(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(5)]
              + [F(7, 3)])
+    qp = QParams(F(-5, 3), F(0))
+    expected = [u]
+    for _ in range(4):
+        expected.append(oracle_functional_diff(expected[-1], qp))
+    binom = [q_binom_row(n, qp.q) for n in range(5)]
+    rows = [[shift_power(hahn_power(f, n - k, qp), k, qp) * binom[n][k]
+             for k in range(n + 1)] for n in range(5)]
+    direct = [oracle_left_mult(f, u)]
+    for _ in range(4):
+        direct.append(oracle_functional_diff(direct[-1], qp))
     calls = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         def spy(a, b, real=getattr(Fraction, name), name=name):
@@ -320,9 +334,14 @@ def test_left_mult_makes_no_fraction_arithmetic_over_q(monkeypatch):
             return real(a, b)
         monkeypatch.setattr(Fraction, name, spy)
     got = left_mult(f, u)
+    diffs = [functional_diff_n(u, n, qp) for n in range(5)]
+    leibniz = [leibniz_coeffs(f, n, qp) for n in range(5)]
+    expansions = [leibniz_expansion(f, u, n, qp) for n in range(5)]
     monkeypatch.undo()
     assert calls == []
-    assert got.order == 31 and got == oracle_left_mult(f, u)
+    assert got.order == 31 and got == direct[0]
+    assert diffs == expected and leibniz == rows
+    assert expansions == direct
 
 
 def test_negative_difference_order_is_domain_error():

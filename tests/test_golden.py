@@ -2,8 +2,10 @@
 line per subcommand, for the commands whose functionals are made in the
 Hahn operator's frame at w != 0, for `verify structure` at w != 0 with a
 non-constant pivot and at q = 3/2 to n = 20, for `moments` at orders 5 and
-0, for the two limiting reductions and three J round trips, and for three
-`gen` refusals whose error class and message are part of the contract.
+0, for the two limiting reductions and three J round trips, for three
+`gen` refusals whose error class and message are part of the contract,
+and for `verify leibniz` at the `calculus` workload's seed-0 argv and at
+powers up to n = 7, above the workload's n <= 4.
 
 A digest changes only when a command's output or exit code does; to
 regenerate one after an intended change of output, print
@@ -131,6 +133,13 @@ GOLDEN = {
     "leibniz-w": (
         ["verify", "leibniz", "--seed", "3", "--trials", "2", "--n", "4"],
         "3fc0cbf8a265bd58ae7cca03f53df311ef9bc3a1f1571cb14da7a7c3220db0a9"),
+    # the calculus workload's argv at seed 0: 30 trials, n <= 4
+    "leibniz-calculus": (
+        ["verify", "leibniz", "--seed", "845924", "--trials", "30"],
+        "c31d8da095df011a9febb69c38e968521ae32c3ec202f697ee407496f7ef4085"),
+    "leibniz-n7": (
+        ["verify", "leibniz", "--seed", "7", "--trials", "4", "--n", "7"],
+        "8de0561e5033f0d2f82daaf936dc378849f5cad5f8ee1d3cc2c8f284c79fe934"),
     # refusals, exit 2: c = a*d*q at n = 1 comes before b = q**-2 at n = 2
     "gen-j-regularity": (
         ["gen", "--family", "J", "--a=2/1", "--b=4/1", "--c=1/3", "--d=1/3",

@@ -1,14 +1,18 @@
-"""The recurrence closed forms, the sequence generator and the Hahn
-difference scales against their plain oracles.
+"""The recurrence closed forms, the sequence generator, the Hahn
+difference scales and the q-Leibniz path against their plain oracles.
 
 The oracles are the direct loops: the L and J closed forms with every
 power and every factor formed where it is used, regularity checked
 before the closed forms, the monic sequence generated by `Poly`
-arithmetic on `Fraction`s, and D**m with its [n+m]!/[n]! ratios walked
-bracket by bracket.  Production forms each factor once on integer
-numerators and makes each value one scalar; values, error classes and
-error messages must agree exactly.  A closed-form (num, den) pair is
-compared by its value, not its parts, which depend on the representation.
+arithmetic on `Fraction`s, D**m with its [n+m]!/[n]! ratios walked
+bracket by bracket, D**n on a functional as n diagonal steps on the
+centred moments, the Leibniz coefficients composed as
+L**k(D**(n-k) f) times [n, k], and the expansion as a sum of
+`MomentFunctional`s, one `Fraction` dot product per moment and term.
+Production forms each factor once on integer numerators and makes each
+value one scalar; values, error classes and error messages must agree
+exactly.  A closed-form (num, den) pair is compared by its value, not its
+parts, which depend on the representation.
 """
 import random
 from fractions import Fraction
@@ -28,6 +32,7 @@ from qcoherent.errors import (
     DegreeMismatch,
     DenominatorZero,
     DomainError,
+    OrderExceeded,
     QCoherentError,
     RegularityViolation,
 )
@@ -40,12 +45,24 @@ from qcoherent.families import (
     l_coeffs_symmetric,
     ttrr_generate,
 )
+from qcoherent.functionals import (
+    MomentFunctional,
+    _dual_steps,
+    _from_y,
+    _to_y,
+    functional_diff_n,
+    left_mult,
+    leibniz_expansion,
+)
 from qcoherent.qcalc import (
     QParams,
     hahn_power,
+    leibniz_coeffs,
     normalized_derivative,
+    q_binom_row,
     q_bracket,
     q_factorials,
+    shift_power,
 )
 from qcoherent.sampling import sample_q
 
@@ -165,6 +182,48 @@ def oracle_normalized_derivative(p, n, m, qp):
         return out
     f = q_factorials(n + m, qp.q)
     return out * (f[n] / f[n + m])
+
+
+def oracle_centred_diffs(c, n, qp):
+    """Centred moments of u, D u, ..., D**n u, one diagonal step at a time:
+    c'_0 = 0, c'_j = -(1/q) [j]_{1/q} c_(j-1)."""
+    factors = [-t for t in _dual_steps(qp.q, len(c) + n)]
+    out = [c]
+    for _ in range(n):
+        c = [c[0] * 0] + [factors[j] * c[j - 1] for j in range(1, len(c) + 1)]
+        out.append(c)
+    return out
+
+
+def oracle_functional_diff_n(u, n, qp):
+    return _from_y(oracle_centred_diffs(_to_y(u.moments, qp), n, qp)[n], qp)
+
+
+def oracle_leibniz_coeffs(f, n, qp):
+    """[n, k] L**k(D**(n-k) f), each a composition of whole operators."""
+    binom = q_binom_row(n, qp.q)
+    return [shift_power(oracle_hahn_power(f, n - k, qp), k, qp) * binom[k]
+            for k in range(n + 1)]
+
+
+def oracle_left_mult(f, moments):
+    """Moments of f u, one dot product per moment on the scalars."""
+    if f.degree >= len(moments):
+        raise OrderExceeded(f"cannot multiply by degree {f.degree} at "
+                            f"order {len(moments) - 1}")
+    return [sum((c * moments[j + i] for i, c in enumerate(f.coeffs)),
+                Fraction(0)) for j in range(len(moments) - f.degree)]
+
+
+def oracle_leibniz_expansion(f, u, n, qp):
+    """sum_k c_k D**k u in y = x - w0, term by term as functionals."""
+    diffs = oracle_centred_diffs(_to_y(u.moments, qp), n, qp)
+    total = MomentFunctional([Fraction(0)] * (u.order + n + 1))
+    f = affine_substitute(f, 1, qp.omega0)
+    for k, poly in enumerate(oracle_leibniz_coeffs(f, n, QParams(qp.q, 0))):
+        if not poly.is_zero():
+            total = total + MomentFunctional(oracle_left_mult(poly, diffs[k]))
+    return _from_y(total.moments, qp)
 
 
 def outcome(fn, *args):
@@ -475,3 +534,67 @@ def test_q_difference_makes_no_fraction_arithmetic_over_q(monkeypatch):
                                      20 - m, m, qp)
         assert calls == []
         assert got == oracle_normalized_derivative(p, 20 - m, m, qp)
+
+
+# -- the q-Leibniz path --------------------------------------------------------
+
+def same(a, b):
+    """Equal functionals, moment by moment by the difference (a Fraction
+    and an equal element of another field need not compare equal), or
+    equal refusals."""
+    if isinstance(a, MomentFunctional) and isinstance(b, MomentFunctional):
+        return a.order == b.order and all(
+            x - y == 0 for x, y in zip(a.moments, b.moments))
+    return a == b
+
+
+def assert_leibniz_path_matches(f, u, n, qp):
+    assert same(functional_diff_n(u, n, qp), oracle_functional_diff_n(u, n, qp))
+    assert leibniz_coeffs(f, n, qp) == oracle_leibniz_coeffs(f, n, qp)
+    assert same(outcome(leibniz_expansion, f, u, n, qp),
+                outcome(oracle_leibniz_expansion, f, u, n, qp))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(q_scalars, min_size=1, max_size=9),
+       moments=st.lists(q_scalars, min_size=1, max_size=10), q=bases,
+       w=st.one_of(nonzero_small, st.just(F(0))), n=st.integers(0, 7))
+def test_leibniz_path_matches_the_fraction_oracles_over_q(coeffs, moments, q,
+                                                          w, n):
+    # q from the sampler (either sign, |q| < 1 and > 1), deg f <= 8, and
+    # orders both above and below deg f - n, where the expansion is refused
+    f, u, qp = poly_of(coeffs), MomentFunctional(moments), QParams(q, w)
+    assert_leibniz_path_matches(f, u, n, qp)
+    diff = functional_diff_n(u, n, qp)
+    assert diff == oracle_functional_diff_n(u, n, qp)
+    assert all(type(m) is Fraction for m in diff.moments)
+    assert all(type(c) is Fraction
+               for row in leibniz_coeffs(f, n, qp) for c in row.coeffs)
+
+
+def test_leibniz_path_keeps_rational_function_scalars():
+    # moments, f and w in Q(t): nothing may be coerced to Fraction
+    t = RatFunc.t()
+    qp = QParams(F(-3, 2), t)
+    u = MomentFunctional([RatFunc(1), t, t * t + 1, RatFunc(F(1, 2)) / (t + 1),
+                          t - 3, RatFunc(F(2, 7))])
+    f = Poly([t, RatFunc(F(-1, 2)), (t + 1) / (t - 2)])
+    for n in range(4):
+        got = leibniz_expansion(f, u, n, qp)
+        assert got == functional_diff_n(left_mult(f, u), n, qp)
+        assert got == oracle_leibniz_expansion(f, u, n, qp)
+        assert all(isinstance(m, RatFunc) for m in got.moments)
+        rows = leibniz_coeffs(f, n, qp)
+        assert rows == oracle_leibniz_coeffs(f, n, qp)
+        assert all(isinstance(c, RatFunc) for row in rows for c in row.coeffs)
+
+
+def test_leibniz_path_matches_the_oracles_over_sympy_q():
+    # q and w free: the int table E_j becomes q**j - 1 in Q(q, w)
+    sympy = pytest.importorskip("sympy")
+    _, q, w = sympy.field("q,w", sympy.QQ)
+    u = MomentFunctional([F(1), F(-2, 3), F(5, 4), F(0), F(7, 2)])
+    f = Poly([F(1, 2), F(-1), F(2, 3)])
+    for qp in (QParams(q, F(0)), QParams(q, w)):
+        for n in range(4):
+            assert_leibniz_path_matches(f, u, n, qp)
