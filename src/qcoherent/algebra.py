@@ -1,21 +1,21 @@
 """Exact scalars and dense univariate polynomial arithmetic.
 
-Three scalar types are used:
+Two scalar types are used:
 
 * plain rationals, carried by :class:`fractions.Fraction`, the field of
   every production computation;
-* finite Laurent polynomials in one auxiliary parameter ``t``, carried by
-  :class:`Laurent`.  One-parameter limiting identities evaluate their
-  closed forms as numerator/denominator pairs in this ring and take the
-  limit at ``t = 0`` exactly by valuation (:func:`limit_at_zero`);
 * rational functions in ``t`` over the rationals, carried by
   :class:`RatFunc`, which normalises by a gcd after every operation.  The
   tests use this field as an oracle for the limits.
 
 :class:`Poly` is a dense univariate polynomial over any exact field, such
 as Q, Q(t) or rational functions in one of the paper's parameters; all
-higher modules are generic over the scalars.  Every value is immutable and
-every operation is pure and exact.
+higher modules are generic over the scalars.  A :class:`Poly` with int
+coefficients is a polynomial over Z and stays one under ``+ - *``:
+one-parameter limiting identities evaluate their closed forms as
+numerator/denominator pairs in Z[t] and take the limit at ``t = 0``
+exactly by valuation (:func:`limit_at_zero`).  Every value is immutable
+and every operation is pure and exact.
 """
 from __future__ import annotations
 
@@ -83,7 +83,11 @@ class Poly:
     The zero polynomial has an empty coefficient tuple and degree -1;
     otherwise the last coefficient is non-zero.  Coefficients lie in any
     exact field whose elements mix with ints and Fractions, and every
-    operand that is not a Poly is taken as a scalar of that field.
+    operand that is not a Poly is taken as a scalar of that field.  The
+    zero scalar is int ``0`` (a coefficient past the degree, the start of
+    each sum in a product), which equals and hashes as ``Fraction(0)``
+    and adds into any field, so int coefficients stay ints under
+    ``+ - *``.
     """
 
     __slots__ = ("coeffs",)
@@ -133,7 +137,7 @@ class Poly:
     def coeff(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -173,7 +177,7 @@ class Poly:
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
                 return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
                     continue
@@ -417,11 +421,9 @@ class RatFunc:
         return RatFunc(self.num ** n, self.den ** n)
 
     def limit_at_zero(self) -> Fraction:
-        """Value at t = 0 after cancellation; raises PoleAtZero on a pole."""
-        d0 = self.den.coeff(0)
-        if d0 == 0:
-            raise PoleAtZero(f"pole at t = 0 in {self!r}")
-        return self.num.coeff(0) / d0
+        """Value at t = 0 (num and den are coprime); raises PoleAtZero on a
+        pole."""
+        return limit_at_zero(self.num, self.den)
 
     def __repr__(self):
         if self.den == Poly.one():
@@ -429,112 +431,26 @@ class RatFunc:
         return f"RatFunc({self.num!r} / {self.den!r})"
 
 
-class Laurent:
-    """Finite Laurent polynomial sum_k c_k t**k over the rationals.
-
-    A ring with no division: one-parameter closed forms are carried as
-    numerator/denominator pairs of Laurent polynomials, and their limit at
-    t = 0 is read off the lowest-order terms by :func:`limit_at_zero`, with
-    no gcd.  ``terms`` maps each exponent to its non-zero coefficient, an
-    int or a Fraction; ints and Fractions mix in as constants.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        terms = {k: c for k, c in (terms or {}).items() if c != 0}
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Laurent is immutable")
-
-    @staticmethod
-    def monomial(c, k: int) -> "Laurent":
-        """The term c * t**k, for any integer k."""
-        return Laurent({k: c})
-
-    @staticmethod
-    def coerce(value) -> "Laurent":
-        if isinstance(value, Laurent):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Laurent({0: value})
-        raise DomainError(f"cannot lift {value!r} into Q[t, 1/t]")
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Laurent)):
-            return self.terms == Laurent.coerce(other).terms
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, (int, Fraction, Laurent)):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in Laurent.coerce(other).terms.items():
-            out[k] = out.get(k, 0) + c
-        return Laurent(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Laurent({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, Laurent)):
-            return NotImplemented
-        return self + (-Laurent.coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Laurent({k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, Laurent):
-            return NotImplemented
-        out = {}
-        for i, a in self.terms.items():
-            for j, b in other.terms.items():
-                out[i + j] = out.get(i + j, 0) + a * b
-        return Laurent(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative power of a Laurent polynomial")
-        result = Laurent({0: 1})
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __repr__(self):
-        body = " + ".join(f"{c}*t^{k}" for k, c in sorted(self.terms.items()))
-        return f"Laurent({body or '0'})"
-
-
 def limit_at_zero(num, den) -> Fraction:
-    """Limit of num/den at t = 0 for Laurent polynomials num and den.
+    """Limit of num/den at t = 0, each side a :class:`Poly` in t or a
+    constant.
 
     With v = valuation (lowest exponent), the limit is 0 when v(num) >
     v(den), the ratio of the t**v(den) coefficients when they are equal,
     and a pole (PoleAtZero) when v(num) < v(den): the value of num/den at
     t = 0 after cancellation, computed without a gcd.
     """
-    num, den = Laurent.coerce(num), Laurent.coerce(den)
-    if not den:
+    nums = num.coeffs if isinstance(num, Poly) else (num,)
+    dens = den.coeffs if isinstance(den, Poly) else (den,)
+    vd = next((k for k, c in enumerate(dens) if c != 0), None)
+    if vd is None:
         raise DomainError("limit of a quotient with zero denominator")
-    if not num:
+    vn = next((k for k, c in enumerate(nums) if c != 0), None)
+    if vn is None or vn > vd:
         return Fraction(0)
-    vn, vd = min(num.terms), min(den.terms)
     if vn < vd:
         raise PoleAtZero(f"pole of order {vd - vn} at t = 0")
-    if vn > vd:
-        return Fraction(0)
-    return Fraction(num.terms[vn]) / den.terms[vd]
+    return Fraction(nums[vn]) / dens[vd]
 
 
 def expand_in_basis(f: Poly, basis) -> list:

@@ -23,10 +23,11 @@ affine reductions onto these families, never through independent data,
 and each reduction map is verified by :func:`check_reduction` on the
 recurrence coefficients, which determine the monic polynomials and are
 determined by them (Favard's theorem).  One-parameter limits (b -> 0) are
-exact: the J closed forms are evaluated with parameters that are Laurent
-polynomials in t, and each coefficient's limit at t = 0 is read off the
-valuations of its numerator and denominator, with no gcd.  The tests take
-the same limits over the field Q(t) as an oracle.
+exact: the J closed forms are evaluated with parameters that are
+quotients of polynomials in t over Z, and each coefficient's limit at
+t = 0 is read off the valuations of its numerator and denominator, with
+no gcd.  The tests take the same limits over the field Q(t) as an
+oracle.
 
 A family's moments are walked from c_0 = 1 on its own Pearson equation,
 whose pair (phi, psi) is in closed form, in the frame where it is classical
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    Laurent,
     Poly,
     affine_substitute,
     expand_in_basis,
@@ -230,10 +230,10 @@ def _l_closed_forms(s, p, c, base, n_max: int, named=()) -> TTRRCoeffs:
     return TTRRCoeffs(beta, gamma)
 
 
-def _j_closed_forms(a, b, c, d, base, n_max: int):
+def _j_closed_forms(pairs, base, n_max: int):
     """J-family beta_0..beta_n_max and gamma_1..gamma_n_max as (num, den)
-    pairs, generic over the scalar ring of the parameters, on int
-    numerators over Q.
+    pairs, from the parameters a, b, c, d given as (numerator, denominator)
+    pairs, generic over the ring of those parts: int numerators over Q.
 
     Regularity requires, for 1 <= n <= n_max: b != base**-n, d != base**-n,
     a != c*base**n, b != d*base**n, c != a*d*base**n, each read off the
@@ -252,7 +252,7 @@ def _j_closed_forms(a, b, c, d, base, n_max: int):
     are the numerators of the five factors at index n + 1.
     """
     _validate_base(base)
-    (an, ad), (bn, bd), (cn, cd), (dn, dd) = (num_den(x) for x in (a, b, c, d))
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = pairs
     qn, qd = num_den(base)
     pn = [qn ** j for j in range(2 * n_max + 3)]
     pd = [qd ** j for j in range(2 * n_max + 3)]
@@ -291,7 +291,8 @@ def _j_closed_forms(a, b, c, d, base, n_max: int):
 def j_coeffs(a, b, c, d, base, n_max: int) -> TTRRCoeffs:
     """J-family recurrence coefficients at the given base: the closed forms
     of :func:`_j_closed_forms`, each pair made one scalar."""
-    beta, gamma = _j_closed_forms(a, b, c, d, base, n_max)
+    pairs = [num_den(x) for x in (a, b, c, d)]
+    beta, gamma = _j_closed_forms(pairs, base, n_max)
     return TTRRCoeffs([over_den(*pair) for pair in beta],
                       [over_den(*pair) for pair in gamma])
 
@@ -741,19 +742,20 @@ def _identity_specs(name: str, p: dict, qp: QParams):
     raise DomainError(f"unknown reduction identity {name!r}")
 
 
-def _limit_data(j_params, base, n_max: int):
+def _limit_data(j_pairs, base, n_max: int):
     """beta_0..beta_(n_max-1) and gamma_1..gamma_(n_max-1) of a J-family
-    whose parameters are Laurent polynomials in t, each sent to t = 0.
+    whose parameters are (num, den) pairs of polynomials in t over Z (a
+    :class:`Poly` with int coefficients, or an int), each sent to t = 0.
 
-    Each coefficient is a closed-form pair (num, den) of Laurent
-    polynomials, and its limit is read off their lowest-order terms
+    Each coefficient is a closed-form pair (num, den) of polynomials in t,
+    and its limit is read off their lowest-order terms
     (:func:`limit_at_zero`), exactly and with no gcd.  Evaluation at t = 0
     is a ring homomorphism on functions regular there, so these limits
     generate the limits of P_0..P_n_max, and by induction on the
     recurrence some P_k has a pole at t = 0 exactly when one of these
     coefficients has (PoleAtZero).  A limit gamma may be zero.
     """
-    beta, gamma = _j_closed_forms(*j_params, base, n_max - 1)
+    beta, gamma = _j_closed_forms(j_pairs, base, n_max - 1)
     return ([limit_at_zero(num, den) for num, den in beta],
             [limit_at_zero(num, den) for num, den in gamma])
 
@@ -785,26 +787,26 @@ def check_reduction(name: str, params: dict, qp: QParams,
     The sides are compared by their recurrence data, which determines the
     monic polynomials and is determined by them.  The two limiting
     identities put b = t (and a or b proportional to 1/t) in the J-family
-    closed forms over the Laurent polynomials in t, and take each
-    recurrence coefficient's limit at t = 0 exactly by valuation
+    closed forms, each parameter a pair of polynomials in t over Z, and
+    take each recurrence coefficient's limit at t = 0 exactly by valuation
     (:func:`_limit_data`).  The tests check the same limits over the field
     Q(t) as an oracle.
     """
     q = qp.q
-    t = Laurent.monomial(1, 1)
+    t = Poly([0, 1])
     if name == "l00c-limit":
         c = params["c"]
         if c == 0:
             raise DomainError("l00c-limit requires c != 0")
         lhs = FamilySpec("L", (0 * q, 0 * q, c), q).ttrr(n_max)
-        rhs = _limit_data((Laurent(), Laurent.monomial(c, -1), t, Laurent()),
-                          q, n_max)
+        cn, cd = num_den(c)
+        rhs = _limit_data(((0, 1), (cn, cd * t), (t, 1), (0, 1)), q, n_max)
         return _compare_ttrr(name, lhs, *rhs, n_max)
     if name == "la10-limit":
         a = params["a"]
         lhs = FamilySpec("L", (a, q ** 0, 0 * q), q).ttrr(n_max)
-        rhs = _limit_data((Laurent.monomial(a, -1), t, Laurent.coerce(1),
-                           Laurent()), q, n_max)
+        an, ad = num_den(a)
+        rhs = _limit_data(((an, ad * t), (t, 1), (1, 1), (0, 1)), q, n_max)
         return _compare_ttrr(name, lhs, *rhs, n_max)
     lhs_spec, rhs_spec = _identity_specs(name, params, qp)
     lhs, rhs = lhs_spec.ttrr(n_max), rhs_spec.ttrr(n_max)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoherent.algebra import (
-    Laurent,
     Poly,
     RatFunc,
     affine_substitute,
@@ -155,60 +154,70 @@ def test_ratfunc_limits_at_zero():
         RatFunc(Poly([1]), t).limit_at_zero()
 
 
-def test_laurent_limits_at_zero():
-    t = Laurent.monomial(1, 1)
-    assert limit_at_zero(t**2 + t, t) == 1  # removable singularity
+def test_limits_at_zero_by_valuation():
+    t = Poly([0, 1])  # over Z
+    assert limit_at_zero(t * t + t, t) == 1  # removable singularity
     assert limit_at_zero(3, t + 2) == F(3, 2)
-    assert limit_at_zero(Laurent(), t + 2) == 0
+    assert limit_at_zero(Poly(), t + 2) == 0
+    assert limit_at_zero(0, 5) == 0
     assert limit_at_zero(t, 1 + t) == 0
-    assert limit_at_zero(Laurent.monomial(F(5, 2), -2) + 1,
-                         Laurent.monomial(3, -2) - t) == F(5, 6)
+    assert limit_at_zero(Poly([0, 0, F(5, 2), 1]),
+                         Poly([0, 0, 3, 0, -1])) == F(5, 6)
+    got = limit_at_zero(Poly([0, 3, 1]), Poly([0, 2]))
+    assert got == F(3, 2) and type(got) is Fraction
     with pytest.raises(PoleAtZero):
         limit_at_zero(1, t)
+    with pytest.raises(PoleAtZero):
+        limit_at_zero(t + 1, t * t)
     with pytest.raises(DomainError):
-        limit_at_zero(t, Laurent())
+        limit_at_zero(t, Poly())
+    with pytest.raises(DomainError):
+        limit_at_zero(0, 0)
 
 
-def _as_ratfunc(f: Laurent) -> RatFunc:
-    t = RatFunc.t()
-    return sum((c * t**k if k >= 0 else RatFunc(c) / t**-k
-                for k, c in f.terms.items()), RatFunc(0))
-
-
-laurents = st.dictionaries(st.integers(-3, 3), rationals, max_size=4).map(
-    Laurent)
-
-
-@settings(max_examples=60, deadline=None)
-@given(f=laurents, g=laurents, k=st.integers(0, 3))
-def test_laurent_ring_and_limit_match_ratfunc(f, g, k):
-    # the ring operations and the valuation limit against Q(t)
-    for got, want in ((f + g, _as_ratfunc(f) + _as_ratfunc(g)),
-                      (f - g, _as_ratfunc(f) - _as_ratfunc(g)),
-                      (f * g, _as_ratfunc(f) * _as_ratfunc(g)),
-                      (f**k, _as_ratfunc(f)**k),
-                      (3 - f * F(1, 2), 3 - _as_ratfunc(f) * F(1, 2))):
-        assert _as_ratfunc(got) == want
-    assert (f == g) == (_as_ratfunc(f) == _as_ratfunc(g))
-    if not g:
-        return
+def _limit_outcome(limit, *args):
     try:
-        want = (_as_ratfunc(f) / _as_ratfunc(g)).limit_at_zero()
-    except PoleAtZero:
-        with pytest.raises(PoleAtZero):
-            limit_at_zero(f, g)
-    else:
-        assert limit_at_zero(f, g) == want
+        return limit(*args)
+    except (DomainError, PoleAtZero) as exc:
+        return type(exc)
 
 
-def test_laurent_constants_and_errors():
-    assert Laurent.coerce(F(2, 3)) == F(2, 3)
-    assert Laurent({0: 0, 1: F(0)}) == 0
-    assert not Laurent()
-    with pytest.raises(DomainError):
-        Laurent.monomial(1, 1) ** -1
-    with pytest.raises(DomainError):
-        Laurent.coerce("t")
+def _over_q(p):
+    """An int or a Poly over Z or Q as an element of Q[t] for RatFunc."""
+    return p * F(1) if isinstance(p, Poly) else F(p)
+
+
+# polynomials in t over Z or over Q, times t**k: zero, equal and unequal
+# valuations on both sides
+polys_in_t = st.builds(
+    lambda coeffs, k: Poly.monomial(1, k) * Poly(coeffs),
+    st.one_of(st.lists(st.integers(-9, 9), max_size=4),
+              st.lists(rationals, max_size=4)),
+    st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(num=st.one_of(polys_in_t, st.integers(-3, 3)),
+       den=st.one_of(polys_in_t, rationals))
+def test_limit_at_zero_matches_ratfunc(num, den):
+    # the valuation rule against the value at t = 0 after a gcd in Q(t): a
+    # limit, 0 for a zero numerator, a pole, or a zero denominator refused
+    want = _limit_outcome(
+        lambda: RatFunc(_over_q(num), _over_q(den)).limit_at_zero())
+    got = _limit_outcome(limit_at_zero, num, den)
+    assert got == want
+    assert isinstance(got, type) or type(got) is Fraction
+
+
+def test_poly_zero_is_the_int_zero():
+    # a coefficient past the degree and each sum in a product start at the
+    # int 0, equal to Fraction(0) with the same hash; over Q the values
+    # stay Fractions (over Z they stay ints: test_recurrence_oracles)
+    p = Poly([F(1, 2), F(3)])
+    assert p.coeff(7) == F(0) and hash(p.coeff(7)) == hash(F(0))
+    assert p + Poly([0, 0, 1]) == Poly([F(1, 2), F(3), F(1)])
+    for r in (p * Poly([F(2), F(0), F(1)]), p - p * p):
+        assert r.coeffs and all(type(c) is Fraction for c in r.coeffs)
 
 
 def test_ratfunc_mixes_with_fractions():

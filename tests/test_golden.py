@@ -2,7 +2,8 @@
 line per subcommand, for the commands whose functionals are made in the
 Hahn operator's frame at w != 0, for `verify structure` at w != 0 with a
 non-constant pivot and at q = 3/2 to n = 20, for `moments` at orders 5 and
-0, for the two limiting reductions and three J round trips, for three
+0, for the two limiting reductions (at 3 points to n = 10, and at 4
+points to n = 20 at seed 11) and three J round trips, for three
 `gen` refusals whose error class and message are part of the contract,
 and for `verify leibniz` at the `calculus` workload's seed-0 argv and at
 powers up to n = 7, above the workload's n <= 4.
@@ -104,13 +105,22 @@ GOLDEN = {
         ["verify", "reduction", "--identity", "l-as-j-via-b",
          "--points", "2", "--n", "6"],
         "8eea46f73a277efaf5df87bfb8a0876778e1c60a9c28b5476075f017ffcbfadc"),
-    # the J closed forms over Laurent polynomials in t, limits at t = 0
+    # the J closed forms on (num, den) pairs of polynomials in t over Z,
+    # limits at t = 0 by valuation
     "reduction-l00c-limit": (
         _reduction("l00c-limit"),
         "fb92ed3300e39b6a8d29360df5fc2d2115c6260d5f7dc4af547c6f5bca2ba707"),
     "reduction-la10-limit": (
         _reduction("la10-limit"),
         "a5ddc15735ded52af117c49bf2af3fbd93250673a111991ec043f705f30c35a4"),
+    "reduction-l00c-limit-n20": (
+        ["verify", "reduction", "--identity", "l00c-limit", "--seed", "11",
+         "--points", "4", "--n", "20"],
+        "7ed038586c06513881eb9a8fc43bad6d8632b18e47917b96950f642bf4b20583"),
+    "reduction-la10-limit-n20": (
+        ["verify", "reduction", "--identity", "la10-limit", "--seed", "11",
+         "--points", "4", "--n", "20"],
+        "fd3da1c3647fdcc714117dc6aea014e67b1e0129599e215e3458e73c6ed0dbdd"),
     # J round trips onto classical labels, each at three sampled points
     "reduction-big-q-jacobi": (
         _reduction("big-q-jacobi-roundtrip"),

@@ -22,11 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoherent.algebra import (
-    Laurent,
     Poly,
     RatFunc,
     affine_substitute,
     limit_at_zero,
+    num_den,
 )
 from qcoherent.errors import (
     DegreeMismatch,
@@ -40,6 +40,7 @@ from qcoherent.families import (
     FamilySpec,
     TTRRCoeffs,
     _j_closed_forms,
+    _limit_data,
     _validate_base,
     l_coeffs,
     l_coeffs_symmetric,
@@ -226,6 +227,12 @@ def oracle_leibniz_expansion(f, u, n, qp):
     return _from_y(total.moments, qp)
 
 
+def j_closed_forms(a, b, c, d, base, n_max):
+    """:func:`_j_closed_forms` on the parameters split by ``num_den``, as
+    ``j_coeffs`` calls it."""
+    return _j_closed_forms([num_den(x) for x in (a, b, c, d)], base, n_max)
+
+
 def outcome(fn, *args):
     """The value of fn(*args), or the class and message it raised."""
     try:
@@ -264,7 +271,7 @@ def near_conditions(data, base, count):
 @given(data=st.data(), base=bases, n_max=st.integers(0, 20))
 def test_j_closed_forms_match_the_oracle_over_q(data, base, n_max):
     params = near_conditions(data, base, 4)
-    assert (quotients(outcome(_j_closed_forms, *params, base, n_max))
+    assert (quotients(outcome(j_closed_forms, *params, base, n_max))
             == quotients(outcome(oracle_j_closed_forms, *params, base, n_max)))
 
 
@@ -285,20 +292,26 @@ def test_l_closed_forms_match_the_oracle_over_q(data, base, n_max):
        n_max=st.integers(0, 12))
 def test_j_closed_forms_match_the_oracle_on_the_limit_tuples(a, c, base,
                                                              n_max):
-    # the same quotients of Laurent polynomials: equal cross-products, and
-    # the same limit (or pole) at t = 0
-    t = Laurent.monomial(1, 1)
-    for params in ((Laurent(), Laurent.monomial(c, -1), t, Laurent()),
-                   (Laurent.monomial(a, -1), t, Laurent.coerce(1),
-                    Laurent())):
-        got = _j_closed_forms(*params, base, n_max)
-        want = oracle_j_closed_forms(*params, base, n_max)
+    # the pairs over Z[t] against the oracle on the same parameters in
+    # Q(t): the same quotients, and the same limit (or pole) at t = 0
+    t = Poly([0, 1])
+    (an, ad), (cn, cd) = num_den(a), num_den(c)
+    for pairs in (((0, 1), (cn, cd * t), (t, 1), (0, 1)),
+                  ((an, ad * t), (t, 1), (1, 1), (0, 1))):
+        got = _j_closed_forms(pairs, base, n_max)
+        want = oracle_j_closed_forms(
+            *(in_qt(num) / in_qt(den) for num, den in pairs), base, n_max)
         assert [len(pairs) for pairs in got] == [len(pairs) for pairs in want]
         for (num, den), (num_o, den_o) in zip(got[0] + got[1],
                                               want[0] + want[1]):
-            assert num * den_o == num_o * den
+            assert in_qt(num) / in_qt(den) == num_o / den_o
             assert (outcome(limit_at_zero, num, den)
-                    == outcome(limit_at_zero, num_o, den_o))
+                    == outcome((num_o / den_o).limit_at_zero))
+
+
+def in_qt(p):
+    """An int, or a Poly in t over Z, as an element of Q(t)."""
+    return p(RatFunc.t()) if isinstance(p, Poly) else RatFunc(p)
 
 
 # each J and L regularity condition, by its message, as the parameters
@@ -323,7 +336,7 @@ N_MAX = 6
 @pytest.mark.parametrize("condition", sorted(J_CONDITIONS))
 def test_j_refusals_match_the_oracle(condition, n, q):
     params = J_CONDITIONS[condition](q, n)
-    got = outcome(_j_closed_forms, *params, q, N_MAX)
+    got = outcome(j_closed_forms, *params, q, N_MAX)
     assert got == outcome(oracle_j_closed_forms, *params, q, N_MAX)
     assert got == (RegularityViolation,
                    f"{condition.format(n)} in the J-family")
@@ -348,7 +361,7 @@ def test_j_denominator_zero_matches_the_oracle(shift, n_max, q):
     # range; at n_max = 0 gamma's odd factor 1 - d q is never read
     j = 0 if shift == 0 else n_max + shift
     params = (F(2), F(-7, 3), F(-4), q ** -j)
-    got = quotients(outcome(_j_closed_forms, *params, q, n_max))
+    got = quotients(outcome(j_closed_forms, *params, q, n_max))
     assert got == quotients(outcome(oracle_j_closed_forms, *params, q, n_max))
     if j <= 2 * n_max + 2 and (j % 2 == 0 or n_max):
         assert got == (DenominatorZero, f"1 - d*base^{j} = 0 in the J-family")
@@ -509,7 +522,7 @@ def test_closed_forms_make_no_fraction_arithmetic_over_q(monkeypatch):
     # the factors are int numerators, and each value one Fraction
     base, n_max = F(-5, 3), 24
     params = (F(3, 4), F(-5, 2), F(-2, 3), F(-4, 7))
-    calls, got = fraction_ops_of(monkeypatch, _j_closed_forms, *params, base,
+    calls, got = fraction_ops_of(monkeypatch, j_closed_forms, *params, base,
                                  n_max)
     assert calls == []
     assert quotients(got) == quotients(oracle_j_closed_forms(*params, base,
@@ -518,6 +531,24 @@ def test_closed_forms_make_no_fraction_arithmetic_over_q(monkeypatch):
                                  n_max)
     assert calls == []
     assert l_values(got) == oracle_l_coeffs(*params[:3], base, n_max)
+    # the two limit tuples, pairs over Z[t]: one division per limit, and
+    # the limits are those of L(0, 0, c) and L(a, 1, 0)
+    t = Poly([0, 1])
+    for pairs, l_params in ((((0, 1), (-2, 3 * t), (t, 1), (0, 1)),
+                             (F(0), F(0), F(-2, 3))),
+                            (((3, 4 * t), (t, 1), (1, 1), (0, 1)),
+                             (F(3, 4), F(1), F(0)))):
+        calls, got = fraction_ops_of(monkeypatch, _limit_data, pairs, base,
+                                     n_max)
+        assert calls == ["__truediv__"] * sum(map(len, got))
+        assert got == l_values(l_coeffs(*l_params, base, n_max - 1))
+    # over Z, Poly + - * stay on ints
+    p, q = Poly([3, 0, -2, 7]), Poly([1, -5])
+    calls, got = fraction_ops_of(
+        monkeypatch, lambda: (p + q, p - q, 1 - p, p * q, p * 2 - 1, -p,
+                              p * p * q, (t * t + 1) * (t - 1)))
+    assert calls == []
+    assert all(type(c) is int for r in got for c in r.coeffs)
 
 
 def test_q_difference_makes_no_fraction_arithmetic_over_q(monkeypatch):
