@@ -191,7 +191,7 @@ class Poly:
     def __truediv__(self, other):
         if isinstance(other, Poly):
             return self.exact_div(other)
-        return Poly([c / other for c in self.coeffs])
+        return Poly([over_den(c, other) for c in self.coeffs])
 
     def __pow__(self, n: int):
         if n < 0:
@@ -221,7 +221,7 @@ class Poly:
             c = rem[dd + k]
             if c == 0:
                 continue
-            c = c / dlc
+            c = over_den(c, dlc)
             quot[k] = c
             for i, b in enumerate(other.coeffs):
                 rem[i + k] = rem[i + k] - c * b

@@ -27,6 +27,14 @@ A pair is its structure table and its two functionals: the table
 operator, P and Q with their recurrences, all in the Hahn operator's own
 frame y = x - w0, so there is nothing else to pass and no second frame to
 disagree with.
+
+Each functional equation is a sum of products with the pair's two
+functionals: sum_j phi(x; n, j) D'**j v, psi(x; n) u, A v, A D'v.  The pair
+keeps one numerator table of u and one of v (:func:`functionals.dual_rows`)
+and forms every such sum in one kernel, the one left multiplication and the
+Leibniz expansion use; only derived functionals are differenced on their
+own (:meth:`CoherencePair.dprime`), so each check that differences one
+stays independent of the Leibniz redistribution.
 """
 from __future__ import annotations
 
@@ -37,7 +45,6 @@ from .errors import (
     DegreeClaimViolated,
     DomainError,
     IndexOutOfRange,
-    InternalInconsistency,
     MissingData,
 )
 from .families import (
@@ -51,9 +58,10 @@ from .functionals import (
     MomentFunctional,
     SemiclassicalWitness,
     VerifyReport,
+    _combination,
     _report,
+    dual_rows,
     functional_diff_n,
-    left_mult,
 )
 from .qcalc import (
     QParams,
@@ -86,9 +94,10 @@ class CoherencePair:
     through their recurrences the squared norms of u and v, which are
     given by their moments against y**i.  :meth:`self_coherent` builds a
     self pair from a family at (q, w).  Everything derived (the psi
-    polynomials, the phi/varphi/xi rows, both determinant systems, each
-    difference D'**j of u or v and every product f D'**j w of a polynomial
-    and one of them) is built on first use and kept in one memo.
+    polynomials, the phi/varphi/xi rows, both determinant systems, the
+    numerator tables of the differences D'**j of u and of v, and every sum
+    sum_j f_j D'**j w of polynomials and one of them) is built on first use
+    and kept in one memo.
     """
 
     def __init__(self, table: StructureTable, u: MomentFunctional,
@@ -233,32 +242,34 @@ class CoherencePair:
         """j-fold backward difference of a functional."""
         return functional_diff_n(w, j, self.qp.inverse)
 
+    def _combine(self, polys, w: MomentFunctional) -> MomentFunctional:
+        """sum_j polys[j] D'**j w for w = u or v, memoised on (polys, w).
+
+        Every such sum comes from w's one numerator table
+        (:func:`dual_rows`), made on first use to the deepest difference any
+        identity reads, max(N, m - k, 1); the pair's operator is Jackson's,
+        so the table's centred moments are w's own, and more polynomials
+        than the table has rows are refused.  psi(.; n) u, pi Q_n v,
+        the phi sides and the transformation products recur across the
+        identities, sometimes under other names.  w is keyed by identity,
+        which the pair holds fixed: hashing its moments costs more than most
+        products.
+        """
+        cfg = self.config
+        rows, den = self._once(("rows", id(w)), lambda: dual_rows(
+            w, max(cfg.N, cfg.m - cfg.k, 1), self.qp.inverse))
+        return self._once((tuple(polys), id(w)),
+                          lambda: _combination(polys, rows, den))
+
     def _times(self, f: Poly, w: MomentFunctional,
                j: int = 0) -> MomentFunctional:
-        """f D'**j w for w = u or v, memoised on (f, w, j), as is D'**j w.
-
-        psi(.; n) u, pi Q_n v and the phi side's terms recur across the
-        identities, sometimes under other names, and D'**j v recurs in
-        every n's phi side.  w is keyed by identity, which the pair holds
-        fixed: hashing its moments costs more than most products.
-        """
-        diff = (self._once(("diff", id(w), j), lambda: self.dprime(w, j))
-                if j else w)
-        return self._once(("times", f, id(w), j), lambda: left_mult(f, diff))
-
-    def _sum(self, terms) -> MomentFunctional:
-        total = None
-        for term in terms:
-            total = term if total is None else total + term
-        if total is None:
-            raise InternalInconsistency("empty functional sum")
-        return total
+        """f D'**j w for w = u or v."""
+        return self._combine([Poly()] * j + [f], w)
 
     def _phi_side(self, n: int) -> MomentFunctional:
         """sum_j phi(.; n, j) applied to the j-th backward derivative of v."""
-        return self._once(("phi side", n), lambda: self._sum(
-            self._times(self.phi(n, j), self.v, j)
-            for j in range(self.config.N + 1)))
+        return self._combine(
+            [self.phi(n, j) for j in range(self.config.N + 1)], self.v)
 
     # -- verification ------------------------------------------------------
 
@@ -284,10 +295,8 @@ class CoherencePair:
         """psi(.; n) u = sum_i varphi(.; n, i) D'**i v (m >= k+N form)."""
         cfg = self.config
         lhs = self._times(self.psi(n), self.u)
-        rhs = self._sum(
-            self._times(self.varphi(n, i), self.v, i)
-            for i in range(cfg.m - cfg.k + 1)
-            if not self.varphi(n, i).is_zero())
+        rhs = self._combine(
+            [self.varphi(n, i) for i in range(cfg.m - cfg.k + 1)], self.v)
         return _report(f"varphi-row[n={n}]", lhs, rhs)
 
     def _pearson(self, name: str, phi: Poly, psi: Poly,

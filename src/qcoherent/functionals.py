@@ -45,12 +45,15 @@ equation D(phi u) = psi u, deg phi <= 2, deg psi = 1, which on the centred
 moments is a three-term recurrence in the moments themselves, walked from
 c_0 = 1 with no other seed.
 
-Left multiplication brings f's coefficients to one common denominator and
-u's moments to another, as FLINT's ``fmpq_poly`` does: over Q each output
-moment is then an integer dot product of numerators, normalised once.  The
-Leibniz expansion is the same sum over all its terms at once: the moments
-of every D**k u are int numerators over one denominator, so each output
-moment is normalised once.  A scalar of any other field (Q(t)) is its own
+Every sum of products sum_k f_k w_k of polynomials and functionals runs
+through one kernel, :func:`_combination`, on the functionals' moments held
+as numerators over one common denominator, as FLINT's ``fmpq_poly`` does:
+each f_k is brought to one denominator too, and over Q each output moment
+is then an integer dot product of numerators, normalised once.  Left
+multiplication is the kernel on one term.  :func:`dual_rows` gives the
+numerator table of D**k u for k = 0..n, u centred and converted once; the
+Leibniz expansion is the kernel on that table, and so are the products and
+sums of a coherent pair.  A scalar of any other field (Q(t)) is its own
 numerator over 1, so one code path serves every field; moments and
 coefficients stay as they are given.
 """
@@ -71,6 +74,7 @@ from .algebra import (
 )
 from .errors import (
     DomainError,
+    InternalInconsistency,
     NotSimpleSet,
     OrderExceeded,
     RegularityViolation,
@@ -160,15 +164,24 @@ def _over_common_den(values):
     return [n if d == den else n * (den // d) for n, d in pairs], den
 
 
-def _sum_of_products(terms, den, order: int) -> MomentFunctional:
-    """The functional sum of f u over the pairs (f, m) in ``terms``, where
-    m holds the numerators of u's moments over the one denominator
-    ``den``, at the given output order (order(u) - deg f for each term).
+def _combination(polys, rows, den) -> MomentFunctional:
+    """The functional sum_k polys[k] w_k, where rows[k] holds the
+    numerators of w_k's moments over the one denominator ``den``.  Rows past
+    the last polynomial are not read; fewer rows than polynomials are
+    refused, so that no term is dropped.
 
-    Each f is brought to one denominator and scaled to the lcm of them, so
-    over Q each output moment is a sum of integer dot products, divided
-    once.  An f of degree above its u's order is refused.
+    The output order is the least order(w_k) - deg polys[k] over the
+    non-zero terms, or the order of the last w_k read when every term
+    vanishes.  Each polynomial is brought to one denominator and scaled to
+    the lcm of them, so over Q each output moment is a sum of integer dot
+    products, divided once.  A polynomial of degree above its functional's
+    order is refused.
     """
+    if len(polys) > len(rows):
+        raise InternalInconsistency("more polynomials than functionals")
+    terms = [(f, m) for f, m in zip(polys, rows) if not f.is_zero()]
+    order = min((len(m) - 1 - f.degree for f, m in terms),
+                default=len(rows[len(polys) - 1]) - 1)
     parts, fd = [], 1
     for f, m in terms:
         if f.degree >= len(m):
@@ -191,14 +204,13 @@ def left_mult(f: Poly, u: MomentFunctional) -> MomentFunctional:
     result keeps the input order.  A constant scales u.  Otherwise f and u
     are brought to one denominator each, and each output is one dot product
     of numerators over f's non-zero coefficients (integer arithmetic over
-    Q), divided once by the product of the denominators.
+    Q), divided once by the product of the denominators
+    (:func:`_combination`).
     """
-    if f.is_zero():
-        return MomentFunctional([Fraction(0)] * (u.order + 1))
     if f.degree == 0:
         return u * f.coeffs[0]
     m, md = _over_common_den(u.moments)
-    return _sum_of_products([(f, m)], md, u.order - f.degree)
+    return _combination([f], [m], md)
 
 
 def _taylor_shift(moments, a):
@@ -269,6 +281,18 @@ def _dual_scales(n: int, size: int, q):
     return rows, e[1] ** n * qn ** top
 
 
+def dual_rows(u: MomentFunctional, n: int, qp: QParams):
+    """(rows, den): rows[k] holds the numerators, over the one ``den``, of
+    the moments of D[q,w]**k u against y**j, y = x - w0, for k = 0..n and
+    j = 0..order(u) + k.  u is centred and brought to one denominator once,
+    then scaled by :func:`_dual_scales`; the moments 0..k-1 of D**k u
+    vanish."""
+    cn, cd = _over_common_den(_to_y(u.moments, qp))
+    scales, den = _dual_scales(n, len(cn), qp.q)
+    return [[cn[0] * 0] * k + [s * c for s, c in zip(row, cn)]
+            for k, row in enumerate(scales)], den * cd
+
+
 def functional_diff_n(u: MomentFunctional, n: int, qp: QParams) -> MomentFunctional:
     """The n-fold induced difference D[q,w]**n u; output order grows by n.
     One scalar per moment in the centred basis (:func:`_dual_scales`)."""
@@ -296,17 +320,14 @@ def leibniz_expansion(f: Poly, u: MomentFunctional, n: int,
     """D**n (f u) by the q-Leibniz rule: sum_k c_k D**k u, where
     c_k = [n, k] L**k(D**(n-k) f) are ``qcalc.leibniz_coeffs``.
 
-    Computed in y = x - w0 at (q, 0), with f(y + w0) and u centred once;
-    every term's dot products are summed over one common denominator.
+    Computed in y = x - w0 at (q, 0), with f(y + w0) and u centred once
+    (:func:`dual_rows`); every term's dot products are summed over one
+    common denominator (:func:`_combination`).
     """
-    f = affine_substitute(f, 1, qp.omega0)
-    cn, cd = _over_common_den(_to_y(u.moments, qp))
-    rows, den = _dual_scales(n, len(cn), qp.q)
-    terms = [(poly, [cn[0] * 0] * k + [s * x for s, x in zip(rows[k], cn)])
-             for k, poly in enumerate(leibniz_coeffs(f, n, QParams(qp.q, 0)))
-             if not poly.is_zero()]  # a vanishing term must not cap the order
-    return _from_y(_sum_of_products(terms, den * cd, u.order + n
-                                    - max(f.degree, 0)).moments, qp)
+    rows, den = dual_rows(u, n, qp)
+    polys = leibniz_coeffs(affine_substitute(f, 1, qp.omega0), n,
+                           QParams(qp.q, 0))
+    return _from_y(_combination(polys, rows, den).moments, qp)
 
 
 def functional_agree(u: MomentFunctional, v: MomentFunctional):

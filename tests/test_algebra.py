@@ -77,6 +77,17 @@ def test_poly_divmod_and_exact_division():
     assert (x**2 - 1).exact_div(x - 1) == x + 1
 
 
+def test_division_over_z_stays_exact():
+    # int coefficients divided by an int or an int polynomial give Fractions
+    quotient, remainder = divmod(Poly([1, 2, 3]), Poly([3, 1]))
+    results = [Poly([1, 2]) / 3, quotient, remainder,
+               poly_gcd(Poly([0, 2, 2]), Poly([0, 4])), Poly([2, 4]).monic()]
+    assert results == [Poly([F(1, 3), F(2, 3)]), Poly([-7, 3]), Poly([22]),
+                       Poly([0, 1]), Poly([F(1, 2), 1])]
+    for p in results:
+        assert not any(isinstance(c, float) for c in p.coeffs), p
+
+
 def test_division_by_zero_is_domain_error():
     x = Poly.x()
     with pytest.raises(DomainError):
@@ -139,8 +150,9 @@ def test_ratfunc_field_axioms(an, bn, cn):
 def test_ratfunc_canonical_form_is_idempotent():
     t = Poly([0, 1])
     f = RatFunc(Poly([0, 2, 2]), Poly([0, 4]))  # (2t^2+2t)/4t -> (t+1)/2
-    assert f.num == Poly([F(1, 2), F(1, 2)])
-    assert f.den == Poly.one()
+    assert f.num.coeffs == (F(1, 2), F(1, 2))
+    assert f.den.coeffs == (1,)
+    assert not any(isinstance(c, float) for c in f.num.coeffs + f.den.coeffs)
     again = RatFunc(f.num, f.den)
     assert again == f
     assert f.den.is_monic()

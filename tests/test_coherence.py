@@ -16,7 +16,12 @@ from qcoherent.classify import (
     case_iiib_instance,
 )
 from qcoherent.coherence import CoherencePair
-from qcoherent.errors import DomainError, IndexOutOfRange, MissingCoefficient
+from qcoherent.errors import (
+    DomainError,
+    IndexOutOfRange,
+    InternalInconsistency,
+    MissingCoefficient,
+)
 from qcoherent.families import CoherenceConfig, FamilySpec, structure_coeffs
 from qcoherent.functionals import _taylor_shift, functional_agree, left_mult
 from qcoherent.qcalc import (
@@ -638,48 +643,74 @@ def test_kzero_oracles(pair_i, pair_ii, pair_iiia):
 
 @pytest.mark.parametrize("name", ["pair_i", "pair_ii"])
 def test_pipeline_forms_each_shared_product_once(name, request, monkeypatch):
-    # psi(n) u, pi Q_n v and the phi-side terms phi(n, j) D'**j v are read
-    # by several identities (pair_i has w != 0, pair_ii has N = 1); the
-    # pair's memo forms each of them once
+    # psi(n) u, pi Q_n v and each n's phi side sum_j phi(n, j) D'**j v are
+    # read by several identities (pair_i has w != 0, pair_ii has N = 1);
+    # the pair's memo forms each of them once, in the one kernel
     import qcoherent.coherence as coherence_module
 
     pair = fresh(request.getfixturevalue(name))
-    calls = Counter()
-    real_left_mult = coherence_module.left_mult
+    owner, calls = {}, Counter()
+    real_rows = coherence_module.dual_rows
+    real_combination = coherence_module._combination
 
-    def counted(f, w):
-        calls[f, w] += 1
-        return real_left_mult(f, w)
+    def rows_spy(w, n, qp):
+        rows, den = real_rows(w, n, qp)
+        owner[id(rows[0])] = w
+        return rows, den
 
-    monkeypatch.setattr(coherence_module, "left_mult", counted)
+    def combination_spy(polys, rows, den):
+        calls[tuple(polys), owner[id(rows[0])]] += 1
+        return real_combination(polys, rows, den)
+
+    monkeypatch.setattr(coherence_module, "dual_rows", rows_spy)
+    monkeypatch.setattr(coherence_module, "_combination", combination_spy)
     reports = pair.verify(6)
     assert {r.status for r in reports} == {"holds"}
     cfg = pair.config
     for n in range(5):
-        shared = [(pair.psi(n), pair.u), (cfg.pi * pair.q[n], pair.v)]
-        shared += [(pair.phi(n, j), pair.dprime(pair.v, j))
-                   for j in range(cfg.N + 1)]
-        for f, w in shared:
-            assert calls[f, w] == 1, (n, f)
+        phi_side = tuple(pair.phi(n, j) for j in range(cfg.N + 1))
+        shared = [((pair.psi(n),), pair.u), ((cfg.pi * pair.q[n],), pair.v),
+                  (phi_side, pair.v)]
+        for polys, w in shared:
+            assert calls[polys, w] == 1, (n, polys)
 
 
 @pytest.mark.parametrize("label", CASE_LABELS)
 def test_pipeline_differences_u_and_v_once_per_order(label, monkeypatch):
-    # D'**j v is read by every n's phi side and the transformation
-    # identities; the pair's memo forms each D'**j of u or v once
+    # every D'**j of u or v, read by each n's phi side and the
+    # transformation identities, comes from one numerator table per
+    # distinct functional; dprime differences only derived functionals
+    import qcoherent.coherence as coherence_module
+
     _, pair = sample_case_instance(random.Random(f"dprime-{label}"), label,
                                    order=24, depth=6)
-    seen = Counter()
-    real_dprime = CoherencePair.dprime
+    tables, differenced = Counter(), []
+    real_rows, real_dprime = coherence_module.dual_rows, CoherencePair.dprime
 
-    def counted(self, w, j=1):
-        if w is pair.u or w is pair.v:
-            seen[id(w), j] += 1
+    def rows_spy(w, n, qp):
+        tables[id(w)] += 1
+        return real_rows(w, n, qp)
+
+    def dprime_spy(self, w, j=1):
+        differenced.append(w is pair.u or w is pair.v)
         return real_dprime(self, w, j)
 
-    monkeypatch.setattr(CoherencePair, "dprime", counted)
+    monkeypatch.setattr(coherence_module, "dual_rows", rows_spy)
+    monkeypatch.setattr(CoherencePair, "dprime", dprime_spy)
     pair.verify(6)
-    assert seen and max(seen.values()) == 1, seen
+    assert tables == Counter({id(pair.u), id(pair.v)}), tables
+    assert differenced and not any(differenced)
+
+
+def test_pair_sums_refuse_more_polynomials_than_differences(pair_ii):
+    # with N = 1 and m - k = 1 the table of v holds D'**0..1 v; a third
+    # polynomial would have no difference to multiply, and is not dropped
+    pair = fresh(pair_ii)
+    pi = pair.config.pi
+    assert pair._combine([Poly(), pi], pair.v) == left_mult(
+        pi, pair.dprime(pair.v, 1))
+    with pytest.raises(InternalInconsistency):
+        pair._combine([Poly(), Poly(), pi], pair.v)
 
 
 def test_pipeline_on_derivative_pair(pair_derivative):

@@ -5,8 +5,11 @@ non-constant pivot and at q = 3/2 to n = 20, for `moments` at orders 5 and
 0, for the two limiting reductions (at 3 points to n = 10, and at 4
 points to n = 20 at seed 11) and three J round trips, for three
 `gen` refusals whose error class and message are part of the contract,
-and for `verify leibniz` at the `calculus` workload's seed-0 argv and at
-powers up to n = 7, above the workload's n <= 4.
+for `verify leibniz` at the `calculus` workload's seed-0 argv and at
+powers up to n = 7, above the workload's n <= 4, and for `verify
+coherence` on cases II, IIIb, IIIb-bessel (at w != 0) and IIIb-rzero at
+order 30 and depth 4, whose products and phi sides come from one numerator
+table per functional.
 
 A digest changes only when a command's output or exit code does; to
 regenerate one after an intended change of output, print
@@ -31,6 +34,11 @@ STRUCTURE_Q32 = ["verify", "structure", *L_PARAMS, "--q=3/2", "--omega=1/3",
 def _reduction(identity):
     return ["verify", "reduction", "--identity", identity, "--points", "3",
             "--n", "10"]
+
+
+def _coherence_o30(case, omega):
+    return ["verify", "coherence", "--case", case, "--seed", "5", "--q=1/2",
+            f"--omega={omega}", "--order", "30", "--depth", "4"]
 
 
 GOLDEN = {
@@ -101,6 +109,20 @@ GOLDEN = {
     "coherence-I-w": (
         ["verify", "coherence", "--case", "I", "--q=1/2", "--omega=1/2"],
         "6e8dc37146fe3329533ca9453dee39b1d49a29366edd81e095c7044584ebfc9c"),
+    # order 30 and depth 4, above the workload's depth: the pair's products
+    # and phi sides on one numerator table per functional
+    "coherence-II-o30": (
+        _coherence_o30("II", "0/1"),
+        "aee8f11418ce50b64b21700f716671c522da08ab598d7492eeda6cfa3dfc15de"),
+    "coherence-IIIb-o30": (
+        _coherence_o30("IIIb", "0/1"),
+        "9cea6cf1dc379f4c3a26b681fd96a42cf757724ba6d2e05cce150499340b0c7f"),
+    "coherence-IIIb-bessel-o30": (
+        _coherence_o30("IIIb-bessel", "1/3"),
+        "4d234b3185e8b33d42471e66dd7d0f030ae31e38c6699f64d0f42d1ef35d569f"),
+    "coherence-IIIb-rzero-o30": (
+        _coherence_o30("IIIb-rzero", "0/1"),
+        "2df7544af43d1405f38aa5c0873eb8008b4b096c981bdbafeb92278f8bf24bab"),
     "reduction": (
         ["verify", "reduction", "--identity", "l-as-j-via-b",
          "--points", "2", "--n", "6"],

@@ -7,7 +7,8 @@ before the closed forms, the monic sequence generated by `Poly`
 arithmetic on `Fraction`s, D**m with its [n+m]!/[n]! ratios walked
 bracket by bracket, D**n on a functional as n diagonal steps on the
 centred moments, the Leibniz coefficients composed as
-L**k(D**(n-k) f) times [n, k], and the expansion as a sum of
+L**k(D**(n-k) f) times [n, k], and the expansion, and any sum of
+polynomials times the differences of one functional, as a sum of
 `MomentFunctional`s, one `Fraction` dot product per moment and term.
 Production forms each factor once on integer numerators and makes each
 value one scalar; values, error classes and error messages must agree
@@ -48,9 +49,11 @@ from qcoherent.families import (
 )
 from qcoherent.functionals import (
     MomentFunctional,
+    _combination,
     _dual_steps,
     _from_y,
     _to_y,
+    dual_rows,
     functional_diff_n,
     left_mult,
     leibniz_expansion,
@@ -629,3 +632,54 @@ def test_leibniz_path_matches_the_oracles_over_sympy_q():
     for qp in (QParams(q, F(0)), QParams(q, w)):
         for n in range(4):
             assert_leibniz_path_matches(f, u, n, qp)
+
+
+# -- a sum of products with the differences of one functional -----------------
+
+def oracle_combination(polys, u, qp):
+    """sum_k polys[k] D**k u term by term: each difference made whole, each
+    product one Fraction dot product per moment, the terms added as
+    functionals.  A zero polynomial annihilates its term; when every term
+    vanishes the sum keeps the last difference's order."""
+    total = None
+    for k, f in enumerate(polys):
+        if not f.is_zero():
+            diff = functional_diff_n(u, k, qp)
+            term = MomentFunctional(oracle_left_mult(f, diff.moments))
+            total = term if total is None else total + term
+    if total is None:  # the last difference has order u.order + len - 1
+        return MomentFunctional([F(0)] * (u.order + len(polys)))
+    return total
+
+
+term_polys = st.one_of(
+    st.just(Poly()), small.map(Poly.constant),
+    st.lists(q_scalars, min_size=1, max_size=6).map(poly_of))
+negative_or_sampled = st.one_of(bases, st.sampled_from([F(-1, 2), F(-5, 3)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys=st.lists(term_polys, min_size=1, max_size=5),
+       moments=st.lists(q_scalars, min_size=1, max_size=10),
+       q=negative_or_sampled, w=nonzero_small)
+def test_combination_matches_the_term_by_term_sum(polys, moments, q, w):
+    # the one kernel on one numerator table against the route that makes
+    # each difference and each product on its own: values and orders
+    # exactly, and the same refusal when a degree exceeds its order.  At
+    # w != 0 through leibniz_expansion, whose coefficients in x make the
+    # same sum with no centring of f
+    u, n = MomentFunctional(moments), len(polys) - 1
+    qp = QParams(q, F(0))
+    rows, den = dual_rows(u, n, qp)
+    got = outcome(_combination, polys, rows, den)
+    expected = outcome(oracle_combination, polys, u, qp)
+    assert got == expected
+    if isinstance(got, MomentFunctional):
+        assert got.order == expected.order
+        assert all(type(m) is Fraction for m in got.moments)
+    f, qp = polys[-1], QParams(q, w)
+    expansion = outcome(leibniz_expansion, f, u, n, qp)
+    expected = outcome(oracle_combination, leibniz_coeffs(f, n, qp), u, qp)
+    assert expansion == expected
+    if isinstance(expansion, MomentFunctional):
+        assert expansion.order == expected.order
