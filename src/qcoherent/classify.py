@@ -30,7 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import Poly, affine_substitute, rat_str, sqrt_fraction
+from .algebra import (
+    Poly,
+    affine_substitute,
+    num_den,
+    over_den,
+    rat_str,
+    sqrt_fraction,
+)
 from .errors import (
     DegenerateInput,
     DomainError,
@@ -38,7 +45,7 @@ from .errors import (
     RegularityViolation,
 )
 from .families import FamilySpec, TTRRCoeffs
-from .qcalc import QParams, q_bracket
+from .qcalc import QParams, q_falling
 
 
 @dataclass(frozen=True)
@@ -69,12 +76,16 @@ def pearson_ttrr(phi: Poly, psi: Poly, qp: QParams, n_max: int) -> PearsonTTRR:
     q, w = qp.q, qp.omega
     a1, a2 = phi.coeff(1), phi.coeff(2)
     b0, b1 = psi.coeff(0), psi.coeff(1)
-    qbar = 1 / q
 
     top = 2 * n_max + 2
+    # [n]_(1/q) = [n]! / [n-1]! in base 1/q: row 1 of the table at the
+    # swapped parts of q, [0] = 0
+    qn, qd = num_den(q)
+    rows, den = q_falling(qd, qn, 1, top)
+    brackets = [q * 0] + [over_den(r, den) for r in rows[1]]
     d, e = [], []
     for n in range(top + 1):
-        br = q_bracket(n, qbar)
+        br = brackets[n]
         dn = b1 * q ** -n + a2 * br
         if dn == 0:
             raise RegularityViolation(f"d_{n} = 0 for the Pearson pair")
@@ -83,8 +94,7 @@ def pearson_ttrr(phi: Poly, psi: Poly, qp: QParams, n_max: int) -> PearsonTTRR:
 
     beta = [-e[0] / d[0]]
     for n in range(1, n_max + 1):
-        brn = q_bracket(n, qbar)
-        brn1 = q_bracket(n + 1, qbar)
+        brn, brn1 = brackets[n], brackets[n + 1]
         beta.append(-w / q * brn + brn * e[n - 1] / d[2 * n - 2]
                     - brn1 * e[n] / d[2 * n])
     gamma = []
@@ -93,7 +103,7 @@ def pearson_ttrr(phi: Poly, psi: Poly, qp: QParams, n_max: int) -> PearsonTTRR:
         if value == 0:
             raise RegularityViolation(
                 f"phi(-e_{n}/d_{2 * n}) = 0: gamma_{n + 1} would vanish")
-        brn1 = q_bracket(n + 1, qbar)
+        brn1 = brackets[n + 1]
         if n == 0:
             gamma.append(-brn1 * value / d[1])  # the d_{-1} factors cancel
         else:
@@ -301,11 +311,6 @@ class CaseInstance:
     spec: FamilySpec
     pi: Poly
     qp: QParams
-
-    def structure_data(self):
-        """(pi, beta_0, gamma_1) as consumed by the classifier."""
-        ttrr = self.spec.ttrr(1)
-        return self.pi, ttrr.beta_at(0), ttrr.gamma_at(1)
 
 
 def case_i_instance(qp: QParams, a, b) -> CaseInstance:

@@ -34,13 +34,15 @@ keeps one numerator table of u and one of v (:func:`functionals.dual_rows`)
 and forms every such sum in one kernel, the one left multiplication and the
 Leibniz expansion use; only derived functionals are differenced on their
 own (:meth:`CoherencePair.dprime`), so each check that differences one
-stays independent of the Leibniz redistribution.
+stays independent of the Leibniz redistribution.  The q-factorial ratios
+of psi, phi and the chain, [j+m]!/[j]!, [n+k]!/[n]! and, in base 1/q,
+[j]! [m, j] = [m]!/[m-j]!, are entries of :func:`qcalc.q_falling`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .algebra import Poly, det_bareiss
+from .algebra import Poly, det_bareiss, num_den, over_den
 from .errors import (
     DegreeClaimViolated,
     DomainError,
@@ -67,8 +69,7 @@ from .qcalc import (
     QParams,
     hahn_diff,
     leibniz_coeffs,
-    q_binom_row,
-    q_factorials,
+    q_falling,
     shift,
 )
 
@@ -154,13 +155,13 @@ class CoherencePair:
         hi = n + cfg.M
         if hi > self.table.n_max:
             raise MissingData(f"structure table stops before row {hi}")
-        fact = q_factorials(hi + cfg.m, q)
+        rows, den = q_falling(*num_den(q), cfg.m, hi + 1)
         for j in range(max(0, n - cfg.N), hi + 1):
             cjn = self.table.c(j, n)
             if cjn == 0:
                 continue
-            scale = ((-q) ** cfg.m * fact[j + cfg.m]
-                     / fact[j] / self.u_norms[j + cfg.m] * cjn)
+            scale = ((-q) ** cfg.m * over_den(rows[cfg.m][j], den)
+                     / self.u_norms[j + cfg.m] * cjn)
             total = total + self.p[j + cfg.m] * scale
         if self.table.c(hi, n) != 0 and total.degree != cfg.m + n + cfg.M:
             raise DegreeClaimViolated(
@@ -187,9 +188,9 @@ class CoherencePair:
     def _phi_row(self, n: int) -> list:
         cfg, qp = self.config, self.qp
         inv, top = qp.inverse, cfg.k + cfg.N
-        fact = q_factorials(n + cfg.k, qp.q)
-        scale = ((-qp.q) ** cfg.k * fact[n + cfg.k]
-                 / fact[n] / self.v_norms[n + cfg.k])
+        rows, den = q_falling(*num_den(qp.q), cfg.k, n + 1)
+        scale = ((-qp.q) ** cfg.k * over_den(rows[cfg.k][n], den)
+                 / self.v_norms[n + cfg.k])
         a = self._once("pi leibniz",
                        lambda: leibniz_coeffs(cfg.pi, top, inv))
         row = [Poly()] * (cfg.N + 1)
@@ -443,14 +444,16 @@ class CoherencePair:
             raise DomainError("the chain construction requires k = 0")
         if cfg.N == 0 and cfg.m < 1:
             raise DomainError("with N = 0 the chain requires m >= 1")
-        fact, binom = q_factorials(cfg.m, inv.q), q_binom_row(cfg.m, inv.q)
+        # [j]! [m, j] = [m]!/[m-j]! in base 1/q: the parts of q swapped
+        qn, qd = num_den(self.qp.q)
+        rows, den = q_falling(qd, qn, cfg.m, cfg.m + 1)
         chain: list[Poly] = []
         for j in range(cfg.m + 1):
             value = self.psi(j) * self.v_norms[j]
             factors = leibniz_coeffs(self.q[j], cfg.m, inv) if j else []
             for ell in range(j):
                 value = value - factors[cfg.m - ell] * chain[ell]
-            value = value / (fact[j] * binom[j])
+            value = value / over_den(rows[j][cfg.m - j], den)
             bound = cfg.M + cfg.m + j
             if j == 0 and value.degree != bound:
                 raise DegreeClaimViolated(

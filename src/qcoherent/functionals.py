@@ -21,13 +21,13 @@ So with centred moments c_n = < u, y**n >,
 
     < D u, y**n > = -(1/q) [n]_{1/q} c_(n-1),   < L u, y**n > = q**-n c_n.
 
-The steps of D**n compose in closed form.  With q = qn/qd and the int
-table E_j = qn**j - qd**j, -(1/q) [j]_{1/q} = -qd E_j / (qn**j E_1), so
+The steps of D**n compose in closed form:
 
-    < D**n u, y**j > = (-qd)**n E_(j-n+1) ... E_j c_(j-n)
-                       / (qn**(n j - n(n-1)/2) E_1**n),
+    < D**n u, y**j > = (-1/q)**n ([j]!/[j-n]!)_{1/q} c_(j-n),
 
-one scalar per moment, whatever n is.
+one scalar per moment, whatever n is.  The q-factorial ratio is read from
+the one table :func:`qcalc.q_falling`, at the parts of q swapped, so it is
+an int numerator over one int den (:func:`_dual_scales`).
 
 In y the Hahn operator D[q,w] is Jackson's D[q,0], so the frame is a rule
 applied once, where data enter: a caller that translates its functional
@@ -66,7 +66,6 @@ from fractions import Fraction
 from .algebra import (
     Poly,
     affine_substitute,
-    det_bareiss,
     num_den,
     over_den,
     rat,
@@ -75,11 +74,10 @@ from .algebra import (
 from .errors import (
     DomainError,
     InternalInconsistency,
-    NotSimpleSet,
     OrderExceeded,
     RegularityViolation,
 )
-from .qcalc import QParams, leibniz_coeffs
+from .qcalc import QParams, leibniz_coeffs, q_falling
 
 
 class MomentFunctional:
@@ -246,39 +244,26 @@ def functional_diff(u: MomentFunctional, qp: QParams) -> MomentFunctional:
     return functional_diff_n(u, 1, qp)
 
 
-def _dual_steps(base, count: int) -> list:
-    """t_0 .. t_(count-1), t_j = [j]_(1/base) / base: on centred moments the
-    dual D_(base,0) sends c_j to -t_j c_(j-1)."""
-    p, t, out = 1 / base, base * 0, []
-    for _ in range(count):
-        out.append(t)
-        t = p * (1 + t)  # p [j+1] = p (1 + p [j])
-    return out
-
-
 def _dual_scales(n: int, size: int, q):
     """(rows, den) with <D_(q,0)**k u, y**j> = rows[k][j-k] c_(j-k) / den
     for k = 0..n and j = k..k+size-1, from the centred moments
     c_i = <u, y**i>, i < size; moments 0..k-1 of D**k u vanish.
 
     A single step sends c_(j-1) to -t_j c_(j-1) at place j, where
-    t_j = [j]_(1/q) / q = qd E_j / (qn**j E_1) for q = qn/qd and the int
-    table E_j = qn**j - qd**j.  So k steps scale c_(j-k) by
+    t_j = [j]_(1/q) / q.  So k steps scale c_i by
 
-        (-qd)**k E_(j-k+1) ... E_j / (qn**(k j - k(k-1)/2) E_1**k),
+        (-1/q)**k [i+k]!/[i]!  (base 1/q),
 
-    and den = E_1**n qn**top, top being that exponent at k = n and the last
-    j: one int numerator per moment over a den shared by every k.
+    the table of :func:`qcalc.q_falling` at the swapped parts (qd, qn) of
+    q = qn/qd, times (-qd)**k qn**(n-k) over its den times qn**n: one int
+    numerator per moment over a den shared by every k.
     """
     qn, qd = num_den(q)
-    e = [qn ** j - qd ** j for j in range(size + n + 1)]
-    top = n * (size + n - 1) - n * (n - 1) // 2
-    rows = []
-    for k in range(n + 1):
-        lift, drop = (-qd) ** k * e[1] ** (n - k), top + k * (k - 1) // 2
-        rows.append([lift * math.prod(e[j - k + 1:j + 1]) * qn ** (drop - k * j)
-                     for j in range(k, size + k)])
-    return rows, e[1] ** n * qn ** top
+    rows, den = q_falling(qd, qn, n, size)
+    for k, row in enumerate(rows):
+        lift = (-qd) ** k * qn ** (n - k)
+        rows[k] = [lift * r for r in row]
+    return rows, den * qn ** n
 
 
 def dual_rows(u: MomentFunctional, n: int, qp: QParams):
@@ -418,7 +403,9 @@ def _pearson_walk(phi: Poly, psi: Poly, base, order: int) -> list:
     A zero pivot 1 + t_n a leaves c_(n+1) undetermined: RegularityViolation.
     """
     a, b, cc, e = phi.coeff(2), phi.coeff(1), phi.coeff(0), psi.coeff(0)
-    t, c = _dual_steps(base, order), [base ** 0]
+    rows, den = _dual_scales(1, order, base)
+    t = [base * 0] + [over_den(-r, den) for r in rows[1]]
+    c = [base ** 0]
     for n in range(order):
         pivot = 1 + t[n] * a
         if pivot == 0:
@@ -427,42 +414,3 @@ def _pearson_walk(phi: Poly, psi: Poly, base, order: int) -> list:
                 "is undetermined")
         c.append((-(e + t[n] * b) * c[n] - t[n] * cc * c[n - 1]) / pivot)
     return c
-
-
-def dual_basis_functional(basis, n: int, order: int) -> MomentFunctional:
-    """The unique functional e_n of the given order with <e_n, basis[j]> =
-    delta(n, j) for every j <= order.
-
-    The basis must be a simple set (deg basis[j] = j) covering degrees
-    0..order; the moments follow from one triangular solve.
-    """
-    basis = list(basis)
-    if len(basis) <= order:
-        raise NotSimpleSet(
-            f"basis covers degrees 0..{len(basis) - 1}, need 0..{order}")
-    for j in range(order + 1):
-        if basis[j].degree != j:
-            raise NotSimpleSet(
-                f"basis[{j}] has degree {basis[j].degree}, expected {j}")
-    if not 0 <= n <= order:
-        raise DomainError(f"index {n} outside 0..{order}")
-    moments = []
-    for j in range(order + 1):
-        b = basis[j]
-        target = Fraction(1) if j == n else Fraction(0)
-        partial = sum((b.coeff(i) * moments[i] for i in range(j)), Fraction(0))
-        moments.append((target - partial) / b.coeff(j))
-    return MomentFunctional(moments)
-
-
-def hankel_regular(u: MomentFunctional, depth: int | None = None) -> bool:
-    """Finite regularity certificate: leading principal Hankel determinants
-    are non-zero up to floor(K/2); a translation of x leaves them fixed."""
-    max_depth = u.order // 2
-    depth = max_depth if depth is None else min(depth, max_depth)
-    for r in range(depth + 1):
-        rows = [[Poly.constant(u.moments[i + j]) for j in range(r + 1)]
-                for i in range(r + 1)]
-        if det_bareiss(rows).is_zero():
-            return False
-    return True

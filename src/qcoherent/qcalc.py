@@ -9,6 +9,13 @@ variable y = x - w0, w0 = w/(1 - q) the fixed point, D y**n = [n]_q y**(n-1)
 and L y**n = q**n y**n; so D**m is one Taylor shift to w0, a scaling of the
 coefficients and one shift back, and L**m is one affine substitution.
 
+Every q-factorial ratio in the library, [i+k]!/[i]!, is read from one
+table, :func:`q_falling`, built on the int parts of q = qn/qd: the scales
+of D**m here, the q-binomials of the Leibniz rule ([n, k] is a ratio of
+two entries of one row), the dual scales of D**n on a functional (base
+1/q: the parts swapped), the brackets of the Pearson recurrence and the
+factors of a coherent pair's tables.
+
 Useful operator facts (all verified by the test suite):
 
     D[1/q, -w/q] o L[q, w] = q * D[q, w]
@@ -21,7 +28,6 @@ identically in a free parameter as well as at sampled rational points.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,22 +84,33 @@ def q_bracket(n: int, base):
     return (base ** n - 1) / (base - 1)
 
 
-def q_factorials(n: int, base) -> list:
-    """[0]!, [1]!, ..., [n]!, with the brackets from [j+1] = 1 + base*[j]."""
-    _check_base(base)
-    if n < 0:
-        raise DomainError(f"q-factorial index must be >= 0, got {n}")
-    bracket, out = base * 0, [base ** 0]
-    for _ in range(n):
-        bracket = 1 + base * bracket
-        out.append(out[-1] * bracket)
-    return out
+def q_falling(qn, qd, m: int, size: int):
+    """(rows, den) with [i+k]!/[i]! = rows[k][i] / den in base qn/qd, for
+    k = 0..m and i < size: the one table of q-factorial ratios.
 
+    With the int table E_j = qn**j - qd**j, [j] = E_j / (E_1 qd**(j-1)), so
 
-def q_binom_row(n: int, base) -> list:
-    """[n, 0], [n, 1], ..., [n, n] from one table of q-factorials."""
-    f = q_factorials(n, base)
-    return [f[n] / (f[k] * f[n - k]) for k in range(n + 1)]
+        [i+k]!/[i]! = E_(i+1) ... E_(i+k) / (E_1**k qd**(k i + k(k-1)/2)).
+
+    Row k is row k-1 times E_(i+k) qd**(size-1-i), then one constant per
+    row brings it over den = E_1**m qd**(m (size-1) + m(m-1)/2).  The parts
+    are those of :func:`num_den`: ints over Q, or (x, 1) for a scalar x of
+    any other field; base 1/q is the parts swapped, with no 1/q formed.
+    """
+    e, up, pn, pd = [0], [1], 1, 1
+    for _ in range(size + m - 1):
+        pn, pd = pn * qn, pd * qd
+        e.append(pn - pd)
+        up.append(pd)
+    span, e1 = max(size - 1, 0), qn - qd
+    row, rows = [1] * size, []
+    for k in range(m + 1):
+        if k:
+            row = [r * e[i + k] * up[span - i] for i, r in enumerate(row)]
+        lift = 1 if k == m else e1 ** (m - k) * qd ** (
+            (m - k) * span + (m * (m - 1) - k * (k - 1)) // 2)
+        rows.append(row if lift == 1 else [r * lift for r in row])
+    return rows, e1 ** m * qd ** (m * span + m * (m - 1) // 2)
 
 
 def shift(f: Poly, qp: QParams) -> Poly:
@@ -121,29 +138,23 @@ def _scaled_difference(f: Poly, m: int, qp: QParams, normalized: bool):
     """D**m f for deg f = n + m >= m >= 1, divided by [n+m]!/[n]! when
     ``normalized``.
 
-    In y = x - w0, D**m y**(i+m) = ([i+m]!/[i]!) y**i.  With q = qn/qd and
-    the one int table E_k = qn**k - qd**k, [k] = E_k / (E_1 qd**(k-1)), so
-
-        [i+m]!/[i]! = E_(i+1) ... E_(i+m) / (E_1**m qd**(m i + m(m-1)/2)),
-
-    and each output coefficient is one scalar made from int numerators (a
-    scalar outside Q splits as (itself, 1), see :func:`num_den`).
+    In y = x - w0, D**m y**(i+m) = ([i+m]!/[i]!) y**i, row m of
+    :func:`q_falling`: each output coefficient is one scalar made from int
+    numerators, over the table's den, or over its entry at n when
+    normalized (a scalar outside Q splits as (itself, 1), see
+    :func:`num_den`).
     """
     w0 = qp.omega0
     c = affine_substitute(f, 1, w0).coeffs
     n = len(c) - 1 - m
-    qn, qd = num_den(qp.q)
-    e = [qn ** k - qd ** k for k in range(n + m + 1)]
-    scale = [math.prod(e[i + 1:i + m + 1]) for i in range(n + 1)]
-    # output i is c[i+m] * scale[i] * up[n - i] / den, up[j] = qd**(m j),
-    # and den is E_1**m qd**(m n + m(m-1)/2), or scale[n] when normalized
-    den = (scale[n] if normalized
-           else e[1] ** m * qd ** (m * n + m * (m - 1) // 2))
-    up = [qd ** (m * j) for j in range(n + 1)]
+    rows, den = q_falling(*num_den(qp.q), m, n + 1)
+    scale = rows[m]
+    if normalized:
+        den = scale[n]
     out = []
     for i in range(n + 1):
         cn, cd = num_den(c[i + m])
-        out.append(over_den(cn * scale[i] * up[n - i], cd * den))
+        out.append(over_den(cn * scale[i], cd * den))
     return affine_substitute(Poly(out), 1, -w0)
 
 
@@ -161,9 +172,8 @@ def leibniz_coeffs(f: Poly, n: int, qp: QParams) -> list:
     D**n (f u) = sum_k c_k D**k u, for u a polynomial or a functional.
 
     In y = x - w0, with g(y) = f(y + w0) and m = n - k, coefficient i of c_k
-    is [n, k] q**(k i) ([i+m]!/[i]!) g_(i+m).  With q = qn/qd and the int
-    table E_j = qn**j - qd**j, [n, k] = E_(m+1) ... E_n / (E_1 ... E_k
-    qd**(k m)) and [i+m]!/[i]! is as in :func:`_scaled_difference`, so each
+    is [n, k] q**(k i) ([i+m]!/[i]!) g_(i+m).  Both ratios read row m of
+    :func:`q_falling`, r[i] / den and [n, k] = r[k] / r[0], so each
     coefficient is one scalar from int numerators.  f is centred once and
     each row moved back once (not at all when w = 0).
     """
@@ -172,16 +182,14 @@ def leibniz_coeffs(f: Poly, n: int, qp: QParams) -> list:
     w0 = qp.omega0
     g = [num_den(c) for c in affine_substitute(f, 1, w0).coeffs]
     qn, qd = num_den(qp.q)
-    e = [qn ** j - qd ** j for j in range(max(n, len(g), 1) + 1)]
+    table, den = q_falling(qn, qd, n, max(n + 1, len(g)))
     rows = []
     for k in range(n + 1):
-        m = n - k
-        top = math.prod(e[m + 1:n + 1])
-        low = (math.prod(e[1:k + 1]) * e[1] ** m
-               * qd ** (k * m + m * (m - 1) // 2))
-        row = [over_den(top * math.prod(e[i + 1:i + m + 1]) * qn ** (k * i)
-                        * cn, low * qd ** (n * i) * cd)
-               for i, (cn, cd) in enumerate(g[m:])]
+        r = table[n - k]
+        low = r[0] * den
+        row = [over_den(r[k] * r[i] * qn ** (k * i) * cn,
+                        low * qd ** (k * i) * cd)
+               for i, (cn, cd) in enumerate(g[n - k:])]
         rows.append(affine_substitute(Poly(row), 1, -w0))
     return rows
 
@@ -210,13 +218,3 @@ def normalized_derivative_set(polys, m: int, qp: QParams) -> list:
     """
     return [normalized_derivative(polys[n + m], n, m, qp)
             for n in range(len(polys) - m)]
-
-
-def phi_hat(phi: Poly, psi: Poly, qp: QParams) -> Poly:
-    """Companion polynomial (1/q) * [phi(x) + ((q-1)x + w) * psi(x)].
-
-    A regular functional satisfies the Pearson equation with pair
-    (phi, psi) in direction (q, w) exactly when it satisfies the equation
-    with pair (phi_hat, psi) in direction (1/q, -w/q).
-    """
-    return (phi + Poly([qp.omega, qp.q - 1]) * psi) * (1 / qp.q)

@@ -1,0 +1,101 @@
+"""Reference computations the tests compare production code against.
+
+Each is a direct computation kept from an earlier form of the library, or
+a check that no command needs: the q-factorials and q-binomials by the
+bracket recurrence [j+1] = 1 + base*[j], the steps t_j of the dual
+difference by the same recurrence, the Pearson companion of a pair, the
+dual basis of a simple set by a triangular solve, the Hankel regularity
+test, and the (pi, beta_0, gamma_1) a classifier reads off a case
+instance.  Production forms every q-factorial ratio from one table
+(``qcalc.q_falling``); these walk the brackets one by one in the scalar
+field, so the two agree only when both are right.
+"""
+from fractions import Fraction
+
+from qcoherent.algebra import Poly, det_bareiss
+from qcoherent.errors import DomainError, NotSimpleSet
+from qcoherent.functionals import MomentFunctional
+from qcoherent.qcalc import QParams, _check_base
+
+
+def q_factorials(n: int, base) -> list:
+    """[0]!, [1]!, ..., [n]!, with the brackets from [j+1] = 1 + base*[j]."""
+    _check_base(base)
+    if n < 0:
+        raise DomainError(f"q-factorial index must be >= 0, got {n}")
+    bracket, out = base * 0, [base ** 0]
+    for _ in range(n):
+        bracket = 1 + base * bracket
+        out.append(out[-1] * bracket)
+    return out
+
+
+def q_binom_row(n: int, base) -> list:
+    """[n, 0], [n, 1], ..., [n, n] from one table of q-factorials."""
+    f = q_factorials(n, base)
+    return [f[n] / (f[k] * f[n - k]) for k in range(n + 1)]
+
+
+def dual_steps(base, count: int) -> list:
+    """t_0 .. t_(count-1), t_j = [j]_(1/base) / base: on centred moments the
+    dual D_(base,0) sends c_j to -t_j c_(j-1)."""
+    p, t, out = 1 / base, base * 0, []
+    for _ in range(count):
+        out.append(t)
+        t = p * (1 + t)  # p [j+1] = p (1 + p [j])
+    return out
+
+
+def phi_hat(phi: Poly, psi: Poly, qp: QParams) -> Poly:
+    """Companion polynomial (1/q) * [phi(x) + ((q-1)x + w) * psi(x)].
+
+    A regular functional satisfies the Pearson equation with pair
+    (phi, psi) in direction (q, w) exactly when it satisfies the equation
+    with pair (phi_hat, psi) in direction (1/q, -w/q).
+    """
+    return (phi + Poly([qp.omega, qp.q - 1]) * psi) * (1 / qp.q)
+
+
+def dual_basis_functional(basis, n: int, order: int) -> MomentFunctional:
+    """The unique functional e_n of the given order with <e_n, basis[j]> =
+    delta(n, j) for every j <= order.
+
+    The basis must be a simple set (deg basis[j] = j) covering degrees
+    0..order; the moments follow from one triangular solve.
+    """
+    basis = list(basis)
+    if len(basis) <= order:
+        raise NotSimpleSet(
+            f"basis covers degrees 0..{len(basis) - 1}, need 0..{order}")
+    for j in range(order + 1):
+        if basis[j].degree != j:
+            raise NotSimpleSet(
+                f"basis[{j}] has degree {basis[j].degree}, expected {j}")
+    if not 0 <= n <= order:
+        raise DomainError(f"index {n} outside 0..{order}")
+    moments = []
+    for j in range(order + 1):
+        b = basis[j]
+        target = Fraction(1) if j == n else Fraction(0)
+        partial = sum((b.coeff(i) * moments[i] for i in range(j)), Fraction(0))
+        moments.append((target - partial) / b.coeff(j))
+    return MomentFunctional(moments)
+
+
+def hankel_regular(u: MomentFunctional, depth: int | None = None) -> bool:
+    """Finite regularity certificate: leading principal Hankel determinants
+    are non-zero up to floor(K/2); a translation of x leaves them fixed."""
+    max_depth = u.order // 2
+    depth = max_depth if depth is None else min(depth, max_depth)
+    for r in range(depth + 1):
+        rows = [[Poly.constant(u.moments[i + j]) for j in range(r + 1)]
+                for i in range(r + 1)]
+        if det_bareiss(rows).is_zero():
+            return False
+    return True
+
+
+def structure_data(inst):
+    """(pi, beta_0, gamma_1) as consumed by the classifier."""
+    ttrr = inst.spec.ttrr(1)
+    return inst.pi, ttrr.beta_at(0), ttrr.gamma_at(1)

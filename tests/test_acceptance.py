@@ -32,7 +32,6 @@ from qcoherent.families import (
 from qcoherent.functionals import (
     MomentFunctional,
     act,
-    dual_basis_functional,
     functional_agree,
     functional_diff_n,
     leibniz_expansion,
@@ -43,7 +42,6 @@ from qcoherent.qcalc import (
     hahn_diff,
     normalized_derivative_set,
     q_bracket,
-    q_factorials,
     shift,
 )
 from qcoherent.sampling import (
@@ -53,6 +51,8 @@ from qcoherent.sampling import (
     sample_q,
     sample_qparams,
 )
+
+from oracles import dual_basis_functional, q_factorials, structure_data
 
 F = Fraction
 
@@ -244,7 +244,7 @@ def test_criterion_07_structure_relations_of_classified_families():
     for label in ("I", "II", "IIIa", "IIIb"):
         for _ in range(3):
             inst, _ = sample_case_instance(rng, label, order=0, depth=10)
-            trace = classify_self_coherent(*inst.structure_data(),
+            trace = classify_self_coherent(*structure_data(inst),
                                            inst.qp, n_max=10)
             assert trace.family is not None
             ttrr = trace.family.ttrr(11 + trace.pearson_phi.degree)
@@ -387,7 +387,7 @@ def test_criterion_13_classification_round_trip():
     for label, count in plan:
         for _ in range(count):
             inst, _ = sample_case_instance(rng, label, order=0, depth=10)
-            trace = classify_self_coherent(*inst.structure_data(),
+            trace = classify_self_coherent(*structure_data(inst),
                                            inst.qp, n_max=10)
             assert trace.family is not None, label
             assert trace.family.polynomials(10) == inst.spec.polynomials(10)

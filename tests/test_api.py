@@ -105,16 +105,6 @@ def test_every_definition_is_referenced():
     assert not unused, sorted(unused)
 
 
-# test-only helpers that no command or public name reaches yet; the list
-# only shrinks (ROADMAP item 7 empties it)
-TEST_ONLY = {
-    "classify:CaseInstance.structure_data",
-    "functionals:dual_basis_functional",
-    "functionals:hankel_regular",
-    "qcalc:phi_hat",
-}
-
-
 def _definitions(body, prefix=""):
     """(qualified name, node) of every function, class and method, and of
     each one defined in their bodies."""
@@ -144,4 +134,4 @@ def test_every_definition_is_reached_from_src():
                     or name in targets:
                 continue
             unreached.add(name)
-    assert unreached == TEST_ONLY, sorted(unreached ^ TEST_ONLY)
+    assert not unreached, sorted(unreached)

@@ -33,6 +33,8 @@ from qcoherent.sampling import (
     sample_qparams,
 )
 
+from oracles import structure_data
+
 F = Fraction
 
 QP = QParams(F(1, 2), F(1))
@@ -199,7 +201,7 @@ def test_classify_irrational_roots_fall_back_to_implicit():
 
 def test_classify_bessel_branch():
     inst = case_iiib_bessel_instance(QP, F(2), F(1, 3))
-    trace = classify_self_coherent(*inst.structure_data(), QP, n_max=10)
+    trace = classify_self_coherent(*structure_data(inst), QP, n_max=10)
     assert trace.case_label == "IIIb" and trace.branch == "bessel"
     assert trace.family.params == (0, 0, F(2), F(1, 3))
     assert trace.lam == 0
@@ -238,7 +240,7 @@ def test_round_trip_seeded(label):
     while hits < 6:
         qp = sample_qparams(rng)
         inst, _ = sample_case_instance(rng, label, qp, order=0, depth=6)
-        pi, beta0, gamma1 = inst.structure_data()
+        pi, beta0, gamma1 = structure_data(inst)
         trace = classify_self_coherent(pi, beta0, gamma1, qp, n_max=10)
         assert trace.predicted.agrees_with(inst.spec.ttrr(10), 10)
         assert not trace.implicit
@@ -313,7 +315,7 @@ def test_case_instance_guards():
 
 def test_classification_trace_serialization():
     inst = case_iiia_instance(QP, F(1, 3), F(-2), F(1, 4))
-    trace = classify_self_coherent(*inst.structure_data(), QP, n_max=8)
+    trace = classify_self_coherent(*structure_data(inst), QP, n_max=8)
     data = trace.to_json()
     assert data["case"] == "IIIa"
     assert data["implicit"] is False
@@ -413,7 +415,7 @@ def test_prediction_matches_case_closed_forms_on_instances(label):
     for _ in range(4):
         inst, _ = sample_case_instance(rng, label, sample_qparams(rng),
                                        order=0, depth=6)
-        pi, beta0, gamma1 = inst.structure_data()
+        pi, beta0, gamma1 = structure_data(inst)
         trace = classify_self_coherent(pi, beta0, gamma1, inst.qp, n_max=8)
         expected = oracle_prediction(pi, beta0, gamma1, inst.qp, 8)
         assert trace.predicted.agrees_with(expected, 8)
@@ -452,10 +454,10 @@ def test_classify_calls_the_pearson_engine_once(monkeypatch):
         (Poly.one(), F(2), F(-1, 4), QP0),                   # I, implicit
         (Poly([F(2) - QP.omega0, F(1)]), QP.omega0 - 1,      # II, implicit
          F(-1, 2), QP),
-        (*case_iiia_instance(QP, F(1, 3), F(-2), F(1, 4)).structure_data(),
+        (*structure_data(case_iiia_instance(QP, F(1, 3), F(-2), F(1, 4))),
          QP),                                                # IIIa
-        (*case_iiib_instance(QP, F(3), F(2), F(1, 2), F(1, 3))
-         .structure_data(), QP),                            # IIIb
+        (*structure_data(case_iiib_instance(QP, F(3), F(2), F(1, 2),
+                                            F(1, 3))), QP),  # IIIb
         ((x - 1) * (x - 1) - (x - 1) + F(1, 4), F(1), F(-1), QP),
     ]
     for count, (pi, beta0, gamma1, qp) in enumerate(data, start=1):

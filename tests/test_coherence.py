@@ -27,12 +27,12 @@ from qcoherent.functionals import _taylor_shift, functional_agree, left_mult
 from qcoherent.qcalc import (
     QParams,
     hahn_power,
-    q_binom_row,
     q_bracket,
-    q_factorials,
     shift_power,
 )
 from qcoherent.sampling import CASE_LABELS, sample_case_instance
+
+from oracles import q_binom_row, q_factorials
 
 F = Fraction
 
@@ -176,6 +176,17 @@ def assert_tables_match_oracles(pair, data, back):
 def test_tables_match_per_entry_oracles(name, request):
     pair = fresh(request.getfixturevalue(name))
     assert_tables_match_oracles(pair, pair, lambda f: f)
+
+
+def test_second_order_chain_matches_its_oracle():
+    # the chain divides by [j]! [m, j] in base 1/q; at m = 1 that is 1 in
+    # either base, so only m >= 2 tells the bases apart.  Case I is
+    # coherent at order (2, 0) with pi = 1
+    inst = INSTANCES["pair_i"]
+    pair = CoherencePair.self_coherent(
+        inst.spec, CoherenceConfig(2, 0, 0, inst.pi), QP, order=30, depth=4)
+    assert pair.phi_chain() == oracle_chain(pair)
+    assert all(report.ok for report in pair.verify(3))
 
 
 @pytest.mark.parametrize("name", ["pair_i", "pair_ii", "pair_iiia",

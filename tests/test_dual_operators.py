@@ -52,11 +52,13 @@ from qcoherent.qcalc import (
     hahn_diff,
     hahn_power,
     leibniz_coeffs,
-    q_binom_row,
+    q_falling,
     shift,
     shift_power,
 )
 from qcoherent.sampling import rational, sample_q
+
+from oracles import q_binom_row, q_factorials
 
 F = Fraction
 
@@ -311,7 +313,8 @@ def test_left_mult_matches_the_fraction_oracle(field, data, order):
 def test_left_mult_makes_no_fraction_arithmetic_over_q(monkeypatch):
     # over Q the dot products run on integer numerators over one
     # denominator; a Fraction loop in their place would show up here.  So
-    # do D**n u, the Leibniz rows and the expansion at w = 0
+    # do D**n u, the Leibniz rows, the expansion, D**m f and the table of
+    # q-factorial ratios they read, at w = 0
     rng = random.Random(23)
     u = MomentFunctional([F(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
                           for _ in range(37)])
@@ -327,6 +330,10 @@ def test_left_mult_makes_no_fraction_arithmetic_over_q(monkeypatch):
     direct = [oracle_left_mult(f, u)]
     for _ in range(4):
         direct.append(oracle_functional_diff(direct[-1], qp))
+    powers = [f]
+    for _ in range(6):
+        powers.append(oracle_hahn_diff(powers[-1], qp))
+    fact = q_factorials(40, qp.q)
     calls = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         def spy(a, b, real=getattr(Fraction, name), name=name):
@@ -337,8 +344,13 @@ def test_left_mult_makes_no_fraction_arithmetic_over_q(monkeypatch):
     diffs = [functional_diff_n(u, n, qp) for n in range(5)]
     leibniz = [leibniz_coeffs(f, n, qp) for n in range(5)]
     expansions = [leibniz_expansion(f, u, n, qp) for n in range(5)]
+    got_powers = [hahn_power(f, m, qp) for m in range(7)]
+    table, den = q_falling(qp.q.numerator, qp.q.denominator, 4, 37)
     monkeypatch.undo()
     assert calls == []
+    assert got_powers == powers
+    assert all(F(r, den) == fact[i + k] / fact[i]
+               for k, row in enumerate(table) for i, r in enumerate(row))
     assert got.order == 31 and got == direct[0]
     assert diffs == expected and leibniz == rows
     assert expansions == direct

@@ -56,6 +56,8 @@ from qcoherent.qcalc import (
 )
 from qcoherent.sampling import rational, sample_q
 
+from oracles import dual_steps
+
 F = Fraction
 
 QP = QParams(F(1, 2), F(1))  # omega0 = 2
@@ -364,7 +366,7 @@ def _pearson_fit(c, base) -> tuple:
     then hold: moments of a functional that satisfies no such equation are
     an InternalInconsistency.
     """
-    t = functionals._dual_steps(base, 5)
+    t = dual_steps(base, 5)
     e = -c[1] / c[0]
     rows = [[c[n + 1], c[n], c[n - 1]] for n in (1, 2, 3)]
     rhs = [-(c[n + 1] + e * c[n]) / t[n] for n in (1, 2, 3)]
@@ -559,7 +561,7 @@ def test_pearson_walk_refuses_a_zero_pivot():
     # below order (test_pearson_moments_refuse_as_the_chain_walk), so the
     # guard is checked on the walk itself: 1 + t_6 a = 0
     base = F(1, 2)
-    t6 = functionals._dual_steps(base, 7)[6]
+    t6 = dual_steps(base, 7)[6]
     phi, psi = Poly([F(1), F(2), -1 / t6]), Poly([F(-3), F(1)])
     walked = functionals._pearson_walk(phi, psi, base, 6)
     assert len(walked) == 7 and walked[:2] == [1, 3]  # c_1 = -e

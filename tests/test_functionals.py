@@ -12,9 +12,7 @@ from qcoherent.functionals import (
     MomentFunctional,
     SemiclassicalWitness,
     _taylor_shift,
-    hankel_regular,
     act,
-    dual_basis_functional,
     functional_agree,
     functional_diff,
     functional_diff_n,
@@ -27,10 +25,16 @@ from qcoherent.qcalc import (
     QParams,
     hahn_diff,
     hahn_power,
-    q_binom_row,
-    q_factorials,
     shift,
     shift_power,
+)
+
+from oracles import (
+    dual_basis_functional,
+    hankel_regular,
+    phi_hat,
+    q_binom_row,
+    q_factorials,
 )
 
 F = Fraction
@@ -359,8 +363,6 @@ def test_pearson_check_on_constructed_functional():
 
 
 def test_phi_hat_transfers_forward_to_backward():
-    from qcoherent.qcalc import phi_hat
-
     qp = QParams(F(2, 3), F(1, 5))
     phi = Poly([F(1), F(1)])
     psi = Poly([F(2), F(-3)])

@@ -9,7 +9,8 @@ for `verify leibniz` at the `calculus` workload's seed-0 argv and at
 powers up to n = 7, above the workload's n <= 4, and for `verify
 coherence` on cases II, IIIb, IIIb-bessel (at w != 0) and IIIb-rzero at
 order 30 and depth 4, whose products and phi sides come from one numerator
-table per functional.
+table per functional, and for `moments`, `verify coherence` and `verify
+structure` at negative q, where the q-factorial table has negative parts.
 
 A digest changes only when a command's output or exit code does; to
 regenerate one after an intended change of output, print
@@ -192,6 +193,31 @@ GOLDEN = {
         ["classify", "--pi", '["1/1"]', "--beta0=5/1", "--gamma1=-3/1",
          "--q=1/2", "--n", "6"],
         "5d88b9cefe67eedad2ff5aade571d902f77218452c3800aaf1c8217aeb040d86"),
+    # negative q, where the table of q-factorial ratios has a negative
+    # numerator part (q < -1) or a negative part swapped into the
+    # denominator (base 1/q): the Pearson walks, the dual scales, psi, phi
+    # and the chain, and the normalized differences of orders 2 and 1
+    "moments-L-negative-q": (
+        ["moments", "--family", "L", "--a=2/1", "--b=1/2", "--c=-2/3",
+         "--q=-3/2", "--order", "24"],
+        "a6904549ba6448effa274f8dc13acfc34c4cf7f646b91c5344949dcbb3f6c415"),
+    "moments-J-negative-q": (
+        ["moments", "--family", "J", "--a=2/1", "--b=-5/2", "--c=-2/3",
+         "--d=-4/1", "--q=-2/3", "--order", "24"],
+        "d09b935b0301f013d5a67e1a3dc1ff4b2429053bf22aa768b6f55f57abbaeb81"),
+    "coherence-IIIa-negative-q": (
+        ["verify", "coherence", "--case", "IIIa", "--seed", "2", "--q=-2/3",
+         "--order", "24", "--depth", "3"],
+        "878573ffd3e3b923a7b5bed43fb4d0010cd9c14a99b6076683904c7b61b59cf9"),
+    "coherence-II-negative-q-w": (
+        ["verify", "coherence", "--case", "II", "--seed", "2", "--q=-3/2",
+         "--omega=1/4", "--order", "24", "--depth", "3"],
+        "c06c2028cf505642f2dea7a2b4dff7fe7bbd7f0cf7e079a2f1bfd6bb8dac90fd"),
+    # exit 1: not banded
+    "structure-negative-q-m2": (
+        ["verify", "structure", *L_PARAMS, "--q=-3/2", "--omega=1/3",
+         "--pi", '["1/3","-1/2","1/1"]', "--m", "2", "--k", "1", "--n", "8"],
+        "fc51bae7089f970907634f0537b00d1bb0cb496aba6a35691f503ffe4d376ab6"),
 }
 
 

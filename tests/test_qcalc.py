@@ -12,13 +12,12 @@ from qcoherent.qcalc import (
     hahn_power,
     leibniz_coeffs,
     normalized_derivative,
-    phi_hat,
-    q_binom_row,
     q_bracket,
-    q_factorials,
     shift,
     shift_power,
 )
+
+from oracles import phi_hat, q_binom_row, q_factorials
 
 F = Fraction
 

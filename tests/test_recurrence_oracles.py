@@ -1,10 +1,12 @@
-"""The recurrence closed forms, the sequence generator, the Hahn
-difference scales and the q-Leibniz path against their plain oracles.
+"""The recurrence closed forms, the sequence generator, the table of
+q-factorial ratios, the Hahn difference scales and the q-Leibniz path
+against their plain oracles.
 
 The oracles are the direct loops: the L and J closed forms with every
 power and every factor formed where it is used, regularity checked
 before the closed forms, the monic sequence generated by `Poly`
-arithmetic on `Fraction`s, D**m with its [n+m]!/[n]! ratios walked
+arithmetic on `Fraction`s, the q-factorials by the bracket recurrence
+(`oracles.q_factorials`), D**m with its [n+m]!/[n]! ratios walked
 bracket by bracket, D**n on a functional as n diagonal steps on the
 centred moments, the Leibniz coefficients composed as
 L**k(D**(n-k) f) times [n, k], and the expansion, and any sum of
@@ -19,7 +21,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcoherent.algebra import (
@@ -28,6 +30,7 @@ from qcoherent.algebra import (
     affine_substitute,
     limit_at_zero,
     num_den,
+    over_den,
 )
 from qcoherent.errors import (
     DegreeMismatch,
@@ -50,7 +53,6 @@ from qcoherent.families import (
 from qcoherent.functionals import (
     MomentFunctional,
     _combination,
-    _dual_steps,
     _from_y,
     _to_y,
     dual_rows,
@@ -63,12 +65,13 @@ from qcoherent.qcalc import (
     hahn_power,
     leibniz_coeffs,
     normalized_derivative,
-    q_binom_row,
     q_bracket,
-    q_factorials,
+    q_falling,
     shift_power,
 )
 from qcoherent.sampling import sample_q
+
+from oracles import dual_steps, q_binom_row, q_factorials
 
 F = Fraction
 
@@ -191,7 +194,7 @@ def oracle_normalized_derivative(p, n, m, qp):
 def oracle_centred_diffs(c, n, qp):
     """Centred moments of u, D u, ..., D**n u, one diagonal step at a time:
     c'_0 = 0, c'_j = -(1/q) [j]_{1/q} c_(j-1)."""
-    factors = [-t for t in _dual_steps(qp.q, len(c) + n)]
+    factors = [-t for t in dual_steps(qp.q, len(c) + n)]
     out = [c]
     for _ in range(n):
         c = [c[0] * 0] + [factors[j] * c[j - 1] for j in range(1, len(c) + 1)]
@@ -502,6 +505,49 @@ def test_q_difference_matches_the_oracle_over_sympy_q():
         assert_q_difference_matches(f, QParams(q, F(1, 3)))
         assert_q_difference_matches(f, QParams(q, w))
         assert_q_difference_matches(f, QParams(F(-3, 2), w))
+
+
+# -- the one table of q-factorial ratios ---------------------------------------
+
+def assert_q_falling_matches(qn, qd, m, size):
+    """Every entry of ``q_falling(qn, qd, m, size)`` against [i+k]!/[i]!
+    from the bracket recurrence in base qn/qd."""
+    rows, den = q_falling(qn, qd, m, size)
+    assert len(rows) == m + 1 and all(len(row) == size for row in rows)
+    fact = q_factorials(max(size + m - 1, 0), over_den(qn, qd))
+    for k, row in enumerate(rows):
+        for i, r in enumerate(row):
+            assert over_den(r, den) == fact[i + k] / fact[i], (k, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=bases, m=st.integers(0, 6), size=st.integers(0, 12),
+       swap=st.booleans())
+@example(q=F(-3, 2), m=6, size=12, swap=False)
+@example(q=F(-3, 2), m=6, size=12, swap=True)  # base -2/3: qd = -3
+@example(q=F(-5, 4), m=3, size=0, swap=True)
+def test_q_falling_matches_the_factorial_oracle_over_q(q, m, size, swap):
+    # base q and, with the parts swapped, base 1/q with the sign of q in
+    # its denominator part; every entry and the den are ints
+    qn, qd = num_den(q)
+    if swap:
+        qn, qd = qd, qn
+    assert_q_falling_matches(qn, qd, m, size)
+    rows, den = q_falling(qn, qd, m, size)
+    assert type(den) is int and all(type(r) is int for row in rows
+                                    for r in row)
+
+
+def test_q_falling_matches_the_factorial_oracle_over_qt_and_sympy():
+    # a field scalar q splits as (q, 1); base 1/q is (1, q).  RatFunc
+    # normalises by a gcd at every product, so Q(t) stops at m = 4, size 8
+    sympy = pytest.importorskip("sympy")
+    _, s = sympy.field("q", sympy.QQ)
+    corners = ((0, 0), (0, 3), (1, 12), (6, 0), (6, 1), (4, 8))
+    for q, shapes in ((RatFunc.t(), corners), (s, corners + ((6, 12),))):
+        for m, size in shapes:
+            assert_q_falling_matches(q, 1, m, size)
+            assert_q_falling_matches(1, q, m, size)
 
 
 # -- no Fraction arithmetic over Q --------------------------------------------
