@@ -280,11 +280,10 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm over the coefficient field."""
+    """Monic gcd via the Euclidean algorithm over the coefficient field;
+    each remainder is made monic, which keeps its coefficients short."""
     while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    if a.is_zero():
-        return a
+        a, b = b, divmod(a, b)[1].monic()
     return a.monic()
 
 

@@ -2,16 +2,19 @@
 classification for pivot degrees N <= 2 with index 0 and orders (1, 0).
 
 Given a regular functional u satisfying the backward Pearson equation
+for Jackson's operator
 
-    D[1/q,-w/q](phi u) = psi u,   deg phi <= 2,  psi = b0 + b1 x,
+    D[1/q,0](phi u) = psi u,   deg phi <= 2,  psi = b0 + b1 y,
 
 the associated monic orthogonal sequence has closed-form recurrence
 coefficients driven by the sequences (brackets in base 1/q)
 
-    d_n = b1 q**-n + a2 [n],   e_n = b0 q**-n + (a1 - w/q * d_n) [n],
+    d_n = b1 q**-n + a2 [n],   e_n = b0 q**-n + a1 [n],
 
 subject to d_n != 0 and phi(-e_n / d_{2n}) != 0; see
-:func:`pearson_ttrr`.
+:func:`pearson_ttrr`.  In y = x - w0 the Hahn operator D[q,w] is
+Jackson's D[q,0], so a pair in x is read in y, and the recurrence moved
+back, once.
 
 The classifier consumes one self-structure relation
 
@@ -22,8 +25,8 @@ L-family at base q for N in {0, 1}, an L-family at base 1/q when N = 2 and
 the d-sequence is constant, and a J-family at base 1/q otherwise.  When a
 quadratic discriminant is not a rational square the family parameters stay
 implicit.  The predicted recurrence needs no roots: it is always
-:func:`pearson_ttrr` applied to the reconstructed Pearson pair, and an
-explicit family's own recurrence is checked against it.
+:func:`pearson_ttrr` applied to the reconstructed Pearson pair in y (the
+tests check it against an explicit family's own recurrence).
 """
 from __future__ import annotations
 
@@ -48,32 +51,22 @@ from .families import FamilySpec, TTRRCoeffs
 from .qcalc import QParams, q_falling
 
 
-@dataclass(frozen=True)
-class PearsonTTRR:
-    """Pearson data with the derived d/e sequences and the recurrence."""
-
-    phi: Poly
-    psi: Poly
-    qp: QParams
-    d: tuple
-    e: tuple
-    coeffs: TTRRCoeffs
-
-
-def pearson_ttrr(phi: Poly, psi: Poly, qp: QParams, n_max: int) -> PearsonTTRR:
+def pearson_ttrr(phi: Poly, psi: Poly, q, n_max: int) -> TTRRCoeffs:
     """Recurrence coefficients of the monic sequence attached to a backward
-    Pearson pair with deg phi <= 2 and deg psi = 1.
+    Pearson pair for Jackson's operator, D[1/q,0](phi u) = psi u, with
+    deg phi <= 2 and deg psi = 1.
 
     Raises RegularityViolation when some d_n vanishes or some
     phi(-e_n / d_{2n}) vanishes (which would force gamma_{n+1} = 0).
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
+    if q in (0, 1, -1):
+        raise DomainError(f"q must avoid {{0, 1, -1}}, got {q}")
     if phi.is_zero() or phi.degree > 2:
         raise DomainError("phi must be non-zero of degree <= 2")
     if psi.degree != 1:
         raise DomainError("psi must have degree exactly 1")
-    q, w = qp.q, qp.omega
     a1, a2 = phi.coeff(1), phi.coeff(2)
     b0, b1 = psi.coeff(0), psi.coeff(1)
 
@@ -90,13 +83,12 @@ def pearson_ttrr(phi: Poly, psi: Poly, qp: QParams, n_max: int) -> PearsonTTRR:
         if dn == 0:
             raise RegularityViolation(f"d_{n} = 0 for the Pearson pair")
         d.append(dn)
-        e.append(b0 * q ** -n + (a1 - w / q * dn) * br)
+        e.append(b0 * q ** -n + a1 * br)
 
     beta = [-e[0] / d[0]]
     for n in range(1, n_max + 1):
-        brn, brn1 = brackets[n], brackets[n + 1]
-        beta.append(-w / q * brn + brn * e[n - 1] / d[2 * n - 2]
-                    - brn1 * e[n] / d[2 * n])
+        beta.append(brackets[n] * e[n - 1] / d[2 * n - 2]
+                    - brackets[n + 1] * e[n] / d[2 * n])
     gamma = []
     for n in range(n_max):
         value = phi(-e[n] / d[2 * n])
@@ -109,8 +101,7 @@ def pearson_ttrr(phi: Poly, psi: Poly, qp: QParams, n_max: int) -> PearsonTTRR:
         else:
             gamma.append(-q ** -n * brn1 * d[n - 1] * value
                          / (d[2 * n - 1] * d[2 * n + 1]))
-    return PearsonTTRR(phi, psi, qp, tuple(d), tuple(e),
-                       TTRRCoeffs(beta, gamma))
+    return TTRRCoeffs(beta, gamma)
 
 
 @dataclass(frozen=True)
@@ -286,11 +277,9 @@ def classify_self_coherent(pi: Poly, beta0, gamma1, qp: QParams,
     if family is not None:
         family = replace(family, offset=w0)
 
-    predicted = pearson_ttrr(pi, pearson_psi, qp, n_max).coeffs
-    if family is not None and not family.ttrr(n_max).agrees_with(
-            predicted, n_max):
-        raise InternalInconsistency(
-            "explicit family recurrence disagrees with the prediction")
+    # the Pearson pair in y is (pi(y + w0), beta + alpha y)
+    predicted = pearson_ttrr(pc, Poly([beta, alpha]), q, n_max).shifted(
+        1, w0)
 
     return ClassificationTrace(
         case_label=case, branch=branch, alpha=alpha, beta=beta, lam=lam,

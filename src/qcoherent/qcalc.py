@@ -71,19 +71,6 @@ class QParams:
         return QParams(1 / self.q, -self.omega / self.q)
 
 
-def _check_base(base):
-    if base == 0 or base == 1:
-        raise DomainError(f"q-symbol base must avoid {{0, 1}}, got {base}")
-
-
-def q_bracket(n: int, base):
-    """[n] = (base**n - 1)/(base - 1)."""
-    _check_base(base)
-    if n < 0:
-        raise DomainError(f"q-bracket index must be >= 0, got {n}")
-    return (base ** n - 1) / (base - 1)
-
-
 def q_falling(qn, qd, m: int, size: int):
     """(rows, den) with [i+k]!/[i]! = rows[k][i] / den in base qn/qd, for
     k = 0..m and i < size: the one table of q-factorial ratios.
@@ -159,10 +146,12 @@ def _scaled_difference(f: Poly, m: int, qp: QParams, normalized: bool):
 
 
 def shift_power(f: Poly, m: int, qp: QParams) -> Poly:
-    """m-fold shift: L**m f(x) = f(q**m x + w [m]_q)."""
+    """m-fold shift: L**m f(x) = f(q**m x + w0 (1 - q**m)), the scaling
+    y -> q**m y in y = x - w0; w0 (1 - q**m) = w [m]_q."""
     if m < 0:
         raise DomainError(f"shift order must be >= 0, got {m}")
-    return affine_substitute(f, qp.q ** m, qp.omega * q_bracket(m, qp.q))
+    scale = qp.q ** m
+    return affine_substitute(f, scale, qp.omega0 * (1 - scale))
 
 
 def leibniz_coeffs(f: Poly, n: int, qp: QParams) -> list:

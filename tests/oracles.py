@@ -1,21 +1,36 @@
 """Reference computations the tests compare production code against.
 
 Each is a direct computation kept from an earlier form of the library, or
-a check that no command needs: the q-factorials and q-binomials by the
-bracket recurrence [j+1] = 1 + base*[j], the steps t_j of the dual
-difference by the same recurrence, the Pearson companion of a pair, the
-dual basis of a simple set by a triangular solve, the Hankel regularity
-test, and the (pi, beta_0, gamma_1) a classifier reads off a case
-instance.  Production forms every q-factorial ratio from one table
+a check that no command needs: the q-bracket in closed form, the
+q-factorials and q-binomials by the bracket recurrence [j+1] = 1 +
+base*[j], the steps t_j of the dual difference by the same recurrence,
+the Pearson companion of a pair, the dual basis of a simple set by a
+triangular solve, the Hankel regularity test, the (pi, beta_0, gamma_1) a
+classifier reads off a case instance, and the Pearson engine on a pair
+given in x.  Production forms every q-factorial ratio from one table
 (``qcalc.q_falling``); these walk the brackets one by one in the scalar
 field, so the two agree only when both are right.
 """
 from fractions import Fraction
 
-from qcoherent.algebra import Poly, det_bareiss
+from qcoherent.algebra import Poly, affine_substitute, det_bareiss
+from qcoherent.classify import pearson_ttrr
 from qcoherent.errors import DomainError, NotSimpleSet
 from qcoherent.functionals import MomentFunctional
-from qcoherent.qcalc import QParams, _check_base
+from qcoherent.qcalc import QParams
+
+
+def _check_base(base):
+    if base == 0 or base == 1:
+        raise DomainError(f"q-symbol base must avoid {{0, 1}}, got {base}")
+
+
+def q_bracket(n: int, base):
+    """[n] = (base**n - 1)/(base - 1)."""
+    _check_base(base)
+    if n < 0:
+        raise DomainError(f"q-bracket index must be >= 0, got {n}")
+    return (base ** n - 1) / (base - 1)
 
 
 def q_factorials(n: int, base) -> list:
@@ -54,6 +69,15 @@ def phi_hat(phi: Poly, psi: Poly, qp: QParams) -> Poly:
     with pair (phi_hat, psi) in direction (1/q, -w/q).
     """
     return (phi + Poly([qp.omega, qp.q - 1]) * psi) * (1 / qp.q)
+
+
+def pearson_ttrr_in_x(phi: Poly, psi: Poly, qp: QParams, n_max: int):
+    """The Jackson-frame engine on a backward pair (phi, psi) in x at
+    (q, w): the pair moved to y = x - w0 once, the recurrence moved back."""
+    w0 = qp.omega0
+    return pearson_ttrr(affine_substitute(phi, 1, w0),
+                        affine_substitute(psi, 1, w0), qp.q,
+                        n_max).shifted(1, w0)
 
 
 def dual_basis_functional(basis, n: int, order: int) -> MomentFunctional:

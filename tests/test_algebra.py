@@ -276,6 +276,28 @@ def test_poly_gcd_monic():
     assert poly_gcd(a, b) == x + 2
 
 
+def test_poly_gcd_remainders_stay_short(monkeypatch):
+    # Euclid over Q(t) with every remainder made monic: the q-factorials to
+    # [8]! at base (t + 2)/(t - 3) keep each remainder coefficient under
+    # 1,000 bits (5,124 bits when the remainders are left unnormalised)
+    from oracles import q_factorials
+
+    widest = [0]
+
+    def spy(a, b, real=Poly.__divmod__):
+        quot, rem = real(a, b)
+        for c in rem.coeffs:
+            widest[0] = max(widest[0], c.numerator.bit_length(),
+                            c.denominator.bit_length())
+        return quot, rem
+
+    monkeypatch.setattr(Poly, "__divmod__", spy)
+    t = RatFunc.t()
+    fact = q_factorials(8, (t + 2) / (t - 3))
+    assert fact[1] == 1 and fact[8].den.is_monic()
+    assert 0 < widest[0] < 1000
+
+
 def test_sqrt_fraction():
     assert sqrt_fraction(F(49, 4)) == F(7, 2)
     assert sqrt_fraction(F(2)) is None

@@ -24,7 +24,12 @@ from qcoherent.errors import (
     InternalInconsistency,
     RegularityViolation,
 )
-from qcoherent.families import TTRRCoeffs, l_coeffs, l_coeffs_symmetric
+from qcoherent.families import (
+    FamilySpec,
+    TTRRCoeffs,
+    l_coeffs,
+    l_coeffs_symmetric,
+)
 from qcoherent.qcalc import QParams
 from qcoherent.sampling import (
     CASE_LABELS,
@@ -33,7 +38,7 @@ from qcoherent.sampling import (
     sample_qparams,
 )
 
-from oracles import structure_data
+from oracles import pearson_ttrr_in_x, structure_data
 
 F = Fraction
 
@@ -121,40 +126,50 @@ def test_pearson_engine_case_zero_pivot_closed_forms():
     gamma1 = a * b * (q - 1)
     beta0 = a + b  # omega0 = 0
     psi = Poly([q * beta0 / gamma1, -q / gamma1])
-    result = pearson_ttrr(Poly.one(), psi, QP0, 10)
+    result = pearson_ttrr(Poly.one(), psi, q, 10)
     expected = l_coeffs(a, b, F(0), q, 10)
-    assert result.coeffs.agrees_with(expected, 10)
+    assert result.agrees_with(expected, 10)
     for n in range(11):
-        assert result.coeffs.beta_at(n) == 5 * q**n
+        assert result.beta_at(n) == 5 * q**n
     for n in range(10):
-        assert result.coeffs.gamma_at(n + 1) == -6 * (1 - q ** (n + 1)) * q**n
+        assert result.gamma_at(n + 1) == -6 * (1 - q ** (n + 1)) * q**n
 
 
 def test_pearson_engine_shifted_family():
-    # same data conjugated by omega0 = 2
+    # same data conjugated by omega0 = 2: the pair in x is moved to y, and
+    # the recurrence back
     inst = case_i_instance(QP, 2, 3)
     ttrr = inst.spec.ttrr(10)
     beta0, gamma1 = ttrr.beta_at(0), ttrr.gamma_at(1)
     psi = Poly([QP.q * beta0 / gamma1, -QP.q / gamma1])
-    result = pearson_ttrr(Poly.one(), psi, QP, 10)
-    assert result.coeffs.agrees_with(ttrr, 10)
+    result = pearson_ttrr_in_x(Poly.one(), psi, QP, 10)
+    assert result.agrees_with(ttrr, 10)
 
 
 def test_pearson_engine_constant_d_collapse():
-    # a2 = 0, b1 != 0: d_n = b1 q^-n never vanishes
-    result = pearson_ttrr(Poly([F(1), F(2)]), Poly([F(1), F(3)]), QP, 6)
-    q = QP.q
-    assert all(result.d[n] == 3 * q**-n for n in range(len(result.d)))
+    # a2 = 0, b1 != 0: d_n = b1 q^-n never vanishes, and the recurrence is
+    # the case II closed form, which rests on that d-sequence.  Halved, the
+    # pair is pi = x + 1/2 with pi(w0) = 5/2, and psi = 1/2 + 3/2 x, so
+    # alpha = 3/2 and beta = 1/2 + alpha w0 = 7/2
+    result = pearson_ttrr_in_x(Poly([F(1), F(2)]), Poly([F(1), F(3)]), QP, 6)
+    oracle = oracle_case_ii_ttrr(F(3, 2), F(7, 2), F(5, 2), QP.omega0, QP.q,
+                                 6)
+    assert result.agrees_with(oracle, 6)
 
 
 def test_pearson_engine_validation():
     with pytest.raises(DomainError):
-        pearson_ttrr(Poly([1, 0, 0, 1]), Poly([0, 1]), QP, 4)
+        pearson_ttrr_in_x(Poly([1, 0, 0, 1]), Poly([0, 1]), QP, 4)
     with pytest.raises(DomainError):
-        pearson_ttrr(Poly.one(), Poly([1]), QP, 4)
-    # d_1 = 2 b1 + a2 = 0 at q = 1/2 (phi = 2x^2, psi = 1 - x)
-    with pytest.raises(RegularityViolation):
-        pearson_ttrr(Poly([0, 0, 2]), Poly([1, -1]), QP, 4)
+        pearson_ttrr_in_x(Poly.one(), Poly([1]), QP, 4)
+    # q = 0 has no 1/q, q = 1 no q-bracket, and q = -1 makes [2] vanish
+    for q in (F(0), F(1), F(-1)):
+        with pytest.raises(DomainError, match="q must avoid"):
+            pearson_ttrr(Poly.one(), Poly([F(1), F(-1)]), q, 4)
+    # d_1 = 2 b1 + a2 = 0 at q = 1/2 (phi = 2x^2, psi = 1 - x), in either
+    # frame: a translation keeps the leading coefficients
+    with pytest.raises(RegularityViolation, match="d_1 = 0"):
+        pearson_ttrr_in_x(Poly([0, 0, 2]), Poly([1, -1]), QP, 4)
 
 
 def test_classify_worked_example():
@@ -232,8 +247,22 @@ def test_classify_double_root_pivot_stops_at_mu_q_cubed(qp, n_max):
         classify_self_coherent(pi, w0, F(2, 7), qp, n_max=n_max)
 
 
-@pytest.mark.parametrize("label", ["I", "II", "IIIa", "IIIb",
-                                   "IIIb-rzero", "IIIb-bessel"])
+# (case label, branch) of the classification of each case's instances
+EXPLICIT_BRANCHES = {
+    "I": ("I", None), "II": ("II", None), "IIIa": ("IIIa", None),
+    "IIIb": ("IIIb", "general"), "IIIb-rzero": ("IIIb", "r-zero"),
+    "IIIb-bessel": ("IIIb", "bessel"),
+}
+
+
+def assert_family_matches_prediction(trace, n_max):
+    """An explicit family's own recurrence is the engine's prediction: the
+    oracle the classifier no longer runs on every call."""
+    if trace.family is not None:
+        assert trace.family.ttrr(n_max).agrees_with(trace.predicted, n_max)
+
+
+@pytest.mark.parametrize("label", EXPLICIT_BRANCHES)
 def test_round_trip_seeded(label):
     rng = random.Random(f"round-trip-{label}")
     hits = 0
@@ -244,14 +273,9 @@ def test_round_trip_seeded(label):
         trace = classify_self_coherent(pi, beta0, gamma1, qp, n_max=10)
         assert trace.predicted.agrees_with(inst.spec.ttrr(10), 10)
         assert not trace.implicit
+        assert_family_matches_prediction(trace, 10)
         assert trace.family.polynomials(10) == inst.spec.polynomials(10)
-        if label.startswith("IIIb"):
-            assert trace.case_label == "IIIb"
-            expected_branch = {"IIIb": "general", "IIIb-rzero": "r-zero",
-                               "IIIb-bessel": "bessel"}[label]
-            assert trace.branch == expected_branch
-        else:
-            assert trace.case_label == label
+        assert (trace.case_label, trace.branch) == EXPLICIT_BRANCHES[label]
         hits += 1
 
 
@@ -403,10 +427,13 @@ def test_prediction_matches_case_closed_forms_at_seeded_points():
             continue
         expected = oracle_prediction(pi, beta0, gamma1, qp, 6)
         assert trace.predicted.agrees_with(expected, 6)
+        assert_family_matches_prediction(trace, 6)
         assert len(trace.predicted.beta) == 7
         assert len(trace.predicted.gamma) == 6
         seen.add((trace.case_label, trace.implicit))
-    assert {("I", True), ("II", True), ("IIIb", True)} <= seen
+    # the explicit I and II families meet the oracle too
+    assert {("I", True), ("II", True), ("IIIb", True), ("I", False),
+            ("II", False)} <= seen
 
 
 @pytest.mark.parametrize("label", CASE_LABELS)
@@ -419,6 +446,9 @@ def test_prediction_matches_case_closed_forms_on_instances(label):
         trace = classify_self_coherent(pi, beta0, gamma1, inst.qp, n_max=8)
         expected = oracle_prediction(pi, beta0, gamma1, inst.qp, 8)
         assert trace.predicted.agrees_with(expected, 8)
+        assert (trace.case_label, trace.branch) == EXPLICIT_BRANCHES[label]
+        assert not trace.implicit
+        assert_family_matches_prediction(trace, 8)
         if trace.case_label in ("I", "IIIa"):
             # the symmetric L forms at the classifier's own root data
             base = inst.qp.q if trace.case_label == "I" else 1 / inst.qp.q
@@ -460,13 +490,15 @@ def test_classify_calls_the_pearson_engine_once(monkeypatch):
                                             F(1, 3))), QP),  # IIIb
         ((x - 1) * (x - 1) - (x - 1) + F(1, 4), F(1), F(-1), QP),
     ]
+    # the explicit family's recurrence is a test oracle, not rebuilt here
+    checks = []
+    for cls, name in ((FamilySpec, "ttrr"), (TTRRCoeffs, "agrees_with")):
+        monkeypatch.setattr(cls, name, lambda *args, name=name:
+                            checks.append(name))
     for count, (pi, beta0, gamma1, qp) in enumerate(data, start=1):
-        trace = classify_self_coherent(pi, beta0, gamma1, qp, n_max=6)
+        classify_self_coherent(pi, beta0, gamma1, qp, n_max=6)
         assert len(engine_calls) == count
-        if trace.implicit:
-            assert symmetric_callers == []
-        assert set(symmetric_callers) <= {"l_coeffs"}
-        symmetric_callers.clear()
+        assert symmetric_callers == [] and checks == []
     labels = {classify_self_coherent(pi, b0, g1, qp, n_max=2).case_label
               for pi, b0, g1, qp in data}
     assert labels == {"I", "II", "IIIa", "IIIb"}
@@ -483,7 +515,7 @@ def test_vanishing_gamma_is_a_regularity_violation():
 
 def test_negative_depth_is_a_domain_error():
     with pytest.raises(DomainError):
-        pearson_ttrr(Poly.one(), Poly([F(1), F(-1)]), QP, -1)
+        pearson_ttrr(Poly.one(), Poly([F(1), F(-1)]), QP.q, -1)
     with pytest.raises(DomainError):
         classify_self_coherent(Poly.one(), F(5), F(-3), QP0, n_max=-1)
 

@@ -27,12 +27,11 @@ from qcoherent.functionals import _taylor_shift, functional_agree, left_mult
 from qcoherent.qcalc import (
     QParams,
     hahn_power,
-    q_bracket,
     shift_power,
 )
 from qcoherent.sampling import CASE_LABELS, sample_case_instance
 
-from oracles import q_binom_row, q_factorials
+from oracles import q_binom_row, q_bracket, q_factorials
 
 F = Fraction
 

@@ -52,11 +52,10 @@ from qcoherent.qcalc import (
     QParams,
     normalized_derivative,
     normalized_derivative_set,
-    q_bracket,
 )
 from qcoherent.sampling import rational, sample_q
 
-from oracles import dual_steps
+from oracles import dual_steps, q_bracket
 
 F = Fraction
 
@@ -490,7 +489,7 @@ def test_pearson_pair_round_trips_through_the_classifier(label, q):
     phi, psi = spec.pearson()
     assert phi.degree <= 2 and psi.degree == 1 and psi.is_monic()
     n = 6
-    predicted = pearson_ttrr(phi, psi, QParams(1 / spec.base, 0), n).coeffs
+    predicted = pearson_ttrr(phi, psi, 1 / spec.base, n)
     assert predicted.agrees_with(spec.ttrr(n).shifted(1, -spec.offset), n)
     in_y = _centred(spec, spec.offset).moments(20)
     witness = SemiclassicalWitness(phi, psi, "forward")
@@ -520,7 +519,7 @@ def test_pearson_closed_forms_give_the_recurrence_identically():
     for spec in (FamilySpec("L", (a, b, c), q, scale=s),
                  FamilySpec("J", (a, b, c, d), q, scale=s)):
         phi, psi = spec.pearson()
-        got = pearson_ttrr(phi, psi, QParams(1 / q, 0), 4).coeffs
+        got = pearson_ttrr(phi, psi, 1 / q, 4)
         want = spec.ttrr(4)
         assert (got.beta, got.gamma) == (want.beta, want.gamma)
 

@@ -1,30 +1,39 @@
 """Golden outputs: the SHA-256 of (argv, exit code, stdout) for one command
 line per subcommand, for the commands whose functionals are made in the
-Hahn operator's frame at w != 0, for `verify structure` at w != 0 with a
-non-constant pivot and at q = 3/2 to n = 20, for `moments` at orders 5 and
-0, for the two limiting reductions (at 3 points to n = 10, and at 4
-points to n = 20 at seed 11) and three J round trips, for three
-`gen` refusals whose error class and message are part of the contract,
-for `verify leibniz` at the `calculus` workload's seed-0 argv and at
-powers up to n = 7, above the workload's n <= 4, and for `verify
-coherence` on cases II, IIIb, IIIb-bessel (at w != 0) and IIIb-rzero at
-order 30 and depth 4, whose products and phi sides come from one numerator
-table per functional, and for `moments`, `verify coherence` and `verify
-structure` at negative q, where the q-factorial table has negative parts.
+Hahn operator's frame at w != 0, for `classify` at w != 0 on every explicit
+branch, the implicit fallback, the csv form and an engine refusal, for
+`verify structure` at w != 0 with a non-constant pivot and at q = 3/2 to
+n = 20, for `moments` at orders 5 and 0, for the two limiting reductions
+(at 3 points to n = 10, and at 4 points to n = 20 at seed 11) and three J
+round trips, for three `gen` refusals whose error class and message are
+part of the contract, for `verify leibniz` at the `calculus` workload's
+seed-0 argv and at powers up to n = 7, above the workload's n <= 4, and for
+`verify coherence` on cases II, IIIb, IIIb-bessel (at w != 0) and
+IIIb-rzero at order 30 and depth 4, whose products and phi sides come from
+one numerator table per functional, and for `moments`, `verify coherence`
+and `verify structure` at negative q, where the q-factorial table has
+negative parts.
 
 A digest changes only when a command's output or exit code does; to
 regenerate one after an intended change of output, print
-``_digest(argv)`` for the argv and paste it in.
+``_digest(argv)`` for the argv and paste it in.  Every golden command
+also runs in one frame: no operator is called at w != 0.
 """
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import json
+import pkgutil
 
 import pytest
 
+import qcoherent
 import qcoherent.cli as cli
+from qcoherent import classify, functionals, qcalc
 from qcoherent.cli import main
+from qcoherent.qcalc import QParams
 
 L_CASE_I = ["--family", "L", "--a=2/1", "--b=3/1", "--c=0/1"]
 L_PARAMS = ["--family", "L", "--a=2/1", "--b=3/1", "--c=1/5"]
@@ -35,6 +44,11 @@ STRUCTURE_Q32 = ["verify", "structure", *L_PARAMS, "--q=3/2", "--omega=1/3",
 def _reduction(identity):
     return ["verify", "reduction", "--identity", identity, "--points", "3",
             "--n", "10"]
+
+
+def _classify_w(pi, beta0, gamma1, *extra):
+    return ["classify", "--pi", pi, f"--beta0={beta0}", f"--gamma1={gamma1}",
+            "--q=1/2", "--omega=1/3", "--n", "6", *extra]
 
 
 def _coherence_o30(case, omega):
@@ -193,6 +207,39 @@ GOLDEN = {
         ["classify", "--pi", '["1/1"]', "--beta0=5/1", "--gamma1=-3/1",
          "--q=1/2", "--n", "6"],
         "5d88b9cefe67eedad2ff5aade571d902f77218452c3800aaf1c8217aeb040d86"),
+    # classify at w = 1/3, so w0 = 2/3: one argv per explicit branch, each
+    # the structure data of a case instance, then the implicit fallback, the
+    # csv form and a refusal of the Pearson engine (exit 2)
+    "classify-w-I": (
+        _classify_w('["1/1"]', "17/3", "-3/1"),
+        "f4fe97cc1194e636b2867edb8589cbd252be1a8199954238a1d298db42976ddd"),
+    "classify-w-II": (
+        _classify_w('["-46/15","1/1"]', "47/30", "-3/40"),
+        "efdfde4e49de5520d843c02a8ff13ebef616cbae072d8b6857eff0c1434262dc"),
+    "classify-w-IIIa": (
+        _classify_w('["88/9","-19/3","1/1"]', "79/15", "104/25"),
+        "e46d85b5d8d325c2fda5f6e07b93947d59339b5ecb2153a760da6a13b0220cec"),
+    "classify-w-IIIb": (
+        _classify_w('["0/1","13/3","1/1"]', "55/51", "460/2601"),
+        "a17f689021c0ff762aed2d1af4c9cdf90c5fdda8f1b937a64048ec2bda0c8d27"),
+    "classify-w-IIIb-rzero": (
+        _classify_w('["-26/9","11/3","1/1"]', "67/51", "32/289"),
+        "cb35a85250f718654ecb24d574a29a708282a0eb75907000676752aee055e2bc"),
+    "classify-w-IIIb-bessel": (
+        _classify_w('["22/9","-13/3","1/1"]', "43/51", "-48/3179"),
+        "1818cc6efff32a2550a97e56cd3aa562a751f64cf7a89fa1284f36d0d207c6c6"),
+    # case I with root discriminant 2: no explicit family
+    "classify-w-implicit": (
+        _classify_w('["1/1"]', "5/3", "1/8"),
+        "34ccee64d2e79a3c13088b43176fd87adc99daab0e62f6326efa2471eedcefda"),
+    "classify-w-csv": (
+        _classify_w('["0/1","13/3","1/1"]', "55/51", "460/2601",
+                    "--format", "csv"),
+        "6720f43dcb01d3bd31ab7cafe23013efdf8db4aac184d80b87e87cf20475ffe9"),
+    # phi(-e_4/d_8) = 0: gamma_5 would vanish
+    "classify-w-regularity": (
+        _classify_w('["0/1","-6/1","1/1"]', "-1/1", "3/1"),
+        "6ba4ad116c133150d3d9b8320e7b61401d7b4e0ec8095efb69430a885eac0360"),
     # negative q, where the table of q-factorial ratios has a negative
     # numerator part (q < -1) or a negative part swapped into the
     # denominator (base 1/q): the Pearson walks, the dual scales, psi, phi
@@ -255,3 +302,51 @@ def test_one_parser_serves_every_main_call(monkeypatch):
         argv, digest = GOLDEN[name]
         assert _digest(argv) == digest
     assert builds == [1]
+
+
+def _takes_qparams(fn) -> bool:
+    return any("QParams" in str(p.annotation)
+               for p in inspect.signature(fn).parameters.values())
+
+
+def test_every_golden_command_runs_in_one_frame(monkeypatch):
+    # in y = x - w0 the Hahn operator is Jackson's: every function of qcalc
+    # and functionals that takes a QParams, and the Pearson engine, is
+    # called at w = 0 by every golden command, w != 0 ones included.  Each
+    # wrapper is rebound in every qcoherent module that holds the function
+    targets = [classify.pearson_ttrr]
+    for module in (qcalc, functionals):
+        targets += [fn for fn in vars(module).values()
+                    if inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__
+                    and _takes_qparams(fn)]
+    modules = [importlib.import_module(f"qcoherent.{info.name}")
+               for info in pkgutil.iter_modules(qcoherent.__path__)]
+    calls, off_frame = [], []
+
+    def wrap(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            if any(isinstance(v, QParams) and v.omega != 0
+                   for v in (*args, *kwargs.values())):
+                off_frame.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in targets:
+        wrapper = wrap(fn)
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, wrapper)
+    assert {"pearson_ttrr", "hahn_power", "leibniz_coeffs",
+            "functional_diff_n", "dual_rows"} <= {fn.__name__
+                                                  for fn in targets}
+    omegas = set()
+    for argv, _ in GOLDEN.values():
+        omegas.update(a for a in argv if a.startswith("--omega="))
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(list(argv))
+    assert omegas - {"--omega=0/1"}  # the golden set reaches w != 0
+    assert {"pearson_ttrr", "leibniz_coeffs", "dual_rows"} <= set(calls)
+    assert off_frame == []

@@ -12,12 +12,11 @@ from qcoherent.qcalc import (
     hahn_power,
     leibniz_coeffs,
     normalized_derivative,
-    q_bracket,
     shift,
     shift_power,
 )
 
-from oracles import phi_hat, q_binom_row, q_factorials
+from oracles import phi_hat, q_binom_row, q_bracket, q_factorials
 
 F = Fraction
 
