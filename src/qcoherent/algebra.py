@@ -98,8 +98,10 @@ class Poly:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Poly is immutable")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def one() -> "Poly":
@@ -189,7 +191,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Poly):
+        if isinstance(other, Poly) or other == 0:  # 0 is refused there
             return self.exact_div(other)
         return Poly([over_den(c, other) for c in self.coeffs])
 
@@ -335,8 +337,10 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("RatFunc is immutable")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def _lift(value) -> Poly:

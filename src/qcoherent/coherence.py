@@ -466,8 +466,11 @@ class CoherencePair:
 
     def verify_phi_chain(self) -> list[VerifyReport]:
         """The three functional equations of the k = 0 chain plus the
-        degree-based class bounds for both functionals."""
+        degree-based class bounds for both functionals; m >= 1, since the
+        witness for u is (big_phi_1, big_phi_0)."""
         cfg, qp = self.config, self.qp
+        if cfg.m < 1:
+            raise DomainError("the chain's equations require m >= 1")
         chain = self.phi_chain()
         top = chain[cfg.m]
         # f (pi v) and (f pi) v have the same moments, so the chain's
@@ -535,7 +538,8 @@ class CoherencePair:
         n <= min(4, depth); the varphi system when m >= k+N, else the xi
         system; and for k = 0 the chain and, at each such n, the
         direct-differencing oracle and (N >= 1) the phi-expansion oracle.
-        The varphi system and the chain are defined when N > 0 or m > k.
+        The varphi system is defined when N > 0 or m > k; the chain's
+        witnesses need big_phi_1, so it runs when m >= 1.
         """
         cfg, table = self.config, self.table
         rows = range(min(4, depth) + 1)
@@ -543,13 +547,12 @@ class CoherencePair:
                             "holds" if table.is_coherent else "failed",
                             table.n_max)]
         out += [self.verify_functional_equation(n) for n in rows]
-        defined = cfg.N > 0 or cfg.m > cfg.k
         if cfg.m < cfg.k + cfg.N:
             out += self.verify_xi_system()
-        elif defined:
+        elif cfg.N > 0 or cfg.m > cfg.k:
             out += self.verify_varphi_system()
         if cfg.k == 0:
-            if defined:
+            if cfg.m >= 1:
                 out += self.verify_phi_chain()
             for n in rows:
                 out.append(self.kzero_psi_oracle(n))

@@ -76,22 +76,18 @@ from .functionals import (
 from .qcalc import QParams, normalized_derivative, normalized_derivative_set
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class TTRRCoeffs:
     """Recurrence coefficient tables beta_0.. and gamma_1.. ."""
 
-    __slots__ = ("beta", "gamma")
+    beta: tuple
+    gamma: tuple
 
-    def __init__(self, beta, gamma):
-        beta = tuple(beta)
-        gamma = tuple(gamma)
-        for i, g in enumerate(gamma):
-            if g == 0:
-                raise RegularityViolation(f"gamma_{i + 1} = 0")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TTRRCoeffs is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "beta", tuple(self.beta))
+        object.__setattr__(self, "gamma", tuple(self.gamma))
+        if 0 in self.gamma:
+            raise RegularityViolation(f"gamma_{self.gamma.index(0) + 1} = 0")
 
     @property
     def n_max(self) -> int:
@@ -690,58 +686,6 @@ def _compare_ttrr(identity: str, lhs: TTRRCoeffs, beta, gamma,
     return VerifyReport(identity, "holds", n_max)
 
 
-def _scaled(spec: FamilySpec, extra_scale) -> FamilySpec:
-    """Compose an outer map x -> extra_scale**n * P_n(x / extra_scale)."""
-    return dataclasses.replace(spec, scale=spec.scale * extra_scale)
-
-
-def _identity_specs(name: str, p: dict, qp: QParams):
-    """LHS/RHS family specs for each displayed reduction identity."""
-    q = qp.q
-    a, b, c, d = (p.get(k) for k in ("a", "b", "c", "d"))
-    if name in ("l-as-j-via-b", "l-as-j-via-a"):
-        via = b if name == "l-as-j-via-b" else a
-        return (FamilySpec("L", (a, b, c), q),
-                FamilySpec("J", (a * b / c, c / via, via, 0 * q), q))
-    if name == "asc-roundtrip":
-        rhs = classical("al-salam-carlitz", (a / b,), qp)
-        return FamilySpec("L", (a, b, 0 * q), q), _scaled(rhs, b)
-    if name == "big-q-laguerre-roundtrip":
-        rhs = classical("big-q-laguerre", (c / a, c / b), qp)
-        return FamilySpec("L", (a, b, c), q), _scaled(rhs, a * b / (c * q))
-    if name == "little-q-laguerre-roundtrip-a0":
-        rhs = classical("little-q-laguerre", (c / b,), qp)
-        return FamilySpec("L", (0 * q, b, c), q), _scaled(rhs, b)
-    if name == "little-q-laguerre-roundtrip-b0":
-        rhs = classical("little-q-laguerre", (c / a,), qp)
-        return FamilySpec("L", (a, 0 * q, c), q), _scaled(rhs, a)
-    if name == "l-type-roundtrip":
-        rhs = classical("l-type", (-c,), qp)
-        return FamilySpec("L", (0 * q, 0 * q, c), q), rhs
-    if name == "j-as-l-d0":
-        return (FamilySpec("J", (a, b, c, 0 * q), q),
-                FamilySpec("L", (a * b, c, b * c), q))
-    if name == "big-q-jacobi-roundtrip":
-        rhs = classical("big-q-jacobi", (b, d / b, c / a), qp)
-        return FamilySpec("J", (a, b, c, d), q), _scaled(rhs, a / q)
-    if name == "little-q-jacobi-roundtrip-a0":
-        rhs = classical("little-q-jacobi", (b, d / b), qp)
-        return FamilySpec("J", (0 * q, b, c, d), q), _scaled(rhs, c)
-    if name == "little-q-jacobi-roundtrip-b0":
-        rhs = classical("little-q-jacobi", (a * d / c, c / a), qp)
-        return FamilySpec("J", (a, 0 * q, c, d), q), _scaled(rhs, c)
-    if name == "little-q-jacobi-roundtrip-c0":
-        rhs = classical("little-q-jacobi", (d / b, b), qp)
-        return FamilySpec("J", (a, b, 0 * q, d), q), _scaled(rhs, a * b)
-    if name == "q-bessel-roundtrip":
-        rhs = classical("q-bessel", (-d * q,), qp)
-        return FamilySpec("J", (0 * q, 0 * q, c, d), q), _scaled(rhs, c)
-    if name == "j-type-roundtrip":
-        rhs = classical("j-type", (q * d, a), qp)
-        return FamilySpec("J", (a, 0 * q, 0 * q, d), q), _scaled(rhs, 1 / q)
-    raise DomainError(f"unknown reduction identity {name!r}")
-
-
 def _limit_data(j_pairs, base, n_max: int):
     """beta_0..beta_(n_max-1) and gamma_1..gamma_(n_max-1) of a J-family
     whose parameters are (num, den) pairs of polynomials in t over Z (a
@@ -760,24 +704,89 @@ def _limit_data(j_pairs, base, n_max: int):
             [limit_at_zero(num, den) for num, den in gamma])
 
 
-REDUCTION_IDENTITIES = (
-    "l-as-j-via-b",
-    "l-as-j-via-a",
-    "l00c-limit",
-    "la10-limit",
-    "asc-roundtrip",
-    "big-q-laguerre-roundtrip",
-    "little-q-laguerre-roundtrip-a0",
-    "little-q-laguerre-roundtrip-b0",
-    "l-type-roundtrip",
-    "j-as-l-d0",
-    "big-q-jacobi-roundtrip",
-    "little-q-jacobi-roundtrip-a0",
-    "little-q-jacobi-roundtrip-b0",
-    "little-q-jacobi-roundtrip-c0",
-    "q-bessel-roundtrip",
-    "j-type-roundtrip",
-)
+def _scaled(spec: FamilySpec, extra_scale) -> FamilySpec:
+    """Compose an outer map x -> extra_scale**n * P_n(x / extra_scale)."""
+    return dataclasses.replace(spec, scale=spec.scale * extra_scale)
+
+
+_T = Poly([0, 1])  # t over Z: int coefficients keep the limits off Fraction
+
+
+def _over_t(x):
+    """x / t as a (num, den) pair of polynomials in t over Z."""
+    xn, xd = num_den(x)
+    return xn, xd * _T
+
+
+# name -> (the parameters it divides by, its builder).  A builder takes
+# (a, b, c, d, q, qp) to (lhs, rhs): lhs is a FamilySpec, and rhs one too,
+# or, for a limit, the J parameters as (num, den) pairs in Z[t] that
+# :func:`_limit_data` sends to t = 0.
+_REDUCTIONS = {
+    "l-as-j-via-b": ("bc", lambda a, b, c, d, q, qp: (
+        FamilySpec("L", (a, b, c), q),
+        FamilySpec("J", (a * b / c, c / b, b, 0 * q), q))),
+    "l-as-j-via-a": ("ac", lambda a, b, c, d, q, qp: (
+        FamilySpec("L", (a, b, c), q),
+        FamilySpec("J", (a * b / c, c / a, a, 0 * q), q))),
+    "l00c-limit": ("c", lambda a, b, c, d, q, qp: (
+        FamilySpec("L", (0 * q, 0 * q, c), q),
+        ((0, 1), _over_t(c), (_T, 1), (0, 1)))),
+    "la10-limit": ("", lambda a, b, c, d, q, qp: (
+        FamilySpec("L", (a, q ** 0, 0 * q), q),
+        (_over_t(a), (_T, 1), (1, 1), (0, 1)))),
+    "asc-roundtrip": ("b", lambda a, b, c, d, q, qp: (
+        FamilySpec("L", (a, b, 0 * q), q),
+        _scaled(classical("al-salam-carlitz", (a / b,), qp), b))),
+    "big-q-laguerre-roundtrip": ("ab", lambda a, b, c, d, q, qp: (
+        FamilySpec("L", (a, b, c), q),
+        _scaled(classical("big-q-laguerre", (c / a, c / b), qp),
+                a * b / (c * q)))),
+    "little-q-laguerre-roundtrip-a0": ("b", lambda a, b, c, d, q, qp: (
+        FamilySpec("L", (0 * q, b, c), q),
+        _scaled(classical("little-q-laguerre", (c / b,), qp), b))),
+    "little-q-laguerre-roundtrip-b0": ("a", lambda a, b, c, d, q, qp: (
+        FamilySpec("L", (a, 0 * q, c), q),
+        _scaled(classical("little-q-laguerre", (c / a,), qp), a))),
+    "l-type-roundtrip": ("", lambda a, b, c, d, q, qp: (
+        FamilySpec("L", (0 * q, 0 * q, c), q),
+        classical("l-type", (-c,), qp))),
+    "j-as-l-d0": ("", lambda a, b, c, d, q, qp: (
+        FamilySpec("J", (a, b, c, 0 * q), q),
+        FamilySpec("L", (a * b, c, b * c), q))),
+    "big-q-jacobi-roundtrip": ("ab", lambda a, b, c, d, q, qp: (
+        FamilySpec("J", (a, b, c, d), q),
+        _scaled(classical("big-q-jacobi", (b, d / b, c / a), qp), a / q))),
+    "little-q-jacobi-roundtrip-a0": ("b", lambda a, b, c, d, q, qp: (
+        FamilySpec("J", (0 * q, b, c, d), q),
+        _scaled(classical("little-q-jacobi", (b, d / b), qp), c))),
+    "little-q-jacobi-roundtrip-b0": ("ac", lambda a, b, c, d, q, qp: (
+        FamilySpec("J", (a, 0 * q, c, d), q),
+        _scaled(classical("little-q-jacobi", (a * d / c, c / a), qp), c))),
+    "little-q-jacobi-roundtrip-c0": ("b", lambda a, b, c, d, q, qp: (
+        FamilySpec("J", (a, b, 0 * q, d), q),
+        _scaled(classical("little-q-jacobi", (d / b, b), qp), a * b))),
+    "q-bessel-roundtrip": ("", lambda a, b, c, d, q, qp: (
+        FamilySpec("J", (0 * q, 0 * q, c, d), q),
+        _scaled(classical("q-bessel", (-d * q,), qp), c))),
+    "j-type-roundtrip": ("", lambda a, b, c, d, q, qp: (
+        FamilySpec("J", (a, 0 * q, 0 * q, d), q),
+        _scaled(classical("j-type", (q * d, a), qp), 1 / q))),
+}
+REDUCTION_IDENTITIES = tuple(_REDUCTIONS)
+
+
+def _identity_specs(name: str, p: dict, qp: QParams):
+    """(lhs, rhs) of one displayed reduction identity (:data:`_REDUCTIONS`)
+    at the parameters ``p``; a parameter the map divides by must be
+    non-zero."""
+    if name not in _REDUCTIONS:
+        raise DomainError(f"unknown reduction identity {name!r}")
+    divisors, build = _REDUCTIONS[name]
+    for k in divisors:
+        if p.get(k) == 0:
+            raise DomainError(f"{name} requires {k} != 0")
+    return build(*(p.get(k) for k in "abcd"), qp.q, qp)
 
 
 def check_reduction(name: str, params: dict, qp: QParams,
@@ -792,22 +801,9 @@ def check_reduction(name: str, params: dict, qp: QParams,
     (:func:`_limit_data`).  The tests check the same limits over the field
     Q(t) as an oracle.
     """
-    q = qp.q
-    t = Poly([0, 1])
-    if name == "l00c-limit":
-        c = params["c"]
-        if c == 0:
-            raise DomainError("l00c-limit requires c != 0")
-        lhs = FamilySpec("L", (0 * q, 0 * q, c), q).ttrr(n_max)
-        cn, cd = num_den(c)
-        rhs = _limit_data(((0, 1), (cn, cd * t), (t, 1), (0, 1)), q, n_max)
-        return _compare_ttrr(name, lhs, *rhs, n_max)
-    if name == "la10-limit":
-        a = params["a"]
-        lhs = FamilySpec("L", (a, q ** 0, 0 * q), q).ttrr(n_max)
-        an, ad = num_den(a)
-        rhs = _limit_data(((an, ad * t), (t, 1), (1, 1), (0, 1)), q, n_max)
-        return _compare_ttrr(name, lhs, *rhs, n_max)
-    lhs_spec, rhs_spec = _identity_specs(name, params, qp)
-    lhs, rhs = lhs_spec.ttrr(n_max), rhs_spec.ttrr(n_max)
-    return _compare_ttrr(name, lhs, rhs.beta, rhs.gamma, n_max)
+    lhs, rhs = _identity_specs(name, params, qp)
+    lhs = lhs.ttrr(n_max)
+    if isinstance(rhs, FamilySpec):
+        rhs = rhs.ttrr(n_max)
+        return _compare_ttrr(name, lhs, rhs.beta, rhs.gamma, n_max)
+    return _compare_ttrr(name, lhs, *_limit_data(rhs, qp.q, n_max), n_max)

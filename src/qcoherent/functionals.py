@@ -80,19 +80,16 @@ from .errors import (
 from .qcalc import QParams, leibniz_coeffs, q_falling
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class MomentFunctional:
     """Moments m_0 .. m_K of a linear functional, m_i = <u, x**i>."""
 
-    __slots__ = ("moments",)
+    moments: tuple
 
-    def __init__(self, moments):
-        moments = tuple(moments)
-        if not moments:
+    def __post_init__(self):
+        object.__setattr__(self, "moments", tuple(self.moments))
+        if not self.moments:
             raise DomainError("a moment functional needs at least m_0")
-        object.__setattr__(self, "moments", moments)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MomentFunctional is immutable")
 
     @property
     def order(self) -> int:
@@ -100,14 +97,6 @@ class MomentFunctional:
 
     def is_zero(self) -> bool:
         return all(m == 0 for m in self.moments)
-
-    def __eq__(self, other):
-        if isinstance(other, MomentFunctional):
-            return self.moments == other.moments
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.moments)
 
     def __add__(self, other):
         if not isinstance(other, MomentFunctional):

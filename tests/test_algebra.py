@@ -332,3 +332,10 @@ def test_poly_serialization_round_trip():
     p = Poly([F(-5), F(1)])
     assert p.to_strings() == ["-5/1", "1/1"]
     assert Poly.from_strings(p.to_strings()) == p
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), Poly()])
+def test_division_by_zero_is_a_domain_error(zero):
+    for p in (Poly([1]), Poly([Fraction(1, 2), 3]), Poly()):
+        with pytest.raises(DomainError, match="polynomial division by zero"):
+            p / zero

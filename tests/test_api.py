@@ -1,11 +1,27 @@
 """Names that other code reaches by string (the public API and the
-benchmark tracer's targets), and no name that nothing reaches."""
+benchmark tracer's targets), no name that nothing reaches, and the value
+types' contract: immutable, and a MomentFunctional equal by its moments."""
 import ast
+import dataclasses
 import importlib
+import inspect
 import tokenize
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import qcoherent
+from qcoherent.algebra import Poly, RatFunc
+from qcoherent.classify import case_i_instance, classify_self_coherent
+from qcoherent.coherence import DeterminantSystem
+from qcoherent.families import CoherenceConfig, FamilySpec, TTRRCoeffs
+from qcoherent.functionals import (
+    MomentFunctional,
+    SemiclassicalWitness,
+    VerifyReport,
+)
+from qcoherent.qcalc import QParams
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(qcoherent.__file__).resolve().parent
@@ -135,3 +151,66 @@ def test_every_definition_is_reached_from_src():
                 continue
             unreached.add(name)
     assert not unreached, sorted(unreached)
+
+
+def _value_samples() -> list:
+    """One instance of every value type of the library."""
+    qp = QParams(Fraction(1, 2), Fraction(0))
+    return [
+        Poly([1, 2]),
+        RatFunc(Poly([1, 2]), Poly([3, 1])),
+        qp,
+        TTRRCoeffs([Fraction(1), Fraction(2)], [Fraction(3)]),
+        FamilySpec("L", (Fraction(2), Fraction(3), Fraction(0)), qp.q),
+        CoherenceConfig(1, 0, 0, Poly.one()),
+        MomentFunctional([Fraction(1), Fraction(2)]),
+        VerifyReport("identity", "holds"),
+        SemiclassicalWitness(Poly.one(), Poly.x()),
+        DeterminantSystem(Poly.one(), ()),
+        case_i_instance(qp, 2, 3),
+        classify_self_coherent(Poly.one(), Fraction(5), Fraction(-3), qp, 4),
+    ]
+
+
+def test_value_samples_cover_every_dataclass():
+    # a value type added to the library is added to the samples too
+    dataclasses_in_src = {
+        obj for path in SRC.glob("*.py")
+        for _, obj in inspect.getmembers(
+            importlib.import_module(f"qcoherent.{path.stem}"),
+            inspect.isclass)
+        if dataclasses.is_dataclass(obj) and obj.__module__.startswith(
+            "qcoherent.")}
+    assert dataclasses_in_src <= {type(v) for v in _value_samples()}
+
+
+@pytest.mark.parametrize("value", _value_samples(),
+                         ids=lambda v: type(v).__name__)
+def test_value_types_are_immutable(value):
+    names = (dataclasses.fields(value) if dataclasses.is_dataclass(value)
+             else type(value).__slots__)
+    for name in (getattr(f, "name", f) for f in names):
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    # a name that is no field is refused too; on Python 3.11 a frozen
+    # dataclass with slots refuses it with TypeError
+    with pytest.raises((AttributeError, TypeError)):
+        value.added = 1
+    assert not hasattr(value, "added")
+
+
+def test_moment_functionals_equal_by_moments():
+    u = MomentFunctional([Fraction(1), Fraction(1, 2)])
+    v = MomentFunctional((Fraction(1), Fraction(1, 2)))
+    assert u == v and hash(u) == hash(v) and u is not v
+    assert u != MomentFunctional([Fraction(1)]) and u != u.moments
+
+
+@pytest.mark.parametrize("cls", [TTRRCoeffs, MomentFunctional])
+def test_slotted_value_types_have_no_dict(cls):
+    value = next(v for v in _value_samples() if type(v) is cls)
+    assert not hasattr(value, "__dict__")

@@ -819,3 +819,19 @@ def test_pipelines_at_random_parameter_points():
         assert pair.verify_functional_equation(2).ok
         assert pair.kzero_phi_oracle(2).ok
         assert all(r.ok for r in pair.verify_phi_chain())
+
+
+def test_order_zero_chain_is_skipped_and_refused():
+    # (m, k) = (0, 0) with N = 1: the chain has big_phi_0 only, and its
+    # witness for u needs big_phi_1
+    pair = CoherencePair.self_coherent(
+        FamilySpec("L", (F(2), F(3), F(0)), F(1, 2)),
+        CoherenceConfig(0, 0, 1, Poly.x()), QParams(F(1, 2), F(0)), 20, 0)
+    assert len(pair.phi_chain()) == 1
+    reports = pair.verify(0)
+    assert [r.identity for r in reports] == [
+        "banded structure relation", "coherence-equation-low[n=0]",
+        "xi-system", "direct-differencing oracle[n=0]",
+        "phi-expansion oracle[n=0]"]
+    with pytest.raises(DomainError, match="m >= 1"):
+        pair.verify_phi_chain()

@@ -762,6 +762,41 @@ def test_limit_identities_over_qt(name, params):
     assert report.ok, report.to_json()
 
 
+# each map's divisors: a zero one is refused before any division
+DIVISORS = {
+    "l-as-j-via-b": "bc",
+    "l-as-j-via-a": "ac",
+    "l00c-limit": "c",
+    "asc-roundtrip": "b",
+    "big-q-laguerre-roundtrip": "ab",
+    "little-q-laguerre-roundtrip-a0": "b",
+    "little-q-laguerre-roundtrip-b0": "a",
+    "big-q-jacobi-roundtrip": "ab",
+    "little-q-jacobi-roundtrip-a0": "b",
+    "little-q-jacobi-roundtrip-b0": "ac",
+    "little-q-jacobi-roundtrip-c0": "b",
+}
+
+
+@pytest.mark.parametrize("name,key", [(name, key) for name in DIVISORS
+                                      for key in DIVISORS[name]])
+def test_zero_divisor_is_a_domain_error(name, key):
+    params = {**FIXED_PARAMS, key: F(0)}
+    with pytest.raises(DomainError, match=f"^{name} requires {key} != 0$"):
+        check_reduction(name, params, QP, n_max=4)
+
+
+@pytest.mark.parametrize("name", REDUCTION_IDENTITIES)
+def test_zero_parameter_never_divides_by_zero(name):
+    # any single zero parameter, at every n: a report or a library error
+    for key in "abcd":
+        for n_max in (0, 1, 4):
+            try:
+                check_reduction(name, {**FIXED_PARAMS, key: F(0)}, QP, n_max)
+            except QCoherentError:
+                pass
+
+
 def test_reduction_failure_reports_first_mismatch():
     # compare two genuinely different families through the report machinery
     from qcoherent.families import _compare_ttrr
@@ -808,6 +843,28 @@ def test_holding_limit_identity_takes_no_gcd(name, params, monkeypatch):
     report = check_reduction(name, params, QP, n_max=10)
     assert report.ok, report.to_json()
     assert calls == []
+
+
+@pytest.mark.parametrize("name,params", [
+    ("l00c-limit", {"c": F(-5, 4)}),
+    ("la10-limit", {"a": F(2)}),
+])
+def test_limit_pairs_are_over_z(name, params, monkeypatch):
+    # each J parameter of a limit is a pair of ints or of polynomials in t
+    # with int coefficients, so the closed forms run on ints
+    seen = []
+    real_limit_data = families._limit_data
+
+    def spy(j_pairs, base, n_max):
+        seen.extend(x for pair in j_pairs for x in pair)
+        return real_limit_data(j_pairs, base, n_max)
+
+    monkeypatch.setattr(families, "_limit_data", spy)
+    assert check_reduction(name, params, QP, n_max=4).ok
+    assert len(seen) == 8
+    for x in seen:
+        coeffs = x.coeffs if isinstance(x, Poly) else (x,)
+        assert all(type(c) is int for c in coeffs), seen
 
 
 def _as_ratfunc(p) -> RatFunc:

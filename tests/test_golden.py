@@ -4,8 +4,9 @@ Hahn operator's frame at w != 0, for `classify` at w != 0 on every explicit
 branch, the implicit fallback, the csv form and an engine refusal, for
 `verify structure` at w != 0 with a non-constant pivot and at q = 3/2 to
 n = 20, for `moments` at orders 5 and 0, for the two limiting reductions
-(at 3 points to n = 10, and at 4 points to n = 20 at seed 11) and three J
-round trips, for three `gen` refusals whose error class and message are
+(at 3 points to n = 10, at 4 points to n = 20 at seed 11, and at n = 0)
+and every other identity at 3 points to n = 10, for the refusal of an
+unknown identity, which lists the identities in order, for three `gen` refusals whose error class and message are
 part of the contract, for `verify leibniz` at the `calculus` workload's
 seed-0 argv and at powers up to n = 7, above the workload's n <= 4, and for
 `verify coherence` on cases II, IIIb, IIIb-bessel (at w != 0) and
@@ -168,6 +169,49 @@ GOLDEN = {
     "reduction-j-type": (
         _reduction("j-type-roundtrip"),
         "3d733b0e2361d98d0ffb452a6031c0018ea2ff02360b2cf641188280b1c0decd"),
+    # every other round trip onto a classical label, and the two L-J maps
+    "reduction-l-as-j-via-a": (
+        _reduction("l-as-j-via-a"),
+        "0fb86e289a8df27a54437b0952bad215e51d265bff944000a53f65a1a22b39a6"),
+    "reduction-asc": (
+        _reduction("asc-roundtrip"),
+        "e63fc41edf7317ef8d2e5299edad80b3dec6b07e3895af3650f3d8b555517c32"),
+    "reduction-big-q-laguerre": (
+        _reduction("big-q-laguerre-roundtrip"),
+        "f9c2e10486d3441f5ab64d92ce3777e2d476072d6fd1dc27c0c4ecf4bea5c80a"),
+    "reduction-little-q-laguerre-a0": (
+        _reduction("little-q-laguerre-roundtrip-a0"),
+        "62d8db69aa33148d33f580da0fcbc8745579fc622a576131b96f67d3767b8c20"),
+    "reduction-little-q-laguerre-b0": (
+        _reduction("little-q-laguerre-roundtrip-b0"),
+        "a71ae61b10d1232ac1edfc157b645c392498671f37be8e9ad607c27e8717348a"),
+    "reduction-l-type": (
+        _reduction("l-type-roundtrip"),
+        "695e787d7d37054f058a374ac33a026a4a3cb93939787da611093584026255c4"),
+    "reduction-j-as-l-d0": (
+        _reduction("j-as-l-d0"),
+        "c0af6ddfcb204845fb95394a0d47002c1858ca58d18c51629e26ce676c462d3e"),
+    "reduction-little-q-jacobi-a0": (
+        _reduction("little-q-jacobi-roundtrip-a0"),
+        "aeb42337b9d0b0af6b834f7ae6270a2fee107963ca131054ce4bd9a7259b8dba"),
+    "reduction-little-q-jacobi-b0": (
+        _reduction("little-q-jacobi-roundtrip-b0"),
+        "2d9f40df5c8c72c3146ff529b833ab344fad634c395c5d6648e65aa9b29a3268"),
+    "reduction-little-q-jacobi-c0": (
+        _reduction("little-q-jacobi-roundtrip-c0"),
+        "fd5c82dc00a02e8df1d5176727930f2d7355bdab7500429b7e573a90aaebca69"),
+    # exit 2: the refusal lists every identity, in the order of the table
+    "reduction-unknown": (
+        ["verify", "reduction", "--identity", "no-such-map"],
+        "84f27f0ea21c255275798d358adbe5dd5d5e177d2bff572f1dfd404db5a99d02"),
+    # n = 0: the limits compare no coefficient, and the J closed forms are
+    # evaluated at n_max = -1
+    "reduction-l00c-limit-n0": (
+        ["verify", "reduction", "--identity", "l00c-limit", "--n", "0"],
+        "82539ee97541c1a083c7a569f9c6f184f4d1d8884a40b313e3fbee735d044259"),
+    "reduction-la10-limit-n0": (
+        ["verify", "reduction", "--identity", "la10-limit", "--n", "0"],
+        "ac94194fca889d4486fd6b905cd4d3485fb02cf967233eb36c59144161207559"),
     # normalized differences of orders 1 and 2 at |q| > 1 over 21 rows; both
     # tables fail to be banded (exit 1), and every c_(n,j) is printed
     "structure-q32-m1": (
