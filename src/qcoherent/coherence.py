@@ -170,9 +170,20 @@ class CoherencePair:
 
     def _entry(self, name: str, n: int, j: int, size: int, build) -> Poly:
         """Entry j of row n of a table, each row built whole and memoised."""
+        if n < 0:
+            raise IndexOutOfRange(f"{name} row {n} is negative")
         if not 0 <= j < size:
             raise IndexOutOfRange(f"{name} column {j} outside 0..{size - 1}")
         return self._once((name, n), lambda: build(n))[j]
+
+    def _q_at(self, n: int) -> Poly:
+        """Q_n of the sequence the pair generated to its table's depth."""
+        if n < 0:
+            raise IndexOutOfRange(f"Q_{n} has a negative index")
+        if n >= len(self.q):
+            raise MissingData(f"Q_{n} lies past the generated "
+                              f"Q_0..Q_{len(self.q) - 1}")
+        return self.q[n]
 
     def phi(self, n: int, j: int) -> Poly:
         """Coefficient of the j-th backward derivative of v (0 <= j <= N).
@@ -188,6 +199,7 @@ class CoherencePair:
     def _phi_row(self, n: int) -> list:
         cfg, qp = self.config, self.qp
         inv, top = qp.inverse, cfg.k + cfg.N
+        q_nk = self._q_at(n + cfg.k)
         rows, den = q_falling(*num_den(qp.q), cfg.k, n + 1)
         scale = ((-qp.q) ** cfg.k * over_den(rows[cfg.k][n], den)
                  / self.v_norms[n + cfg.k])
@@ -197,7 +209,7 @@ class CoherencePair:
         for ell in range(cfg.N + 1):
             a_l = a[top - ell] * scale
             for j, b in enumerate(
-                    leibniz_coeffs(self.q[n + cfg.k], cfg.N - ell, inv)):
+                    leibniz_coeffs(q_nk, cfg.N - ell, inv)):
                 row[j] = row[j] + a_l * b
         for j, total in enumerate(row):
             if total.degree != cfg.k + n + j:
@@ -511,7 +523,8 @@ class CoherencePair:
         if self.config.k != 0:
             raise DomainError("oracle applies to k = 0 only")
         lhs = self.dprime(
-            self._times(self.q[n] * self.config.pi, self.v), self.config.m)
+            self._times(self._q_at(n) * self.config.pi, self.v),
+            self.config.m)
         rhs = self._times(self.psi(n), self.u) * self.v_norms[n]
         return _report(f"direct-differencing oracle[n={n}]", lhs, rhs)
 
@@ -524,7 +537,7 @@ class CoherencePair:
         # for m = N this difference is kzero_psi_oracle's; not shared, so
         # that each oracle stays a computation of its own
         lhs = self.dprime(
-            self._times(cfg.pi * self.q[n], self.v),
+            self._times(cfg.pi * self._q_at(n), self.v),
             cfg.N) * (1 / self.v_norms[n])
         rhs = self._phi_side(n)
         return _report(f"phi-expansion oracle[n={n}]", lhs, rhs)
@@ -541,6 +554,8 @@ class CoherencePair:
         The varphi system is defined when N > 0 or m > k; the chain's
         witnesses need big_phi_1, so it runs when m >= 1.
         """
+        if depth < 0:
+            raise DomainError(f"depth must be >= 0, got {depth}")
         cfg, table = self.config, self.table
         rows = range(min(4, depth) + 1)
         out = [VerifyReport("banded structure relation",

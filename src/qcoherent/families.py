@@ -128,8 +128,7 @@ def ttrr_generate(coeffs: TTRRCoeffs, n_max: int) -> list[Poly]:
     """Monic P_0 .. P_{n_max} from the three-term recurrence, each held as
     numerators over one int denominator (:func:`num_den`), divided by its
     content over Q and made scalars once, at the end."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
+    _validate_depth(n_max)
     rows, over_q = [([1], 1)], True
     for n in range(n_max):
         (cur, den), (bn, bd) = rows[-1], num_den(coeffs.beta_at(n))
@@ -163,6 +162,11 @@ def squared_norms(coeffs: TTRRCoeffs, n_max: int) -> list:
 def _validate_base(base):
     if base == 0 or base == 1 or base == -1:
         raise DomainError(f"family base must avoid {{0, 1, -1}}, got {base}")
+
+
+def _validate_depth(n_max: int):
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
 
 
 def l_coeffs(a, b, c, base, n_max: int) -> TTRRCoeffs:
@@ -200,6 +204,7 @@ def _l_closed_forms(s, p, c, base, n_max: int, named=()) -> TTRRCoeffs:
     with k = cd qd**(n+1).  Each ``(name, xn, xd)`` of ``named`` is first
     checked against x = c*base**n, n = 1..n_max, on the same table.
     """
+    _validate_depth(n_max)
     _validate_base(base)
     (sn, sd), (pn, pd), (cn, cd), (qn, qd) = s, p, num_den(c), num_den(base)
     qn_pw = [qn ** j for j in range(n_max + 2)]
@@ -287,6 +292,7 @@ def _j_closed_forms(pairs, base, n_max: int):
 def j_coeffs(a, b, c, d, base, n_max: int) -> TTRRCoeffs:
     """J-family recurrence coefficients at the given base: the closed forms
     of :func:`_j_closed_forms`, each pair made one scalar."""
+    _validate_depth(n_max)
     pairs = [num_den(x) for x in (a, b, c, d)]
     beta, gamma = _j_closed_forms(pairs, base, n_max)
     return TTRRCoeffs([over_den(*pair) for pair in beta],
@@ -384,7 +390,7 @@ class FamilySpec:
         recurrence from c_0 = 1 (:func:`_pearson_walk`), and one Taylor
         shift, none at offset 0, takes the result to x.
         """
-        self.ttrr(order // 2)
+        self.ttrr(max(order, 0) // 2)  # the walk refuses order < 0
         return self._walk_moments(order)
 
     def _walk_moments(self, order: int) -> MomentFunctional:
@@ -406,6 +412,9 @@ class FamilySpec:
 
     @staticmethod
     def from_json(data) -> "FamilySpec":
+        for key in ("kind", "params", "base"):
+            if key not in data:
+                raise DomainError(f"a family spec needs the key {key!r}")
         return FamilySpec(kind=data["kind"],
                           params=tuple(rat(p) for p in data["params"]),
                           base=rat(data["base"]),
@@ -673,8 +682,7 @@ def _compare_ttrr(identity: str, lhs: TTRRCoeffs, beta, gamma,
 
     so only then are P_0..P_n generated, to name the lowest differing power.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
+    _validate_depth(n_max)
     for n in range(n_max):
         if beta[n] != lhs.beta[n] or (n and gamma[n - 1] != lhs.gamma[n - 1]):
             polys = ttrr_generate(lhs, n)
@@ -718,58 +726,58 @@ def _over_t(x):
     return xn, xd * _T
 
 
-# name -> (the parameters it divides by, its builder).  A builder takes
-# (a, b, c, d, q, qp) to (lhs, rhs): lhs is a FamilySpec, and rhs one too,
-# or, for a limit, the J parameters as (num, den) pairs in Z[t] that
-# :func:`_limit_data` sends to t = 0.
+# name -> (the parameters it reads, those it divides by, its builder).  A
+# builder takes (a, b, c, d, q, qp) to (lhs, rhs): lhs is a FamilySpec, and
+# rhs one too, or, for a limit, the J parameters as (num, den) pairs in
+# Z[t] that :func:`_limit_data` sends to t = 0.
 _REDUCTIONS = {
-    "l-as-j-via-b": ("bc", lambda a, b, c, d, q, qp: (
+    "l-as-j-via-b": ("abc", "bc", lambda a, b, c, d, q, qp: (
         FamilySpec("L", (a, b, c), q),
         FamilySpec("J", (a * b / c, c / b, b, 0 * q), q))),
-    "l-as-j-via-a": ("ac", lambda a, b, c, d, q, qp: (
+    "l-as-j-via-a": ("abc", "ac", lambda a, b, c, d, q, qp: (
         FamilySpec("L", (a, b, c), q),
         FamilySpec("J", (a * b / c, c / a, a, 0 * q), q))),
-    "l00c-limit": ("c", lambda a, b, c, d, q, qp: (
+    "l00c-limit": ("c", "c", lambda a, b, c, d, q, qp: (
         FamilySpec("L", (0 * q, 0 * q, c), q),
         ((0, 1), _over_t(c), (_T, 1), (0, 1)))),
-    "la10-limit": ("", lambda a, b, c, d, q, qp: (
+    "la10-limit": ("a", "", lambda a, b, c, d, q, qp: (
         FamilySpec("L", (a, q ** 0, 0 * q), q),
         (_over_t(a), (_T, 1), (1, 1), (0, 1)))),
-    "asc-roundtrip": ("b", lambda a, b, c, d, q, qp: (
+    "asc-roundtrip": ("ab", "b", lambda a, b, c, d, q, qp: (
         FamilySpec("L", (a, b, 0 * q), q),
         _scaled(classical("al-salam-carlitz", (a / b,), qp), b))),
-    "big-q-laguerre-roundtrip": ("ab", lambda a, b, c, d, q, qp: (
+    "big-q-laguerre-roundtrip": ("abc", "ab", lambda a, b, c, d, q, qp: (
         FamilySpec("L", (a, b, c), q),
         _scaled(classical("big-q-laguerre", (c / a, c / b), qp),
                 a * b / (c * q)))),
-    "little-q-laguerre-roundtrip-a0": ("b", lambda a, b, c, d, q, qp: (
+    "little-q-laguerre-roundtrip-a0": ("bc", "b", lambda a, b, c, d, q, qp: (
         FamilySpec("L", (0 * q, b, c), q),
         _scaled(classical("little-q-laguerre", (c / b,), qp), b))),
-    "little-q-laguerre-roundtrip-b0": ("a", lambda a, b, c, d, q, qp: (
+    "little-q-laguerre-roundtrip-b0": ("ac", "a", lambda a, b, c, d, q, qp: (
         FamilySpec("L", (a, 0 * q, c), q),
         _scaled(classical("little-q-laguerre", (c / a,), qp), a))),
-    "l-type-roundtrip": ("", lambda a, b, c, d, q, qp: (
+    "l-type-roundtrip": ("c", "", lambda a, b, c, d, q, qp: (
         FamilySpec("L", (0 * q, 0 * q, c), q),
         classical("l-type", (-c,), qp))),
-    "j-as-l-d0": ("", lambda a, b, c, d, q, qp: (
+    "j-as-l-d0": ("abc", "", lambda a, b, c, d, q, qp: (
         FamilySpec("J", (a, b, c, 0 * q), q),
         FamilySpec("L", (a * b, c, b * c), q))),
-    "big-q-jacobi-roundtrip": ("ab", lambda a, b, c, d, q, qp: (
+    "big-q-jacobi-roundtrip": ("abcd", "ab", lambda a, b, c, d, q, qp: (
         FamilySpec("J", (a, b, c, d), q),
         _scaled(classical("big-q-jacobi", (b, d / b, c / a), qp), a / q))),
-    "little-q-jacobi-roundtrip-a0": ("b", lambda a, b, c, d, q, qp: (
+    "little-q-jacobi-roundtrip-a0": ("bcd", "b", lambda a, b, c, d, q, qp: (
         FamilySpec("J", (0 * q, b, c, d), q),
         _scaled(classical("little-q-jacobi", (b, d / b), qp), c))),
-    "little-q-jacobi-roundtrip-b0": ("ac", lambda a, b, c, d, q, qp: (
+    "little-q-jacobi-roundtrip-b0": ("acd", "ac", lambda a, b, c, d, q, qp: (
         FamilySpec("J", (a, 0 * q, c, d), q),
         _scaled(classical("little-q-jacobi", (a * d / c, c / a), qp), c))),
-    "little-q-jacobi-roundtrip-c0": ("b", lambda a, b, c, d, q, qp: (
+    "little-q-jacobi-roundtrip-c0": ("abd", "b", lambda a, b, c, d, q, qp: (
         FamilySpec("J", (a, b, 0 * q, d), q),
         _scaled(classical("little-q-jacobi", (d / b, b), qp), a * b))),
-    "q-bessel-roundtrip": ("", lambda a, b, c, d, q, qp: (
+    "q-bessel-roundtrip": ("cd", "", lambda a, b, c, d, q, qp: (
         FamilySpec("J", (0 * q, 0 * q, c, d), q),
         _scaled(classical("q-bessel", (-d * q,), qp), c))),
-    "j-type-roundtrip": ("", lambda a, b, c, d, q, qp: (
+    "j-type-roundtrip": ("ad", "", lambda a, b, c, d, q, qp: (
         FamilySpec("J", (a, 0 * q, 0 * q, d), q),
         _scaled(classical("j-type", (q * d, a), qp), 1 / q))),
 }
@@ -778,11 +786,14 @@ REDUCTION_IDENTITIES = tuple(_REDUCTIONS)
 
 def _identity_specs(name: str, p: dict, qp: QParams):
     """(lhs, rhs) of one displayed reduction identity (:data:`_REDUCTIONS`)
-    at the parameters ``p``; a parameter the map divides by must be
-    non-zero."""
+    at the parameters ``p``; each parameter the map reads must be given,
+    and each it divides by must be non-zero."""
     if name not in _REDUCTIONS:
         raise DomainError(f"unknown reduction identity {name!r}")
-    divisors, build = _REDUCTIONS[name]
+    reads, divisors, build = _REDUCTIONS[name]
+    for k in reads:
+        if p.get(k) is None:
+            raise DomainError(f"{name} requires the parameter {k}")
     for k in divisors:
         if p.get(k) == 0:
             raise DomainError(f"{name} requires {k} != 0")

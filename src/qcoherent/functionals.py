@@ -45,17 +45,26 @@ equation D(phi u) = psi u, deg phi <= 2, deg psi = 1, which on the centred
 moments is a three-term recurrence in the moments themselves, walked from
 c_0 = 1 with no other seed.
 
+A functional is held in the form it was made in (:class:`MomentFunctional`):
+its moments, as a Pearson walk, a parse or a caller gives them, or its
+parts, numerators over one denominator, as FLINT's ``fmpq_poly`` holds a
+polynomial (over Q: int numerators over one positive int den with no
+common factor).  The other form is made on first use and kept.  Every
+operator that derives a functional reads parts and returns parts, so over
+Q a chain of operators is integer arithmetic with one content gcd per
+result and no Fraction per moment.  Only ``moments``, ``to_json``,
+:func:`act`, ``repr``, ``+``, ``-``, :func:`functional_shift` (no hot
+path) and the Taylor shifts at w != 0 read the moments.
+
 Every sum of products sum_k f_k w_k of polynomials and functionals runs
-through one kernel, :func:`_combination`, on the functionals' moments held
-as numerators over one common denominator, as FLINT's ``fmpq_poly`` does:
-each f_k is brought to one denominator too, and over Q each output moment
-is then an integer dot product of numerators, normalised once.  Left
-multiplication is the kernel on one term.  :func:`dual_rows` gives the
-numerator table of D**k u for k = 0..n, u centred and converted once; the
-Leibniz expansion is the kernel on that table, and so are the products and
-sums of a coherent pair.  A scalar of any other field (Q(t)) is its own
-numerator over 1, so one code path serves every field; moments and
-coefficients stay as they are given.
+through one kernel, :func:`_combination`: each f_k is brought to one
+denominator too, and each output moment is then a dot product of
+numerators.  Left multiplication is the kernel on one term, and D**n
+scales each numerator by one int (:func:`_dual_scales`).
+:func:`dual_rows` gives the numerator table of D**k u for k = 0..n, u
+centred once; the Leibniz expansion is the kernel on that table, and so
+are the products and sums of a coherent pair.  A scalar of any other field
+(Q(t)) is its own numerator over 1, so one code path serves every field.
 """
 from __future__ import annotations
 
@@ -80,23 +89,85 @@ from .errors import (
 from .qcalc import QParams, leibniz_coeffs, q_falling
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class MomentFunctional:
-    """Moments m_0 .. m_K of a linear functional, m_i = <u, x**i>."""
+    """Moments m_0 .. m_K of a linear functional, m_i = <u, x**i>.
 
-    moments: tuple
+    A functional is held in the form it was made in: its ``moments`` as
+    given (a Pearson walk, a parse, a list), or its ``parts``, numerators
+    over one denominator, as the operators below make it.  The other form
+    is made on first use and kept.  Equality and hash are those of the
+    moments, whatever the form.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "moments", tuple(self.moments))
-        if not self.moments:
+    __slots__ = ("_moments", "_parts")
+
+    def __init__(self, moments):
+        moments = tuple(moments)
+        if not moments:
             raise DomainError("a moment functional needs at least m_0")
+        object.__setattr__(self, "_moments", moments)
+        object.__setattr__(self, "_parts", None)
+
+    @classmethod
+    def _of_parts(cls, nums, den) -> "MomentFunctional":
+        """The functional with moments nums[i] / den, held as parts.  Over
+        Q both are divided by their content gcd, signed so that den > 0."""
+        if type(den) is int and all(type(n) is int for n in nums):
+            g = math.gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums, den = [n // g for n in nums], den // g
+        u = object.__new__(cls)
+        object.__setattr__(u, "_moments", None)
+        object.__setattr__(u, "_parts", (tuple(nums), den))
+        return u
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("MomentFunctional is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def moments(self) -> tuple:
+        """m_0 .. m_K as given, or made from the parts once, on first
+        read: one Fraction per moment over Q."""
+        if self._moments is None:
+            nums, den = self._parts
+            object.__setattr__(self, "_moments",
+                               tuple(over_den(n, den) for n in nums))
+        return self._moments
+
+    @property
+    def parts(self) -> tuple:
+        """(nums, den) with m_i = nums[i] / den: over Q int numerators over
+        one positive int den with no common factor; a scalar of any other
+        field (Q(t)) is its own numerator."""
+        if self._parts is None:
+            nums, den = _over_common_den(self._moments)
+            object.__setattr__(self, "_parts", (tuple(nums), den))
+        return self._parts
+
+    def _held(self) -> tuple:
+        """The moments or the numerators, whichever is held: either is zero
+        exactly where a moment is."""
+        return self._moments if self._parts is None else self._parts[0]
 
     @property
     def order(self) -> int:
-        return len(self.moments) - 1
+        return len(self._held()) - 1
 
     def is_zero(self) -> bool:
-        return all(m == 0 for m in self.moments)
+        return all(m == 0 for m in self._held())
+
+    def __eq__(self, other):
+        if not isinstance(other, MomentFunctional):
+            return NotImplemented
+        return (self.order == other.order
+                and _first_difference(self, other, self.order) is None)
+
+    def __hash__(self):
+        return hash(self.moments)
 
     def __add__(self, other):
         if not isinstance(other, MomentFunctional):
@@ -105,10 +176,14 @@ class MomentFunctional:
             [a + b for a, b in zip(self.moments, other.moments)])
 
     def __sub__(self, other):
-        return self + other * -1
+        if not isinstance(other, MomentFunctional):
+            return NotImplemented
+        return MomentFunctional(
+            [a - b for a, b in zip(self.moments, other.moments)])
 
     def __mul__(self, scalar):
-        return MomentFunctional([m * scalar for m in self.moments])
+        (nums, den), (sn, sd) = self.parts, num_den(scalar)
+        return MomentFunctional._of_parts([n * sn for n in nums], den * sd)
 
     __rmul__ = __mul__
 
@@ -123,6 +198,8 @@ class MomentFunctional:
 
     @staticmethod
     def from_json(data) -> "MomentFunctional":
+        if "moments" not in data:
+            raise DomainError("a moment functional needs the key 'moments'")
         u = MomentFunctional([rat(s) for s in data["moments"]])
         if data.get("order") not in (None, u.order):
             raise DomainError("order field disagrees with moment count")
@@ -160,9 +237,9 @@ def _combination(polys, rows, den) -> MomentFunctional:
     The output order is the least order(w_k) - deg polys[k] over the
     non-zero terms, or the order of the last w_k read when every term
     vanishes.  Each polynomial is brought to one denominator and scaled to
-    the lcm of them, so over Q each output moment is a sum of integer dot
-    products, divided once.  A polynomial of degree above its functional's
-    order is refused.
+    the lcm of them, so over Q each output numerator is a sum of integer
+    dot products; the result is held as parts, reduced by one content gcd.
+    A polynomial of degree above its functional's order is refused.
     """
     if len(polys) > len(rows):
         raise InternalInconsistency("more polynomials than functionals")
@@ -179,24 +256,24 @@ def _combination(polys, rows, den) -> MomentFunctional:
         fd = math.lcm(fd, gd)
     parts = [([(i, c * (fd // gd)) for i, c in enumerate(g) if c != 0], m)
              for g, gd, m in parts]
-    return MomentFunctional(
-        [over_den(sum(c * m[n + i] for nz, m in parts for i, c in nz),
-                  fd * den) for n in range(order + 1)])
+    return MomentFunctional._of_parts(
+        [sum(c * m[n + i] for nz, m in parts for i, c in nz)
+         for n in range(order + 1)], fd * den)
 
 
 def left_mult(f: Poly, u: MomentFunctional) -> MomentFunctional:
     """Moments of f*u, defined by <f u, x**n> = <u, f(x) x**n>.
 
     The output order drops by deg f.  A zero polynomial annihilates; the
-    result keeps the input order.  A constant scales u.  Otherwise f and u
-    are brought to one denominator each, and each output is one dot product
-    of numerators over f's non-zero coefficients (integer arithmetic over
-    Q), divided once by the product of the denominators
+    result keeps the input order.  A constant scales u.  Otherwise f is
+    brought to one denominator, and each output numerator is one dot
+    product with u's numerators over f's non-zero coefficients (integer
+    arithmetic over Q), over the product of the denominators
     (:func:`_combination`).
     """
     if f.degree == 0:
         return u * f.coeffs[0]
-    m, md = _over_common_den(u.moments)
+    m, md = u.parts
     return _combination([f], [m], md)
 
 
@@ -226,6 +303,20 @@ def _from_y(moments, qp: QParams) -> MomentFunctional:
     """The functional whose moments against y**n, y = x - w0, are given."""
     return MomentFunctional(
         moments if qp.omega == 0 else _taylor_shift(moments, qp.omega0))
+
+
+def _centred_parts(u: MomentFunctional, qp: QParams):
+    """The parts of u's moments against y**n, y = x - w0: u's own at
+    w = 0, else those of one Taylor shift of its moments."""
+    if qp.omega == 0:
+        return u.parts
+    return _over_common_den(_taylor_shift(u.moments, -qp.omega0))
+
+
+def _uncentred(w: MomentFunctional, qp: QParams) -> MomentFunctional:
+    """The functional whose moments against y**n are w's: w itself at
+    w = 0."""
+    return w if qp.omega == 0 else _from_y(w.moments, qp)
 
 
 def functional_diff(u: MomentFunctional, qp: QParams) -> MomentFunctional:
@@ -258,10 +349,9 @@ def _dual_scales(n: int, size: int, q):
 def dual_rows(u: MomentFunctional, n: int, qp: QParams):
     """(rows, den): rows[k] holds the numerators, over the one ``den``, of
     the moments of D[q,w]**k u against y**j, y = x - w0, for k = 0..n and
-    j = 0..order(u) + k.  u is centred and brought to one denominator once,
-    then scaled by :func:`_dual_scales`; the moments 0..k-1 of D**k u
-    vanish."""
-    cn, cd = _over_common_den(_to_y(u.moments, qp))
+    j = 0..order(u) + k.  u's parts, centred once at w != 0, are scaled by
+    :func:`_dual_scales`; the moments 0..k-1 of D**k u vanish."""
+    cn, cd = _centred_parts(u, qp)
     scales, den = _dual_scales(n, len(cn), qp.q)
     return [[cn[0] * 0] * k + [s * c for s, c in zip(row, cn)]
             for k, row in enumerate(scales)], den * cd
@@ -269,15 +359,16 @@ def dual_rows(u: MomentFunctional, n: int, qp: QParams):
 
 def functional_diff_n(u: MomentFunctional, n: int, qp: QParams) -> MomentFunctional:
     """The n-fold induced difference D[q,w]**n u; output order grows by n.
-    One scalar per moment in the centred basis (:func:`_dual_scales`)."""
+    One int per numerator in the centred basis (:func:`_dual_scales`), the
+    result held as parts."""
     if n <= 0:
         if n < 0:
             raise DomainError(f"difference order must be >= 0, got {n}")
         return u
-    c = [num_den(x) for x in _to_y(u.moments, qp)]
+    c, cd = _centred_parts(u, qp)
     rows, den = _dual_scales(n, len(c), qp.q)
-    return _from_y([over_den(c[0][0] * 0, 1)] * n + [
-        over_den(s * cn, den * cd) for s, (cn, cd) in zip(rows[n], c)], qp)
+    return _uncentred(MomentFunctional._of_parts(
+        [c[0] * 0] * n + [s * x for s, x in zip(rows[n], c)], den * cd), qp)
 
 
 def functional_shift(u: MomentFunctional, qp: QParams) -> MomentFunctional:
@@ -301,19 +392,26 @@ def leibniz_expansion(f: Poly, u: MomentFunctional, n: int,
     rows, den = dual_rows(u, n, qp)
     polys = leibniz_coeffs(affine_substitute(f, 1, qp.omega0), n,
                            QParams(qp.q, 0))
-    return _from_y(_combination(polys, rows, den).moments, qp)
+    return _uncentred(_combination(polys, rows, den), qp)
 
 
 def functional_agree(u: MomentFunctional, v: MomentFunctional):
-    """Compare moments on the jointly valid range.
+    """Compare moments on the jointly valid range, on the parts.
 
     Returns (ok, first_failure_index_or_None, order_checked).
     """
     k = min(u.order, v.order)
-    for i in range(k + 1):
-        if u.moments[i] != v.moments[i]:
-            return False, i, k
-    return True, None, k
+    i = _first_difference(u, v, k)
+    return i is None, i, k
+
+
+def _first_difference(u: MomentFunctional, v: MomentFunctional, k: int):
+    """The least i <= k with m_i(u) != m_i(v), or None, read on the parts:
+    a_i / ad = b_i / bd exactly when a_i bd = b_i ad."""
+    (a, ad), (b, bd) = u.parts, v.parts
+    if ad == bd:
+        return next((i for i in range(k + 1) if a[i] != b[i]), None)
+    return next((i for i in range(k + 1) if a[i] * bd != b[i] * ad), None)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Each is a direct computation kept from an earlier form of the library, or
 a check that no command needs: the q-bracket in closed form, the
 q-factorials and q-binomials by the bracket recurrence [j+1] = 1 +
 base*[j], the steps t_j of the dual difference by the same recurrence,
-the Pearson companion of a pair, the dual basis of a simple set by a
+the operators on moment functionals with one scalar per moment, the
+Pearson companion of a pair, the dual basis of a simple set by a
 triangular solve, the Hankel regularity test, the (pi, beta_0, gamma_1) a
 classifier reads off a case instance, and the Pearson engine on a pair
 given in x.  Production forms every q-factorial ratio from one table
@@ -15,7 +16,12 @@ from fractions import Fraction
 
 from qcoherent.algebra import Poly, affine_substitute, det_bareiss
 from qcoherent.classify import pearson_ttrr
-from qcoherent.errors import DomainError, NotSimpleSet
+from qcoherent.errors import (
+    DomainError,
+    InternalInconsistency,
+    NotSimpleSet,
+    OrderExceeded,
+)
 from qcoherent.functionals import MomentFunctional
 from qcoherent.qcalc import QParams
 
@@ -59,6 +65,41 @@ def dual_steps(base, count: int) -> list:
         out.append(t)
         t = p * (1 + t)  # p [j+1] = p (1 + p [j])
     return out
+
+
+def scalar_combination(polys, functionals) -> list:
+    """Moments of sum_k polys[k] w_k, w_k given by its moments
+    ``functionals[k]``, one field dot product per output moment: the form
+    of every functional operator while a functional held its moments only.
+    A zero polynomial drops its term, and when every term drops the order
+    is that of the last w_k read; a degree above its functional's order,
+    or more polynomials than functionals, is refused."""
+    if len(polys) > len(functionals):
+        raise InternalInconsistency("more polynomials than functionals")
+    terms = [(f, w) for f, w in zip(polys, functionals) if not f.is_zero()]
+    for f, w in terms:
+        if f.degree >= len(w):
+            raise OrderExceeded(f"cannot multiply by degree {f.degree} at "
+                                f"order {len(w) - 1}")
+    order = min((len(w) - 1 - f.degree for f, w in terms),
+                default=len(functionals[len(polys) - 1]) - 1)
+    return [sum((c * w[n + i] for f, w in terms
+                 for i, c in enumerate(f.coeffs)), Fraction(0))
+            for n in range(order + 1)]
+
+
+def scalar_diff_n(moments, n: int, base) -> list:
+    """Moments of D_(base,0)**n u from those of u, one scalar per moment:
+    <D**n u, y**j> = (-1/base)**n ([j]!/[j-n]!)_(1/base) c_(j-n)."""
+    f = q_factorials(len(moments) + n - 1, 1 / base)
+    scale = (-1 / base) ** n
+    return [moments[0] * 0] * n + [scale * f[i + n] / f[i] * c
+                                   for i, c in enumerate(moments)]
+
+
+def scalar_first_difference(a, b):
+    """The least i with a[i] != b[i] on the common range, or None."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
 def phi_hat(phi: Poly, psi: Poly, qp: QParams) -> Poly:

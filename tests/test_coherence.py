@@ -21,6 +21,7 @@ from qcoherent.errors import (
     IndexOutOfRange,
     InternalInconsistency,
     MissingCoefficient,
+    MissingData,
 )
 from qcoherent.families import CoherenceConfig, FamilySpec, structure_coeffs
 from qcoherent.functionals import _taylor_shift, functional_agree, left_mult
@@ -710,6 +711,48 @@ def test_pipeline_differences_u_and_v_once_per_order(label, monkeypatch):
     pair.verify(6)
     assert tables == Counter({id(pair.u), id(pair.v)}), tables
     assert differenced and not any(differenced)
+
+
+@pytest.mark.parametrize("label", CASE_LABELS)
+def test_pipeline_makes_no_scalar_per_moment(label, monkeypatch):
+    # over Q every functional the pipeline derives stays numerators over
+    # one denominator: _combination, functional_diff_n and functional_agree
+    # make no Fraction per moment, and no moments are read at all
+    import qcoherent.functionals as functionals_module
+
+    _, pair = sample_case_instance(random.Random(f"parts-{label}"), label,
+                                   order=24, depth=6)
+    callers, real_over_den = [], functionals_module.over_den
+
+    def over_den_spy(num, den):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_over_den(num, den)
+
+    monkeypatch.setattr(functionals_module, "over_den", over_den_spy)
+    assert pair.verify(6)
+    assert callers == []
+
+
+def test_pair_indices_outside_the_tables_are_library_errors():
+    # a case I pair built to depth 2 generates Q_0..Q_4
+    pair = CoherencePair.self_coherent(
+        FamilySpec("L", (2, 3, 0), F(1, 2)),
+        CoherenceConfig(1, 0, 0, Poly.one()), QParams(F(1, 2), 0), 20, 2)
+    with pytest.raises(IndexOutOfRange, match="phi row -1 is negative"):
+        pair.phi(-1, 0)
+    with pytest.raises(IndexOutOfRange, match="varphi row -1 is negative"):
+        pair.varphi(-1, 0)
+    with pytest.raises(IndexOutOfRange, match="Q_-1 has a negative index"):
+        pair.kzero_psi_oracle(-1)
+    for read in (lambda: pair.phi(50, 0), lambda: pair.varphi(50, 0),
+                 lambda: pair.kzero_psi_oracle(50),
+                 lambda: pair.kzero_phi_oracle(50)):
+        with pytest.raises(MissingData, match="Q_50 lies past the generated "
+                                              "Q_0..Q_4"):
+            read()
+    with pytest.raises(DomainError, match="depth must be >= 0, got -1"):
+        pair.verify(-1)
+    assert pair.verify(0)
 
 
 def test_pair_sums_refuse_more_polynomials_than_differences(pair_ii):

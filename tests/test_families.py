@@ -941,6 +941,58 @@ def test_family_spec_serialization_round_trip():
     assert FamilySpec.from_json(data) == spec
 
 
+@pytest.mark.parametrize("key", ["kind", "params", "base"])
+def test_family_spec_from_json_names_a_missing_key(key):
+    data = FamilySpec("L", (F(2), F(3), F(0)), QP.q).to_json()
+    del data[key]
+    with pytest.raises(DomainError, match=f"needs the key '{key}'"):
+        FamilySpec.from_json(data)
+
+
+# the parameters each identity reads
+READS = {
+    "l-as-j-via-b": "abc", "l-as-j-via-a": "abc", "l00c-limit": "c",
+    "la10-limit": "a", "asc-roundtrip": "ab",
+    "big-q-laguerre-roundtrip": "abc",
+    "little-q-laguerre-roundtrip-a0": "bc",
+    "little-q-laguerre-roundtrip-b0": "ac", "l-type-roundtrip": "c",
+    "j-as-l-d0": "abc", "big-q-jacobi-roundtrip": "abcd",
+    "little-q-jacobi-roundtrip-a0": "bcd",
+    "little-q-jacobi-roundtrip-b0": "acd",
+    "little-q-jacobi-roundtrip-c0": "abd", "q-bessel-roundtrip": "cd",
+    "j-type-roundtrip": "ad",
+}
+
+
+@pytest.mark.parametrize("name", REDUCTION_IDENTITIES)
+def test_missing_parameter_is_a_domain_error(name):
+    # the parameters an identity reads are enough, and each is needed
+    reads = READS[name]
+    given = {k: FIXED_PARAMS[k] for k in reads}
+    assert (check_reduction(name, given, QP, n_max=4).to_json()
+            == check_reduction(name, FIXED_PARAMS, QP, n_max=4).to_json())
+    for key in reads:
+        params = {k: v for k, v in FIXED_PARAMS.items() if k != key}
+        with pytest.raises(DomainError,
+                           match=f"^{name} requires the parameter {key}$"):
+            check_reduction(name, params, QP, n_max=4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: l_coeffs(F(2), F(3), F(1, 5), QP.q, n),
+    lambda n: l_coeffs_symmetric(F(5), F(6), F(1, 5), QP.q, n),
+    lambda n: j_coeffs(F(2), F(3, 2), F(-5, 4), F(1, 3), QP.q, n),
+    lambda n: FamilySpec("L", (F(2), F(3), F(0)), QP.q).ttrr(n),
+    lambda n: FamilySpec("J", (F(2), F(3, 2), F(-5, 4), F(1, 3)),
+                         QP.q).ttrr(n),
+], ids=["l_coeffs", "l_coeffs_symmetric", "j_coeffs", "ttrr-L", "ttrr-J"])
+def test_negative_depth_is_a_domain_error(build):
+    assert build(0).n_max == 0
+    for n_max in (-1, -3):
+        with pytest.raises(DomainError, match="^n_max must be >= 0$"):
+            build(n_max)
+
+
 def test_bracket_matches_structure_scaling():
     # D P_{n+1} = [n+1] P_n for the zero-offset master family with c = 0
     from qcoherent.qcalc import hahn_diff

@@ -71,9 +71,14 @@ centres = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 def test_moment_functional_holds_moments_only():
-    # moments against x**i and nothing else: no centre, no change of basis
-    assert MomentFunctional.__slots__ == ("moments",)
-    assert not hasattr(MomentFunctional([F(1)]), "at")
+    # moments against x**i and nothing else: no centre, no change of basis.
+    # The two slots are two forms of those moments, the moments themselves
+    # and their numerators over one denominator
+    assert MomentFunctional.__slots__ == ("_moments", "_parts")
+    u = MomentFunctional([F(1), F(-1, 2), F(2, 3)])
+    assert not hasattr(u, "at")
+    assert u.parts == ((6, -3, 4), 6)
+    assert MomentFunctional._of_parts(*u.parts).moments == u.moments
 
 
 @settings(derandomize=True, database=None)
@@ -445,6 +450,34 @@ def test_serialization_round_trip():
     data = u.to_json()
     assert data == {"moments": ["1/1", "-3/7"], "order": 1}
     assert MomentFunctional.from_json(data) == u
+
+
+def test_from_json_names_a_missing_key():
+    for data in ({}, {"order": 1}):
+        with pytest.raises(DomainError, match="needs the key 'moments'"):
+            MomentFunctional.from_json(data)
+
+
+def test_moment_functionals_equal_by_moments_in_either_form():
+    # parts are brought to lowest terms with a positive denominator, and a
+    # functional equals and hashes as the one made from its moments
+    u = MomentFunctional([F(1), F(-1, 2), F(2, 3)])
+    v = MomentFunctional._of_parts([-12, 6, -8], -12)
+    assert v.parts == ((6, -3, 4), 6) and v._moments is None
+    assert u == v and v == u and hash(u) == hash(v)
+    assert v.moments == u.moments and v.order == u.order == 2
+    assert u != MomentFunctional._of_parts([6, -3, 5], 6)
+    assert u != MomentFunctional._of_parts([6, -3], 6)
+    assert v != MomentFunctional._of_parts([6, -3, 4, 0], 6)
+    zero = MomentFunctional._of_parts([0, 0], 35)
+    assert zero.parts == ((0, 0), 1) and zero.is_zero()
+    assert zero == MomentFunctional([0, F(0)]) and zero._moments is None
+    # ints are numerators over 1; the other form is made once and kept
+    w = MomentFunctional([1, 2])
+    assert w.parts == ((1, 2), 1)
+    assert w == MomentFunctional._of_parts([3, 6], 3)
+    assert (v * F(3, 2)).parts == ((6, -3, 4), 4)
+    assert v.moments is v.moments and w.parts is w.parts
 
 
 def test_pearson_witness_of_zero_pivot_family():

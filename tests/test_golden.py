@@ -13,7 +13,8 @@ seed-0 argv and at powers up to n = 7, above the workload's n <= 4, and for
 IIIb-rzero at order 30 and depth 4, whose products and phi sides come from
 one numerator table per functional, and for `moments`, `verify coherence`
 and `verify structure` at negative q, where the q-factorial table has
-negative parts.
+negative parts.  One more digest pins ``tools/cli_digest.py`` at seed 0:
+the output of all 38 benchmark command lines of the three workloads.
 
 A digest changes only when a command's output or exit code does; to
 regenerate one after an intended change of output, print
@@ -27,6 +28,9 @@ import inspect
 import io
 import json
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +328,18 @@ def _digest(argv) -> str:
 def test_golden_output(name):
     argv, digest = GOLDEN[name]
     assert _digest(argv) == digest
+
+
+def test_cli_digest_tool_at_seed_0():
+    # tools/cli_digest.py hashes every benchmark command line's output as
+    # _digest does one, in one SHA-256; at seed 0 the 38 lines of the three
+    # workloads
+    tool = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
+    done = subprocess.run([sys.executable, str(tool), "--seeds", "0"],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == (
+        "75ef78a60f12e11124c943a09c361f8e2e179c0b198e63006994c8fa99b2f419"
+        "  38 command lines, seeds 0\n")
 
 
 def test_one_parser_serves_every_main_call(monkeypatch):

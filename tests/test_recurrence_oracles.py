@@ -17,6 +17,7 @@ value one scalar; values, error classes and error messages must agree
 exactly.  A closed-form (num, den) pair is compared by its value, not its
 parts, which depend on the representation.
 """
+import math
 import random
 from fractions import Fraction
 
@@ -54,8 +55,10 @@ from qcoherent.functionals import (
     MomentFunctional,
     _combination,
     _from_y,
+    _taylor_shift,
     _to_y,
     dual_rows,
+    functional_agree,
     functional_diff_n,
     left_mult,
     leibniz_expansion,
@@ -70,7 +73,15 @@ from qcoherent.qcalc import (
 )
 from qcoherent.sampling import sample_q
 
-from oracles import dual_steps, q_binom_row, q_bracket, q_factorials
+from oracles import (
+    dual_steps,
+    q_binom_row,
+    q_bracket,
+    q_factorials,
+    scalar_combination,
+    scalar_diff_n,
+    scalar_first_difference,
+)
 
 F = Fraction
 
@@ -730,3 +741,92 @@ def test_combination_matches_the_term_by_term_sum(polys, moments, q, w):
     assert expansion == expected
     if isinstance(expansion, MomentFunctional):
         assert expansion.order == expected.order
+
+
+# -- a functional held as its moments or as its parts -------------------------
+
+def in_form(moments, form, k):
+    """The functional with these moments, made from them (``moments``), or
+    from its parts with numerators and denominator times k (``parts``),
+    which the constructor brings to lowest terms over Q."""
+    u = MomentFunctional(moments)
+    if form == "moments":
+        return u
+    nums, den = u.parts
+    return MomentFunctional._of_parts([x * k for x in nums], den * k)
+
+
+def scalar_fields():
+    """FIELDS and the field of fractions Q(t) of sympy, when installed."""
+    fields = dict(FIELDS)
+    try:
+        import sympy
+    except ImportError:
+        return fields
+    _, t = sympy.field("t", sympy.QQ)
+    fields["sympy Q(t)"] = st.builds(lambda a, b: a + t * b, small, small)
+    return fields
+
+
+SCALAR_FIELDS = scalar_fields()
+
+
+def same_functional(got, expected):
+    """got is a functional with exactly the moments ``expected``, or both
+    are the same refusal."""
+    if isinstance(got, MomentFunctional):
+        assert got.order == len(expected) - 1
+        assert got.moments == tuple(expected)
+        assert got == MomentFunctional(expected)
+        if all(type(m) is Fraction for m in expected):
+            nums, den = got.parts  # lowest terms over Q
+            assert den > 0 and math.gcd(den, *nums) == 1
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("form", ["moments", "parts"])
+@pytest.mark.parametrize("field", sorted(SCALAR_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(-6, 6).filter(bool),
+       q=negative_or_sampled, w=nonzero_small)
+def test_functional_operators_match_one_scalar_per_moment(form, field, data,
+                                                          k, q, w):
+    # each operator on a functional in either form against the same
+    # operator with one scalar per moment (oracles.py): left_mult, the
+    # scalar product, D**n at w = 0 and w != 0, a sum of products on one
+    # numerator table, agreement, is_zero, equality and hash
+    scalar = SCALAR_FIELDS[field]
+    moments = data.draw(st.lists(scalar, min_size=1, max_size=8))
+    u = in_form(moments, form, k)
+    assert u == MomentFunctional(moments) and hash(u) == hash(
+        MomentFunctional(moments))
+    assert u.order == len(moments) - 1 and u.moments == tuple(moments)
+    assert u.is_zero() == all(m == 0 for m in moments)
+    polys_in = st.one_of(st.just(Poly()), st.lists(
+        scalar, min_size=1, max_size=4).map(poly_of))
+    f = data.draw(polys_in)
+    same_functional(outcome(left_mult, f, u),
+                    outcome(scalar_combination, [f], [moments]))
+    s = data.draw(scalar)
+    same_functional(u * s, [m * s for m in moments])
+    n = data.draw(st.integers(0, 3))
+    diffs = [scalar_diff_n(moments, j, q) for j in range(n + 1)]
+    same_functional(functional_diff_n(u, n, QParams(q, F(0))), diffs[n])
+    if field == "Q":
+        centred = _taylor_shift(moments, -w / (1 - q))
+        same_functional(functional_diff_n(u, n, QParams(q, w)), _taylor_shift(
+            scalar_diff_n(centred, n, q), w / (1 - q)))
+    polys = data.draw(st.lists(polys_in, min_size=1, max_size=n + 1))
+    rows, den = dual_rows(u, n, QParams(q, F(0)))
+    same_functional(outcome(_combination, polys, rows, den),
+                    outcome(scalar_combination, polys, diffs))
+    other = list(moments)
+    i = data.draw(st.integers(0, len(moments) - 1))
+    other[i] = other[i] + data.draw(scalar)
+    other += data.draw(st.lists(scalar, max_size=2))
+    v = in_form(other, data.draw(st.sampled_from(["moments", "parts"])), -k)
+    first = scalar_first_difference(moments, other)
+    assert functional_agree(u, v) == (first is None, first,
+                                      min(u.order, v.order))
+    assert (u == v) == (first is None and len(other) == len(moments))
