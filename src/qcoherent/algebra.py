@@ -10,12 +10,27 @@ Two scalar types are used:
 
 :class:`Poly` is a dense univariate polynomial over any exact field, such
 as Q, Q(t) or rational functions in one of the paper's parameters; all
-higher modules are generic over the scalars.  A :class:`Poly` with int
-coefficients is a polynomial over Z and stays one under ``+ - *``:
-one-parameter limiting identities evaluate their closed forms as
-numerator/denominator pairs in Z[t] and take the limit at ``t = 0``
-exactly by valuation (:func:`limit_at_zero`).  Every value is immutable
-and every operation is pure and exact.
+higher modules are generic over the scalars.  A polynomial is held in one
+of two forms, the one it was made in, and the other is made on first use
+and kept:
+
+* its coefficients as given (a parse, a literal, a caller's list);
+* its parts, numerators over one denominator, as FLINT's ``fmpq_poly``
+  holds a polynomial (W. Hart, ICMS 2010): over Q, int numerators over one
+  positive int den with no common factor.  Scalars are split by
+  :func:`num_den`, so a scalar of any other field is its own numerator
+  over 1 and runs the same code.
+
+Every operation reads the parts and returns parts, so over Q ``+ - *``,
+division and the Taylor shift (:func:`affine_substitute`) are integer
+arithmetic with one content gcd per result and no Fraction per
+coefficient.  A :class:`Poly` with int coefficients is a polynomial over
+Z: its coefficients are its numerators over 1, held in both slots, and it
+stays one under ``+ - *`` and int scalars.  One-parameter limiting
+identities evaluate their closed forms as numerator/denominator pairs in
+Z[t] and take the limit at ``t = 0`` exactly by valuation
+(:func:`limit_at_zero`).  Every value is immutable and every operation is
+pure and exact.
 """
 from __future__ import annotations
 
@@ -63,7 +78,29 @@ def over_den(num, den):
     from two ints, else the quotient in the field of the other operand."""
     if isinstance(num, int) and isinstance(den, int):
         return Fraction(num, den)
-    return num / den
+    return num if den == 1 else num / den
+
+
+def lowest_terms(nums, den):
+    """(nums, den) as a tuple and a den with the same quotients: over Q
+    both divided by their content gcd and signed so that den > 0; a
+    numerator outside Q has no content, and a den outside Q is divided
+    into the numerators, leaving 1."""
+    if type(den) is not int:
+        return tuple(n / den for n in nums), 1
+    g = 1
+    if den != 1:
+        try:
+            g = math.gcd(den, *nums)
+        except TypeError:  # a numerator outside Q
+            pass
+        if den < 0:
+            g = -g
+    if g == 1:
+        return tuple(nums), den
+    if g == -1:
+        return tuple(-n for n in nums), -den
+    return tuple(n // g for n in nums), den // g
 
 
 def sqrt_fraction(x: Fraction):
@@ -80,28 +117,84 @@ def sqrt_fraction(x: Fraction):
 class Poly:
     """Dense univariate polynomial; ``coeffs[i]`` multiplies ``x**i``.
 
-    The zero polynomial has an empty coefficient tuple and degree -1;
-    otherwise the last coefficient is non-zero.  Coefficients lie in any
-    exact field whose elements mix with ints and Fractions, and every
-    operand that is not a Poly is taken as a scalar of that field.  The
-    zero scalar is int ``0`` (a coefficient past the degree, the start of
-    each sum in a product), which equals and hashes as ``Fraction(0)``
-    and adds into any field, so int coefficients stay ints under
-    ``+ - *``.
+    A polynomial is held in the form it was made in: its ``coeffs`` as
+    given, or its ``parts``, numerators over one denominator (see the
+    module docstring).  The other form is made on first use and kept.
+    Every operation reads the parts and returns parts, so equality and
+    hash do not depend on the form.
+
+    The zero polynomial has no coefficients and degree -1; otherwise the
+    last coefficient is non-zero.  Coefficients lie in any exact field
+    whose elements mix with ints and Fractions, and every operand that is
+    not a Poly is taken as a scalar of that field.  A coefficient past the
+    degree is the int ``0``, which equals and hashes as ``Fraction(0)``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs", "_parts")
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        _set_coeffs(self, tuple(coeffs))
+        _set_parts(self, None)
+
+    @staticmethod
+    def _of_parts(nums, den, ints: bool = False) -> "Poly":
+        """The polynomial with coefficients nums[i] / den, held as parts
+        in lowest terms (:func:`lowest_terms`).  ``ints`` marks a
+        polynomial over Z (den 1): its numerators are its coefficients,
+        one tuple held in both slots."""
+        k = len(nums)
+        while k and nums[k - 1] == 0:
+            k -= 1
+        if k < len(nums):
+            nums = nums[:k]
+        if den == 1 and type(den) is int:  # over Z and over Q(t): no content
+            nums = tuple(nums)
+        else:
+            nums, den = lowest_terms(nums, den)
+        p = object.__new__(Poly)
+        _set_coeffs(p, nums if ints else None)
+        _set_parts(p, (nums, den))
+        return p
 
     def __setattr__(self, name, value=None):
         raise AttributeError("Poly is immutable")
 
     __delattr__ = __setattr__
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as given, or made from the parts once, on
+        first read: one Fraction per coefficient over Q."""
+        if self._coeffs is None:
+            nums, den = self._parts
+            _set_coeffs(self, tuple(over_den(n, den) for n in nums))
+        return self._coeffs
+
+    @property
+    def parts(self) -> tuple:
+        """(nums, den) with coefficient i = nums[i] / den: over Q int
+        numerators over one positive int den with no common factor, a
+        scalar of any other field its own numerator (:func:`num_den`).
+        Over Z (every coefficient an int) they are the coefficients' own
+        tuple, over 1: that identity is how an operation tells that its
+        operands are over Z, and then its result is too."""
+        if self._parts is None:
+            c = self._coeffs
+            if all(type(x) is int for x in c):
+                parts = (c, 1)
+            else:
+                nums, den = _over_common_den(c)
+                parts = (tuple(nums), den)
+            _set_parts(self, parts)
+        return self._parts
+
+    def _held(self) -> tuple:
+        """The coefficients or the numerators, whichever is held: either
+        has one entry per power up to the degree."""
+        return self._coeffs if self._coeffs is not None else self._parts[0]
 
     @staticmethod
     def one() -> "Poly":
@@ -121,79 +214,113 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._held()) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._held()
 
     @property
     def lc(self):
         """Leading coefficient; raises on the zero polynomial."""
-        if not self.coeffs:
+        if self.is_zero():
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        nums, den = self.parts
+        return bool(nums) and nums[-1] == den
 
     def coeff(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
+        """Coefficient i, read on the form held: one scalar from the parts
+        when no coefficients are held."""
+        held = self._held()
+        if not 0 <= i < len(held):
+            return 0
+        return held[i] if held is self._coeffs else over_den(
+            held[i], self._parts[1])
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return not self.is_zero()
 
     def __eq__(self, other):
-        """Equal as polynomials.  Where the coefficient tuples differ the
-        difference decides, so that equal scalars of two types, such as
+        """Equal as polynomials, on the parts: a_i / ad = b_i / bd exactly
+        when a_i bd = b_i ad.  So equal scalars of two types, such as
         Fraction(7, 2) and 7/2 in sympy's Q(w), which compare unequal,
         make equal polynomials; two such polynomials may hash differently.
         """
-        if not isinstance(other, Poly):
-            other = Poly([other])
-        return self.coeffs == other.coeffs or (
-            len(self.coeffs) == len(other.coeffs) and (self - other).is_zero())
+        if not isinstance(other, Poly) and other == 0:
+            return self.is_zero()
+        (a, ad), (b, bd) = self.parts, _poly(other).parts
+        if len(a) != len(b):
+            return False
+        if ad == bd:
+            return a == b
+        return all(x * bd == y * ad for x, y in zip(a, b))
 
     def __hash__(self):
+        """The hash of the parts over Q, where they are in lowest terms;
+        else that of the coefficients."""
+        nums = self.parts[0]
+        if all(type(n) is int for n in nums):
+            return hash(self.parts)
         return hash(self.coeffs)
 
+    def _sum(self, other, sign: int) -> "Poly":
+        """self + sign * other over the lcm of the two dens."""
+        other = _poly(other)
+        (a, ad), (b, bd) = self.parts, other.parts
+        ints = a is self._coeffs and b is other._coeffs
+        if ad != bd:
+            g = math.gcd(ad, bd)
+            a, b, ad = _times(a, bd // g), _times(b, ad // g), ad // g * bd
+        if sign < 0:
+            b = [-y for y in b]
+        if len(a) < len(b):
+            a, b = b, a
+        nums = [x + y for x, y in zip(a, b)]
+        nums.extend(a[len(b):])
+        return _of_parts(nums, ad, ints)
+
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return self * -1
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return _poly(other)._sum(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        return Poly([c * other for c in self.coeffs])
+        a, ad = self.parts
+        if not isinstance(other, Poly):
+            if type(other) is int:  # over Z: no split, and no den to grow
+                return _of_parts([n * other for n in a], ad,
+                                 a is self._coeffs)
+            sn, sd = num_den(other)
+            return _of_parts([n * sn for n in a], ad * sd)
+        b, bd = other.parts
+        if not a or not b:
+            return Poly()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return _of_parts(out, ad * bd,
+                         a is self._coeffs and b is other._coeffs)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Poly) or other == 0:  # 0 is refused there
             return self.exact_div(other)
-        return Poly([over_den(c, other) for c in self.coeffs])
+        (nums, den), (sn, sd) = self.parts, num_den(other)
+        return _of_parts(_times(nums, sd), den * sn)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -208,26 +335,35 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly"):
-        """Euclidean division over the coefficient field."""
-        if not isinstance(other, Poly):
-            other = Poly([other])
+        """Euclidean division over the coefficient field, on the parts.
+
+        Over Q it is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1): with l
+        the divisor's leading numerator and e = deg self - deg other + 1,
+        l**e self = Q other + R in integers, every step an exact int
+        division by l; a field outside Q divides by l directly.
+        """
+        other = _poly(other)
         if other.is_zero():
             raise DomainError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlc = other.lc
-        dd = other.degree
-        if self.degree < dd:
+        (a, ad), (b, bd) = self.parts, other.parts
+        e = len(a) - len(b) + 1
+        if e <= 0:
             return Poly(), self
-        quot = [Fraction(0)] * (self.degree - dd + 1)
-        for k in range(self.degree - dd, -1, -1):
-            c = rem[dd + k]
+        lead = b[-1]
+        ints = all(type(x) is int for x in a + b)
+        scale = lead ** e if ints else 1
+        rem, quot = list(_times(a, scale)), [0] * e
+        for k in range(e - 1, -1, -1):
+            c = rem[k + len(b) - 1]
             if c == 0:
                 continue
-            c = over_den(c, dlc)
+            c = c // lead if ints else over_den(c, lead)
             quot[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[i + k] = rem[i + k] - c * b
-        return Poly(quot), Poly(rem)
+            rem[k:k + len(b)] = [r - c * y for r, y in zip(rem[k:], b)]
+        qd = rd = scale
+        if not ints:  # an int over an int numerator is a Fraction: split
+            (quot, qd), (rem, rd) = map(_over_common_den, (quot, rem))
+        return _of_parts(_times(quot, bd), qd * ad), _of_parts(rem, rd * ad)
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = divmod(self, other)
@@ -245,9 +381,9 @@ class Poly:
         return acc
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self / self.lc
+        """self / lc, on the parts: the numerators over the leading one."""
+        nums = self.parts[0]
+        return _of_parts(nums, nums[-1]) if nums else self
 
     def __repr__(self):
         if not self.coeffs:
@@ -273,12 +409,49 @@ class Poly:
         return f"Poly('{' '.join(parts)}')"
 
     def to_strings(self) -> list[str]:
-        """Serialize Fraction coefficients to "num/den" strings, index = power."""
-        return [rat_str(c) for c in self.coeffs]
+        """Rational coefficients as "num/den" strings in lowest terms, index
+        = power: one gcd per coefficient on the parts."""
+        nums, den = self.parts
+        out = []
+        for n in nums:
+            g = math.gcd(n, den)
+            out.append(f"{n // g}/{den // g}")
+        return out
 
     @staticmethod
     def from_strings(items) -> "Poly":
         return Poly([rat(s) for s in items])
+
+
+# bound once for the hot paths: the slots' own setters (Poly refuses
+# attribute assignment) and the constructor from parts
+_set_coeffs, _set_parts = Poly._coeffs.__set__, Poly._parts.__set__
+_of_parts = Poly._of_parts
+
+
+def _poly(value) -> Poly:
+    """A polynomial operand: a Poly itself, a scalar as a constant."""
+    if isinstance(value, Poly):
+        return value
+    n, d = num_den(value)
+    return _of_parts((n,), d, type(value) is int)
+
+
+def _times(nums, s):
+    """Each numerator times the scalar s; nums itself when s is 1."""
+    return nums if s == 1 else [n * s for n in nums]
+
+
+def _over_common_den(values):
+    """(numerators, den) with values[i] = numerators[i] / den.
+
+    Over Q the numerators are ints over one positive int den with no
+    common factor (each Fraction is in lowest terms); a scalar of any other
+    field (Q(t)) splits as (itself, 1).
+    """
+    pairs = [num_den(x) for x in values]
+    den = math.lcm(*(d for _, d in pairs))
+    return [n if d == den else n * (den // d) for n, d in pairs], den
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -290,24 +463,38 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def affine_substitute(p: Poly, s, t) -> Poly:
-    """Return ``p(s*x + t)``: a Taylor shift by ``t`` (repeated synthetic
-    division, O(deg**2) scalar operations), then coefficient k times s**k.
+    """Return ``p(s*x + t)``, on the parts: an integer Taylor shift.
 
-    ``s = 0`` collapses the result to the constant ``p(t)``; the identity
-    substitution returns ``p`` itself, which is immutable.
+    With p = sum a_i x**i / den of degree d, s = sn/sd, t = tn/td and
+    c = sd td, p(s x + t) = h(A x + B) / (den c**d), where h has the
+    coefficients a_i c**(d-i), A = sn td and B = tn sd.  So h is shifted by
+    B (repeated synthetic division, O(d**2) operations on ints over Q),
+    then coefficient k is multiplied by A**k.  ``s = 0`` collapses the
+    result to the constant ``p(t)``; the identity substitution returns
+    ``p`` itself, which is immutable.
     """
-    if s == 1 and t == 0:
+    if s == 1 and t == 0 or p.is_zero():
         return p
-    a = list(p.coeffs)
-    if t != 0:
-        for low in range(len(a) - 1):
-            for k in range(len(a) - 2, low - 1, -1):
-                a[k] = a[k] + t * a[k + 1]
-    if s != 1:
-        power = s ** 0
-        for k in range(len(a)):
-            a[k], power = a[k] * power, power * s
-    return Poly(a)
+    nums, den = p.parts
+    (sn, sd), (tn, td) = num_den(s), num_den(t)
+    a, c, d = list(nums), sd * td, len(nums) - 1
+    if c != 1:
+        power = c
+        for i in range(d - 1, -1, -1):
+            a[i], power = a[i] * power, power * c
+        den *= c ** d
+    shift = tn * sd
+    if shift != 0:
+        for low in range(d):
+            for k in range(d - 1, low - 1, -1):
+                a[k] += shift * a[k + 1]
+    scale = sn * td
+    if scale != 1:
+        power = scale
+        for k in range(1, d + 1):
+            a[k], power = a[k] * power, power * scale
+    return _of_parts(
+        a, den, nums is p._coeffs and type(s) is int and type(t) is int)
 
 
 class RatFunc:
@@ -375,7 +562,7 @@ class RatFunc:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):

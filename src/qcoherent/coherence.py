@@ -246,6 +246,8 @@ class CoherencePair:
         xi(x; n, j) = [k+N-m, j]_{1/q} L'**j(D'**(k+N-m-j) psi(.; n)).
         """
         extra = self.config.k + self.config.N - self.config.m
+        if extra < 0:  # at m = k+N, xi(x; n, 0) = psi(x; n)
+            raise DomainError("xi requires m <= k+N")
         return self._entry("xi", n, j, extra + 1, lambda n: leibniz_coeffs(
             self.psi(n), extra, self.qp.inverse))
 

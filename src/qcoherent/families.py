@@ -125,30 +125,29 @@ class TTRRCoeffs:
 
 
 def ttrr_generate(coeffs: TTRRCoeffs, n_max: int) -> list[Poly]:
-    """Monic P_0 .. P_{n_max} from the three-term recurrence, each held as
-    numerators over one int denominator (:func:`num_den`), divided by its
-    content over Q and made scalars once, at the end."""
+    """Monic P_0 .. P_{n_max} from the three-term recurrence, each made on
+    the parts of the two before it (:meth:`Poly.parts`: over Q int
+    numerators over one int den, in lowest terms) and held as parts."""
     _validate_depth(n_max)
-    rows, over_q = [([1], 1)], True
+    polys = [Poly._of_parts([1], 1)]
     for n in range(n_max):
-        (cur, den), (bn, bd) = rows[-1], num_den(coeffs.beta_at(n))
+        (cur, den), (bn, bd) = polys[-1].parts, num_den(coeffs.beta_at(n))
         up = cur if bd == 1 else [bd * c for c in cur]
         nxt = [-bn * cur[0], *(u - bn * c for u, c in zip(up, cur[1:])),
                up[-1]]  # the leading numerator is the denominator
-        den, over_q = bd * den, over_q and isinstance(bn, int)
+        den *= bd
         if n:
-            (low, low_den), (gn, gd) = rows[-2], num_den(coeffs.gamma_at(n))
+            (low, low_den), (gn, gd) = polys[-2].parts, num_den(
+                coeffs.gamma_at(n))
             lcm = math.lcm(den, gd * low_den)
             if lcm != den:
                 nxt = [(lcm // den) * v for v in nxt]
             g = gn * (lcm // (gd * low_den))
             for i, r in enumerate(low):
                 nxt[i] -= g * r
-            den, over_q = lcm, over_q and isinstance(gn, int)
-        content = math.gcd(*nxt) if over_q else 1
-        rows.append(([v // content for v in nxt], den // content)
-                    if content != 1 else (nxt, den))
-    return [Poly([over_den(c, den) for c in nums]) for nums, den in rows]
+            den = lcm
+        polys.append(Poly._of_parts(nxt, den))
+    return polys
 
 
 def squared_norms(coeffs: TTRRCoeffs, n_max: int) -> list:
@@ -415,6 +414,9 @@ class FamilySpec:
         for key in ("kind", "params", "base"):
             if key not in data:
                 raise DomainError(f"a family spec needs the key {key!r}")
+        if not isinstance(data["params"], list):
+            raise DomainError(f"'params' must be a JSON list, got "
+                              f"{data['params']!r}")
         return FamilySpec(kind=data["kind"],
                           params=tuple(rat(p) for p in data["params"]),
                           base=rat(data["base"]),

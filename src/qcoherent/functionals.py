@@ -57,8 +57,9 @@ result and no Fraction per moment.  Only ``moments``, ``to_json``,
 path) and the Taylor shifts at w != 0 read the moments.
 
 Every sum of products sum_k f_k w_k of polynomials and functionals runs
-through one kernel, :func:`_combination`: each f_k is brought to one
-denominator too, and each output moment is then a dot product of
+through one kernel, :func:`_combination`: each f_k's parts
+(:class:`~qcoherent.algebra.Poly` holds them too) are scaled to one
+denominator, and each output moment is then a dot product of
 numerators.  Left multiplication is the kernel on one term, and D**n
 scales each numerator by one int (:func:`_dual_scales`).
 :func:`dual_rows` gives the numerator table of D**k u for k = 0..n, u
@@ -74,7 +75,9 @@ from fractions import Fraction
 
 from .algebra import (
     Poly,
+    _over_common_den,
     affine_substitute,
+    lowest_terms,
     num_den,
     over_den,
     rat,
@@ -110,17 +113,11 @@ class MomentFunctional:
 
     @classmethod
     def _of_parts(cls, nums, den) -> "MomentFunctional":
-        """The functional with moments nums[i] / den, held as parts.  Over
-        Q both are divided by their content gcd, signed so that den > 0."""
-        if type(den) is int and all(type(n) is int for n in nums):
-            g = math.gcd(den, *nums)
-            if den < 0:
-                g = -g
-            if g != 1:
-                nums, den = [n // g for n in nums], den // g
+        """The functional with moments nums[i] / den, held as parts in
+        lowest terms (:func:`lowest_terms`)."""
         u = object.__new__(cls)
         object.__setattr__(u, "_moments", None)
-        object.__setattr__(u, "_parts", (tuple(nums), den))
+        object.__setattr__(u, "_parts", lowest_terms(nums, den))
         return u
 
     def __setattr__(self, name, value=None):
@@ -200,6 +197,9 @@ class MomentFunctional:
     def from_json(data) -> "MomentFunctional":
         if "moments" not in data:
             raise DomainError("a moment functional needs the key 'moments'")
+        if not isinstance(data["moments"], list):
+            raise DomainError(f"'moments' must be a JSON list, got "
+                              f"{data['moments']!r}")
         u = MomentFunctional([rat(s) for s in data["moments"]])
         if data.get("order") not in (None, u.order):
             raise DomainError("order field disagrees with moment count")
@@ -217,17 +217,6 @@ def act(u: MomentFunctional, f: Poly):
     return total
 
 
-def _over_common_den(values):
-    """(numerators, den) with values[i] = numerators[i] / den.
-
-    Over Q the numerators are ints over one positive int den; a scalar of
-    any other field (Q(t)) splits as (itself, 1).
-    """
-    pairs = [num_den(x) for x in values]
-    den = math.lcm(*(d for _, d in pairs))
-    return [n if d == den else n * (den // d) for n, d in pairs], den
-
-
 def _combination(polys, rows, den) -> MomentFunctional:
     """The functional sum_k polys[k] w_k, where rows[k] holds the
     numerators of w_k's moments over the one denominator ``den``.  Rows past
@@ -236,9 +225,9 @@ def _combination(polys, rows, den) -> MomentFunctional:
 
     The output order is the least order(w_k) - deg polys[k] over the
     non-zero terms, or the order of the last w_k read when every term
-    vanishes.  Each polynomial is brought to one denominator and scaled to
-    the lcm of them, so over Q each output numerator is a sum of integer
-    dot products; the result is held as parts, reduced by one content gcd.
+    vanishes.  Each polynomial's parts are scaled to the lcm of their
+    dens, so over Q each output numerator is a sum of integer dot
+    products; the result is held as parts, reduced by one content gcd.
     A polynomial of degree above its functional's order is refused.
     """
     if len(polys) > len(rows):
@@ -251,7 +240,7 @@ def _combination(polys, rows, den) -> MomentFunctional:
         if f.degree >= len(m):
             raise OrderExceeded(f"cannot multiply by degree {f.degree} at "
                                 f"order {len(m) - 1}")
-        g, gd = _over_common_den(f.coeffs)
+        g, gd = f.parts
         parts.append((g, gd, m))
         fd = math.lcm(fd, gd)
     parts = [([(i, c * (fd // gd)) for i, c in enumerate(g) if c != 0], m)
@@ -265,14 +254,11 @@ def left_mult(f: Poly, u: MomentFunctional) -> MomentFunctional:
     """Moments of f*u, defined by <f u, x**n> = <u, f(x) x**n>.
 
     The output order drops by deg f.  A zero polynomial annihilates; the
-    result keeps the input order.  A constant scales u.  Otherwise f is
-    brought to one denominator, and each output numerator is one dot
-    product with u's numerators over f's non-zero coefficients (integer
+    result keeps the input order.  Each output numerator is one dot
+    product of u's numerators with f's non-zero numerators (integer
     arithmetic over Q), over the product of the denominators
     (:func:`_combination`).
     """
-    if f.degree == 0:
-        return u * f.coeffs[0]
     m, md = u.parts
     return _combination([f], [m], md)
 

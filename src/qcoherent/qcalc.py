@@ -126,23 +126,19 @@ def _scaled_difference(f: Poly, m: int, qp: QParams, normalized: bool):
     ``normalized``.
 
     In y = x - w0, D**m y**(i+m) = ([i+m]!/[i]!) y**i, row m of
-    :func:`q_falling`: each output coefficient is one scalar made from int
-    numerators, over the table's den, or over its entry at n when
-    normalized (a scalar outside Q splits as (itself, 1), see
-    :func:`num_den`).
+    :func:`q_falling`: the centred numerators times that row, over the
+    table's den, or over its entry at n when normalized, held as parts (a
+    scalar outside Q splits as (itself, 1), see :func:`num_den`).
     """
     w0 = qp.omega0
-    c = affine_substitute(f, 1, w0).coeffs
+    c, cd = affine_substitute(f, 1, w0).parts
     n = len(c) - 1 - m
     rows, den = q_falling(*num_den(qp.q), m, n + 1)
     scale = rows[m]
     if normalized:
         den = scale[n]
-    out = []
-    for i in range(n + 1):
-        cn, cd = num_den(c[i + m])
-        out.append(over_den(cn * scale[i], cd * den))
-    return affine_substitute(Poly(out), 1, -w0)
+    return affine_substitute(Poly._of_parts(
+        [x * s for x, s in zip(c[m:], scale)], cd * den), 1, -w0)
 
 
 def shift_power(f: Poly, m: int, qp: QParams) -> Poly:
@@ -162,24 +158,29 @@ def leibniz_coeffs(f: Poly, n: int, qp: QParams) -> list:
 
     In y = x - w0, with g(y) = f(y + w0) and m = n - k, coefficient i of c_k
     is [n, k] q**(k i) ([i+m]!/[i]!) g_(i+m).  Both ratios read row m of
-    :func:`q_falling`, r[i] / den and [n, k] = r[k] / r[0], so each
-    coefficient is one scalar from int numerators.  f is centred once and
-    each row moved back once (not at all when w = 0).
+    :func:`q_falling`, r[i] / den and [n, k] = r[k] / r[0], so with
+    q = qn/qd and g held as numerators over gd, row k is the int numerators
+    r[k] r[i] qn**(k i) qd**(k (s-1-i)) g_(i+m) over r[0] den gd
+    qd**(k (s-1)), s its length.  f is centred once and each row moved
+    back once (not at all when w = 0).
     """
     if n < 0:
         raise DomainError(f"Leibniz order must be >= 0, got {n}")
     w0 = qp.omega0
-    g = [num_den(c) for c in affine_substitute(f, 1, w0).coeffs]
+    g, gd = affine_substitute(f, 1, w0).parts
     qn, qd = num_den(qp.q)
     table, den = q_falling(qn, qd, n, max(n + 1, len(g)))
     rows = []
     for k in range(n + 1):
-        r = table[n - k]
-        low = r[0] * den
-        row = [over_den(r[k] * r[i] * qn ** (k * i) * cn,
-                        low * qd ** (k * i) * cd)
-               for i, (cn, cd) in enumerate(g[n - k:])]
-        rows.append(affine_substitute(Poly(row), 1, -w0))
+        r, tail = table[n - k], g[n - k:]
+        up, down, un, ud = [1], [1], qn ** k, qd ** k
+        for _ in range(len(tail) - 1):
+            up.append(up[-1] * un)
+            down.append(down[-1] * ud)
+        row = Poly._of_parts(
+            [r[k] * r[i] * up[i] * down[-1 - i] * x
+             for i, x in enumerate(tail)], r[0] * den * gd * down[-1])
+        rows.append(affine_substitute(row, 1, -w0))
     return rows
 
 

@@ -1,7 +1,9 @@
 """Reference computations the tests compare production code against.
 
 Each is a direct computation kept from an earlier form of the library, or
-a check that no command needs: the q-bracket in closed form, the
+a check that no command needs: polynomial arithmetic with one field
+scalar per coefficient (the form of every ``Poly`` operation while a
+polynomial held its coefficients only), the q-bracket in closed form, the
 q-factorials and q-binomials by the bracket recurrence [j+1] = 1 +
 base*[j], the steps t_j of the dual difference by the same recurrence,
 the operators on moment functionals with one scalar per moment, the
@@ -14,7 +16,13 @@ field, so the two agree only when both are right.
 """
 from fractions import Fraction
 
-from qcoherent.algebra import Poly, affine_substitute, det_bareiss
+from qcoherent.algebra import (
+    Poly,
+    affine_substitute,
+    det_bareiss,
+    over_den,
+    rat_str,
+)
 from qcoherent.classify import pearson_ttrr
 from qcoherent.errors import (
     DomainError,
@@ -24,6 +32,93 @@ from qcoherent.errors import (
 )
 from qcoherent.functionals import MomentFunctional
 from qcoherent.qcalc import QParams
+
+
+# -- polynomials as coefficient lists, one field scalar per coefficient -------
+
+def _trim(coeffs) -> list:
+    """The coefficients with the trailing zeros dropped."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _at(coeffs, i):
+    return coeffs[i] if i < len(coeffs) else 0
+
+
+def coeff_add(a, b) -> list:
+    """a + b, one field sum per power."""
+    return _trim(_at(a, i) + _at(b, i) for i in range(max(len(a), len(b))))
+
+
+def coeff_sub(a, b) -> list:
+    """a - b as a + (-b)."""
+    return coeff_add(a, [-c for c in b])
+
+
+def coeff_mul(a, b) -> list:
+    """a * b by the schoolbook product on the scalars."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def coeff_scale(a, s) -> list:
+    """a times the scalar s."""
+    return _trim(c * s for c in a)
+
+
+def coeff_div_scalar(a, s) -> list:
+    """a over the scalar s: one field quotient per coefficient."""
+    return _trim(over_den(c, s) for c in a)
+
+
+def coeff_divmod(a, b):
+    """(quotient, remainder) of Euclidean division over the field: one
+    field quotient by the divisor's leading coefficient per step."""
+    a, b = _trim(a), _trim(b)
+    if not b:
+        raise DomainError("polynomial division by zero")
+    if len(a) < len(b):
+        return [], a
+    rem, lead, top = list(a), b[-1], len(b) - 1
+    quot = [0] * (len(a) - top)
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[top + k]
+        if c == 0:
+            continue
+        c = over_den(c, lead)
+        quot[k] = c
+        for i, y in enumerate(b):
+            rem[i + k] = rem[i + k] - c * y
+    return _trim(quot), _trim(rem)
+
+
+def coeff_affine_substitute(a, s, t) -> list:
+    """p(s x + t): a Taylor shift by t on the scalars (repeated synthetic
+    division), then coefficient k times s**k."""
+    a = list(a)
+    if t != 0:
+        for low in range(len(a) - 1):
+            for k in range(len(a) - 2, low - 1, -1):
+                a[k] = a[k] + t * a[k + 1]
+    power = 1
+    for k in range(len(a)):
+        a[k], power = a[k] * power, power * s
+    return _trim(a)
+
+
+def coeff_strings(a) -> list:
+    """Each rational coefficient as its "num/den" string."""
+    return [rat_str(c) for c in _trim(a)]
 
 
 def _check_base(base):

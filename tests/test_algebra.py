@@ -62,6 +62,39 @@ def test_poly_equality_across_mixed_scalars():
     assert Poly([F(1, 2), 1]) != Poly([F(1, 3), 1])
 
 
+def test_poly_equal_and_hash_across_forms():
+    # the same polynomial made from its coefficients and from parts that
+    # are not in lowest terms (a common factor, a negative den): the parts
+    # are reduced to den > 0 with no common factor, the two are equal and
+    # hash alike, and a dict keyed by one form finds the other
+    coeffs = Poly([F(1, 2), F(-2, 3), F(5, 6)])
+    parts = Poly._of_parts([-6, 8, -10], -12)
+    assert parts.parts == ((3, -4, 5), 6) and parts._coeffs is None
+    assert coeffs._parts is None
+    assert parts == coeffs and coeffs == parts
+    assert hash(parts) == hash(coeffs)
+    assert {coeffs: "c"}[parts] == "c" and {parts: "p"}[coeffs] == "p"
+    assert parts.coeffs == coeffs.coeffs
+    assert Poly._of_parts([0, 0], 5) == Poly() == 0
+    # over Z one int tuple is both forms
+    ints = Poly([2, 0, -3])
+    assert ints.parts == ((2, 0, -3), 1) and ints.parts[0] is ints.coeffs
+    assert hash(ints) == hash(Poly([F(2), 0, F(-3)]))
+
+
+def test_division_over_mixed_scalars_keeps_numerators_split():
+    # (t + x**2) / (1 + x) over Q(t): the quotient x - 1 is rational, and
+    # the field quotient of two int numerators, a Fraction, is split back
+    # to ints over a den, so it equals and hashes as x - 1 made over Q
+    t = RatFunc(Poly([0, 1]))
+    quot, rem = divmod(Poly([t, 0, 1]), Poly([1, 1]))
+    assert quot.parts == ((-1, 1), 1)
+    assert quot == Poly([-1, 1]) and hash(quot) == hash(Poly([-1, 1]))
+    assert rem == Poly([t + 1])
+    half, _ = divmod(Poly([t, 0, 1]), Poly([2, 2]))
+    assert half.parts == ((-1, 1), 2)
+
+
 def test_poly_degree_bookkeeping():
     p = Poly([1, 0, 2])
     q = Poly([3, 4])

@@ -733,6 +733,71 @@ def test_pipeline_makes_no_scalar_per_moment(label, monkeypatch):
     assert callers == []
 
 
+def _poly_operation_codes() -> set:
+    """The code of every Poly method and property, and of the Taylor
+    shift: a frame running one of them is inside a Poly operation."""
+    codes = {affine_substitute.__code__}
+    for member in vars(Poly).values():
+        for fn in (getattr(member, "__func__", member),
+                   getattr(member, "fget", None)):
+            if hasattr(fn, "__code__"):
+                codes.add(fn.__code__)
+    return codes
+
+
+@pytest.mark.parametrize("label", CASE_LABELS)
+def test_poly_operations_make_no_fraction_arithmetic(label, monkeypatch):
+    # over Q every polynomial the pipeline forms (psi, the phi, varphi and
+    # xi rows, the determinants, the shifts and differences of the
+    # transformation identities) is int numerators over one den: no
+    # Fraction + - * / ** or negation runs inside a Poly operation
+    _, pair = sample_case_instance(random.Random(f"poly-parts-{label}"),
+                                   label, order=24, depth=6)
+    codes, inside = _poly_operation_codes(), Counter()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+                 "__neg__"):
+        def spy(*args, real=getattr(Fraction, name), name=name):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in codes:
+                frame = frame.f_back
+            if frame is not None:
+                inside[(name, frame.f_code.co_name)] += 1
+            return real(*args)
+        monkeypatch.setattr(Fraction, name, spy)
+    reports = pair.verify(6)
+    monkeypatch.undo()
+    assert reports and inside == Counter()
+
+
+def test_xi_on_a_shape_without_xi_is_a_domain_error():
+    # m > k + N: the pair has varphi rows and no xi row, and the shape is
+    # to blame, not the column
+    pair = CoherencePair.self_coherent(
+        FamilySpec("L", (2, 3, 0), F(1, 2)),
+        CoherenceConfig(1, 0, 0, Poly.one()), QParams(F(1, 2), 0), 20, 2)
+    with pytest.raises(DomainError, match="xi requires m <= k\\+N"):
+        pair.xi(0, 0)
+    with pytest.raises(DomainError, match="xi system requires m < k\\+N"):
+        pair.xi_system()
+
+
+@pytest.mark.parametrize("config", [CoherenceConfig(1, 1, 0, Poly.one()),
+                                    CoherenceConfig(1, 0, 0, Poly([-1, 1]))])
+def test_xi_at_m_equal_to_k_plus_n_is_psi(config):
+    # at m = k + N the Leibniz redistribution has the one column j = 0,
+    # xi(.; n, 0) = psi(.; n), while the determinant system is varphi's
+    pair = CoherencePair.self_coherent(
+        FamilySpec("L", (2, 3, 0), F(1, 2)), config, QParams(F(1, 2), 0),
+        20, 2)
+    assert [pair.xi(n, 0) for n in range(3)] == [pair.psi(n)
+                                                for n in range(3)]
+    with pytest.raises(IndexOutOfRange, match="xi column 1 outside 0..0"):
+        pair.xi(0, 1)
+    with pytest.raises(DomainError, match="xi system requires m < k\\+N"):
+        pair.xi_system()
+
+
 def test_pair_indices_outside_the_tables_are_library_errors():
     # a case I pair built to depth 2 generates Q_0..Q_4
     pair = CoherencePair.self_coherent(

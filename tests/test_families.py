@@ -949,6 +949,14 @@ def test_family_spec_from_json_names_a_missing_key(key):
         FamilySpec.from_json(data)
 
 
+@pytest.mark.parametrize("params", ["234", 5, {"a": "2/1"}, None])
+def test_family_spec_from_json_refuses_params_that_are_not_a_list(params):
+    # "234" would read as L(2, 3, 4) one character at a time
+    data = {"kind": "L", "params": params, "base": "1/2"}
+    with pytest.raises(DomainError, match="'params' must be a JSON list"):
+        FamilySpec.from_json(data)
+
+
 # the parameters each identity reads
 READS = {
     "l-as-j-via-b": "abc", "l-as-j-via-a": "abc", "l00c-limit": "c",

@@ -458,6 +458,14 @@ def test_from_json_names_a_missing_key():
             MomentFunctional.from_json(data)
 
 
+@pytest.mark.parametrize("moments", ["12", 5, {"0": "1/1"}, None])
+def test_from_json_refuses_moments_that_are_not_a_list(moments):
+    # a string is not read one character at a time, and an int or a dict
+    # is no sequence of moments
+    with pytest.raises(DomainError, match="'moments' must be a JSON list"):
+        MomentFunctional.from_json({"moments": moments})
+
+
 def test_moment_functionals_equal_by_moments_in_either_form():
     # parts are brought to lowest terms with a positive denominator, and a
     # functional equals and hashes as the one made from its moments

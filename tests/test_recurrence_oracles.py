@@ -74,6 +74,14 @@ from qcoherent.qcalc import (
 from qcoherent.sampling import sample_q
 
 from oracles import (
+    coeff_add,
+    coeff_affine_substitute,
+    coeff_div_scalar,
+    coeff_divmod,
+    coeff_mul,
+    coeff_scale,
+    coeff_strings,
+    coeff_sub,
     dual_steps,
     q_binom_row,
     q_bracket,
@@ -830,3 +838,88 @@ def test_functional_operators_match_one_scalar_per_moment(form, field, data,
     assert functional_agree(u, v) == (first is None, first,
                                       min(u.order, v.order))
     assert (u == v) == (first is None and len(other) == len(moments))
+
+
+# -- a polynomial held as its coefficients or as its parts --------------------
+
+def poly_in_form(coeffs, form, k):
+    """The polynomial with these coefficients, made from them (``coeffs``),
+    or from its parts with numerators and denominator times k (``parts``),
+    which the constructor brings to lowest terms over Q.  Over Z the parts
+    are the coefficients over 1, held in both slots."""
+    p = Poly(coeffs)
+    if form == "coeffs":
+        return p
+    nums, den = Poly(coeffs).parts
+    if all(type(c) is int for c in p.coeffs):
+        return Poly._of_parts(nums, 1, True)
+    return Poly._of_parts([x * k for x in nums], den * k)
+
+
+POLY_FIELDS = {"Z": st.one_of(st.integers(-9, 9), big), **SCALAR_FIELDS}
+
+
+def same_poly(got, expected):
+    """got has exactly the coefficients ``expected`` (the oracle's loop),
+    equals the polynomial made from them, and when its coefficients are
+    rational, in any field, hashes as it does and holds its parts in
+    lowest terms with den > 0."""
+    assert got.coeffs == tuple(expected)
+    assert got.degree == len(expected) - 1
+    assert got == Poly(expected)
+    if all(isinstance(c, (int, Fraction)) for c in got.coeffs):
+        assert hash(got) == hash(Poly(expected))
+        nums, den = got.parts
+        assert den > 0 and math.gcd(den, *nums) == 1
+
+
+@pytest.mark.parametrize("forms", [("coeffs", "coeffs"), ("coeffs", "parts"),
+                                   ("parts", "coeffs"), ("parts", "parts")])
+@pytest.mark.parametrize("field", sorted(POLY_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(-6, 6).filter(bool))
+def test_poly_operations_match_one_scalar_per_coefficient(forms, field, data,
+                                                          k):
+    # each Poly operation on operands in either form against the same
+    # operation with one field scalar per coefficient (oracles.py): + - *,
+    # scalar * and /, divmod, the Taylor shift, coeff, is_monic, monic,
+    # to_strings, equality and hash; over Z the results of + - * by ints
+    # and of the shift by ints keep int coefficients
+    scalar = POLY_FIELDS[field]
+    size = 7 if field in ("Q", "Z") else 4
+    a = data.draw(st.lists(scalar, max_size=size))
+    b = data.draw(st.lists(scalar, max_size=size))
+    p, q = poly_in_form(a, forms[0], k), poly_in_form(b, forms[1], -k)
+    s, t = data.draw(scalar), data.draw(scalar)
+    a_trim = list(Poly(a).coeffs)
+    same_poly(p, a_trim)
+    assert {Poly(a): "key"}.get(p) == "key" or field not in ("Q", "Z")
+    same_poly(p + q, coeff_add(a, b))
+    same_poly(p - q, coeff_sub(a, b))
+    same_poly(p.__rsub__(s), coeff_sub([s], a))  # sympy's - takes s - p
+    same_poly(-p, coeff_scale(a, -1))
+    same_poly(p * q, coeff_mul(a, b))
+    same_poly(p * s, coeff_scale(a, s))
+    same_poly(p.__rmul__(s), coeff_scale(a, s))
+    shifted = affine_substitute(p, s, t)
+    same_poly(shifted, coeff_affine_substitute(a_trim, s, t))
+    if field == "Z":
+        for r in (p + q, p - q, s - p, -p, p * q, p * s, s * p, shifted):
+            assert all(type(c) is int for c in r.coeffs)
+    if s != 0:
+        same_poly(p / s, coeff_div_scalar(a, s))
+    if not q.is_zero():
+        quot, rem = divmod(p, q)
+        want_quot, want_rem = coeff_divmod(a, b)
+        same_poly(quot, want_quot)
+        same_poly(rem, want_rem)
+        same_poly((p * q).exact_div(q), a_trim)
+    assert [p.coeff(i) for i in range(-1, len(a) + 2)] == [
+        0, *a_trim, *[0] * (len(a) + 2 - len(a_trim))]
+    assert p.is_monic() == (bool(a_trim) and a_trim[-1] == 1)
+    if a_trim:
+        same_poly(p.monic(), coeff_div_scalar(a_trim, a_trim[-1]))
+        assert p.lc == a_trim[-1]
+    if field in ("Q", "Z"):
+        assert p.to_strings() == coeff_strings(a)
+        assert (p == q) == (a_trim == list(Poly(b).coeffs))
