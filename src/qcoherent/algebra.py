@@ -298,11 +298,9 @@ class Poly:
     def __mul__(self, other):
         a, ad = self.parts
         if not isinstance(other, Poly):
-            if type(other) is int:  # over Z: no split, and no den to grow
-                return _of_parts([n * other for n in a], ad,
-                                 a is self._coeffs)
             sn, sd = num_den(other)
-            return _of_parts([n * sn for n in a], ad * sd)
+            return _of_parts([n * sn for n in a], ad * sd,
+                             a is self._coeffs and type(other) is int)
         b, bd = other.parts
         if not a or not b:
             return Poly()

@@ -1,13 +1,14 @@
 """Run alternating parent/change pairs of the benchmark and write a BENCH file.
 
-Each pair runs ``perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once in the parent checkout and once in the change checkout,
-the parent first in even pairs and the change first in odd ones, so that a
-drift of the host over time falls on both sides alike.  Every end-to-end
+Each pair runs ``perfbench/run.py --workload W --seed S --trace 0``, at
+run.py's own run length, once in the parent checkout and once in the
+change checkout, the parent first in even pairs and the change first in
+odd ones, so that a drift of the host over time falls on both sides
+alike.  Every end-to-end
 metric of the last stdout line of each run is kept.  Run from anywhere:
 
     python tools/bench_pairs.py --parent DIR --change DIR --out BENCH_x.json \\
-        [--pairs 10] [--seed 0] [--seconds 30] \\
+        [--pairs 10] [--seed 0] \\
         [--workloads coherence calculus families] [--description TEXT]
 
 Each checkout is a directory holding the committed files of one tree (for
@@ -28,11 +29,11 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """The metrics of one run: {name: value} from run.py's last line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in last["metrics"].items()}
@@ -60,7 +61,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--workloads", nargs="+",
                         default=["coherence", "calculus", "families"])
     parser.add_argument("--description")
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
                 "change", "parent")
             for side in order:
                 runs[side].append(run_once(getattr(args, side), workload,
-                                           args.seed, args.seconds))
+                                           args.seed))
             print(f"{workload} pair {pair + 1}/{args.pairs}: run_ref "
                   f"{runs['parent'][-1]['run_ref']:.1f} -> "
                   f"{runs['change'][-1]['run_ref']:.1f}", file=sys.stderr)
