@@ -259,10 +259,16 @@ class Poly:
 
     def __hash__(self):
         """The hash of the parts over Q, where they are in lowest terms;
-        else that of the coefficients."""
+        else that of the coefficients, unless each is rational or a
+        constant of Q(t): then that of the polynomial of their rational
+        values, which it equals."""
         nums = self.parts[0]
         if all(type(n) is int for n in nums):
             return hash(self.parts)
+        values = [c.constant_value() if isinstance(c, RatFunc) else c
+                  for c in self.coeffs]
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            return hash(Poly(values))
         return hash(self.coeffs)
 
     def _sum(self, other, sign: int) -> "Poly":
@@ -323,7 +329,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        result = Poly.one()
+        result = Poly([1])  # the one over Z: a power over Z stays over Z
         base = self
         while n:
             if n & 1:
@@ -560,7 +566,15 @@ class RatFunc:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        """A constant hashes as its rational value, which it equals."""
+        value = self.constant_value()
+        return hash((self.num, self.den) if value is None else value)
+
+    def constant_value(self):
+        """The rational value of a constant, else None."""
+        if self.num.degree > 0 or self.den.degree > 0:
+            return None
+        return self.num.coeff(0)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):

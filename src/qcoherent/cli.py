@@ -9,13 +9,15 @@ classify  identify a self-coherent sequence from (pi, beta_0, gamma_1)
 
 Rationals are always written "num/den".  Output is deterministic given the
 command line (seeded sampling only); exit codes are 0 on success, 1 when a
-verified identity fails, 2 on usage or domain errors.
+verified identity fails, 2 on usage or domain errors and when stdout is
+closed before the output is written.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from dataclasses import replace
@@ -38,7 +40,7 @@ from .functionals import (
     MomentFunctional,
     SemiclassicalWitness,
     _report,
-    functional_diff_n,
+    functional_diffs,
     leibniz_expansion,
     left_mult,
     pearson_check,
@@ -231,12 +233,12 @@ def _cmd_verify_leibniz(args) -> int:
         # identities hold for any u
         u = MomentFunctional([rational(rng) for _ in range(12)])
         f, jackson = affine_substitute(f, 1, qp.omega0), QParams(qp.q, 0)
-        fu = left_mult(f, u)
-        for order in range(args.n + 1):
-            report = _report(f"leibniz[trial={trial},n={order}]",
-                             functional_diff_n(fu, order, jackson),
-                             leibniz_expansion(f, u, order, jackson))
-            reports.append(report.to_json())
+        # every order from one table per side
+        direct = functional_diffs(left_mult(f, u), args.n, jackson)
+        expansion = leibniz_expansion(f, u, args.n, jackson)
+        for order, (lhs, rhs) in enumerate(zip(direct, expansion)):
+            reports.append(_report(f"leibniz[trial={trial},n={order}]",
+                                   lhs, rhs).to_json())
     _emit({"seed": args.seed, "trials": args.trials, "reports": reports})
     return _exit_from_reports(reports)
 
@@ -359,6 +361,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # 4300 digits by default
         sys.set_int_max_str_digits(0)
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the rest goes to os.devnull, so that
+        # the flush at exit cannot fail again (the Python docs' SIGPIPE note)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 2
+
+
+def _run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)

@@ -89,7 +89,7 @@ from .errors import (
     OrderExceeded,
     RegularityViolation,
 )
-from .qcalc import QParams, leibniz_coeffs, q_falling
+from .qcalc import QParams, leibniz_table, q_falling
 
 
 class MomentFunctional:
@@ -357,6 +357,16 @@ def functional_diff_n(u: MomentFunctional, n: int, qp: QParams) -> MomentFunctio
         [c[0] * 0] * n + [s * x for s, x in zip(rows[n], c)], den * cd), qp)
 
 
+def functional_diffs(u: MomentFunctional, n: int, qp: QParams) -> list:
+    """D[q,w]**k u for k = 0..n: the rows of one :func:`dual_rows` table
+    over its den, each moved back from y = x - w0 (not at all at w = 0)."""
+    if n < 0:
+        raise DomainError(f"difference order must be >= 0, got {n}")
+    rows, den = dual_rows(u, n, qp)
+    return [_uncentred(MomentFunctional._of_parts(row, den), qp)
+            for row in rows]
+
+
 def functional_shift(u: MomentFunctional, qp: QParams) -> MomentFunctional:
     """The induced shift L[q,w] u; <L u, x**n> = <u, ((x - w)/q)**n>.
     Diagonal in the centred basis: c'_j = q**-j c_j.
@@ -367,18 +377,22 @@ def functional_shift(u: MomentFunctional, qp: QParams) -> MomentFunctional:
 
 
 def leibniz_expansion(f: Poly, u: MomentFunctional, n: int,
-                      qp: QParams) -> MomentFunctional:
-    """D**n (f u) by the q-Leibniz rule: sum_k c_k D**k u, where
-    c_k = [n, k] L**k(D**(n-k) f) are ``qcalc.leibniz_coeffs``.
+                      qp: QParams) -> list:
+    """D**N (f u) for N = 0..n by the q-Leibniz rule: entry N is
+    sum_k c_k D**k u, with c_0..c_N entry N of ``qcalc.leibniz_table``.
 
-    Computed in y = x - w0 at (q, 0), with f(y + w0) and u centred once
-    (:func:`dual_rows`); every term's dot products are summed over one
-    common denominator (:func:`_combination`).
+    Computed in y = x - w0 at (q, 0), with f(y + w0) and u centred once.
+    One :func:`dual_rows` table to n serves every order, since order N
+    reads its rows 0..N, and one ``qcalc.q_falling`` table gives the
+    coefficients of every order; each order's terms are summed over one
+    common denominator (:func:`_combination`).  Refused, as f u is, when
+    deg f exceeds order(u).
     """
+    polys = leibniz_table(affine_substitute(f, 1, qp.omega0), n,
+                          QParams(qp.q, 0))
     rows, den = dual_rows(u, n, qp)
-    polys = leibniz_coeffs(affine_substitute(f, 1, qp.omega0), n,
-                           QParams(qp.q, 0))
-    return _uncentred(_combination(polys, rows, den), qp)
+    return [_uncentred(_combination(coeffs, rows, den), qp)
+            for coeffs in polys]
 
 
 def functional_agree(u: MomentFunctional, v: MomentFunctional):

@@ -155,14 +155,31 @@ def leibniz_coeffs(f: Poly, n: int, qp: QParams) -> list:
 
     These are the coefficients of the q-Leibniz rule
     D**n (f u) = sum_k c_k D**k u, for u a polynomial or a functional.
+    One order, from one :func:`q_falling` table at m = n
+    (:func:`_leibniz_orders`).
+    """
+    return _leibniz_orders(f, n, qp, (n,))[0]
 
-    In y = x - w0, with g(y) = f(y + w0) and m = n - k, coefficient i of c_k
-    is [n, k] q**(k i) ([i+m]!/[i]!) g_(i+m).  Both ratios read row m of
-    :func:`q_falling`, r[i] / den and [n, k] = r[k] / r[0], so with
-    q = qn/qd and g held as numerators over gd, row k is the int numerators
-    r[k] r[i] qn**(k i) qd**(k (s-1-i)) g_(i+m) over r[0] den gd
-    qd**(k (s-1)), s its length.  f is centred once and each row moved
-    back once (not at all when w = 0).
+
+def leibniz_table(f: Poly, n: int, qp: QParams) -> list:
+    """The coefficients :func:`leibniz_coeffs` of every order 0..n: entry
+    N is the list c_0..c_N of D**N (f u).  Every order reads the one
+    :func:`q_falling` table at m = n, f centred once."""
+    return _leibniz_orders(f, n, qp, range(n + 1))
+
+
+def _leibniz_orders(f: Poly, n: int, qp: QParams, orders) -> list:
+    """The Leibniz coefficients of each order N in ``orders`` (each <= n)
+    from one :func:`q_falling` table at m = n.
+
+    In y = x - w0, with g(y) = f(y + w0) and m = N - k, coefficient i of
+    c_k is [N, k] q**(k i) ([i+m]!/[i]!) g_(i+m).  Both ratios read row m
+    of the table, r[i] / den and [N, k] = r[k] / r[0]; rows of one table
+    share den, so any m >= N serves.  With q = qn/qd and g held as
+    numerators over gd, c_k is the int numerators r[k] r[i] qn**(k i)
+    qd**(k (s-1-i)) g_(i+m) over r[0] den gd qd**(k (s-1)), s its length.
+    f is centred once and each row moved back once (not at all when
+    w = 0).
     """
     if n < 0:
         raise DomainError(f"Leibniz order must be >= 0, got {n}")
@@ -170,18 +187,26 @@ def leibniz_coeffs(f: Poly, n: int, qp: QParams) -> list:
     g, gd = affine_substitute(f, 1, w0).parts
     qn, qd = num_den(qp.q)
     table, den = q_falling(qn, qd, n, max(n + 1, len(g)))
-    rows = []
+    ups, downs = [], []  # qn**(k i) and qd**(k i) for i < len(g)
     for k in range(n + 1):
-        r, tail = table[n - k], g[n - k:]
         up, down, un, ud = [1], [1], qn ** k, qd ** k
-        for _ in range(len(tail) - 1):
+        for _ in range(len(g) - 1):
             up.append(up[-1] * un)
             down.append(down[-1] * ud)
-        row = Poly._of_parts(
-            [r[k] * r[i] * up[i] * down[-1 - i] * x
-             for i, x in enumerate(tail)], r[0] * den * gd * down[-1])
-        rows.append(affine_substitute(row, 1, -w0))
-    return rows
+        ups.append(up)
+        downs.append(down)
+    out = []
+    for order in orders:
+        rows = []
+        for k in range(order + 1):
+            r, tail = table[order - k], g[order - k:]
+            up, down, s = ups[k], downs[k], len(tail) - 1
+            row = Poly._of_parts(
+                [r[k] * r[i] * up[i] * down[s - i] * x
+                 for i, x in enumerate(tail)], r[0] * den * gd * down[s])
+            rows.append(affine_substitute(row, 1, -w0))
+        out.append(rows)
+    return out
 
 
 def normalized_derivative(p: Poly, n: int, m: int, qp: QParams) -> Poly:

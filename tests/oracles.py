@@ -7,10 +7,10 @@ polynomial held its coefficients only), the q-bracket in closed form, the
 q-factorials and q-binomials by the bracket recurrence [j+1] = 1 +
 base*[j], the steps t_j of the dual difference by the same recurrence,
 the operators on moment functionals with one scalar per moment, the
-Pearson companion of a pair, the dual basis of a simple set by a
-triangular solve, the Hankel regularity test, the (pi, beta_0, gamma_1) a
-classifier reads off a case instance, and the Pearson engine on a pair
-given in x.  Production forms every q-factorial ratio from one table
+Pearson companion of a pair, the q-Leibniz expansion one order at a
+time, the dual basis of a simple set by a triangular solve, the Hankel
+regularity test, the (pi, beta_0, gamma_1) a classifier reads off a case
+instance, and the Pearson engine on a pair given in x.  Production forms every q-factorial ratio from one table
 (``qcalc.q_falling``); these walk the brackets one by one in the scalar
 field, so the two agree only when both are right.
 """
@@ -30,8 +30,13 @@ from qcoherent.errors import (
     NotSimpleSet,
     OrderExceeded,
 )
-from qcoherent.functionals import MomentFunctional
-from qcoherent.qcalc import QParams
+from qcoherent.functionals import (
+    MomentFunctional,
+    _combination,
+    _uncentred,
+    dual_rows,
+)
+from qcoherent.qcalc import QParams, leibniz_coeffs
 
 
 # -- polynomials as coefficient lists, one field scalar per coefficient -------
@@ -195,6 +200,21 @@ def scalar_diff_n(moments, n: int, base) -> list:
 def scalar_first_difference(a, b):
     """The least i with a[i] != b[i] on the common range, or None."""
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+def leibniz_expansion_per_order(f: Poly, u: MomentFunctional, n: int,
+                                qp: QParams) -> list:
+    """D**N (f u) for N = 0..n by the q-Leibniz rule, each order on its
+    own: its own ``dual_rows`` table of u to N and its own
+    ``leibniz_coeffs`` table at N, in y = x - w0 at (q, 0), summed by the
+    one kernel and moved back.  Order N is refused when its sum is."""
+    f_y, jackson = affine_substitute(f, 1, qp.omega0), QParams(qp.q, 0)
+    out = []
+    for order in range(n + 1):
+        rows, den = dual_rows(u, order, qp)
+        out.append(_uncentred(_combination(
+            leibniz_coeffs(f_y, order, jackson), rows, den), qp))
+    return out
 
 
 def phi_hat(phi: Poly, psi: Poly, qp: QParams) -> Poly:

@@ -95,6 +95,38 @@ def test_division_over_mixed_scalars_keeps_numerators_split():
     assert half.parts == ((-1, 1), 2)
 
 
+def test_constant_of_q_t_hashes_as_its_rational_value():
+    # a field result over Q(t) can hold a constant RatFunc, which equals a
+    # rational: the constant and a polynomial of such constants hash as
+    # the rational and the polynomial over Q do, so a dict keyed by one
+    # finds the other
+    t = RatFunc.t()
+    one = (Poly([1]) * Poly([t])).exact_div(Poly([t]))
+    assert one.coeffs == (RatFunc(1),)
+    assert one == Poly([1]) and hash(one) == hash(Poly([1]))
+    assert {Poly([1]): "q"}[one] == "q"
+    for value in (0, 1, F(-7, 3)):
+        assert RatFunc(value) == value
+        assert hash(RatFunc(value)) == hash(value)
+        assert RatFunc(value).constant_value() == value
+    assert t.constant_value() is None and (1 / t).constant_value() is None
+    mixed = Poly([F(1, 2), t, RatFunc(3)])
+    same = Poly([RatFunc(F(1, 2)), t, 3])
+    assert mixed == same and hash(mixed) == hash(same)
+
+
+def test_poly_power_over_z_stays_over_z():
+    # x ** n by squaring starts from the one over Z, so a power of a
+    # polynomial over Z has int coefficients, as the product does
+    p = Poly([1, 1])
+    assert (p ** 2).coeffs == (p * p).coeffs == (1, 2, 1)
+    assert all(type(c) is int for c in (p ** 5).coeffs)
+    assert (p ** 0).coeffs == (1,) and type((p ** 0).coeffs[0]) is int
+    half = Poly([F(1, 2), 1])
+    assert (half ** 2).coeffs == (F(1, 4), F(1), F(1))
+    assert (half ** 3) == half * half * half
+
+
 def test_poly_degree_bookkeeping():
     p = Poly([1, 0, 2])
     q = Poly([3, 4])

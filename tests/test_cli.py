@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,8 @@ import qcoherent.cli as cli_module
 import qcoherent.coherence as coherence_module
 import qcoherent.errors as errors
 import qcoherent.families as families_module
+import qcoherent.functionals as functionals_module
+import qcoherent.qcalc as qcalc_module
 import qcoherent.sampling as sampling_module
 from qcoherent.algebra import rat, rat_str
 from qcoherent.cli import main
@@ -302,6 +308,43 @@ def test_verify_leibniz(capsys):
     assert code == 0
     data = json.loads(out)
     assert all(r["status"] == "holds" for r in data["reports"])
+
+
+@pytest.mark.parametrize("n", [0, 4, 12])
+def test_verify_leibniz_builds_three_tables_per_trial(capsys, monkeypatch,
+                                                      n):
+    # each trial reads one q_falling table for D**k (f u), one for D**k u
+    # and one for the Leibniz coefficients, all at m = n, which serve
+    # every order 0..n: the count does not grow with --n
+    real, tables = qcalc_module.q_falling, []
+
+    def spy(qn, qd, m, size):
+        tables.append(m)
+        return real(qn, qd, m, size)
+
+    for module in (qcalc_module, functionals_module):
+        monkeypatch.setattr(module, "q_falling", spy)
+    code, out = run_cli(capsys, "verify", "leibniz", "--seed", "4",
+                        "--trials", "3", "--n", str(n))
+    assert code == 0 and len(json.loads(out)["reports"]) == 3 * (n + 1)
+    assert tables == [n] * 9
+
+
+def test_closed_stdout_exits_2_with_no_traceback():
+    # a reader that stops early (`| head -2`) closes the pipe while gen is
+    # still writing its ~290 kB: no traceback, exit 2, not 1, which means
+    # a failed identity
+    src = Path(cli_module.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcoherent.cli", "gen", "--family", "L",
+         "--a=2/1", "--b=3/1", "--c=1/5", "--q=1/2", "--n", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert stderr == b""
 
 
 def test_classify_cli(capsys):

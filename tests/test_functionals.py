@@ -205,10 +205,10 @@ def test_leibniz_both_expansions(n, form):
     # k = n - j; both against direct differencing of f u
     u = MomentFunctional([F(k * k + 1, k + 1) for k in range(10)])
     f = Poly([F(1, 2), F(-2), F(0), F(3)])  # degree 3
-    expand = oracle_second_form if form == 1 else leibniz_expansion
     for qp in (QP, QP.inverse):
         direct = functional_diff_n(left_mult(f, u), n, qp)
-        expansion = expand(f, u, n, qp)
+        expansion = oracle_second_form(f, u, n, qp) if form == 1 else \
+            leibniz_expansion(f, u, n, qp)[n]
         ok, idx, checked = functional_agree(direct, expansion)
         assert ok, f"n={n} form={form} fails at {idx}"
         assert checked == u.order - f.degree + n
@@ -239,24 +239,26 @@ def taylor_shifts(monkeypatch):
 @pytest.mark.parametrize("direction", [1, 2])
 def test_leibniz_expansion_centres_u_once(direction, degree, n,
                                           taylor_shifts):
-    # at w0 != 0, u is moved to the fixed point once and the sum back once;
-    # every D**k u and every product with a polynomial stays there, and on
-    # data already translated to y = x - w0 the expansion at (q, 0) moves
-    # nothing; direction 1 is the operator of QP, 2 its inverse
+    # at w0 != 0, u is moved to the fixed point once and each order's sum
+    # back once; every D**k u and every product with a polynomial stays
+    # there, and on data already translated to y = x - w0 the expansion at
+    # (q, 0) moves nothing; direction 1 is the operator of QP, 2 its inverse
     u = MomentFunctional([F(k * k + 1, k + 1) for k in range(12)])
     f = Poly([F(1, 2), F(-2), F(0), F(3)][:degree] + [F(5, 4)])
     qp = QP if direction == 1 else QP.inverse
     w0 = qp.omega0
-    expansion = leibniz_expansion(f, u, n, qp)
-    assert taylor_shifts == [-w0, w0]
+    expansions = leibniz_expansion(f, u, n, qp)
+    assert taylor_shifts == [-w0] + [w0] * (n + 1)
     u_y = MomentFunctional(_taylor_shift(u.moments, -w0))
     taylor_shifts.clear()
     in_y = leibniz_expansion(affine_substitute(f, 1, w0), u_y, n,
                              QParams(qp.q, 0))
     assert taylor_shifts == []
-    assert list(in_y.moments) == _taylor_shift(expansion.moments, -w0)
-    direct = functional_diff_n(left_mult(f, u), n, qp)
-    assert functional_agree(direct, expansion)[0]
+    assert [list(e.moments) for e in in_y] == [
+        _taylor_shift(e.moments, -w0) for e in expansions]
+    for order, expansion in enumerate(expansions):
+        direct = functional_diff_n(left_mult(f, u), order, qp)
+        assert functional_agree(direct, expansion)[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -331,12 +333,13 @@ def test_checks_at_q_w_are_the_checks_in_y_at_q_0(direction, holds):
     g = f if holds else f + Poly.monomial(F(1, 5), 2)
     u_y, (f_y, g_y) = _in_y(u, (f, g), qp)
     y_params = QParams(params.q, 0)
+    x_side = leibniz_expansion(g, u, 3, params)
+    y_side = leibniz_expansion(g_y, u_y, 3, y_params)
     for n in range(4):
         in_x = functional_agree(functional_diff_n(left_mult(f, u), n, params),
-                                leibniz_expansion(g, u, n, params))
+                                x_side[n])
         in_y = functional_agree(
-            functional_diff_n(left_mult(f_y, u_y), n, y_params),
-            leibniz_expansion(g_y, u_y, n, y_params))
+            functional_diff_n(left_mult(f_y, u_y), n, y_params), y_side[n])
         assert in_x == in_y
         ok, _, checked = in_x
         assert ok == holds and checked == u.order - f.degree + n
@@ -345,11 +348,17 @@ def test_checks_at_q_w_are_the_checks_in_y_at_q_0(direction, holds):
 def test_leibniz_expansion_edges():
     u = MomentFunctional([F(1), F(2), F(5), F(14), F(42)])
     f = Poly([F(3), F(1)])
-    assert leibniz_expansion(f, u, 0, QP) == left_mult(f, u)
-    assert leibniz_expansion(Poly.one(), u, 2, QP) == functional_diff_n(
-        u, 2, QP)
-    zero = leibniz_expansion(Poly(), u, 2, QP)
-    assert zero.is_zero() and zero.order == u.order + 2
+    assert leibniz_expansion(f, u, 0, QP) == [left_mult(f, u)]
+    assert leibniz_expansion(Poly.one(), u, 2, QP) == [
+        functional_diff_n(u, n, QP) for n in range(3)]
+    zeros = leibniz_expansion(Poly(), u, 2, QP)
+    assert [(z.is_zero(), z.order) for z in zeros] == [
+        (True, u.order + n) for n in range(3)]
+    with pytest.raises(DomainError, match="Leibniz order"):
+        leibniz_expansion(f, u, -1, QP)
+    # deg f above order(u): f u is undefined, and so is every order
+    with pytest.raises(OrderExceeded):
+        leibniz_expansion(Poly.monomial(F(1), 5), u, 6, QP)
 
 
 def test_pearson_check_on_constructed_functional():

@@ -8,7 +8,8 @@ n = 20, for `moments` at orders 5 and 0, for the two limiting reductions
 and every other identity at 3 points to n = 10, for the refusal of an
 unknown identity, which lists the identities in order, for three `gen` refusals whose error class and message are
 part of the contract, for `verify leibniz` at the `calculus` workload's
-seed-0 argv and at powers up to n = 7, above the workload's n <= 4, and for
+seed-0 argv and at powers up to n = 7 and n = 12, above the workload's
+n <= 4, and for
 `verify coherence` on cases II, IIIb, IIIb-bessel (at w != 0) and
 IIIb-rzero at order 30 and depth 4, whose products and phi sides come from
 one numerator table per functional, and for `moments`, `verify coherence`
@@ -235,6 +236,11 @@ GOLDEN = {
     "leibniz-n7": (
         ["verify", "leibniz", "--seed", "7", "--trials", "4", "--n", "7"],
         "8de0561e5033f0d2f82daaf936dc378849f5cad5f8ee1d3cc2c8f284c79fe934"),
+    # n = 12, where every order reads rows of one table per side; the
+    # digest is that of one set of tables per order
+    "leibniz-n12": (
+        ["verify", "leibniz", "--seed", "11", "--trials", "3", "--n", "12"],
+        "dd78a46158d92fa993fc1fe4cc8639927e1ff11035812cef42ae3384a26d5859"),
     # refusals, exit 2: c = a*d*q at n = 1 comes before b = q**-2 at n = 2
     "gen-j-regularity": (
         ["gen", "--family", "J", "--a=2/1", "--b=4/1", "--c=1/3", "--d=1/3",

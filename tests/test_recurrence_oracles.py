@@ -60,6 +60,7 @@ from qcoherent.functionals import (
     dual_rows,
     functional_agree,
     functional_diff_n,
+    functional_diffs,
     left_mult,
     leibniz_expansion,
 )
@@ -67,6 +68,7 @@ from qcoherent.qcalc import (
     QParams,
     hahn_power,
     leibniz_coeffs,
+    leibniz_table,
     normalized_derivative,
     q_falling,
     shift_power,
@@ -83,6 +85,7 @@ from oracles import (
     coeff_strings,
     coeff_sub,
     dual_steps,
+    leibniz_expansion_per_order,
     q_binom_row,
     q_bracket,
     q_factorials,
@@ -648,11 +651,25 @@ def same(a, b):
     return a == b
 
 
+def same_orders(got, expected):
+    """got, the outcome of a call that makes every order 0..n at once,
+    against the outcomes of the orders made one by one: each order's
+    functional, or the refusal of the first order refused.  Order N is
+    refused when deg f - N > order(u), so that is order 0."""
+    refusals = [e for e in expected if not isinstance(e, MomentFunctional)]
+    if refusals:
+        return got == refusals[0]
+    return isinstance(got, list) and len(got) == len(expected) and all(
+        same(a, b) for a, b in zip(got, expected))
+
+
 def assert_leibniz_path_matches(f, u, n, qp):
     assert same(functional_diff_n(u, n, qp), oracle_functional_diff_n(u, n, qp))
     assert leibniz_coeffs(f, n, qp) == oracle_leibniz_coeffs(f, n, qp)
-    assert same(outcome(leibniz_expansion, f, u, n, qp),
-                outcome(oracle_leibniz_expansion, f, u, n, qp))
+    assert same_orders(
+        outcome(leibniz_expansion, f, u, n, qp),
+        [outcome(oracle_leibniz_expansion, f, u, order, qp)
+         for order in range(n + 1)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -679,14 +696,39 @@ def test_leibniz_path_keeps_rational_function_scalars():
     u = MomentFunctional([RatFunc(1), t, t * t + 1, RatFunc(F(1, 2)) / (t + 1),
                           t - 3, RatFunc(F(2, 7))])
     f = Poly([t, RatFunc(F(-1, 2)), (t + 1) / (t - 2)])
-    for n in range(4):
-        got = leibniz_expansion(f, u, n, qp)
+    expansions = leibniz_expansion(f, u, 3, qp)
+    assert len(expansions) == 4
+    for n, got in enumerate(expansions):
         assert got == functional_diff_n(left_mult(f, u), n, qp)
         assert got == oracle_leibniz_expansion(f, u, n, qp)
         assert all(isinstance(m, RatFunc) for m in got.moments)
         rows = leibniz_coeffs(f, n, qp)
         assert rows == oracle_leibniz_coeffs(f, n, qp)
         assert all(isinstance(c, RatFunc) for row in rows for c in row.coeffs)
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(t)"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), q=bases, n=st.integers(0, 6))
+def test_leibniz_orders_match_the_per_order_loop(field, data, q, n):
+    # every order 0..n at once, from one q_falling table of coefficients
+    # and one dual_rows table of u, against each order made on its own
+    # (oracles.py): the coefficients order by order, the expansions, or the
+    # same refusal when deg f exceeds order(u); and the differences of one
+    # table against functional_diff_n.  Over Q(t), f, u and w are in the
+    # field and q is rational
+    scalar, size = (q_scalars, 9) if field == "Q" else (qt_scalars, 4)
+    f = poly_of(data.draw(st.lists(scalar, min_size=1, max_size=size)))
+    u = MomentFunctional(data.draw(st.lists(scalar, min_size=1,
+                                            max_size=size + 2)))
+    qp = QParams(q, data.draw(st.one_of(st.just(F(0)), scalar)))
+    assert leibniz_table(f, n, qp) == [leibniz_coeffs(f, order, qp)
+                                       for order in range(n + 1)]
+    expected = outcome(leibniz_expansion_per_order, f, u, n, qp)
+    assert same_orders(outcome(leibniz_expansion, f, u, n, qp),
+                       expected if isinstance(expected, list) else [expected])
+    assert functional_diffs(u, n, qp) == [functional_diff_n(u, k, qp)
+                                          for k in range(n + 1)]
 
 
 def test_leibniz_path_matches_the_oracles_over_sympy_q():
@@ -744,11 +786,10 @@ def test_combination_matches_the_term_by_term_sum(polys, moments, q, w):
         assert got.order == expected.order
         assert all(type(m) is Fraction for m in got.moments)
     f, qp = polys[-1], QParams(q, w)
-    expansion = outcome(leibniz_expansion, f, u, n, qp)
-    expected = outcome(oracle_combination, leibniz_coeffs(f, n, qp), u, qp)
-    assert expansion == expected
-    if isinstance(expansion, MomentFunctional):
-        assert expansion.order == expected.order
+    assert same_orders(
+        outcome(leibniz_expansion, f, u, n, qp),
+        [outcome(oracle_combination, leibniz_coeffs(f, order, qp), u, qp)
+         for order in range(n + 1)])
 
 
 # -- a functional held as its moments or as its parts -------------------------
@@ -863,7 +904,10 @@ def same_poly(got, expected):
     """got has exactly the coefficients ``expected`` (the oracle's loop),
     equals the polynomial made from them, and when its coefficients are
     rational, in any field, hashes as it does and holds its parts in
-    lowest terms with den > 0."""
+    lowest terms with den > 0.  Over Q(t), and Q mixed with it, got hashes
+    as the polynomial from ``expected`` does, a constant of Q(t) counting
+    as its rational value, and a polynomial of such constants hashes as
+    that of their values over Q."""
     assert got.coeffs == tuple(expected)
     assert got.degree == len(expected) - 1
     assert got == Poly(expected)
@@ -871,6 +915,12 @@ def same_poly(got, expected):
         assert hash(got) == hash(Poly(expected))
         nums, den = got.parts
         assert den > 0 and math.gcd(den, *nums) == 1
+    elif all(isinstance(c, (int, Fraction, RatFunc)) for c in got.coeffs):
+        assert hash(got) == hash(Poly(expected))
+        values = [c.constant_value() if isinstance(c, RatFunc) else c
+                  for c in got.coeffs]
+        if None not in values:
+            assert hash(got) == hash(Poly(values))
 
 
 @pytest.mark.parametrize("forms", [("coeffs", "coeffs"), ("coeffs", "parts"),
@@ -893,7 +943,7 @@ def test_poly_operations_match_one_scalar_per_coefficient(forms, field, data,
     s, t = data.draw(scalar), data.draw(scalar)
     a_trim = list(Poly(a).coeffs)
     same_poly(p, a_trim)
-    assert {Poly(a): "key"}.get(p) == "key" or field not in ("Q", "Z")
+    assert {Poly(a): "key"}.get(p) == "key" or field.startswith("sympy")
     same_poly(p + q, coeff_add(a, b))
     same_poly(p - q, coeff_sub(a, b))
     same_poly(p.__rsub__(s), coeff_sub([s], a))  # sympy's - takes s - p
