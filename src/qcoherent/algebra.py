@@ -8,24 +8,30 @@ Two scalar types are used:
   :class:`RatFunc`, which normalises by a gcd after every operation.  The
   tests use this field as an oracle for the limits.
 
-:class:`Poly` is a dense univariate polynomial over any exact field, such
-as Q, Q(t) or rational functions in one of the paper's parameters; all
-higher modules are generic over the scalars.  A polynomial is held in one
-of two forms, the one it was made in, and the other is made on first use
-and kept:
+:class:`Held` is the one storage of exact values, the coefficients of a
+:class:`Poly` and the moments of a
+:class:`~qcoherent.functionals.MomentFunctional` alike.  A value is held
+in one of two forms, the one it was made in, and the other is made on
+first use and kept:
 
-* its coefficients as given (a parse, a literal, a caller's list);
+* its entries as given (a parse, a literal, a Pearson walk, a caller's
+  list);
 * its parts, numerators over one denominator, as FLINT's ``fmpq_poly``
   holds a polynomial (W. Hart, ICMS 2010): over Q, int numerators over one
   positive int den with no common factor.  Scalars are split by
   :func:`num_den`, so a scalar of any other field is its own numerator
   over 1 and runs the same code.
 
-Every operation reads the parts and returns parts, so over Q ``+ - *``,
-division and the Taylor shift (:func:`affine_substitute`) are integer
-arithmetic with one content gcd per result and no Fraction per
-coefficient.  A :class:`Poly` with int coefficients is a polynomial over
-Z: its coefficients are its numerators over 1, held in both slots, and it
+Entries that are all ints are over Z: they are their numerators over 1,
+one tuple held in both slots.  Equality is read on the parts, so it does
+not depend on the form.
+
+:class:`Poly` is a dense univariate polynomial over any exact field, such
+as Q, Q(t) or rational functions in one of the paper's parameters; all
+higher modules are generic over the scalars.  Every operation reads the
+parts and returns parts, so over Q ``+ - *``, division and the Taylor
+shift (:func:`affine_substitute`) are integer arithmetic with one content
+gcd per result and no Fraction per coefficient, and a polynomial over Z
 stays one under ``+ - *`` and int scalars.  One-parameter limiting
 identities evaluate their closed forms as numerator/denominator pairs in
 Z[t] and take the limit at ``t = 0`` exactly by valuation
@@ -114,14 +120,98 @@ def sqrt_fraction(x: Fraction):
     return None
 
 
-class Poly:
+class Held:
+    """Exact entries held as given or as ``parts``, whichever they were
+    made in, the other made on first use and kept (see the module
+    docstring); immutable.  Subclasses add no slot and name the entries:
+    ``Poly.coeffs``, ``MomentFunctional.moments``.
+    """
+
+    __slots__ = ("_values", "_parts")
+
+    def __init__(self, values):
+        _set_values(self, tuple(values))
+        _set_parts(self, None)
+
+    @classmethod
+    def _of_parts(cls, nums, den, ints: bool = False):
+        """The value with entries nums[i] / den, held as parts in lowest
+        terms (:func:`lowest_terms`).  ``ints`` marks entries over Z (den
+        1): the numerators are the entries, one tuple held in both slots."""
+        if den == 1 and type(den) is int:  # over Z and over Q(t): no content
+            nums = tuple(nums)
+        else:
+            nums, den = lowest_terms(nums, den)
+        held = object.__new__(cls)
+        _set_values(held, nums if ints else None)
+        _set_parts(held, (nums, den))
+        return held
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _made_values(self) -> tuple:
+        """The entries as given, or made from the parts once, on first
+        read: one Fraction per entry over Q."""
+        if self._values is None:
+            nums, den = self._parts
+            _set_values(self, tuple(over_den(n, den) for n in nums))
+        return self._values
+
+    @property
+    def parts(self) -> tuple:
+        """(nums, den) with entry i = nums[i] / den: over Q int numerators
+        over one positive int den with no common factor, a scalar of any
+        other field its own numerator (:func:`num_den`).  Over Z (every
+        entry an int) they are the entries' own tuple, over 1: that identity
+        is how an operation tells that its operands are over Z, and then
+        its result is too."""
+        if self._parts is None:
+            v = self._values
+            _set_parts(self, (v, 1) if all(type(x) is int for x in v)
+                       else _over_common_den(v))
+        return self._parts
+
+    def _held(self) -> tuple:
+        """The entries or the numerators, whichever is held: either is
+        zero exactly where an entry is."""
+        return self._values if self._values is not None else self._parts[0]
+
+    def __eq__(self, other):
+        """As many entries, and no first difference."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        k = len(self._held())
+        return (k == len(other._held())
+                and self._first_difference(other, k - 1) is None)
+
+    def _first_difference(self, other, k: int):
+        """The least i <= k where entry i of self and of other differ, or
+        None, read on the parts: a_i / ad = b_i / bd exactly when
+        a_i bd = b_i ad.  So equal scalars of two types, such as
+        Fraction(7, 2) and 7/2 in sympy's Q(w), which compare unequal,
+        make equal entries."""
+        (a, ad), (b, bd) = self.parts, other.parts
+        if ad == bd and a[:k + 1] == b[:k + 1]:  # equal over Q: equal parts
+            return None
+        return next((i for i in range(k + 1) if a[i] * bd != b[i] * ad),
+                    None)
+
+
+# bound once for the hot paths: the slots' own setters (a Held value refuses
+# attribute assignment) and the base constructor from parts
+_set_values, _set_parts = Held._values.__set__, Held._parts.__set__
+_held_of_parts = Held._of_parts.__func__
+
+
+class Poly(Held):
     """Dense univariate polynomial; ``coeffs[i]`` multiplies ``x**i``.
 
-    A polynomial is held in the form it was made in: its ``coeffs`` as
-    given, or its ``parts``, numerators over one denominator (see the
-    module docstring).  The other form is made on first use and kept.
-    Every operation reads the parts and returns parts, so equality and
-    hash do not depend on the form.
+    Held as its ``coeffs`` or their ``parts`` (:class:`Held`); every
+    operation reads the parts and returns parts, so equality and hash do
+    not depend on the form.
 
     The zero polynomial has no coefficients and degree -1; otherwise the
     last coefficient is non-zero.  Coefficients lie in any exact field
@@ -130,71 +220,25 @@ class Poly:
     degree is the int ``0``, which equals and hashes as ``Fraction(0)``.
     """
 
-    __slots__ = ("_coeffs", "_parts")
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        _set_coeffs(self, tuple(coeffs))
-        _set_parts(self, None)
+        Held.__init__(self, coeffs)
 
-    @staticmethod
-    def _of_parts(nums, den, ints: bool = False) -> "Poly":
-        """The polynomial with coefficients nums[i] / den, held as parts
-        in lowest terms (:func:`lowest_terms`).  ``ints`` marks a
-        polynomial over Z (den 1): its numerators are its coefficients,
-        one tuple held in both slots."""
+    @classmethod
+    def _of_parts(cls, nums, den, ints: bool = False) -> "Poly":
+        """:meth:`Held._of_parts` with the trailing zero numerators
+        dropped."""
         k = len(nums)
         while k and nums[k - 1] == 0:
             k -= 1
-        if k < len(nums):
-            nums = nums[:k]
-        if den == 1 and type(den) is int:  # over Z and over Q(t): no content
-            nums = tuple(nums)
-        else:
-            nums, den = lowest_terms(nums, den)
-        p = object.__new__(Poly)
-        _set_coeffs(p, nums if ints else None)
-        _set_parts(p, (nums, den))
-        return p
+        return _held_of_parts(cls, nums[:k] if k < len(nums) else nums, den,
+                              ints)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Poly is immutable")
-
-    __delattr__ = __setattr__
-
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients as given, or made from the parts once, on
-        first read: one Fraction per coefficient over Q."""
-        if self._coeffs is None:
-            nums, den = self._parts
-            _set_coeffs(self, tuple(over_den(n, den) for n in nums))
-        return self._coeffs
-
-    @property
-    def parts(self) -> tuple:
-        """(nums, den) with coefficient i = nums[i] / den: over Q int
-        numerators over one positive int den with no common factor, a
-        scalar of any other field its own numerator (:func:`num_den`).
-        Over Z (every coefficient an int) they are the coefficients' own
-        tuple, over 1: that identity is how an operation tells that its
-        operands are over Z, and then its result is too."""
-        if self._parts is None:
-            c = self._coeffs
-            if all(type(x) is int for x in c):
-                parts = (c, 1)
-            else:
-                nums, den = _over_common_den(c)
-                parts = (tuple(nums), den)
-            _set_parts(self, parts)
-        return self._parts
-
-    def _held(self) -> tuple:
-        """The coefficients or the numerators, whichever is held: either
-        has one entry per power up to the degree."""
-        return self._coeffs if self._coeffs is not None else self._parts[0]
+    coeffs = property(Held._made_values)  # the entries, one per power
 
     @staticmethod
     def one() -> "Poly":
@@ -236,26 +280,17 @@ class Poly:
         held = self._held()
         if not 0 <= i < len(held):
             return 0
-        return held[i] if held is self._coeffs else over_den(
+        return held[i] if held is self._values else over_den(
             held[i], self._parts[1])
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
-        """Equal as polynomials, on the parts: a_i / ad = b_i / bd exactly
-        when a_i bd = b_i ad.  So equal scalars of two types, such as
-        Fraction(7, 2) and 7/2 in sympy's Q(w), which compare unequal,
-        make equal polynomials; two such polynomials may hash differently.
-        """
-        if not isinstance(other, Poly) and other == 0:
-            return self.is_zero()
-        (a, ad), (b, bd) = self.parts, _poly(other).parts
-        if len(a) != len(b):
-            return False
-        if ad == bd:
-            return a == b
-        return all(x * bd == y * ad for x, y in zip(a, b))
+        """Equal as polynomials (:meth:`Held.__eq__`), a scalar taken as a
+        constant; two equal polynomials over different fields may hash
+        differently."""
+        return Held.__eq__(self, _poly(other))
 
     def __hash__(self):
         """The hash of the parts over Q, where they are in lowest terms;
@@ -275,7 +310,7 @@ class Poly:
         """self + sign * other over the lcm of the two dens."""
         other = _poly(other)
         (a, ad), (b, bd) = self.parts, other.parts
-        ints = a is self._coeffs and b is other._coeffs
+        ints = a is self._values and b is other._values
         if ad != bd:
             g = math.gcd(ad, bd)
             a, b, ad = _times(a, bd // g), _times(b, ad // g), ad // g * bd
@@ -306,7 +341,7 @@ class Poly:
         if not isinstance(other, Poly):
             sn, sd = num_den(other)
             return _of_parts([n * sn for n in a], ad * sd,
-                             a is self._coeffs and type(other) is int)
+                             a is self._values and type(other) is int)
         b, bd = other.parts
         if not a or not b:
             return Poly()
@@ -316,7 +351,7 @@ class Poly:
                 for k, y in enumerate(b, i):
                     out[k] += x * y
         return _of_parts(out, ad * bd,
-                         a is self._coeffs and b is other._coeffs)
+                         a is self._values and b is other._values)
 
     __rmul__ = __mul__
 
@@ -427,10 +462,7 @@ class Poly:
         return Poly([rat(s) for s in items])
 
 
-# bound once for the hot paths: the slots' own setters (Poly refuses
-# attribute assignment) and the constructor from parts
-_set_coeffs, _set_parts = Poly._coeffs.__set__, Poly._parts.__set__
-_of_parts = Poly._of_parts
+_of_parts = Poly._of_parts  # bound once for the hot paths
 
 
 def _poly(value) -> Poly:
@@ -447,7 +479,8 @@ def _times(nums, s):
 
 
 def _over_common_den(values):
-    """(numerators, den) with values[i] = numerators[i] / den.
+    """(numerators, den) with values[i] = numerators[i] / den, the
+    numerators a tuple.
 
     Over Q the numerators are ints over one positive int den with no
     common factor (each Fraction is in lowest terms); a scalar of any other
@@ -455,7 +488,7 @@ def _over_common_den(values):
     """
     pairs = [num_den(x) for x in values]
     den = math.lcm(*(d for _, d in pairs))
-    return [n if d == den else n * (den // d) for n, d in pairs], den
+    return tuple([n if d == den else n * (den // d) for n, d in pairs]), den
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -498,7 +531,7 @@ def affine_substitute(p: Poly, s, t) -> Poly:
         for k in range(1, d + 1):
             a[k], power = a[k] * power, power * scale
     return _of_parts(
-        a, den, nums is p._coeffs and type(s) is int and type(t) is int)
+        a, den, nums is p._values and type(s) is int and type(t) is int)
 
 
 class RatFunc:

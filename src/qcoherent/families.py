@@ -411,6 +411,9 @@ class FamilySpec:
 
     @staticmethod
     def from_json(data) -> "FamilySpec":
+        if not isinstance(data, dict):
+            raise DomainError(f"a family spec must be a JSON object, got "
+                              f"{data!r}")
         for key in ("kind", "params", "base"):
             if key not in data:
                 raise DomainError(f"a family spec needs the key {key!r}")

@@ -45,16 +45,13 @@ equation D(phi u) = psi u, deg phi <= 2, deg psi = 1, which on the centred
 moments is a three-term recurrence in the moments themselves, walked from
 c_0 = 1 with no other seed.
 
-A functional is held in the form it was made in (:class:`MomentFunctional`):
-its moments, as a Pearson walk, a parse or a caller gives them, or its
-parts, numerators over one denominator, as FLINT's ``fmpq_poly`` holds a
-polynomial (over Q: int numerators over one positive int den with no
-common factor).  The other form is made on first use and kept.  Every
-operator that derives a functional reads parts and returns parts, so over
-Q a chain of operators is integer arithmetic with one content gcd per
+A functional's moments are held as a polynomial's coefficients are, in
+the two forms of :class:`~qcoherent.algebra.Held`: as given, or as parts.
+Every operator that derives a functional reads parts and returns parts, so
+over Q a chain of operators is integer arithmetic with one content gcd per
 result and no Fraction per moment.  Only ``moments``, ``to_json``,
-:func:`act`, ``repr``, ``+``, ``-``, :func:`functional_shift` (no hot
-path) and the Taylor shifts at w != 0 read the moments.
+:func:`act`, ``repr``, ``+``, ``-`` and the Taylor shifts at w != 0 read
+the moments.
 
 Every sum of products sum_k f_k w_k of polynomials and functionals runs
 through one kernel, :func:`_combination`: each f_k's parts
@@ -74,10 +71,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    Held,
     Poly,
     _over_common_den,
     affine_substitute,
-    lowest_terms,
     num_den,
     over_den,
     rat,
@@ -92,63 +89,24 @@ from .errors import (
 from .qcalc import QParams, leibniz_table, q_falling
 
 
-class MomentFunctional:
+class MomentFunctional(Held):
     """Moments m_0 .. m_K of a linear functional, m_i = <u, x**i>.
 
-    A functional is held in the form it was made in: its ``moments`` as
-    given (a Pearson walk, a parse, a list), or its ``parts``, numerators
-    over one denominator, as the operators below make it.  The other form
-    is made on first use and kept.  Equality and hash are those of the
+    Held as its ``moments`` or their ``parts``
+    (:class:`~qcoherent.algebra.Held`): the moments as given (a Pearson
+    walk, a parse, a list), or numerators over one denominator, as the
+    operators below make them.  Equality and hash are those of the
     moments, whatever the form.
     """
 
-    __slots__ = ("_moments", "_parts")
+    __slots__ = ()
 
     def __init__(self, moments):
-        moments = tuple(moments)
-        if not moments:
+        Held.__init__(self, moments)
+        if not self._values:
             raise DomainError("a moment functional needs at least m_0")
-        object.__setattr__(self, "_moments", moments)
-        object.__setattr__(self, "_parts", None)
 
-    @classmethod
-    def _of_parts(cls, nums, den) -> "MomentFunctional":
-        """The functional with moments nums[i] / den, held as parts in
-        lowest terms (:func:`lowest_terms`)."""
-        u = object.__new__(cls)
-        object.__setattr__(u, "_moments", None)
-        object.__setattr__(u, "_parts", lowest_terms(nums, den))
-        return u
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("MomentFunctional is immutable")
-
-    __delattr__ = __setattr__
-
-    @property
-    def moments(self) -> tuple:
-        """m_0 .. m_K as given, or made from the parts once, on first
-        read: one Fraction per moment over Q."""
-        if self._moments is None:
-            nums, den = self._parts
-            object.__setattr__(self, "_moments",
-                               tuple(over_den(n, den) for n in nums))
-        return self._moments
-
-    @property
-    def parts(self) -> tuple:
-        """(nums, den) with m_i = nums[i] / den: over Q int numerators over
-        one positive int den with no common factor; a scalar of any other
-        field (Q(t)) is its own numerator."""
-        if self._parts is None:
-            nums, den = _over_common_den(self._moments)
-            object.__setattr__(self, "_parts", (tuple(nums), den))
-        return self._parts
-
-    def _held(self) -> tuple:
-        """The moments or the numerators, whichever is held: either is zero
-        exactly where a moment is."""
-        return self._moments if self._parts is None else self._parts[0]
+    moments = property(Held._made_values)  # the entries, m_0 .. m_K
 
     @property
     def order(self) -> int:
@@ -156,12 +114,6 @@ class MomentFunctional:
 
     def is_zero(self) -> bool:
         return all(m == 0 for m in self._held())
-
-    def __eq__(self, other):
-        if not isinstance(other, MomentFunctional):
-            return NotImplemented
-        return (self.order == other.order
-                and _first_difference(self, other, self.order) is None)
 
     def __hash__(self):
         return hash(self.moments)
@@ -195,6 +147,9 @@ class MomentFunctional:
 
     @staticmethod
     def from_json(data) -> "MomentFunctional":
+        if not isinstance(data, dict):
+            raise DomainError(f"a moment functional must be a JSON object, "
+                              f"got {data!r}")
         if "moments" not in data:
             raise DomainError("a moment functional needs the key 'moments'")
         if not isinstance(data["moments"], list):
@@ -279,18 +234,6 @@ def _taylor_shift(moments, a):
     return out
 
 
-def _to_y(moments, qp: QParams):
-    """Moments against y**n, y = x - w0, from those against x**n; the
-    input itself at w = 0, where y = x."""
-    return moments if qp.omega == 0 else _taylor_shift(moments, -qp.omega0)
-
-
-def _from_y(moments, qp: QParams) -> MomentFunctional:
-    """The functional whose moments against y**n, y = x - w0, are given."""
-    return MomentFunctional(
-        moments if qp.omega == 0 else _taylor_shift(moments, qp.omega0))
-
-
 def _centred_parts(u: MomentFunctional, qp: QParams):
     """The parts of u's moments against y**n, y = x - w0: u's own at
     w = 0, else those of one Taylor shift of its moments."""
@@ -300,9 +243,11 @@ def _centred_parts(u: MomentFunctional, qp: QParams):
 
 
 def _uncentred(w: MomentFunctional, qp: QParams) -> MomentFunctional:
-    """The functional whose moments against y**n are w's: w itself at
-    w = 0."""
-    return w if qp.omega == 0 else _from_y(w.moments, qp)
+    """The functional whose moments against y**n, y = x - w0, are w's: w
+    itself at w = 0, else one Taylor shift of w's moments."""
+    if qp.omega == 0:
+        return w
+    return MomentFunctional(_taylor_shift(w.moments, qp.omega0))
 
 
 def functional_diff(u: MomentFunctional, qp: QParams) -> MomentFunctional:
@@ -369,11 +314,15 @@ def functional_diffs(u: MomentFunctional, n: int, qp: QParams) -> list:
 
 def functional_shift(u: MomentFunctional, qp: QParams) -> MomentFunctional:
     """The induced shift L[q,w] u; <L u, x**n> = <u, ((x - w)/q)**n>.
-    Diagonal in the centred basis: c'_j = q**-j c_j.
-    """
-    p = qp.inverse.q
-    return _from_y([p ** j * c for j, c in enumerate(_to_y(u.moments, qp))],
-                   qp)
+    Diagonal in the centred basis: c'_j = q**-j c_j, so with q = qn/qd and
+    K = order(u) numerator j is scaled by qd**j qn**(K-j) over the den
+    times qn**K, one int per numerator over Q."""
+    c, cd = _centred_parts(u, qp)
+    qn, qd = num_den(qp.q)
+    k = len(c) - 1
+    return _uncentred(MomentFunctional._of_parts(
+        [qd ** j * qn ** (k - j) * x for j, x in enumerate(c)],
+        cd * qn ** k), qp)
 
 
 def leibniz_expansion(f: Poly, u: MomentFunctional, n: int,
@@ -401,17 +350,8 @@ def functional_agree(u: MomentFunctional, v: MomentFunctional):
     Returns (ok, first_failure_index_or_None, order_checked).
     """
     k = min(u.order, v.order)
-    i = _first_difference(u, v, k)
+    i = u._first_difference(v, k)
     return i is None, i, k
-
-
-def _first_difference(u: MomentFunctional, v: MomentFunctional, k: int):
-    """The least i <= k with m_i(u) != m_i(v), or None, read on the parts:
-    a_i / ad = b_i / bd exactly when a_i bd = b_i ad."""
-    (a, ad), (b, bd) = u.parts, v.parts
-    if ad == bd:
-        return next((i for i in range(k + 1) if a[i] != b[i]), None)
-    return next((i for i in range(k + 1) if a[i] * bd != b[i] * ad), None)
 
 
 @dataclass(frozen=True)

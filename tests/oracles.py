@@ -6,13 +6,14 @@ scalar per coefficient (the form of every ``Poly`` operation while a
 polynomial held its coefficients only), the q-bracket in closed form, the
 q-factorials and q-binomials by the bracket recurrence [j+1] = 1 +
 base*[j], the steps t_j of the dual difference by the same recurrence,
-the operators on moment functionals with one scalar per moment, the
-Pearson companion of a pair, the q-Leibniz expansion one order at a
-time, the dual basis of a simple set by a triangular solve, the Hankel
-regularity test, the (pi, beta_0, gamma_1) a classifier reads off a case
-instance, and the Pearson engine on a pair given in x.  Production forms every q-factorial ratio from one table
-(``qcalc.q_falling``); these walk the brackets one by one in the scalar
-field, so the two agree only when both are right.
+the operators on moment functionals with one scalar per moment and their
+change of basis to y = x - w0 and back, the Pearson companion of a pair,
+the q-Leibniz expansion one order at a time, the dual basis of a simple
+set by a triangular solve, the Hankel regularity test, the (pi, beta_0,
+gamma_1) a classifier reads off a case instance, and the Pearson engine
+on a pair given in x.  Production forms every q-factorial ratio from one
+table (``qcalc.q_falling``); these walk the brackets one by one in the
+scalar field, so the two agree only when both are right.
 """
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from qcoherent.errors import (
 from qcoherent.functionals import (
     MomentFunctional,
     _combination,
+    _taylor_shift,
     _uncentred,
     dual_rows,
 )
@@ -195,6 +197,18 @@ def scalar_diff_n(moments, n: int, base) -> list:
     scale = (-1 / base) ** n
     return [moments[0] * 0] * n + [scale * f[i + n] / f[i] * c
                                    for i, c in enumerate(moments)]
+
+
+def _to_y(moments, qp: QParams):
+    """Moments against y**n, y = x - w0, from those against x**n; the
+    input itself at w = 0, where y = x."""
+    return moments if qp.omega == 0 else _taylor_shift(moments, -qp.omega0)
+
+
+def _from_y(moments, qp: QParams) -> MomentFunctional:
+    """The functional whose moments against y**n, y = x - w0, are given."""
+    return MomentFunctional(
+        moments if qp.omega == 0 else _taylor_shift(moments, qp.omega0))
 
 
 def scalar_first_difference(a, b):

@@ -69,7 +69,7 @@ def test_poly_equal_and_hash_across_forms():
     # hash alike, and a dict keyed by one form finds the other
     coeffs = Poly([F(1, 2), F(-2, 3), F(5, 6)])
     parts = Poly._of_parts([-6, 8, -10], -12)
-    assert parts.parts == ((3, -4, 5), 6) and parts._coeffs is None
+    assert parts.parts == ((3, -4, 5), 6) and parts._values is None
     assert coeffs._parts is None
     assert parts == coeffs and coeffs == parts
     assert hash(parts) == hash(coeffs)

@@ -187,13 +187,20 @@ def test_value_samples_cover_every_dataclass():
 @pytest.mark.parametrize("value", _value_samples(),
                          ids=lambda v: type(v).__name__)
 def test_value_types_are_immutable(value):
+    # the slots across the MRO: a subclass of a slotted base has none of
+    # its own
     names = (dataclasses.fields(value) if dataclasses.is_dataclass(value)
-             else type(value).__slots__)
+             else [name for cls in type(value).__mro__
+                   for name in getattr(cls, "__slots__", ())])
+    assert names
+    # a slotted class's guard names the class, a subclass's its own
+    refused = None if dataclasses.is_dataclass(value) else (
+        f"^{type(value).__name__} is immutable$")
     for name in (getattr(f, "name", f) for f in names):
         before = getattr(value, name)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=refused):
             setattr(value, name, before)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=refused):
             delattr(value, name)
         assert getattr(value, name) is before
     # a name that is no field is refused too; on Python 3.11 a frozen

@@ -17,6 +17,7 @@ from qcoherent.classify import (
 )
 from qcoherent.coherence import CoherencePair
 from qcoherent.errors import (
+    DegreeClaimViolated,
     DomainError,
     IndexOutOfRange,
     InternalInconsistency,
@@ -24,7 +25,12 @@ from qcoherent.errors import (
     MissingData,
 )
 from qcoherent.families import CoherenceConfig, FamilySpec, structure_coeffs
-from qcoherent.functionals import _taylor_shift, functional_agree, left_mult
+from qcoherent.functionals import (
+    VerifyReport,
+    _taylor_shift,
+    functional_agree,
+    left_mult,
+)
 from qcoherent.qcalc import (
     QParams,
     hahn_power,
@@ -635,6 +641,34 @@ def test_phi_chain_verification(pair_i, pair_ii):
     for pair in (pair_i, pair_ii):
         for report in pair.verify_phi_chain():
             assert report.ok, report.identity
+
+
+def test_class_bound_reports_hold_and_a_broken_chain_is_refused(monkeypatch):
+    # both class-bound reports of the chain hold in each of the six cases;
+    # a chain whose big_phi_0 breaks its degree claim M + m is refused by
+    # phi_chain, before verify_phi_chain makes any report
+    rng = random.Random("class-bounds")
+    pairs = [sample_case_instance(rng, label, order=24, depth=4)[1]
+             for label in CASE_LABELS]
+    for label, pair in zip(CASE_LABELS, pairs):
+        reports = {r.identity: r for r in pair.verify_phi_chain()}
+        for name in ("class bound for u", "class bound for v"):
+            assert reports[name].ok, (label, name, reports[name].detail)
+    made = []
+    real_init, real_psi = VerifyReport.__init__, CoherencePair.psi
+
+    def counted_init(self, identity, *args, **kwargs):
+        made.append(identity)
+        real_init(self, identity, *args, **kwargs)
+
+    monkeypatch.setattr(VerifyReport, "__init__", counted_init)
+    monkeypatch.setattr(CoherencePair, "psi",
+                        lambda self, n: real_psi(self, n) * Poly.x())
+    for label, pair in zip(CASE_LABELS, pairs):
+        with pytest.raises(DegreeClaimViolated,
+                           match=r"deg big_phi\(\.;0\) = \d+, expected"):
+            pair.verify_phi_chain()
+    assert made == []
 
 
 def test_phi_chain_perturbation_fails(pair_ii):

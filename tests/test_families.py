@@ -957,6 +957,14 @@ def test_family_spec_from_json_refuses_params_that_are_not_a_list(params):
         FamilySpec.from_json(data)
 
 
+@pytest.mark.parametrize("data", [5, None, [], ["L", ["2/1"], "1/2"],
+                                  "kind params base"])
+def test_family_spec_from_json_refuses_data_that_is_not_an_object(data):
+    # a string holds every key as a substring, and a list holds none
+    with pytest.raises(DomainError, match="family spec must be a JSON object"):
+        FamilySpec.from_json(data)
+
+
 # the parameters each identity reads
 READS = {
     "l-as-j-via-b": "abc", "l-as-j-via-a": "abc", "l00c-limit": "c",

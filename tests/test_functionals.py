@@ -73,8 +73,10 @@ centres = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 def test_moment_functional_holds_moments_only():
     # moments against x**i and nothing else: no centre, no change of basis.
     # The two slots are two forms of those moments, the moments themselves
-    # and their numerators over one denominator
-    assert MomentFunctional.__slots__ == ("_moments", "_parts")
+    # and their numerators over one denominator, the slots of the storage
+    # base and none of its own
+    assert [name for cls in MomentFunctional.__mro__
+            for name in getattr(cls, "__slots__", ())] == ["_values", "_parts"]
     u = MomentFunctional([F(1), F(-1, 2), F(2, 3)])
     assert not hasattr(u, "at")
     assert u.parts == ((6, -3, 4), 6)
@@ -475,12 +477,21 @@ def test_from_json_refuses_moments_that_are_not_a_list(moments):
         MomentFunctional.from_json({"moments": moments})
 
 
+@pytest.mark.parametrize("data", [5, None, [], ["1/1"], "moments"])
+def test_from_json_refuses_data_that_is_not_an_object(data):
+    # "moments" holds the key as a substring, and a list of moments is no
+    # functional without its key
+    with pytest.raises(DomainError,
+                       match="moment functional must be a JSON object"):
+        MomentFunctional.from_json(data)
+
+
 def test_moment_functionals_equal_by_moments_in_either_form():
     # parts are brought to lowest terms with a positive denominator, and a
     # functional equals and hashes as the one made from its moments
     u = MomentFunctional([F(1), F(-1, 2), F(2, 3)])
     v = MomentFunctional._of_parts([-12, 6, -8], -12)
-    assert v.parts == ((6, -3, 4), 6) and v._moments is None
+    assert v.parts == ((6, -3, 4), 6) and v._values is None
     assert u == v and v == u and hash(u) == hash(v)
     assert v.moments == u.moments and v.order == u.order == 2
     assert u != MomentFunctional._of_parts([6, -3, 5], 6)
@@ -488,7 +499,7 @@ def test_moment_functionals_equal_by_moments_in_either_form():
     assert v != MomentFunctional._of_parts([6, -3, 4, 0], 6)
     zero = MomentFunctional._of_parts([0, 0], 35)
     assert zero.parts == ((0, 0), 1) and zero.is_zero()
-    assert zero == MomentFunctional([0, F(0)]) and zero._moments is None
+    assert zero == MomentFunctional([0, F(0)]) and zero._values is None
     # ints are numerators over 1; the other form is made once and kept
     w = MomentFunctional([1, 2])
     assert w.parts == ((1, 2), 1)

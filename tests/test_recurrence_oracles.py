@@ -54,9 +54,7 @@ from qcoherent.families import (
 from qcoherent.functionals import (
     MomentFunctional,
     _combination,
-    _from_y,
     _taylor_shift,
-    _to_y,
     dual_rows,
     functional_agree,
     functional_diff_n,
@@ -76,6 +74,8 @@ from qcoherent.qcalc import (
 from qcoherent.sampling import sample_q
 
 from oracles import (
+    _from_y,
+    _to_y,
     coeff_add,
     coeff_affine_substitute,
     coeff_div_scalar,
