@@ -8,55 +8,52 @@ coherence-pair machinery with its determinant systems, and the constructive
 classification of self-coherent sequences.  Every identity is checked with
 exact equality; there is no floating point anywhere.
 
-The names below are the public API; everything else is imported from its
-module (``qcoherent.algebra``, ``qcoherent.qcalc``, ...).
+The names of ``__all__`` are the public API, and ``import qcoherent`` loads
+none of their modules: a name's module is imported on the name's first read
+(PEP 562).  Everything else is imported from its module
+(``qcoherent.algebra``, ``qcoherent.qcalc``, ...).
 """
 
-from .algebra import Poly
-from .classify import ClassificationTrace, classify_self_coherent
-from .coherence import CoherencePair
-from .families import (
-    CoherenceConfig,
-    FamilySpec,
-    TTRRCoeffs,
-    check_reduction,
-    classical,
-    l_coeffs_symmetric,
-    moments_from_ttrr,
-    structure_coeffs,
-)
-from .functionals import (
-    MomentFunctional,
-    SemiclassicalWitness,
-    VerifyReport,
-    functional_diff,
-    left_mult,
-    pearson_check,
-)
-from .qcalc import QParams, hahn_diff, hahn_power, shift, shift_power
+from importlib import import_module
 
-__all__ = [
-    "ClassificationTrace",
-    "CoherenceConfig",
-    "CoherencePair",
-    "FamilySpec",
-    "MomentFunctional",
-    "Poly",
-    "QParams",
-    "SemiclassicalWitness",
-    "TTRRCoeffs",
-    "VerifyReport",
-    "check_reduction",
-    "classical",
-    "classify_self_coherent",
-    "functional_diff",
-    "hahn_diff",
-    "hahn_power",
-    "l_coeffs_symmetric",
-    "left_mult",
-    "moments_from_ttrr",
-    "pearson_check",
-    "shift",
-    "shift_power",
-    "structure_coeffs",
-]
+# public name -> the module that defines it
+_HOME = {
+    "ClassificationTrace": "classify",
+    "CoherenceConfig": "families",
+    "CoherencePair": "coherence",
+    "FamilySpec": "families",
+    "MomentFunctional": "functionals",
+    "Poly": "algebra",
+    "QParams": "qcalc",
+    "SemiclassicalWitness": "functionals",
+    "TTRRCoeffs": "families",
+    "VerifyReport": "functionals",
+    "check_reduction": "families",
+    "classical": "families",
+    "classify_self_coherent": "classify",
+    "functional_diff": "functionals",
+    "hahn_diff": "qcalc",
+    "hahn_power": "qcalc",
+    "l_coeffs_symmetric": "families",
+    "left_mult": "functionals",
+    "moments_from_ttrr": "families",
+    "pearson_check": "functionals",
+    "shift": "qcalc",
+    "shift_power": "qcalc",
+    "structure_coeffs": "families",
+}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    # the absolute name, not __name__: this file is also importable as
+    # qcoherent.__init__
+    if name not in _HOME:
+        raise AttributeError(f"module 'qcoherent' has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        import_module(f"qcoherent.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

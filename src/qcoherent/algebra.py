@@ -189,13 +189,15 @@ class Held:
 
     def _first_difference(self, other, k: int):
         """The least i <= k where entry i of self and of other differ, or
-        None, read on the parts: a_i / ad = b_i / bd exactly when
-        a_i bd = b_i ad.  So equal scalars of two types, such as
-        Fraction(7, 2) and 7/2 in sympy's Q(w), which compare unequal,
-        make equal entries."""
+        None, read on the parts: with g = gcd(ad, bd), a_i / ad = b_i / bd
+        exactly when a_i (bd / g) = b_i (ad / g).  So equal scalars of two
+        types, such as Fraction(7, 2) and 7/2 in sympy's Q(w), which
+        compare unequal, make equal entries."""
         (a, ad), (b, bd) = self.parts, other.parts
         if ad == bd and a[:k + 1] == b[:k + 1]:  # equal over Q: equal parts
             return None
+        g = math.gcd(ad, bd)
+        ad, bd = ad // g, bd // g
         return next((i for i in range(k + 1) if a[i] * bd != b[i] * ad),
                     None)
 

@@ -11,6 +11,10 @@ Rationals are always written "num/den".  Output is deterministic given the
 command line (seeded sampling only); exit codes are 0 on success, 1 when a
 verified identity fails, 2 on usage or domain errors and when stdout is
 closed before the output is written.
+
+Building the parser loads only ``errors`` and ``sampling``: each subcommand
+imports the modules it uses when it runs, so ``--help`` loads no calculus
+and ``verify leibniz`` no family.
 """
 from __future__ import annotations
 
@@ -18,44 +22,15 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
-from dataclasses import replace
-from fractions import Fraction
 
-from .algebra import Poly, affine_substitute, rat, rat_str
-from .classify import classify_self_coherent
-from .errors import INADMISSIBLE, DomainError, QCoherentError
-from .families import (
-    CLASSICAL_LABELS,
-    CoherenceConfig,
-    FamilySpec,
-    MASTER_ARITY,
-    REDUCTION_IDENTITIES,
-    check_reduction,
-    classical,
-    structure_coeffs,
-)
-from .functionals import (
-    MomentFunctional,
-    SemiclassicalWitness,
-    _report,
-    functional_diffs,
-    leibniz_expansion,
-    left_mult,
-    pearson_check,
-)
-from .qcalc import QParams
-from .sampling import (
-    CASE_LABELS,
-    rational,
-    sample_case_instance,
-    sample_poly_coeffs,
-    sample_q,
-)
+from .errors import DomainError, QCoherentError
+from .sampling import CASE_LABELS
 
 
-def _parse_poly(text: str) -> Poly:
+def _parse_poly(text: str):
+    from .algebra import Poly
+
     try:
         items = json.loads(text)
     except json.JSONDecodeError:
@@ -66,12 +41,21 @@ def _parse_poly(text: str) -> Poly:
     return Poly.from_strings(items)
 
 
-def _qparams(args) -> QParams:
+def _qparams(args):
+    from .algebra import rat
+    from .qcalc import QParams
+
     # gen and moments take no --omega: a family does not depend on w
     return QParams(rat(args.q), rat(getattr(args, "omega", "0/1")))
 
 
-def _family_from_args(args, qp: QParams) -> FamilySpec:
+def _family_from_args(args, qp):
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from .algebra import rat
+    from .families import CLASSICAL_LABELS, MASTER_ARITY, FamilySpec, classical
+
     label = args.family
     arity = MASTER_ARITY.get(label, CLASSICAL_LABELS.get(label))
     if arity is None:
@@ -130,6 +114,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from .algebra import rat_str
+
     qp = _qparams(args)
     _at_least(0, order=args.order)
     u = _family_from_args(args, qp).moments(args.order)
@@ -142,6 +128,12 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_verify_pearson(args) -> int:
+    from dataclasses import replace
+
+    from .algebra import affine_substitute
+    from .functionals import SemiclassicalWitness, pearson_check
+    from .qcalc import QParams
+
     qp = _qparams(args)
     _at_least(0, order=args.order)
     # the family and the witness are translated to y = x - w0, where the
@@ -159,6 +151,8 @@ def _cmd_verify_pearson(args) -> int:
 
 
 def _cmd_verify_structure(args) -> int:
+    from .families import CoherenceConfig, structure_coeffs
+
     _at_least(0, n=args.n, m=args.m, k=args.k, M=args.M)
     qp, pi = _qparams(args), _parse_poly(args.pi)
     spec = _family_from_args(args, qp)
@@ -173,6 +167,13 @@ def _cmd_verify_structure(args) -> int:
 
 
 def _cmd_verify_coherence(args) -> int:
+    import random
+    from fractions import Fraction
+
+    from .algebra import rat, rat_str
+    from .qcalc import QParams
+    from .sampling import sample_case_instance
+
     _at_least(0, depth=args.depth, order=args.order)
     if args.q is None and args.omega is not None:
         raise DomainError("--omega needs --q: without it q and w are drawn")
@@ -194,6 +195,15 @@ def _cmd_verify_coherence(args) -> int:
 
 
 def _cmd_verify_reduction(args) -> int:
+    import random
+    from fractions import Fraction
+
+    from .algebra import rat_str
+    from .errors import INADMISSIBLE
+    from .families import REDUCTION_IDENTITIES, check_reduction
+    from .qcalc import QParams
+    from .sampling import rational, sample_q
+
     _at_least(1, points=args.points)
     _at_least(0, n=args.n)
     if args.identity not in REDUCTION_IDENTITIES:
@@ -222,6 +232,19 @@ def _cmd_verify_reduction(args) -> int:
 
 
 def _cmd_verify_leibniz(args) -> int:
+    import random
+
+    from .algebra import Poly, affine_substitute
+    from .functionals import (
+        MomentFunctional,
+        _report,
+        functional_diffs,
+        leibniz_expansion,
+        left_mult,
+    )
+    from .qcalc import QParams
+    from .sampling import rational, sample_poly_coeffs, sample_q
+
     _at_least(1, trials=args.trials)
     _at_least(0, n=args.n)
     rng = random.Random(args.seed)
@@ -244,6 +267,9 @@ def _cmd_verify_leibniz(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .algebra import rat, rat_str
+    from .classify import classify_self_coherent
+
     _at_least(0, n=args.n)
     qp = _qparams(args)
     trace = classify_self_coherent(_parse_poly(args.pi), rat(args.beta0),

@@ -3,25 +3,22 @@
 Randomized identity tests draw bounded-height rationals from a seeded
 generator and rejection-sample against the regularity conditions of the
 target family or case, so every run is reproducible from its seed and
-every accepted draw is admissible.
+every accepted draw is admissible.  The case labels and the draws of a
+rational, a q and a polynomial load no other module of the package; the
+draws of parameters and case instances import theirs when first called.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .classify import (
-    CaseInstance,
-    case_i_instance,
-    case_ii_instance,
-    case_iiia_instance,
-    case_iiib_bessel_instance,
-    case_iiib_instance,
-)
-from .coherence import CoherencePair
 from .errors import INADMISSIBLE, QCoherentError
-from .families import CoherenceConfig
-from .qcalc import QParams
+
+if TYPE_CHECKING:  # imported where they are used, when first called
+    from .classify import CaseInstance
+    from .coherence import CoherencePair
+    from .qcalc import QParams
 
 CASE_LABELS = ("I", "II", "IIIa", "IIIb", "IIIb-bessel", "IIIb-rzero")
 
@@ -44,6 +41,8 @@ def sample_q(rng: random.Random) -> Fraction:
 
 
 def sample_qparams(rng: random.Random) -> QParams:
+    from .qcalc import QParams
+
     omega = rational(rng, num_max=4, den_max=3)
     return QParams(sample_q(rng), omega)
 
@@ -58,6 +57,14 @@ def sample_poly_coeffs(rng: random.Random, max_degree: int,
 
 
 def _draw(rng: random.Random, label: str, qp: QParams) -> CaseInstance:
+    from .classify import (
+        case_i_instance,
+        case_ii_instance,
+        case_iiia_instance,
+        case_iiib_bessel_instance,
+        case_iiib_instance,
+    )
+
     if label == "I":
         return case_i_instance(qp, rational(rng, nonzero=True),
                                rational(rng, nonzero=True))
@@ -94,6 +101,9 @@ def sample_case_instance(rng: random.Random, label: str,
     not banded with a non-vanishing band edge; gives up after 400 draws.
     Any other error propagates.
     """
+    from .coherence import CoherencePair
+    from .families import CoherenceConfig
+
     for _ in range(400):
         params = qp if qp is not None else sample_qparams(rng)
         try:

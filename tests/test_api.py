@@ -41,10 +41,19 @@ def test_public_names_resolve():
 
 
 def test_all_is_what_init_imports():
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    imported = [alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert sorted(qcoherent.__all__) == sorted(imported)
+    # __init__ imports each public name lazily, from its home module in
+    # the one table
+    assert qcoherent.__all__ == list(qcoherent._HOME)
+    assert qcoherent.__all__ == sorted(qcoherent.__all__)
+    for name, home in qcoherent._HOME.items():
+        module = importlib.import_module(f"qcoherent.{home}")
+        assert getattr(qcoherent, name) is getattr(module, name), name
+    assert set(qcoherent.__all__) <= set(dir(qcoherent))
+    namespace = {}
+    exec("from qcoherent import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(qcoherent.__all__)
+    assert len(qcoherent.__all__) == 23
+    assert not hasattr(qcoherent, "nope")
 
 
 def _tracer_targets() -> tuple:

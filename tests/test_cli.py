@@ -256,7 +256,6 @@ def test_verify_reduction_unknown_identity(capsys):
 
 def test_verify_reduction_reports_a_fault_at_once(capsys, monkeypatch):
     # only inadmissible parameters are resampled; a fault is not retried
-    import qcoherent.cli as cli_module
     from qcoherent.errors import InternalInconsistency
 
     calls = []
@@ -265,7 +264,7 @@ def test_verify_reduction_reports_a_fault_at_once(capsys, monkeypatch):
         calls.append(args)
         raise InternalInconsistency("fault under test")
 
-    monkeypatch.setattr(cli_module, "check_reduction", faulty_check)
+    monkeypatch.setattr(families_module, "check_reduction", faulty_check)
     code, out = run_cli(capsys, "verify", "reduction", "--identity",
                         "la10-limit", "--seed", "0")
     assert code == 2
@@ -275,10 +274,9 @@ def test_verify_reduction_reports_a_fault_at_once(capsys, monkeypatch):
 
 def test_verify_reduction_resamples_inadmissible_parameters(
         capsys, monkeypatch):
-    import qcoherent.cli as cli_module
     from qcoherent.errors import RegularityViolation
 
-    real_check = cli_module.check_reduction
+    real_check = families_module.check_reduction
     calls = []
 
     def first_draw_inadmissible(*args):
@@ -287,7 +285,7 @@ def test_verify_reduction_resamples_inadmissible_parameters(
             raise RegularityViolation("inadmissible draw under test")
         return real_check(*args)
 
-    monkeypatch.setattr(cli_module, "check_reduction",
+    monkeypatch.setattr(families_module, "check_reduction",
                         first_draw_inadmissible)
     code, out = run_cli(capsys, "verify", "reduction", "--identity",
                         "asc-roundtrip", "--seed", "7", "--points", "3",
@@ -345,6 +343,59 @@ def test_closed_stdout_exits_2_with_no_traceback():
     stderr = proc.stderr.read()
     assert proc.wait(timeout=60) == 2
     assert stderr == b""
+
+
+# a fresh interpreter: import qcoherent; with argv, build the parser; with a
+# non-empty argv, run main(argv) too.  Prints the exit code and the
+# package's submodules then loaded
+_LOADED = """\
+import contextlib, io, json, sys
+import qcoherent
+argv, code = json.loads(sys.argv[1]), 0
+if argv is not None:
+    import qcoherent.cli
+    qcoherent.cli.build_parser()
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qcoherent.cli.main(argv)
+print(code, *sorted(m for m in sys.modules if m.startswith("qcoherent.")))
+"""
+_PARSER = {"cli", "errors", "sampling"}
+_CALCULUS = _PARSER | {"algebra", "qcalc", "functionals"}
+_FAMILIES = _CALCULUS | {"families"}
+_L = ["--family", "L", "--a", "2/1", "--b", "3/1", "--c", "0/1", "--q", "1/2"]
+
+
+@pytest.mark.parametrize("argv, loaded, exact", [
+    (None, set(), True),
+    ([], _PARSER, True),
+    (["--help"], _PARSER, True),
+    (["verify", "leibniz", "--trials", "1", "--n", "2"], _CALCULUS, False),
+    (["gen", *_L, "--n", "3"], _FAMILIES, False),
+    (["moments", *_L, "--order", "4"], _FAMILIES, False),
+    (["verify", "pearson", *_L, "--phi", '["1/1"]', "--psi",
+      '["-5/6", "1/6"]', "--order", "6"], _FAMILIES, False),
+    (["verify", "structure", *_L, "--pi", '["1/1"]', "--n", "2"],
+     _FAMILIES, False),
+    (["verify", "reduction", "--identity", "la10-limit", "--points", "1",
+      "--n", "2"], _FAMILIES, False),
+    (["classify", "--pi", '["1/1"]', "--beta0", "5/1", "--gamma1=-3/1",
+      "--q", "1/2", "--n", "2"], _FAMILIES | {"classify"}, False),
+], ids=["import", "parser", "help", "leibniz", "gen", "moments", "pearson",
+        "structure", "reduction", "classify"])
+def test_import_budget(argv, loaded, exact):
+    # a command loads only the layers it uses: building the parser loads
+    # neither the calculus nor the families, verify leibniz loads no
+    # family, and only verify coherence loads the coherence pairs
+    src = Path(cli_module.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          check=True)
+    code, *modules = proc.stdout.split()
+    assert code == "0"
+    modules = {m.removeprefix("qcoherent.") for m in modules}
+    assert modules == loaded if exact else modules <= loaded, modules
 
 
 def test_classify_cli(capsys):
