@@ -2,7 +2,9 @@
 
 Subcommands
 -----------
-gen       family polynomials as a JSON array of coefficient arrays
+gen       family polynomials as a JSON array of coefficient arrays, written
+          one polynomial at a time: memory holds the polynomials, not the
+          output
 moments   truncated moment sequence of a family's functional
 verify    pearson | structure | coherence | reduction | leibniz
 classify  identify a self-coherent sequence from (pi, beta_0, gamma_1)
@@ -89,6 +91,18 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _emit_array(rows) -> None:
+    """Write the non-empty iterable ``rows`` of non-empty lists of "num/den"
+    strings, which JSON does not escape, with the bytes ``_emit`` gives the
+    list of them, each row as soon as it is drawn."""
+    write = sys.stdout.write
+    opening = "[\n"
+    for row in rows:
+        write(opening + '  [\n    "' + '",\n    "'.join(row) + '"\n  ]')
+        opening = ",\n"
+    write("\n]\n")
+
+
 def _emit_csv(header: str, rows) -> None:
     print(header)
     for row in rows:
@@ -104,12 +118,12 @@ def _cmd_gen(args) -> int:
     qp = _qparams(args)
     polys = _family_from_args(args, qp).polynomials(args.n)
     if args.format == "csv":
-        rows = [(n, power, coeff)
+        rows = ((n, power, coeff)
                 for n, poly in enumerate(polys)
-                for power, coeff in enumerate(poly.to_strings())]
+                for power, coeff in enumerate(poly.to_strings()))
         _emit_csv("n,power,coefficient", rows)
     else:
-        _emit([p.to_strings() for p in polys])
+        _emit_array(p.to_strings() for p in polys)
     return 0
 
 
@@ -121,7 +135,7 @@ def _cmd_moments(args) -> int:
     u = _family_from_args(args, qp).moments(args.order)
     if args.format == "csv":
         _emit_csv("n,moment",
-                  [(n, rat_str(m)) for n, m in enumerate(u.moments)])
+                  ((n, rat_str(m)) for n, m in enumerate(u.moments)))
     else:
         _emit(u.to_json())
     return 0
@@ -277,9 +291,9 @@ def _cmd_classify(args) -> int:
     if args.format == "csv":
         beta = trace.predicted.beta
         gamma = trace.predicted.gamma
-        rows = [(n, rat_str(beta[n]),
+        rows = ((n, rat_str(beta[n]),
                  rat_str(gamma[n - 1]) if n >= 1 else "")
-                for n in range(len(beta))]
+                for n in range(len(beta)))
         _emit_csv("n,beta,gamma", rows)
     else:
         _emit(trace.to_json())

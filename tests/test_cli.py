@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -328,21 +329,100 @@ def test_verify_leibniz_builds_three_tables_per_trial(capsys, monkeypatch,
     assert tables == [n] * 9
 
 
-def test_closed_stdout_exits_2_with_no_traceback():
-    # a reader that stops early (`| head -2`) closes the pipe while gen is
-    # still writing its ~290 kB: no traceback, exit 2, not 1, which means
-    # a failed identity
+def _gen_closed_after(lines):
+    """(lines read, exit code, stderr) of gen at n = 40, its ~290 kB of
+    stdout closed by the reader after ``lines`` lines."""
     src = Path(cli_module.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.Popen(
         [sys.executable, "-m", "qcoherent.cli", "gen", "--family", "L",
          "--a=2/1", "--b=3/1", "--c=1/5", "--q=1/2", "--n", "40"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"[\n"
+    read = [proc.stdout.readline() for _ in range(lines)]
     proc.stdout.close()
     stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == 2
-    assert stderr == b""
+    return read, proc.wait(timeout=60), stderr
+
+
+def test_closed_stdout_exits_2_with_no_traceback():
+    # a reader that stops early (`| head -2`) closes the pipe while gen is
+    # still writing: no traceback, exit 2, not 1, which means a failed
+    # identity
+    assert _gen_closed_after(1) == ([b"[\n"], 2, b"")
+
+
+def test_closed_stdout_mid_stream_exits_2_with_no_traceback():
+    # gen writes one polynomial at a time: the reader takes P_0 whole and
+    # closes the pipe while the later polynomials are still being written
+    assert _gen_closed_after(4) == (
+        [b"[\n", b"  [\n", b'    "1/1"\n', b"  ],\n"], 2, b"")
+
+
+_GEN_FAMILIES = {
+    "L": ["--family", "L", "--a=2/1", "--b=1/2", "--c=-2/3", "--q=2/3"],
+    "J": ["--family", "J", "--a=1/2", "--b=1/3", "--c=3/1", "--d=1/5",
+          "--q=1/2"],
+    "big-q-jacobi": ["--family", "big-q-jacobi", "--a=3/1", "--b=5/1",
+                     "--c=7/1", "--q=1/2"],
+}
+
+
+def _gen_spec(family_argv):
+    # the family spec that the CLI builds from the same options
+    args = cli_module.build_parser().parse_args(["gen", *family_argv])
+    return cli_module._family_from_args(args, cli_module._qparams(args))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+@pytest.mark.parametrize("family", sorted(_GEN_FAMILIES))
+def test_gen_streams_the_bytes_of_the_whole_list(capsys, family, n):
+    # written one polynomial at a time, the output is still byte for byte
+    # json.dumps of the whole list, and the csv rows are the same rows
+    argv = ["gen", *_GEN_FAMILIES[family], "--n", str(n)]
+    polys = _gen_spec(_GEN_FAMILIES[family]).polynomials(n)
+    assert run_cli(capsys, *argv) == (
+        0, json.dumps([p.to_strings() for p in polys], indent=2) + "\n")
+    rows = [(k, power, coeff)
+            for k, poly in enumerate(polys)
+            for power, coeff in enumerate(poly.to_strings())]
+    assert run_cli(capsys, *argv, "--format", "csv") == (
+        0, "".join(f"{k},{power},{coeff}\n" for k, power, coeff in
+                   [("n", "power", "coefficient"), *rows]))
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_gen_peak_memory_stays_below_its_output(fmt):
+    # gen holds the polynomials, not the output: at n = 60 the traced peak
+    # of one run stays below the size of what it writes, where a writer
+    # that builds the whole output first peaks at 3.5x it (json) or 1.5x
+    # (csv)
+    argv = ["gen", *_GEN_FAMILIES["L"], "--format", fmt]
+    with redirect_stdout(_CountingSink()):
+        assert main([*argv, "--n", "2"]) == 0  # imports and the parser
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            assert main([*argv, "--n", "60"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 500_000
+    assert peak < sink.size, (peak, sink.size)
 
 
 # a fresh interpreter: import qcoherent; with argv, build the parser; with a
